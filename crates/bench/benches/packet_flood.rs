@@ -70,11 +70,10 @@ fn measure(mode: TraceMode) -> (u64, f64) {
 
 /// Times one campaign-fleet sweep (20k clients over 32 APs — a CI-sized
 /// stand-in for the million-client run) and returns `(seconds, events)`.
-fn fleet_timing(shards: usize, days: u32, churn: f64) -> (f64, u64) {
+fn fleet_timing(days: u32, churn: f64) -> (f64, u64) {
     let config = RunConfig {
         fleet_clients: 20_000,
         fleet_aps: 32,
-        fleet_shards: shards,
         fleet_jobs: 1,
         fleet_days: days,
         fleet_churn: churn,
@@ -172,16 +171,15 @@ fn bench(c: &mut Criterion) {
         ));
     }
 
-    // Fleet timing: the campaign experiment end to end — unsharded,
-    // seed-sweep sharded and the multi-day churn loop — so the JSON artifact
-    // tracks population-scale cost alongside raw hot-path throughput.
+    // Fleet timing: the campaign experiment end to end — the single-day
+    // sweep and the multi-day churn loop — so the JSON artifact tracks
+    // population-scale cost alongside raw hot-path throughput.
     let mut fleet_entries: Vec<(&str, Json)> = Vec::new();
-    for (label, shards, days, churn) in [
-        ("fleet_unsharded", 1usize, 1u32, 0.0f64),
-        ("fleet_sharded_4", 4, 1, 0.0),
-        ("fleet_multiday_5d", 1, 5, 0.2),
+    for (label, days, churn) in [
+        ("fleet_unsharded", 1u32, 0.0f64),
+        ("fleet_multiday_5d", 5, 0.2),
     ] {
-        let (seconds, events) = fleet_timing(shards, days, churn);
+        let (seconds, events) = fleet_timing(days, churn);
         println!(
             "packet_flood/{label}: {events} events in {seconds:.3}s ({:.0} events/sec)",
             events as f64 / seconds
@@ -189,7 +187,6 @@ fn bench(c: &mut Criterion) {
         fleet_entries.push((
             label,
             Json::obj([
-                ("shards", shards.to_json()),
                 ("days", days.to_json()),
                 ("churn", churn.to_json()),
                 ("clients", 20_000u64.to_json()),

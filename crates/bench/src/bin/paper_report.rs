@@ -39,9 +39,9 @@ SUBCOMMANDS (distributed mode, newline-JSON protocol; see PROTOCOL.md):
                           the single-process batch run, including after a
                           worker dies and its range is retried. Requires
                           exactly --only campaign_fleet and --fleet-days >= 2
-    shard-worker          serve shard assignments from stdin, one reply line
-                          per assignment, until EOF (spawned by distribute;
-                          rarely run by hand)
+    shard-worker          serve shard_submit requests from stdin, one
+                          shard_result or error line per request, until EOF
+                          (spawned by distribute; rarely run by hand)
 
 SUBCOMMANDS (service mode, newline-JSON protocol; see PROTOCOL.md):
     serve                 start the campaign service daemon on --socket (and
@@ -113,8 +113,10 @@ OPTIONS:
                           in microseconds [default: 0]
     --fleet-clients <n>   campaign_fleet: total simulated clients [default: 100000]
     --fleet-aps <n>       campaign_fleet: number of cafe APs [default: 128]
-    --fleet-shards <n>    campaign_fleet: seed-sweep shards the fleet is split
-                          across (merged into one artifact) [default: 1]
+    --fleet-shards <n>    campaign_fleet: shard-count scheduling hint, echoed
+                          as \"shards\"; no other number in the artifact
+                          depends on it (distribute --workers is what splits
+                          a campaign across processes) [default: 1]
     --fleet-jobs <n>      campaign_fleet: worker threads for the per-AP sims
                           (0 = auto-size to the machine) [default: 0]
     --fleet-days <n>      campaign_fleet: simulated days; above 1 the fleet
@@ -992,21 +994,21 @@ mod service {
 
 /// The distributed-campaign subcommands: `distribute` is the coordinator
 /// (split, farm out, merge, report); `shard-worker` is the per-process
-/// worker half it spawns. A shard-worker reads one newline-JSON assignment
-/// per line from stdin —
-/// `{"op": "shard_run", "config": {...}, "first_ap": n, "aps": n}` — and
-/// replies on stdout with one `shard_result` (carrying the shard's
-/// mergeable partial-checkpoint document) or `error` line, until EOF. The
-/// same protocol works unchanged across an ssh transport, which is what
+/// worker half it spawns. Both speak the daemon's shard messages: a
+/// shard-worker reads one `shard_submit` request per stdin line and replies
+/// on stdout with one `shard_result` (carrying the shard's mergeable
+/// partial-checkpoint document) or `error` line, until EOF. The same
+/// protocol works unchanged across an ssh transport, which is what
 /// `--worker-cmd` exists for.
 mod distribute {
     use super::service::usage_error;
     use super::*;
+    use mp_service::protocol::codes;
+    use mp_service::serve_shard;
     use parasite::experiments::{
-        run_campaign_shard, scan_journal, write_journal_entry, ExperimentError, FaultKind,
-        FaultPlan, RunCtx, ShardOutcome, ShardPlan, FAULT_PLAN_ENV,
+        scan_journal, write_journal_entry, ExperimentError, FaultKind, FaultPlan, RunCtx,
+        ShardOutcome, ShardPlan, FAULT_PLAN_ENV,
     };
-    use parasite::json::{Json, ToJson};
     use std::collections::VecDeque;
     use std::io::{BufRead, BufReader, Write as _};
     use std::path::Path;
@@ -1014,10 +1016,11 @@ mod distribute {
     use std::sync::{mpsc, Mutex};
     use std::time::{Duration, Instant};
 
-    /// The `shard-worker` loop: serve stdin assignments until EOF. A seeded
-    /// `MP_FAULT_PLAN` (see PROTOCOL.md) makes chosen assignments
-    /// misbehave on demand — crash before replying, hang, or garble the
-    /// reply line — so the coordinator's supervision is testable.
+    /// The `shard-worker` loop: serve stdin assignments until EOF, each
+    /// through the daemon's shard path with the assignment's ordinal as its
+    /// run id. A seeded `MP_FAULT_PLAN` (see PROTOCOL.md) makes chosen
+    /// assignments misbehave on demand — crash before replying, hang, or
+    /// garble the reply line — so the coordinator's supervision is testable.
     pub fn worker(args: &[String]) -> ExitCode {
         if let Some(stray) = args.first() {
             return usage_error(&format!("unknown shard-worker argument {stray:?}"));
@@ -1026,85 +1029,32 @@ mod distribute {
             Ok(faults) => faults,
             Err(message) => return usage_error(&format!("{FAULT_PLAN_ENV}: {message}")),
         };
-        let stdin = std::io::stdin();
-        let mut reader = stdin.lock();
         let mut stdout = std::io::stdout();
-        let mut line = String::new();
-        loop {
-            line.clear();
-            match reader.read_line(&mut line) {
-                Ok(0) => return ExitCode::SUCCESS,
-                Ok(_) => {}
-                Err(_) => return ExitCode::FAILURE,
-            }
+        let mut run = 0u64;
+        for line in std::io::stdin().lock().lines() {
+            let Ok(line) = line else { return ExitCode::FAILURE };
             if line.trim().is_empty() {
                 continue;
             }
-            let fault = faults.as_ref().and_then(FaultPlan::claim_assignment);
-            match fault {
-                Some(FaultKind::Crash) => std::process::exit(3),
-                Some(FaultKind::Hang) => loop {
-                    // Hang forever (until the coordinator's shard timeout
-                    // kills this process).
-                    std::thread::sleep(Duration::from_secs(3600));
-                },
-                _ => {}
-            }
-            let mut reply = serve_assignment(line.trim()).to_string();
-            if matches!(fault, Some(FaultKind::Garble) | Some(FaultKind::Torn)) {
-                // A torn pipe write and a garbled line look the same to the
-                // coordinator: a strict prefix that can never parse whole.
-                let mut cut = faults.as_ref().expect("fault implies plan").garble_point(reply.len());
-                while !reply.is_char_boundary(cut) {
-                    cut -= 1;
+            run += 1;
+            let rejected = |message: String| {
+                Response::Error { message, code: Some(codes::BAD_REQUEST.to_string()) }
+                    .to_json()
+                    .to_string()
+            };
+            let reply = match Request::parse_line(&line) {
+                Ok(Request::ShardSubmit { config, first_ap, aps }) => {
+                    let plan = ShardPlan { first_ap, aps };
+                    serve_shard(run, &config, plan, &RunCtx::default(), faults.as_ref()).line
                 }
-                reply.truncate(cut);
-            }
+                Ok(_) => rejected("a shard-worker serves only shard_submit requests".to_string()),
+                Err(message) => rejected(message),
+            };
             if writeln!(stdout, "{reply}").and_then(|()| stdout.flush()).is_err() {
                 return ExitCode::FAILURE;
             }
         }
-    }
-
-    /// Serves one assignment line, rendering the reply line.
-    fn serve_assignment(line: &str) -> Json {
-        match run_assignment(line) {
-            Ok((first_ap, aps, outcome)) => Json::obj([
-                ("type", "shard_result".to_json()),
-                ("first_ap", (first_ap as u64).to_json()),
-                ("aps", (aps as u64).to_json()),
-                ("outcome", outcome),
-            ]),
-            Err(message) => {
-                Json::obj([("type", "error".to_json()), ("message", message.to_json())])
-            }
-        }
-    }
-
-    fn run_assignment(line: &str) -> Result<(usize, usize, Json), String> {
-        let request = Json::parse(line)
-            .map_err(|error| format!("assignment line is not valid JSON: {error}"))?;
-        match request.get("op").and_then(Json::as_str) {
-            Some("shard_run") => {}
-            Some(other) => return Err(format!("unknown worker op {other:?}")),
-            None => return Err("assignment is missing the \"op\" field".to_string()),
-        }
-        let config = request
-            .get("config")
-            .and_then(RunConfig::from_json)
-            .ok_or_else(|| "\"config\" is not a run configuration object".to_string())?;
-        let field = |key: &str| {
-            request
-                .get(key)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("shard_run requires a numeric {key:?} field"))
-        };
-        let first_ap = field("first_ap")? as usize;
-        let aps = field("aps")? as usize;
-        let plan = ShardPlan { first_ap, aps };
-        let outcome = run_campaign_shard(&config, plan, &RunCtx::default())
-            .map_err(|error| error.to_string())?;
-        Ok((first_ap, aps, outcome.to_checkpoint_json(&config)))
+        ExitCode::SUCCESS
     }
 
     /// The `distribute` coordinator.
@@ -1223,7 +1173,7 @@ mod distribute {
 
         // With a journal, completed shard ranges survive a coordinator
         // death: scan it, keep what validates, and re-plan only the gaps.
-        let mut done: Vec<ShardOutcome> = Vec::new();
+        let mut resumed: Vec<ShardOutcome> = Vec::new();
         let plans = match journal.as_deref() {
             None => ShardPlan::split(&config, workers),
             Some(dir) => match scan_journal(dir, &config) {
@@ -1246,8 +1196,8 @@ mod distribute {
                             scan.outcomes.len()
                         );
                     }
-                    done = scan.outcomes;
-                    uncovered_plans(&config, &done, workers)
+                    resumed = scan.outcomes;
+                    uncovered_plans(&config, &resumed, workers)
                 }
             },
         };
@@ -1261,29 +1211,16 @@ mod distribute {
             supervision,
             faults,
         };
-        let fresh = match coordinator.execute(&plans, workers) {
-            Ok(fresh) => fresh,
+        let merged = match coordinator.execute(&plans, workers, resumed) {
+            Ok(Some(merged)) => merged,
+            Ok(None) => {
+                eprintln!("error: no shards were planned");
+                return ExitCode::FAILURE;
+            }
             Err(error) => {
                 eprintln!("error: {error}");
                 return ExitCode::FAILURE;
             }
-        };
-        let mut merged: Option<ShardOutcome> = None;
-        for outcome in done.into_iter().chain(fresh) {
-            merged = Some(match merged {
-                None => outcome,
-                Some(accumulated) => match accumulated.merge(outcome) {
-                    Ok(merged) => merged,
-                    Err(error) => {
-                        eprintln!("error: cannot merge shard outcomes: {error}");
-                        return ExitCode::FAILURE;
-                    }
-                },
-            });
-        }
-        let Some(merged) = merged else {
-            eprintln!("error: no shards were planned");
-            return ExitCode::FAILURE;
         };
         match merged.into_fleet_result(&config) {
             Ok(result) => {
@@ -1379,37 +1316,69 @@ mod distribute {
         faults: Option<FaultPlan>,
     }
 
+    /// Why one assignment attempt failed.
+    enum AttemptError {
+        /// Worth another attempt on a fresh worker: a death, a hang, a
+        /// garbled reply or a failure inside the worker.
+        Retry(String),
+        /// The worker rejected the assignment itself (`bad_request`): the
+        /// rejection is deterministic, so every retry would repeat it.
+        Rejected(String),
+    }
+
+    /// Folds one shard outcome into the merged accumulator.
+    fn fold(
+        merged: &mut Option<ShardOutcome>,
+        outcome: ShardOutcome,
+    ) -> Result<(), ExperimentError> {
+        *merged = Some(match merged.take() {
+            None => outcome,
+            Some(accumulated) => accumulated.merge(outcome).map_err(|error| {
+                ExperimentError::Shard(format!("cannot merge shard outcomes: {error}"))
+            })?,
+        });
+        Ok(())
+    }
+
     impl Coordinator<'_> {
-        /// Farms the shard plans out to worker processes. Each assignment
-        /// gets a fresh worker process (no half-poisoned state to reason
-        /// about on retry); an assignment whose worker dies, hangs past the
-        /// supervision deadline, or replies garbage goes back on the queue
-        /// after a bounded exponential backoff, with retries accounted per
-        /// shard — one poisoned range exhausts its own `--retry-limit` and
-        /// fails fast with an error naming the range, instead of burning a
-        /// budget shared with healthy shards.
+        /// Farms the shard plans out to worker processes and folds each
+        /// outcome into one merged accumulator as it arrives, starting from
+        /// the journal-resumed outcomes (`merge` is associative and
+        /// order-insensitive, so arrival order cannot change the result).
+        /// Each assignment gets a fresh worker process (no half-poisoned
+        /// state to reason about on retry); an assignment whose worker dies,
+        /// hangs past the supervision deadline, or replies garbage goes back
+        /// on the queue after a bounded exponential backoff, with retries
+        /// accounted per shard — one poisoned range exhausts its own
+        /// `--retry-limit` and fails fast with an error naming the range,
+        /// instead of burning a budget shared with healthy shards. A
+        /// `bad_request` rejection fails the run at once.
         fn execute(
             &self,
             plans: &[ShardPlan],
             workers: usize,
-        ) -> Result<Vec<ShardOutcome>, ExperimentError> {
-            if plans.is_empty() {
-                return Ok(Vec::new());
+            resumed: Vec<ShardOutcome>,
+        ) -> Result<Option<ShardOutcome>, ExperimentError> {
+            let mut merged = None;
+            for outcome in resumed {
+                fold(&mut merged, outcome)?;
             }
+            if plans.is_empty() {
+                return Ok(merged);
+            }
+            let merged = Mutex::new(merged);
             let queue: Mutex<VecDeque<(usize, usize)>> =
                 Mutex::new((0..plans.len()).map(|index| (index, 0usize)).collect());
-            let results: Vec<Mutex<Option<ShardOutcome>>> =
-                plans.iter().map(|_| Mutex::new(None)).collect();
             let failure: Mutex<Option<ExperimentError>> = Mutex::new(None);
+            let fail = |error: ExperimentError| {
+                failure.lock().unwrap().get_or_insert(error);
+                queue.lock().unwrap().clear();
+            };
             std::thread::scope(|scope| {
                 for _ in 0..workers.clamp(1, plans.len()) {
                     scope.spawn(|| loop {
-                        let (index, attempt) = {
-                            let mut queue = queue.lock().unwrap();
-                            match queue.pop_front() {
-                                Some(work) => work,
-                                None => break,
-                            }
+                        let Some((index, attempt)) = queue.lock().unwrap().pop_front() else {
+                            break;
                         };
                         let plan = plans[index];
                         let range =
@@ -1421,23 +1390,28 @@ mod distribute {
                         match self.run_worker(plan) {
                             Ok(outcome) => {
                                 self.supervision.record_success(started.elapsed());
-                                if let Err(error) = self.journal_outcome(&outcome) {
-                                    *failure.lock().unwrap() = Some(error);
-                                    queue.lock().unwrap().clear();
+                                let folded = self
+                                    .journal_outcome(&outcome)
+                                    .and_then(|()| fold(&mut merged.lock().unwrap(), outcome));
+                                if let Err(error) = folded {
+                                    fail(error);
                                     break;
                                 }
-                                *results[index].lock().unwrap() = Some(outcome);
                             }
-                            Err(message) => {
+                            Err(AttemptError::Rejected(message)) => {
+                                fail(ExperimentError::Shard(format!(
+                                    "range {range} was rejected by its worker: {message}"
+                                )));
+                                break;
+                            }
+                            Err(AttemptError::Retry(message)) => {
                                 if attempt >= self.retry_limit {
-                                    *failure.lock().unwrap() =
-                                        Some(ExperimentError::Shard(format!(
-                                            "range {range} failed {} time(s), exhausting \
-                                             --retry-limit {}: {message}",
-                                            attempt + 1,
-                                            self.retry_limit
-                                        )));
-                                    queue.lock().unwrap().clear();
+                                    fail(ExperimentError::Shard(format!(
+                                        "range {range} failed {} time(s), exhausting \
+                                         --retry-limit {}: {message}",
+                                        attempt + 1,
+                                        self.retry_limit
+                                    )));
                                     break;
                                 }
                                 let backoff = Duration::from_millis(
@@ -1457,16 +1431,10 @@ mod distribute {
                     });
                 }
             });
-            if let Some(error) = failure.into_inner().unwrap() {
-                return Err(error);
+            match failure.into_inner().unwrap() {
+                Some(error) => Err(error),
+                None => Ok(merged.into_inner().unwrap()),
             }
-            let mut outcomes = Vec::with_capacity(plans.len());
-            for slot in results {
-                outcomes.push(slot.into_inner().unwrap().ok_or_else(|| {
-                    ExperimentError::Shard("a shard finished without a result".to_string())
-                })?);
-            }
-            Ok(outcomes)
         }
 
         /// Writes one completed shard into the journal (when one is
@@ -1494,30 +1462,31 @@ mod distribute {
             Ok(())
         }
 
-        /// Runs one assignment on a fresh worker process: write the request
-        /// line, close stdin (the worker replies, sees EOF and exits), and
-        /// read the single reply line under the supervision deadline — a
-        /// worker silent past it is killed and its range reported hung.
-        fn run_worker(&self, plan: ShardPlan) -> Result<ShardOutcome, String> {
-            let mut child = self.spawn_worker()?;
-            let request = Json::obj([
-                ("op", "shard_run".to_json()),
-                ("config", self.config.to_json()),
-                ("first_ap", (plan.first_ap as u64).to_json()),
-                ("aps", (plan.aps as u64).to_json()),
-            ]);
+        /// Runs one assignment on a fresh worker process: write the
+        /// `shard_submit` line, close stdin (the worker replies, sees EOF
+        /// and exits), and read the single reply line under the supervision
+        /// deadline — a worker silent past it is killed and its range
+        /// reported hung.
+        fn run_worker(&self, plan: ShardPlan) -> Result<ShardOutcome, AttemptError> {
+            let retry = AttemptError::Retry;
+            let mut child = self.spawn_worker().map_err(retry)?;
+            let request = Request::ShardSubmit {
+                config: Box::new(*self.config),
+                first_ap: plan.first_ap,
+                aps: plan.aps,
+            };
             {
                 let mut stdin = child
                     .stdin
                     .take()
-                    .ok_or_else(|| "worker stdin unavailable".to_string())?;
-                writeln!(stdin, "{request}")
-                    .map_err(|error| format!("cannot write to the worker: {error}"))?;
+                    .ok_or_else(|| retry("worker stdin unavailable".to_string()))?;
+                writeln!(stdin, "{}", request.to_json())
+                    .map_err(|error| retry(format!("cannot write to the worker: {error}")))?;
             }
             let stdout = child
                 .stdout
                 .take()
-                .ok_or_else(|| "worker stdout unavailable".to_string())?;
+                .ok_or_else(|| retry("worker stdout unavailable".to_string()))?;
             let (sender, receiver) = mpsc::channel();
             // Supervision-layer reader thread: it only shuttles one reply
             // line into the timeout loop. mp-lint: allow(thread-spawn)
@@ -1539,10 +1508,10 @@ mod distribute {
                             if started.elapsed() >= deadline {
                                 let _ = child.kill();
                                 let _ = child.wait();
-                                return Err(format!(
+                                return Err(retry(format!(
                                     "worker hung past the {deadline:?} shard \
                                      timeout; killed"
-                                ));
+                                )));
                             }
                         }
                     }
@@ -1553,11 +1522,11 @@ mod distribute {
             };
             let status = child
                 .wait()
-                .map_err(|error| format!("cannot await the worker: {error}"))?;
+                .map_err(|error| retry(format!("cannot await the worker: {error}")))?;
             match read {
-                Ok((0, _)) => Err(format!("worker exited without replying ({status})")),
+                Ok((0, _)) => Err(retry(format!("worker exited without replying ({status})"))),
                 Ok((_, reply)) => decode_reply(reply.trim(), self.config, plan),
-                Err(error) => Err(format!("cannot read the worker's reply: {error}")),
+                Err(error) => Err(retry(format!("cannot read the worker's reply: {error}"))),
             }
         }
 
@@ -1590,35 +1559,33 @@ mod distribute {
         }
     }
 
+    /// Decodes a worker's reply line into the outcome of `plan`.
     fn decode_reply(
         line: &str,
         config: &RunConfig,
         plan: ShardPlan,
-    ) -> Result<ShardOutcome, String> {
-        let json = Json::parse(line)
-            .map_err(|error| format!("worker reply is not valid JSON: {error}"))?;
-        match json.get("type").and_then(Json::as_str) {
-            Some("shard_result") => {}
-            Some("error") => {
-                return Err(format!(
-                    "worker reported: {}",
-                    json.get("message").and_then(Json::as_str).unwrap_or("unspecified error")
-                ));
+    ) -> Result<ShardOutcome, AttemptError> {
+        let retry = AttemptError::Retry;
+        let outcome = match Response::parse_line(line).map_err(retry)? {
+            Response::ShardResult { outcome, .. } => outcome,
+            Response::Error { message, code } if code.as_deref() == Some(codes::BAD_REQUEST) => {
+                return Err(AttemptError::Rejected(message));
             }
-            _ => return Err(format!("unexpected worker reply: {line}")),
+            Response::Error { message, .. } => {
+                return Err(retry(format!("worker reported: {message}")));
+            }
+            other => return Err(retry(format!("unexpected worker reply: {}", other.to_json()))),
+        };
+        let outcome = ShardOutcome::from_checkpoint_json(&outcome, config)
+            .map_err(|message| retry(format!("worker outcome rejected: it {message}")))?;
+        match outcome.covered_range() {
+            Ok(range) if range == (plan.first_ap, plan.aps) => Ok(outcome),
+            covered => Err(retry(format!(
+                "worker replied for {covered:?} instead of APs [{}, {})",
+                plan.first_ap,
+                plan.first_ap + plan.aps
+            ))),
         }
-        let echo = (
-            json.get("first_ap").and_then(Json::as_u64),
-            json.get("aps").and_then(Json::as_u64),
-        );
-        if echo != (Some(plan.first_ap as u64), Some(plan.aps as u64)) {
-            return Err(format!("worker replied for a different shard range: {line}"));
-        }
-        let outcome = json
-            .get("outcome")
-            .ok_or_else(|| "worker reply is missing \"outcome\"".to_string())?;
-        ShardOutcome::from_checkpoint_json(outcome, config)
-            .map_err(|message| format!("worker outcome rejected: it {message}"))
     }
 }
 

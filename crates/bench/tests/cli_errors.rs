@@ -204,7 +204,7 @@ fn lint_runs_clean_on_this_workspace_and_emits_json() {
     let stdout = String::from_utf8_lossy(&output.stdout);
     assert!(stdout.contains("\"clean\":true"));
     assert!(stdout.contains("\"seed_tags\""));
-    assert!(stdout.contains("SHARD_TAG"));
+    assert!(stdout.contains("DAY_TAG"));
 }
 
 #[test]

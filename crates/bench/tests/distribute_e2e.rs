@@ -276,6 +276,40 @@ fn an_exhausted_retry_limit_names_the_poisoned_range() {
 }
 
 #[test]
+fn a_bad_request_rejection_fails_fast_without_retrying() {
+    let dir = temp_dir("rejected");
+    let attempts = dir.join("attempts");
+    // A worker that rejects every assignment as malformed: the rejection is
+    // deterministic, so the coordinator must fail on the first attempt
+    // instead of burning its retry budget.
+    let worker_cmd = format!(
+        "read line; echo attempt >> {}; \
+         echo '{{\"type\":\"error\",\"message\":\"assignment refused\",\"code\":\"bad_request\"}}'",
+        attempts.display()
+    );
+    let output = paper_report(
+        &[
+            &["distribute", "--workers", "1", "--worker-cmd", worker_cmd.as_str()],
+            CAMPAIGN.as_slice(),
+            &["--json"],
+        ]
+        .concat(),
+    );
+    assert_eq!(output.status.code(), Some(1), "a rejected range fails the run");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(
+        stderr.contains("distributed shard failed")
+            && stderr.contains("range [0, 4)")
+            && stderr.contains("assignment refused"),
+        "the error must be typed and name the range: {stderr}"
+    );
+    assert!(!stderr.contains("retrying"), "a rejection is never retried: {stderr}");
+    let attempts = std::fs::read_to_string(&attempts).expect("the worker ran");
+    assert_eq!(attempts.lines().count(), 1, "exactly one attempt");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn shard_worker_speaks_the_newline_json_protocol() {
     let mut child = Command::new(env!("CARGO_BIN_EXE_paper-report"))
         .arg("shard-worker")
@@ -283,20 +317,26 @@ fn shard_worker_speaks_the_newline_json_protocol() {
         .stdout(Stdio::piped())
         .spawn()
         .expect("shard-worker spawns");
+    let assignment = |fleet_days: u32, global_event_budget: u64| {
+        format!(
+            concat!(
+                "{{\"op\":\"shard_submit\",\"config\":{{\"seed\":13,",
+                "\"fleet_clients\":2000,\"fleet_aps\":4,\"fleet_days\":{},",
+                "\"fleet_churn\":0.2,\"global_event_budget\":{}}},",
+                "\"first_ap\":1,\"aps\":2}}"
+            ),
+            fleet_days, global_event_budget
+        )
+    };
     {
         let mut stdin = child.stdin.take().expect("worker stdin");
-        // One valid assignment (APs [1, 3) of the 4-AP campaign), then two
-        // malformed lines; the worker must answer all three and exit on EOF.
-        writeln!(
-            stdin,
-            "{}",
-            concat!(
-                "{\"op\":\"shard_run\",\"config\":{\"seed\":13,",
-                "\"fleet_clients\":2000,\"fleet_aps\":4,\"fleet_days\":3,",
-                "\"fleet_churn\":0.2},\"first_ap\":1,\"aps\":2}"
-            )
-        )
-        .expect("write assignment");
+        // One valid assignment (APs [1, 3) of the 4-AP campaign), two
+        // assignments whose merged result would depend on the sharding,
+        // then two malformed lines; the worker must answer all five and
+        // exit on EOF.
+        writeln!(stdin, "{}", assignment(3, 0)).expect("write assignment");
+        writeln!(stdin, "{}", assignment(3, 100_000)).expect("write pooled assignment");
+        writeln!(stdin, "{}", assignment(1, 0)).expect("write 1-day assignment");
         writeln!(stdin, "{{\"op\":\"fly\"}}").expect("write bad op");
         writeln!(stdin, "not json").expect("write garbage");
     }
@@ -304,25 +344,26 @@ fn shard_worker_speaks_the_newline_json_protocol() {
     assert!(output.status.success(), "EOF is a clean exit");
     let stdout = String::from_utf8(output.stdout).expect("utf-8 replies");
     let replies: Vec<&str> = stdout.lines().collect();
-    assert_eq!(replies.len(), 3, "one reply line per assignment: {stdout}");
+    assert_eq!(replies.len(), 5, "one reply line per assignment: {stdout}");
     assert!(
         replies[0].contains("\"type\":\"shard_result\"")
-            && replies[0].contains("\"first_ap\":1")
-            && replies[0].contains("\"aps\":2")
+            && replies[0].contains("\"run\":1")
             && replies[0].contains("\"kind\":\"mp-campaign-checkpoint\""),
         "got: {}",
         replies[0]
     );
-    assert!(
-        replies[1].contains("\"type\":\"error\"") && replies[1].contains("unknown worker op"),
-        "got: {}",
-        replies[1]
-    );
-    assert!(
-        replies[2].contains("\"type\":\"error\"") && replies[2].contains("not valid JSON"),
-        "got: {}",
-        replies[2]
-    );
+    let bad_request = |reply: &str, expected: &str| {
+        assert!(
+            reply.contains("\"type\":\"error\"")
+                && reply.contains("\"code\":\"bad_request\"")
+                && reply.contains(expected),
+            "expected a bad_request error mentioning {expected:?}, got: {reply}"
+        );
+    };
+    bad_request(replies[1], "global_event_budget");
+    bad_request(replies[2], "fleet_days");
+    bad_request(replies[3], "unknown op");
+    bad_request(replies[4], "not valid JSON");
 }
 
 #[test]

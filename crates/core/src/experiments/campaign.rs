@@ -13,10 +13,14 @@
 //! summary counters survive each AP. APs run in parallel on scoped worker
 //! threads, and an AP that exhausts its event budget is isolated (counted in
 //! `failed_aps`) instead of aborting the sweep.
+//!
+//! `RunConfig::fleet_shards` is a scheduling hint that is only echoed: the
+//! per-AP plan is global, so the artifact's numbers never depend on it. Real
+//! sharding splits the fleet into contiguous AP ranges (`distrib`).
 
 use super::multiday::DayStats;
 use super::tables::{build_race_world, RaceTiming, RaceWorld};
-use super::{parallel_tasks, ExperimentError, ExperimentId, Registry, RunConfig, RunCtx};
+use super::{parallel_tasks, ExperimentError, RunConfig, RunCtx};
 use crate::json::{Json, ToJson};
 use crate::script::Parasite;
 use mp_httpsim::message::{Request, Response};
@@ -37,23 +41,9 @@ pub(super) const MAX_CLIENTS_PER_AP: usize = 65_536;
 
 /// Seed-stream tag for per-AP heterogeneity profiles: profiles are drawn from
 /// `mix_seed(campaign_seed, PROFILE_TAG ^ ap_index)`, a stream disjoint from
-/// both the per-AP simulation seeds (`mix_seed(seed, index)`) and the shard
-/// seeds (`mix_seed(seed, SHARD_TAG ^ index)`), so heterogeneity never
-/// perturbs the race RNG itself.
+/// the per-AP simulation seeds (`mix_seed(seed, index)`), so heterogeneity
+/// never perturbs the race RNG itself.
 pub(super) const PROFILE_TAG: u64 = 0x00f1_7e00_ab5e_ed00;
-
-/// Seed-stream tag for shard seed derivation (see [`campaign_fleet`]).
-///
-/// Follows the 64-bit high-lane convention shared by every tag in
-/// [`super::SEED_TAG_REGISTRY`]: the top 16 bits (here `0x5a4d`) identify
-/// the stream family. The tag's value migrated from the original 32-bit
-/// `0x5eed_5a4d`; shard seeds only feed the classic single-day seed sweep,
-/// whose race outcomes are seed-independent at jitter 0 (pinned by
-/// `sharded_and_unsharded_fleets_agree_on_the_logical_population` and the
-/// byte-identity regression in `tests/shard_tag_migration.rs`), and the
-/// checkpoint fingerprint never includes shard scheduling, so old
-/// checkpoints and merged reports are unaffected.
-pub(super) const SHARD_TAG: u64 = 0x5a4d_0000_0000_0000;
 
 // ---------------------------------------------------------------------------
 // Per-AP heterogeneity
@@ -161,7 +151,8 @@ pub(super) fn distribute_by_weight(total: usize, weights: &[u64]) -> Vec<usize> 
 /// Result of the campaign fleet experiment.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CampaignFleetResult {
-    /// Seed-sweep shards the fleet was split across (1 = unsharded).
+    /// The `fleet_shards` scheduling hint, echoed (clamped to the AP count);
+    /// no other field depends on it.
     pub shards: usize,
     /// Access points simulated.
     pub aps: usize,
@@ -232,7 +223,7 @@ impl CampaignFleetResult {
     fn render_summary(&self) -> String {
         format!(
             "Campaign - population-scale cafe-AP fleet sweep\n\
-             seed-sweep shards:        {:>10}\n\
+             shard hint:               {:>10}\n\
              access points:            {:>10}\n\
              simulated clients:        {:>10}\n\
              infected clients:         {:>10}  ({:.1} %)\n\
@@ -304,7 +295,7 @@ pub(super) struct ApOutcome {
     pub(super) infected_flags: Vec<bool>,
 }
 
-/// SplitMix64 finaliser, used to derive well-mixed per-AP, per-shard and
+/// SplitMix64 finaliser, used to derive well-mixed per-AP, per-seat and
 /// per-day seed streams from `(campaign_seed, stream ^ index)`.
 pub(super) fn mix_seed(seed: u64, index: u64) -> u64 {
     let mut z = seed.wrapping_add(index.wrapping_mul(0x9e3779b97f4a7c15));
@@ -403,20 +394,18 @@ fn simulate_ap(
 }
 
 /// Divides `total` into `parts` nearly equal slices (earlier slices take the
-/// remainder). Shared with the shard planner (`distrib`), so coordinator
-/// range splits and seed-sweep shard splits agree.
+/// remainder). The shard planner (`distrib`) splits AP ranges with it.
 pub(super) fn share(total: usize, parts: usize, index: usize) -> usize {
     total / parts + usize::from(index < total % parts)
 }
 
 /// Runs the campaign fleet. `fleet_days > 1` enters the multi-day churn loop
-/// (see the `multiday` module); otherwise: unsharded for `fleet_shards <= 1`,
-/// or a seed-sweep of independent shard runs (each its own registry task,
-/// exactly as a `run_many` sweep would schedule them) whose trace summaries
-/// and infection counts are merged into one artifact in shard order. Under
-/// `fleet_hetero` the fleet's profiles are pinned to global AP indices, so
-/// sharding becomes a scheduling hint: every number in the artifact matches
-/// the unsharded run (only the reported `shards` field echoes the request).
+/// (see the `multiday` module); otherwise `config.fleet_clients` clients are
+/// spread over `config.fleet_aps` independent AP simulations executed on
+/// scoped worker threads and aggregated deterministically in AP order.
+/// `fleet_shards` is a scheduling hint here, as everywhere else: the per-AP
+/// plan is global, so every number in the artifact is independent of it and
+/// only the reported `shards` field echoes the request.
 pub(super) fn campaign_fleet(
     config: &RunConfig,
     ctx: &RunCtx,
@@ -424,61 +413,19 @@ pub(super) fn campaign_fleet(
     if config.fleet_days > 1 {
         return super::multiday::run_multiday(config, ctx, None);
     }
-    let shards = config.fleet_shards.max(1);
-    if shards == 1 {
-        return campaign_fleet_shard(config, ctx.budget_for(config).as_ref());
-    }
-    // Never more shards than APs: every shard needs at least one simulation.
-    let shards = shards.min(config.fleet_aps.max(1));
-    if config.fleet_hetero {
-        // Heterogeneity pins profiles and client weights to *global* AP
-        // indices under the campaign seed; slicing the fleet into seed-sweep
-        // shards would redraw a different fleet per shard count. Run the
-        // global plan directly (the per-AP sweep already parallelises) and
-        // report the shard count as a scheduling hint — the artifact is
-        // byte-identical across shard counts, like the multi-day loop.
-        let mut result = campaign_fleet_shard(config, ctx.budget_for(config).as_ref())?;
-        result.shards = shards;
-        return Ok(result);
-    }
-    let shard_configs: Vec<RunConfig> = (0..shards)
-        .map(|index| RunConfig {
-            // A distinct, well-mixed seed stream per shard: a splitmix-style
-            // hash of (campaign_seed, shard_index) under its own stream tag,
-            // so shard seeds can collide neither with each other nor with the
-            // unsharded run's per-AP seeds (`mix_seed(seed, ap_index)`).
-            seed: mix_seed(config.seed, SHARD_TAG ^ index as u64),
-            fleet_clients: share(config.fleet_clients, shards, index),
-            fleet_aps: share(config.fleet_aps.max(1), shards, index),
-            fleet_shards: 1,
-            // Shards already run in parallel; keep each shard's AP sweep
-            // sequential so the machine is not oversubscribed.
-            fleet_jobs: 1,
-            ..*config
-        })
-        .collect();
+    let shared = ctx.budget_for(config);
+    let shared = shared.as_ref();
+    let aps = config.fleet_aps.max(1);
+    let total_clients = config.fleet_clients;
+    let tasks = plan_ap_tasks(config, config.seed, total_clients)?;
 
-    let jobs = if config.fleet_jobs == 0 {
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4)
-    } else {
-        config.fleet_jobs
-    }
-    .min(shards);
-    let experiment = Registry::get(ExperimentId::CampaignFleet);
-    // One shared budget pool (when requested) spans every shard of the sweep.
-    let shard_ctx = RunCtx {
-        shared_budget: ctx.budget_for(config),
-        cancel: ctx.cancel.clone(),
-        day_sink: None,
-    };
-    let outcomes = parallel_tasks(&shard_configs, jobs, |shard| {
-        experiment.try_run_ctx(shard, &shard_ctx)
-    });
+    let jobs = fleet_jobs(config, aps);
+    let outcomes = parallel_tasks(&tasks, jobs, |task| simulate_ap(task, config, shared));
 
-    let mut merged = CampaignFleetResult {
-        shards,
-        aps: 0,
-        clients: config.fleet_clients,
+    let mut result = CampaignFleetResult {
+        shards: config.fleet_shards.max(1).min(aps),
+        aps,
+        clients: total_clients,
         infected_clients: 0,
         clean_clients: 0,
         failed_aps: 0,
@@ -488,62 +435,34 @@ pub(super) fn campaign_fleet(
         pending_bytes_dropped: 0,
         day_stats: Vec::new(),
     };
-    let mut failed_shards = 0usize;
-    let mut first_error: Option<ExperimentError> = None;
-    for (outcome, shard_config) in outcomes.into_iter().zip(&shard_configs) {
-        let shard_result = match outcome {
-            Ok(artifact) => artifact.data.as_campaign_fleet().cloned(),
-            Err(error) => {
-                first_error.get_or_insert(error);
-                None
+    for outcome in outcomes {
+        match outcome {
+            Ok(ap) => {
+                result.infected_clients += ap.infected;
+                result.clean_clients += ap.clean;
+                result.total_events += ap.events;
+                result.payload_bytes += ap.payload_bytes;
+                result.injected_events += ap.injected_events;
+                result.pending_bytes_dropped += ap.pending_bytes_dropped;
             }
-        };
-        match shard_result {
-            Some(shard) => {
-                merged.aps += shard.aps;
-                merged.infected_clients += shard.infected_clients;
-                merged.clean_clients += shard.clean_clients;
-                merged.failed_aps += shard.failed_aps;
-                merged.total_events += shard.total_events;
-                merged.payload_bytes += shard.payload_bytes;
-                merged.injected_events += shard.injected_events;
-                merged.pending_bytes_dropped += shard.pending_bytes_dropped;
-            }
-            None => {
-                // A shard that failed outright contributes its APs as failed;
-                // its clients count as neither infected nor clean.
-                merged.aps += shard_config.fleet_aps;
-                merged.failed_aps += shard_config.fleet_aps;
-                failed_shards += 1;
-            }
+            Err(_) => result.failed_aps += 1,
         }
     }
-    if failed_shards == shards {
-        // Every shard failed: surface the first shard's *actual* error (e.g.
-        // an overpacked-AP Config error), not a synthesized budget failure.
-        return Err(first_error.unwrap_or(ExperimentError::Net(
-            NetError::EventBudgetExhausted {
-                budget: config.event_budget,
-            },
-        )));
+    // A fleet where every single AP failed is a configuration error worth
+    // surfacing as such, not an all-zero artifact.
+    if result.failed_aps == aps {
+        return Err(ExperimentError::Net(NetError::EventBudgetExhausted {
+            budget: shared.map(SharedBudget::total).unwrap_or(config.event_budget),
+        }));
     }
-    // A drained global pool means part of the fleet starved: fail the whole
-    // run with the typed error instead of reporting a silently-short merge.
-    if let Some(shared) = &shard_ctx.shared_budget {
-        if merged.failed_aps > 0 && shared.exhausted() {
-            return Err(ExperimentError::Net(NetError::EventBudgetExhausted {
-                budget: shared.total(),
-            }));
-        }
-    }
-    Ok(merged)
+    Ok(result)
 }
 
-/// Plans one shard's AP tasks: seeds (derived from `sim_seed`, which the
+/// Plans the fleet's AP tasks: seeds (derived from `sim_seed`, which the
 /// multi-day loop varies per day), per-AP client counts (uniform, or
 /// weight-distributed when heterogeneity is on) and profiles (always drawn
 /// from the campaign seed, so an AP keeps its character across days). Shared
-/// between the single-snapshot shard and the multi-day exposure loop.
+/// between the single-snapshot fleet and the multi-day exposure loop.
 pub(super) fn plan_ap_tasks(
     config: &RunConfig,
     sim_seed: u64,
@@ -590,56 +509,6 @@ pub(super) fn fleet_jobs(config: &RunConfig, tasks: usize) -> usize {
         config.fleet_jobs
     }
     .min(tasks.max(1))
-}
-
-/// Runs one (unsharded) fleet shard: `config.fleet_clients` clients spread
-/// over `config.fleet_aps` independent AP simulations executed on scoped
-/// worker threads, aggregated deterministically in AP order.
-fn campaign_fleet_shard(
-    config: &RunConfig,
-    shared: Option<&SharedBudget>,
-) -> Result<CampaignFleetResult, ExperimentError> {
-    let aps = config.fleet_aps.max(1);
-    let total_clients = config.fleet_clients;
-    let tasks = plan_ap_tasks(config, config.seed, total_clients)?;
-
-    let jobs = fleet_jobs(config, aps);
-    let outcomes = parallel_tasks(&tasks, jobs, |task| simulate_ap(task, config, shared));
-
-    let mut result = CampaignFleetResult {
-        shards: 1,
-        aps,
-        clients: total_clients,
-        infected_clients: 0,
-        clean_clients: 0,
-        failed_aps: 0,
-        total_events: 0,
-        payload_bytes: 0,
-        injected_events: 0,
-        pending_bytes_dropped: 0,
-        day_stats: Vec::new(),
-    };
-    for outcome in outcomes {
-        match outcome {
-            Ok(ap) => {
-                result.infected_clients += ap.infected;
-                result.clean_clients += ap.clean;
-                result.total_events += ap.events;
-                result.payload_bytes += ap.payload_bytes;
-                result.injected_events += ap.injected_events;
-                result.pending_bytes_dropped += ap.pending_bytes_dropped;
-            }
-            Err(_) => result.failed_aps += 1,
-        }
-    }
-    // A fleet where every single AP failed is a configuration error worth
-    // surfacing as such, not an all-zero artifact.
-    if result.failed_aps == aps {
-        return Err(ExperimentError::Net(NetError::EventBudgetExhausted {
-            budget: shared.map(SharedBudget::total).unwrap_or(config.event_budget),
-        }));
-    }
-    Ok(result)
 }
 
 #[cfg(test)]
@@ -711,61 +580,41 @@ mod tests {
     }
 
     #[test]
-    fn sharded_and_unsharded_fleets_agree_on_the_logical_population() {
-        // Same logical population, different shard split: the infection
-        // complement and the workload counters must agree. Event and payload
-        // counts are linear in per-AP client counts, and the uniform split
-        // gives both runs the same per-AP count multiset, so the summaries
-        // agree exactly even though the seed streams differ.
-        let config = RunConfig {
-            seed: 11,
-            fleet_clients: 1_024,
-            fleet_aps: 8,
-            fleet_jobs: 1,
-            ..RunConfig::default()
-        };
-        let unsharded = Registry::get(ExperimentId::CampaignFleet).run(&config);
-        let unsharded = unsharded.data.as_campaign_fleet().expect("campaign artifact");
-        for shards in [2usize, 4, 8] {
-            let sharded = Registry::get(ExperimentId::CampaignFleet)
-                .run(&RunConfig { fleet_shards: shards, ..config });
-            let sharded = sharded.data.as_campaign_fleet().expect("campaign artifact");
-            assert_eq!(sharded.shards, shards);
-            assert_eq!(sharded.aps, unsharded.aps);
-            assert_eq!(sharded.clients, unsharded.clients);
-            assert_eq!(sharded.infected_clients, unsharded.infected_clients);
-            assert_eq!(sharded.clean_clients, unsharded.clean_clients);
-            assert_eq!(sharded.failed_aps, 0);
-            assert_eq!(sharded.total_events, unsharded.total_events);
-            assert_eq!(sharded.payload_bytes, unsharded.payload_bytes);
-            assert_eq!(sharded.injected_events, unsharded.injected_events);
+    fn fleet_shards_is_only_a_scheduling_hint() {
+        // The per-AP plan is global: seeds, client counts and heterogeneity
+        // profiles are pinned to global AP indices under the campaign seed,
+        // so the shard hint may change nothing but its own echo — with or
+        // without heterogeneity, and with or without seeded jitter. Jitter
+        // beyond the ~80 ms race margin flips individual races, so any
+        // seed that depended on the hint would show in the counts.
+        for fleet_hetero in [false, true] {
+            for jitter_us in [0u64, 250, 100_000] {
+                let config = RunConfig {
+                    seed: 11,
+                    fleet_clients: 1_024,
+                    fleet_aps: 8,
+                    fleet_hetero,
+                    jitter_us,
+                    fleet_jobs: 1,
+                    ..RunConfig::default()
+                };
+                let run = |fleet_shards: usize| {
+                    let artifact = Registry::get(ExperimentId::CampaignFleet)
+                        .run(&RunConfig { fleet_shards, ..config });
+                    artifact.data.as_campaign_fleet().expect("campaign artifact").clone()
+                };
+                let reference = run(1).to_json().to_string();
+                for fleet_shards in [2usize, 4, 8] {
+                    let hinted = run(fleet_shards);
+                    assert_eq!(hinted.shards, fleet_shards, "the hint is echoed");
+                    assert_eq!(
+                        CampaignFleetResult { shards: 1, ..hinted }.to_json().to_string(),
+                        reference,
+                        "hetero {fleet_hetero}, jitter {jitter_us} us, {fleet_shards} shards"
+                    );
+                }
+            }
         }
-    }
-
-    #[test]
-    fn heterogeneous_fleet_is_byte_identical_across_shard_counts() {
-        // Profiles and weights are pinned to global AP indices, so sharding
-        // a heterogeneous fleet is a scheduling hint: everything but the
-        // reported shard count must match the unsharded run exactly.
-        let config = RunConfig {
-            seed: 11,
-            fleet_clients: 1_024,
-            fleet_aps: 8,
-            fleet_hetero: true,
-            fleet_jobs: 1,
-            ..RunConfig::default()
-        };
-        let unsharded = Registry::get(ExperimentId::CampaignFleet).run(&config);
-        let unsharded = unsharded.data.as_campaign_fleet().expect("campaign artifact");
-        let sharded = Registry::get(ExperimentId::CampaignFleet)
-            .run(&RunConfig { fleet_shards: 4, ..config });
-        let sharded = sharded.data.as_campaign_fleet().expect("campaign artifact");
-        assert_eq!(sharded.shards, 4);
-        assert_eq!(
-            CampaignFleetResult { shards: 1, ..sharded.clone() },
-            *unsharded,
-            "same global plan regardless of shard count"
-        );
     }
 
     #[test]

@@ -76,7 +76,6 @@ pub const SEED_TAG_REGISTRY: &[(&str, u64)] = &[
     ("SURFACE_TAG", surface::SURFACE_TAG),
     ("ADOPT_TAG", surface::ADOPT_TAG),
     ("PROFILE_TAG", campaign::PROFILE_TAG),
-    ("SHARD_TAG", campaign::SHARD_TAG),
     ("SEAT_TAG", distrib::SEAT_TAG),
     ("DAY_TAG", multiday::DAY_TAG),
     ("TARGET_TAG", multiday::TARGET_TAG),
@@ -278,11 +277,11 @@ pub struct RunConfig {
     /// Number of café access points the fleet's clients are spread over (one
     /// packet-level simulation per AP).
     pub fleet_aps: usize,
-    /// Number of seed-sweep shards the campaign fleet is split across. Each
-    /// shard runs its slice of clients and APs as an independent
-    /// [`run_many`]-style task under a derived seed, and the per-shard trace
-    /// summaries are merged into one artifact. `1` (the default, and anything
-    /// below) runs unsharded.
+    /// Shard count hint for the campaign fleet. A scheduling hint only: the
+    /// per-AP plan is global, so the artifact's numbers never depend on it,
+    /// and the result echoes it (clamped to `[1, fleet_aps]`) as `shards`.
+    /// `distribute --workers` is what actually splits a campaign into
+    /// contiguous AP-range shards.
     pub fleet_shards: usize,
     /// Worker threads for the fleet's per-AP simulations; `0` (the default)
     /// auto-sizes to the machine. Set to `1` to keep a campaign run
@@ -1028,7 +1027,7 @@ where
 }
 
 /// Extracts a readable message from a caught panic payload.
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+pub fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(message) = payload.downcast_ref::<&str>() {
         (*message).to_string()
     } else if let Some(message) = payload.downcast_ref::<String>() {
@@ -1394,17 +1393,17 @@ mod tests {
         assert_eq!(result.clients, 1_000);
         assert_eq!(result.infected_clients + result.clean_clients, 1_000);
         assert_eq!(result.failed_aps, 0);
-        assert!(artifact.render_text().contains("seed-sweep shards"));
-        // Deterministic merge: same config, same artifact.
+        assert!(artifact.render_text().contains("shard hint"));
+        // Deterministic: same config, same artifact.
         assert_eq!(artifact, run(ExperimentId::CampaignFleet, &config));
-        // A different shard count is a different seed sweep but loses nobody.
+        // A different shard hint changes only its own echo.
         let other = run(
             ExperimentId::CampaignFleet,
             &RunConfig { fleet_shards: 2, ..config },
         );
         let other = other.data.as_campaign_fleet().expect("campaign artifact");
         assert_eq!(other.shards, 2);
-        assert_eq!(other.infected_clients + other.clean_clients, 1_000);
+        assert_eq!(CampaignFleetResult { shards: 4, ..other.clone() }, *result);
     }
 
     #[test]
@@ -1424,32 +1423,14 @@ mod tests {
     #[test]
     fn overpacked_fleet_is_a_typed_config_error() {
         // More clients than one AP's /16 address space: a typed error, not a
-        // panic in a worker thread.
-        let config = RunConfig {
-            fleet_clients: 100_000,
-            fleet_aps: 1,
-            ..quick_config()
-        };
-        match Registry::get(ExperimentId::CampaignFleet).try_run(&config) {
-            Err(ExperimentError::Config(message)) => assert!(message.contains("fleet_aps")),
-            other => panic!("expected a config error, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn overpacked_sharded_fleet_surfaces_the_shard_config_error() {
-        // Sharding must not mask the underlying error class: every shard
-        // fails the per-AP capacity check, and the merge propagates that
-        // Config error instead of synthesizing a budget failure.
-        let config = RunConfig {
-            fleet_clients: 1_000_000,
-            fleet_aps: 4,
-            fleet_shards: 2,
-            ..quick_config()
-        };
-        match Registry::get(ExperimentId::CampaignFleet).try_run(&config) {
-            Err(ExperimentError::Config(message)) => assert!(message.contains("fleet_aps")),
-            other => panic!("expected the shard's config error, got {other:?}"),
+        // panic in a worker thread — and a shard hint must not mask the
+        // error class.
+        for (fleet_clients, fleet_aps, fleet_shards) in [(100_000, 1, 1), (1_000_000, 4, 2)] {
+            let config = RunConfig { fleet_clients, fleet_aps, fleet_shards, ..quick_config() };
+            match Registry::get(ExperimentId::CampaignFleet).try_run(&config) {
+                Err(ExperimentError::Config(message)) => assert!(message.contains("fleet_aps")),
+                other => panic!("expected a config error, got {other:?}"),
+            }
         }
     }
 

@@ -4,7 +4,7 @@
 //! long-running process that serves concurrent experiment runs over a
 //! newline-delimited JSON socket (unix, optionally also TCP).
 //!
-//! Three modules:
+//! Four modules:
 //!
 //! * [`protocol`] — the wire messages ([`Request`], [`Response`],
 //!   [`RunOutcome`], [`RunStatus`]); one JSON object per line, documented
@@ -12,7 +12,9 @@
 //! * [`server`] — [`Daemon`]: listeners, the worker-pool scheduler,
 //!   per-run budget isolation, day streaming and cooperative cancellation,
 //! * [`client`] — [`Client`]: a small blocking client used by the
-//!   `paper-report` subcommands and the end-to-end tests.
+//!   `paper-report` subcommands and the end-to-end tests,
+//! * [`shard`] — [`serve_shard`]: the one shard-serving path, shared by the
+//!   daemon's `shard_submit` and the `paper-report shard-worker` loop.
 //!
 //! ```no_run
 //! use mp_service::{Client, Daemon, Endpoint, Request, ServeOptions};
@@ -37,7 +39,9 @@
 pub mod client;
 pub mod protocol;
 pub mod server;
+pub mod shard;
 
 pub use client::{Client, ClientError, Endpoint};
 pub use protocol::{Request, Response, RunOutcome, RunState, RunStatus};
 pub use server::{Daemon, ServeOptions};
+pub use shard::{serve_shard, ShardReply};

@@ -18,20 +18,22 @@
 //! Distributed campaigns: a `shard_submit` request executes one contiguous
 //! AP range of a multi-day campaign **synchronously on its connection
 //! thread** (bypassing the worker queue and the daemon-wide budget pool)
-//! and replies with the shard's mergeable partial-checkpoint document — so
-//! a coordinator can fan a campaign out across daemons and merge the
-//! partials into the byte-identical single-process artifact. The queue
+//! through [`serve_shard`], the path the `shard-worker` process shares, and
+//! replies with the shard's mergeable partial-checkpoint document — so a
+//! coordinator can fan a campaign out across daemons and merge the partials
+//! into the byte-identical single-process artifact. The queue
 //! itself can be bounded with [`ServeOptions::queue_limit`]; submissions
 //! past the bound are rejected with a typed `queue_full` error.
 
 use crate::protocol::{codes, Request, Response, RunOutcome, RunState, RunStatus};
+use crate::shard::serve_shard;
 use mp_netsim::sim::SharedBudget;
 use parasite::experiments::{
-    run_campaign_shard, run_campaign_with_checkpoint_ctx, Artifact, ArtifactData, CancelToken,
-    DaySink, DayStats, ExperimentError, ExperimentId, FaultKind, FaultPlan, Registry, RunConfig,
-    RunCtx, ShardPlan,
+    panic_message, run_campaign_with_checkpoint_ctx, Artifact, ArtifactData, CancelToken,
+    DaySink, DayStats, ExperimentError, ExperimentId, FaultPlan, Registry, RunConfig, RunCtx,
+    ShardPlan,
 };
-use parasite::json::{Json, ToJson};
+use parasite::json::ToJson;
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -292,9 +294,8 @@ impl Connection {
         self.writer.flush()
     }
 
-    /// Writes a pre-rendered (possibly deliberately malformed) line; the
-    /// fault-injection garble path uses this to put a truncated response on
-    /// the wire.
+    /// Writes a pre-rendered line: the shard path's reply, which a garble
+    /// fault may have deliberately truncated.
     fn write_raw_line(&mut self, line: &str) -> io::Result<()> {
         writeln!(self.writer, "{line}")?;
         self.writer.flush()
@@ -420,38 +421,7 @@ fn dispatch(
             connection.write_line(&Response::ShuttingDown { active_runs })
         }
         Request::ShardSubmit { config, first_ap, aps } => {
-            // The deterministic fault plan (MP_FAULT_PLAN, see PROTOCOL.md)
-            // also covers the daemon's shard path, so a coordinator fanning
-            // out over daemons can be chaos-tested: crash before the result,
-            // hang until the coordinator's timeout kills us, or garble the
-            // result line.
-            let fault = FaultPlan::global().and_then(FaultPlan::claim_assignment);
-            match fault {
-                Some(FaultKind::Crash) => std::process::exit(3),
-                Some(FaultKind::Hang) => loop {
-                    std::thread::sleep(Duration::from_secs(3600));
-                },
-                _ => {}
-            }
-            match shard_submit(shared, *config, first_ap, aps) {
-                Ok((run, outcome)) => {
-                    let response = Response::ShardResult { run, outcome };
-                    if matches!(fault, Some(FaultKind::Garble) | Some(FaultKind::Torn)) {
-                        let line = response.to_json().to_string();
-                        let plan = FaultPlan::global().expect("a fault implies a plan");
-                        let mut cut = plan.garble_point(line.len());
-                        while !line.is_char_boundary(cut) {
-                            cut -= 1;
-                        }
-                        connection.write_raw_line(&line[..cut])
-                    } else {
-                        connection.write_line(&response)
-                    }
-                }
-                Err((message, code)) => {
-                    connection.write_line(&Response::Error { message, code: coded(code) })
-                }
-            }
+            connection.write_raw_line(&shard_submit(shared, *config, ShardPlan { first_ap, aps }))
         }
     }
 }
@@ -499,10 +469,23 @@ fn submit(
             codes::QUEUE_FULL,
         ));
     }
+    let run = register(&mut state, experiment, config, checkpoint).id;
+    state.queue.push_back(run);
+    drop(state);
+    shared.queue_ready.notify_one();
+    Ok(run)
+}
+
+/// Adds a fresh run to the table under the next run id.
+fn register(
+    state: &mut State,
+    experiment: ExperimentId,
+    config: RunConfig,
+    checkpoint: Option<PathBuf>,
+) -> Arc<RunEntry> {
     state.next_run += 1;
-    let run = state.next_run;
     let entry = Arc::new(RunEntry {
-        id: run,
+        id: state.next_run,
         experiment,
         config,
         checkpoint,
@@ -510,16 +493,35 @@ fn submit(
         progress: Mutex::new(RunProgress::default()),
         cond: Condvar::new(),
     });
-    state.runs.insert(run, entry);
-    state.queue.push_back(run);
-    drop(state);
-    shared.queue_ready.notify_one();
-    Ok(run)
+    state.runs.insert(entry.id, Arc::clone(&entry));
+    entry
 }
 
-/// Validates and executes one campaign shard **synchronously** on the
-/// calling connection thread, returning the run id and the shard's
-/// partial-checkpoint document.
+/// Marks a run as executing and wakes its watchers.
+fn set_running(entry: &Arc<RunEntry>) {
+    entry.progress.lock().unwrap().state = RunState::Running;
+    entry.cond.notify_all();
+}
+
+/// The context a run executes under: its cancel token, a day sink that
+/// publishes every completed day to the run's watchers, and `budget`.
+fn run_ctx(entry: &Arc<RunEntry>, budget: Option<SharedBudget>) -> RunCtx {
+    let sink_entry = Arc::clone(entry);
+    RunCtx {
+        shared_budget: budget,
+        cancel: entry.cancel.clone(),
+        day_sink: Some(DaySink::new(move |stats: &DayStats| {
+            sink_entry.progress.lock().unwrap().days.push(*stats);
+            sink_entry.cond.notify_all();
+        })),
+    }
+}
+
+/// Executes one campaign shard **synchronously** on the calling connection
+/// thread under a fresh run id, returning the reply line [`serve_shard`]
+/// rendered. The deterministic fault plan (`MP_FAULT_PLAN`, see PROTOCOL.md)
+/// covers this path too, so a coordinator fanning out over daemons can be
+/// chaos-tested.
 ///
 /// Shards deliberately bypass both the worker queue (a coordinator fans
 /// shards out across daemons and wants each connection to block until its
@@ -528,99 +530,19 @@ fn submit(
 /// scheduling — the merge's determinism contract forbids that). The run
 /// still gets a table entry, so `status` reports it and `cancel` stops it
 /// at its next day boundary.
-fn shard_submit(
-    shared: &Arc<Shared>,
-    config: RunConfig,
-    first_ap: usize,
-    aps: usize,
-) -> Result<(u64, Json), SubmitError> {
+fn shard_submit(shared: &Arc<Shared>, config: RunConfig, plan: ShardPlan) -> String {
     if shared.shutdown.load(Ordering::SeqCst) {
-        return Err((
-            "daemon is shutting down; submission rejected".to_string(),
-            codes::UNAVAILABLE,
-        ));
-    }
-    if config.fleet_days < 2 {
-        return Err(("shard submissions need fleet_days >= 2".to_string(), codes::BAD_REQUEST));
-    }
-    if config.global_event_budget > 0 {
-        return Err((
-            "shard submissions cannot carry a global_event_budget; a budget pool shared \
-             across shards would make the merged result depend on worker scheduling"
-                .to_string(),
-            codes::BAD_REQUEST,
-        ));
+        let message = "daemon is shutting down; submission rejected".to_string();
+        return Response::Error { message, code: coded(codes::UNAVAILABLE) }.to_json().to_string();
     }
     let mut state = shared.state.lock().unwrap();
-    state.next_run += 1;
-    let run = state.next_run;
-    let entry = Arc::new(RunEntry {
-        id: run,
-        experiment: ExperimentId::CampaignFleet,
-        config,
-        checkpoint: None,
-        cancel: CancelToken::new(),
-        progress: Mutex::new(RunProgress::default()),
-        cond: Condvar::new(),
-    });
-    state.runs.insert(run, Arc::clone(&entry));
+    let entry = register(&mut state, ExperimentId::CampaignFleet, config, None);
     drop(state);
-
-    {
-        let mut progress = entry.progress.lock().unwrap();
-        progress.state = RunState::Running;
-    }
-    entry.cond.notify_all();
-
-    let sink_entry = Arc::clone(&entry);
-    let ctx = RunCtx {
-        shared_budget: None,
-        cancel: entry.cancel.clone(),
-        day_sink: Some(DaySink::new(move |stats: &DayStats| {
-            let mut progress = sink_entry.progress.lock().unwrap();
-            progress.days.push(*stats);
-            drop(progress);
-            sink_entry.cond.notify_all();
-        })),
-    };
-    let plan = ShardPlan { first_ap, aps };
-    let result =
-        catch_unwind(AssertUnwindSafe(|| run_campaign_shard(&entry.config, plan, &ctx)));
-    match result {
-        Ok(Ok(outcome)) => {
-            let document = outcome.to_checkpoint_json(&entry.config);
-            finish(&entry, RunOutcome::Ok { artifact: document.clone() });
-            Ok((run, document))
-        }
-        Ok(Err(ExperimentError::Cancelled { completed_days })) => {
-            finish(&entry, RunOutcome::Cancelled { days_completed: completed_days });
-            Err((
-                format!("shard run {run} was cancelled after {completed_days} days"),
-                codes::CANCELLED,
-            ))
-        }
-        Ok(Err(error)) => {
-            // A configuration the campaign rejects is the client's fault;
-            // everything else failed inside the daemon.
-            let code = match &error {
-                ExperimentError::Config(_) => codes::BAD_REQUEST,
-                _ => codes::INTERNAL,
-            };
-            let message = error.to_string();
-            finish(&entry, RunOutcome::Failed { message: message.clone() });
-            Err((message, code))
-        }
-        Err(panic) => {
-            let message = panic
-                .downcast_ref::<&str>()
-                .map(|s| s.to_string())
-                .or_else(|| panic.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "run panicked".to_string());
-            let message = format!("shard run panicked: {message}");
-            finish(&entry, RunOutcome::Failed { message: message.clone() });
-            Err((message, codes::INTERNAL))
-        }
-    }
+    set_running(&entry);
+    let ctx = run_ctx(&entry, None);
+    let reply = serve_shard(entry.id, &entry.config, plan, &ctx, FaultPlan::global());
+    finish(&entry, reply.outcome);
+    reply.line
 }
 
 fn entry_for(shared: &Arc<Shared>, run: u64) -> Option<Arc<RunEntry>> {
@@ -727,11 +649,7 @@ fn execute(shared: &Arc<Shared>, entry: &Arc<RunEntry>) {
         finish(entry, RunOutcome::Cancelled { days_completed: 0 });
         return;
     }
-    {
-        let mut progress = entry.progress.lock().unwrap();
-        progress.state = RunState::Running;
-    }
-    entry.cond.notify_all();
+    set_running(entry);
 
     // Per-run budget isolation: a config-level budget gets its own fresh
     // pool; only budget-less submissions share the daemon-wide pool.
@@ -740,17 +658,7 @@ fn execute(shared: &Arc<Shared>, entry: &Arc<RunEntry>) {
     } else {
         shared.pool.clone()
     };
-    let sink_entry = Arc::clone(entry);
-    let ctx = RunCtx {
-        shared_budget,
-        cancel: entry.cancel.clone(),
-        day_sink: Some(DaySink::new(move |stats: &DayStats| {
-            let mut progress = sink_entry.progress.lock().unwrap();
-            progress.days.push(*stats);
-            drop(progress);
-            sink_entry.cond.notify_all();
-        })),
-    };
+    let ctx = run_ctx(entry, shared_budget);
 
     let result = catch_unwind(AssertUnwindSafe(|| match &entry.checkpoint {
         Some(path) => run_campaign_with_checkpoint_ctx(&entry.config, path, &ctx).map(|result| {
@@ -770,12 +678,7 @@ fn execute(shared: &Arc<Shared>, entry: &Arc<RunEntry>) {
         }
         Ok(Err(error)) => RunOutcome::Failed { message: error.to_string() },
         Err(panic) => {
-            let message = panic
-                .downcast_ref::<&str>()
-                .map(|s| s.to_string())
-                .or_else(|| panic.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "run panicked".to_string());
-            RunOutcome::Failed { message: format!("run panicked: {message}") }
+            RunOutcome::Failed { message: format!("run panicked: {}", panic_message(panic)) }
         }
     };
     finish(entry, outcome);

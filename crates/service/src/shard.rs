@@ -1,0 +1,112 @@
+//! The one shard-serving path: the daemon's `shard_submit` handler and the
+//! `paper-report shard-worker` stdin loop both serve an assignment through
+//! [`serve_shard`], so the two transports share one validation, one fault
+//! hook and one reply codec.
+
+use crate::protocol::{codes, Response, RunOutcome};
+use parasite::experiments::{
+    panic_message, run_campaign_shard, ExperimentError, FaultKind, FaultPlan, RunConfig, RunCtx,
+    ShardPlan,
+};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::time::Duration;
+
+/// One served shard assignment.
+#[derive(Debug)]
+pub struct ShardReply {
+    /// The reply line, without its newline: a `shard_result` or an `error`
+    /// response — or a strict prefix of one when a garble fault fired.
+    pub line: String,
+    /// How the shard run ended (the daemon records it in its run table).
+    pub outcome: RunOutcome,
+}
+
+/// Serves one shard assignment as run `run`: validates the configuration,
+/// claims the assignment's fault from `faults` (see `MP_FAULT_PLAN` in
+/// PROTOCOL.md), runs APs `[plan.first_ap, plan.first_ap + plan.aps)` of the
+/// campaign under `ctx`, and renders the reply line.
+///
+/// A shard rejects configurations whose merged result could depend on how
+/// the campaign was sharded: a single-day fleet (`fleet_days < 2`) and a
+/// `global_event_budget` pool shared across shards. Those, and any
+/// configuration the campaign itself rejects, reply `bad_request`; a
+/// cancelled shard replies `cancelled`, and any other failure (including a
+/// panic) `internal`. A `crash` fault exits the process with code 3 and a
+/// `hang` fault sleeps forever, both before replying.
+pub fn serve_shard(
+    run: u64,
+    config: &RunConfig,
+    plan: ShardPlan,
+    ctx: &RunCtx,
+    faults: Option<&FaultPlan>,
+) -> ShardReply {
+    let failed = |message: String, code: &str| {
+        (
+            Response::Error { message: message.clone(), code: Some(code.to_string()) },
+            RunOutcome::Failed { message },
+        )
+    };
+    let invalid = if config.fleet_days < 2 {
+        Some("shard submissions need fleet_days >= 2")
+    } else if config.global_event_budget > 0 {
+        Some(
+            "shard submissions cannot carry a global_event_budget; a budget pool shared \
+             across shards would make the merged result depend on worker scheduling",
+        )
+    } else {
+        None
+    };
+    if let Some(message) = invalid {
+        let (response, outcome) = failed(message.to_string(), codes::BAD_REQUEST);
+        return ShardReply { line: response.to_json().to_string(), outcome };
+    }
+
+    let fault = faults.and_then(FaultPlan::claim_assignment);
+    match fault {
+        Some(FaultKind::Crash) => std::process::exit(3),
+        // Hang until the coordinator's shard timeout kills this process.
+        Some(FaultKind::Hang) => loop {
+            std::thread::sleep(Duration::from_secs(3600));
+        },
+        _ => {}
+    }
+
+    let (response, outcome) =
+        match catch_unwind(AssertUnwindSafe(|| run_campaign_shard(config, plan, ctx))) {
+            Ok(Ok(shard)) => {
+                let document = shard.to_checkpoint_json(config);
+                (
+                    Response::ShardResult { run, outcome: document.clone() },
+                    RunOutcome::Ok { artifact: document },
+                )
+            }
+            Ok(Err(ExperimentError::Cancelled { completed_days })) => (
+                Response::Error {
+                    message: format!("shard run {run} was cancelled after {completed_days} days"),
+                    code: Some(codes::CANCELLED.to_string()),
+                },
+                RunOutcome::Cancelled { days_completed: completed_days },
+            ),
+            // A configuration the campaign rejects is the client's fault;
+            // everything else failed while serving.
+            Ok(Err(error @ ExperimentError::Config(_))) => {
+                failed(error.to_string(), codes::BAD_REQUEST)
+            }
+            Ok(Err(error)) => failed(error.to_string(), codes::INTERNAL),
+            Err(panic) => failed(
+                format!("shard run panicked: {}", panic_message(panic)),
+                codes::INTERNAL,
+            ),
+        };
+    let mut line = response.to_json().to_string();
+    if fault == Some(FaultKind::Garble) {
+        // A garbled line and a torn pipe write look the same to the reader:
+        // a strict prefix that can never parse whole.
+        let mut cut = faults.expect("a fault implies a plan").garble_point(line.len());
+        while !line.is_char_boundary(cut) {
+            cut -= 1;
+        }
+        line.truncate(cut);
+    }
+    ShardReply { line, outcome }
+}

@@ -1,24 +1,20 @@
-//! Regression pins for the `SHARD_TAG` migration.
+//! Regression pins for shard-hint independence.
 //!
-//! PR 10 normalised `SHARD_TAG` from the original 32-bit `0x5eed_5a4d` to
-//! the 64-bit high-lane convention (`0x5a4d_0000_0000_0000`) shared by
-//! every tag in [`parasite::experiments::SEED_TAG_REGISTRY`]. The change
-//! re-keys the shard seed streams, so these tests pin the two properties
-//! that make it a safe migration:
+//! `--fleet-shards` is a scheduling hint: a campaign fleet runs one global
+//! per-AP plan whatever the hint, and the artifact only echoes it. These
+//! tests pin that contract against goldens captured from the release binary
+//! before the fleet's seed streams were last re-keyed (when single-day
+//! fleets still ran per-shard seed sweeps):
 //!
-//! 1. the classic sharded seed-sweep artifact is byte-identical to the
-//!    pre-migration golden (shard outcomes are seed-independent at
-//!    jitter 0 — the race is decided by deterministic timing);
-//! 2. a checkpoint written *before* the migration still resumes, because
-//!    the config fingerprint never included shard scheduling, and the
-//!    resumed report is byte-identical to the pre-migration run.
-//!
-//! The goldens were captured from the release binary at the commit
-//! immediately before the migration.
+//! 1. a single-day fleet run with a shard hint is byte-identical to the
+//!    golden (at jitter 0 the race is decided by deterministic timing);
+//! 2. the multi-day campaign with the same hint is byte-identical to its
+//!    golden;
+//! 3. a checkpoint written by that older binary still resumes, because the
+//!    config fingerprint never included shard scheduling, and the resumed
+//!    report is byte-identical to the golden.
 
-use parasite::experiments::{
-    run_campaign_with_checkpoint, ExperimentId, Registry, RunConfig, SEED_TAG_REGISTRY,
-};
+use parasite::experiments::{run_campaign_with_checkpoint, ExperimentId, Registry, RunConfig};
 use parasite::json::ToJson;
 
 /// `paper-report --json --only campaign_fleet --fleet-clients 2048
@@ -58,16 +54,6 @@ fn fleet_config() -> RunConfig {
         fleet_shards: 4,
         ..RunConfig::default()
     }
-}
-
-#[test]
-fn shard_tag_uses_the_high_lane_convention() {
-    let (_, tag) = SEED_TAG_REGISTRY
-        .iter()
-        .find(|(name, _)| *name == "SHARD_TAG")
-        .expect("SHARD_TAG is registered");
-    assert_eq!(tag >> 48, 0x5a4d, "top 16 bits identify the shard stream family");
-    assert_eq!(tag & 0xffff_ffff_ffff, 0, "the low lanes are reserved for indices");
 }
 
 #[test]
