@@ -7,8 +7,12 @@
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
+use std::process::{Child, Command, ExitStatus, Stdio};
 use std::time::{Duration, Instant};
+
+/// How long a test waits on the daemon (a reply, or its exit) before it
+/// fails instead of hanging the suite.
+const LIMIT: Duration = Duration::from_secs(60);
 
 fn temp_dir(tag: &str) -> PathBuf {
     let dir =
@@ -18,22 +22,53 @@ fn temp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// Starts `paper-report serve` with the given fault env and waits for the
-/// socket to appear.
-fn spawn_daemon(socket: &Path, plan: &str, claims: &Path) -> Child {
-    let child = Command::new(env!("CARGO_BIN_EXE_paper-report"))
-        .args(["serve", "--socket", socket.to_str().unwrap()])
-        .env("MP_FAULT_PLAN", plan)
-        .env("MP_FAULT_DIR", claims)
-        .stderr(Stdio::null())
-        .spawn()
-        .expect("daemon spawns");
+/// A `paper-report serve` child, killed when dropped: a failing test must
+/// not leave a daemon running.
+struct DaemonProcess(Child);
+
+impl Drop for DaemonProcess {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+impl DaemonProcess {
+    /// Waits for the daemon to exit; fails the test past [`LIMIT`].
+    fn wait_within(&mut self) -> ExitStatus {
+        let deadline = Instant::now() + LIMIT;
+        loop {
+            if let Some(status) = self.0.try_wait().expect("poll the daemon") {
+                return status;
+            }
+            assert!(Instant::now() < deadline, "the daemon did not exit within {LIMIT:?}");
+            std::thread::sleep(Duration::from_millis(20));
+        }
+    }
+}
+
+/// Starts `paper-report serve` with the given fault env and waits until
+/// the daemon accepts connections. The socket file appears at `bind`,
+/// just before `listen`, so its existence alone does not mean a connect
+/// will succeed.
+fn spawn_daemon(socket: &Path, plan: &str, claims: &Path) -> DaemonProcess {
+    let daemon = DaemonProcess(
+        Command::new(env!("CARGO_BIN_EXE_paper-report"))
+            .args(["serve", "--socket", socket.to_str().unwrap()])
+            .env("MP_FAULT_PLAN", plan)
+            .env("MP_FAULT_DIR", claims)
+            .stdin(Stdio::null())
+            .stdout(Stdio::null())
+            .stderr(Stdio::null())
+            .spawn()
+            .expect("daemon spawns"),
+    );
     let deadline = Instant::now() + Duration::from_secs(10);
-    while !socket.exists() {
-        assert!(Instant::now() < deadline, "daemon never bound its socket");
+    while UnixStream::connect(socket).is_err() {
+        assert!(Instant::now() < deadline, "the daemon never accepted a connection");
         std::thread::sleep(Duration::from_millis(20));
     }
-    child
+    daemon
 }
 
 const SHARD_SUBMIT: &str = concat!(
@@ -42,8 +77,15 @@ const SHARD_SUBMIT: &str = concat!(
     "\"first_ap\":0,\"aps\":2}"
 );
 
+/// Connects to the daemon with reads bounded by [`LIMIT`].
+fn connect(socket: &Path) -> UnixStream {
+    let stream = UnixStream::connect(socket).expect("connect to daemon");
+    stream.set_read_timeout(Some(LIMIT)).expect("set a read timeout");
+    stream
+}
+
 fn request_line(socket: &Path, request: &str) -> String {
-    let mut stream = UnixStream::connect(socket).expect("connect to daemon");
+    let mut stream = connect(socket);
     writeln!(stream, "{request}").expect("write request");
     let mut reader = BufReader::new(stream.try_clone().expect("clone stream"));
     let mut line = String::new();
@@ -80,7 +122,7 @@ fn a_garble_fault_truncates_the_daemons_shard_result_line() {
     );
 
     let _ = request_line(&socket, "{\"op\":\"shutdown\"}");
-    let _ = daemon.wait();
+    daemon.wait_within();
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -92,14 +134,14 @@ fn a_crash_fault_kills_the_daemon_before_the_shard_result() {
     let mut daemon = spawn_daemon(&socket, "crash@1", &claims);
 
     // The daemon dies before replying: the connection sees EOF.
-    let mut stream = UnixStream::connect(&socket).expect("connect to daemon");
+    let mut stream = connect(&socket);
     writeln!(stream, "{SHARD_SUBMIT}").expect("write request");
     let mut reader = BufReader::new(stream);
     let mut line = String::new();
     let read = reader.read_line(&mut line).expect("read returns");
     assert_eq!(read, 0, "the crashed daemon must hang up, got: {line:?}");
 
-    let status = daemon.wait().expect("daemon exits");
+    let status = daemon.wait_within();
     assert_eq!(status.code(), Some(3), "the crash fault exits 3");
     let _ = std::fs::remove_dir_all(&dir);
 }

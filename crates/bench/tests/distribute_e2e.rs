@@ -5,8 +5,15 @@
 //! the byte-identical single-process report, including after a worker is
 //! killed mid-assignment and its range is retried.
 
-use std::io::Write;
-use std::process::{Command, Output, Stdio};
+use std::io::{Read, Write};
+use std::process::{Child, Command, Output, Stdio};
+use std::sync::mpsc;
+use std::time::{Duration, Instant};
+
+/// How long one `paper-report` process may run before the test fails
+/// instead of hanging the suite: a coordinator without a shard timeout
+/// waits on a silent worker forever.
+const RUN_LIMIT: Duration = Duration::from_secs(120);
 
 /// A fast multi-day campaign: small enough for a test, big enough that
 /// every one of three shards owns at least one AP.
@@ -26,10 +33,61 @@ const CAMPAIGN: [&str; 12] = [
 ];
 
 fn paper_report(args: &[&str]) -> Output {
-    Command::new(env!("CARGO_BIN_EXE_paper-report"))
-        .args(args)
-        .output()
-        .expect("paper-report spawns")
+    Command::new(env!("CARGO_BIN_EXE_paper-report")).args(args).output_within()
+}
+
+trait OutputWithin {
+    /// `Command::output`, bounded by [`RUN_LIMIT`].
+    fn output_within(&mut self) -> Output;
+}
+
+impl OutputWithin for Command {
+    fn output_within(&mut self) -> Output {
+        let child = self
+            .stdin(Stdio::null())
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("paper-report spawns");
+        finish_within(child)
+    }
+}
+
+/// Collects a spawned child's exit status and piped stdout/stderr; kills
+/// it and fails the test if it (or a worker still holding its pipes) is
+/// not done within [`RUN_LIMIT`].
+fn finish_within(mut child: Child) -> Output {
+    fn drain(pipe: Option<impl Read + Send + 'static>) -> mpsc::Receiver<Vec<u8>> {
+        let (sender, receiver) = mpsc::channel();
+        let mut pipe = pipe.expect("piped output");
+        std::thread::spawn(move || {
+            let mut bytes = Vec::new();
+            let _ = pipe.read_to_end(&mut bytes);
+            let _ = sender.send(bytes);
+        });
+        receiver
+    }
+    let deadline = Instant::now() + RUN_LIMIT;
+    let stdout = drain(child.stdout.take());
+    let stderr = drain(child.stderr.take());
+    let status = loop {
+        if let Some(status) = child.try_wait().expect("poll the child") {
+            break status;
+        }
+        if Instant::now() >= deadline {
+            let _ = child.kill();
+            let _ = child.wait();
+            panic!("paper-report ran past the {RUN_LIMIT:?} test limit; killed");
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    let collect = |receiver: mpsc::Receiver<Vec<u8>>| {
+        let left = deadline.saturating_duration_since(Instant::now());
+        receiver
+            .recv_timeout(left)
+            .unwrap_or_else(|_| panic!("a child kept paper-report's output open past the limit"))
+    };
+    Output { status, stdout: collect(stdout), stderr: collect(stderr) }
 }
 
 fn stdout_of(output: &Output) -> String {
@@ -86,8 +144,7 @@ fn a_killed_worker_is_retried_and_the_report_still_matches() {
         .args([&["distribute", "--workers", "3"], CAMPAIGN.as_slice(), &["--json"]].concat())
         .env("MP_FAULT_PLAN", "crash@1")
         .env("MP_FAULT_DIR", &claims)
-        .output()
-        .expect("paper-report spawns");
+        .output_within();
     assert!(
         claims.join("assign-000001").exists(),
         "the crash fault must have been claimed — no worker actually died"
@@ -126,8 +183,7 @@ fn a_chaos_plan_with_crash_hang_and_garble_still_matches_the_batch_report() {
         )
         .env("MP_FAULT_PLAN", "crash@1,garble@2,hang@3")
         .env("MP_FAULT_DIR", &claims)
-        .output()
-        .expect("paper-report spawns");
+        .output_within();
     let stderr = String::from_utf8_lossy(&output.stderr).to_string();
     assert_eq!(stdout_of(&output), batch, "chaos must not change the report; stderr: {stderr}");
     assert!(
@@ -150,8 +206,7 @@ fn fault_plans_are_deterministic_across_runs() {
             )
             .env("MP_FAULT_PLAN", "crash@1,garble@2,seed=42")
             .env("MP_FAULT_DIR", &claims)
-            .output()
-            .expect("paper-report spawns");
+            .output_within();
         (stdout_of(&output), String::from_utf8_lossy(&output.stderr).to_string())
     };
     // The same plan + seed over a single worker yields the identical
@@ -194,8 +249,7 @@ fn a_torn_journal_write_is_discarded_on_resume_and_the_report_matches() {
         )
         .env("MP_FAULT_PLAN", "torn@1")
         .env("MP_FAULT_DIR", &claims)
-        .output()
-        .expect("paper-report spawns");
+        .output_within();
     assert_eq!(
         output.status.code(),
         Some(17),
@@ -214,8 +268,7 @@ fn a_torn_journal_write_is_discarded_on_resume_and_the_report_matches() {
             ]
             .concat(),
         )
-        .output()
-        .expect("paper-report spawns");
+        .output_within();
     let stderr = String::from_utf8_lossy(&output.stderr).to_string();
     assert!(
         stderr.contains("discarded damaged journal entry"),
@@ -234,8 +287,7 @@ fn a_torn_journal_write_is_discarded_on_resume_and_the_report_matches() {
             ]
             .concat(),
         )
-        .output()
-        .expect("paper-report spawns");
+        .output_within();
     let stderr = String::from_utf8_lossy(&output.stderr).to_string();
     assert!(
         stderr.contains("resuming from journal"),
@@ -262,8 +314,7 @@ fn an_exhausted_retry_limit_names_the_poisoned_range() {
         )
         .env("MP_FAULT_PLAN", "crash@1,crash@2,crash@3,crash@4")
         .env("MP_FAULT_DIR", &claims)
-        .output()
-        .expect("paper-report spawns");
+        .output_within();
     assert_eq!(output.status.code(), Some(1), "an exhausted range fails the run");
     let stderr = String::from_utf8_lossy(&output.stderr);
     assert!(
@@ -315,6 +366,7 @@ fn shard_worker_speaks_the_newline_json_protocol() {
         .arg("shard-worker")
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
         .spawn()
         .expect("shard-worker spawns");
     let assignment = |fleet_days: u32, global_event_budget: u64| {
@@ -340,7 +392,7 @@ fn shard_worker_speaks_the_newline_json_protocol() {
         writeln!(stdin, "{{\"op\":\"fly\"}}").expect("write bad op");
         writeln!(stdin, "not json").expect("write garbage");
     }
-    let output = child.wait_with_output().expect("worker exits");
+    let output = finish_within(child);
     assert!(output.status.success(), "EOF is a clean exit");
     let stdout = String::from_utf8(output.stdout).expect("utf-8 replies");
     let replies: Vec<&str> = stdout.lines().collect();

@@ -580,15 +580,72 @@ mod tests {
     }
 
     #[test]
+    fn sharded_and_unsharded_fleets_agree_on_the_logical_population() {
+        // Same logical population, different shard hint: the infection
+        // complement and the workload counters must agree, because every
+        // hint runs the same global per-AP plan.
+        let config = RunConfig {
+            seed: 11,
+            fleet_clients: 1_024,
+            fleet_aps: 8,
+            fleet_jobs: 1,
+            ..RunConfig::default()
+        };
+        let unsharded = Registry::get(ExperimentId::CampaignFleet).run(&config);
+        let unsharded = unsharded.data.as_campaign_fleet().expect("campaign artifact");
+        for shards in [2usize, 4, 8] {
+            let sharded = Registry::get(ExperimentId::CampaignFleet)
+                .run(&RunConfig { fleet_shards: shards, ..config });
+            let sharded = sharded.data.as_campaign_fleet().expect("campaign artifact");
+            assert_eq!(sharded.shards, shards);
+            assert_eq!(sharded.aps, unsharded.aps);
+            assert_eq!(sharded.clients, unsharded.clients);
+            assert_eq!(sharded.infected_clients, unsharded.infected_clients);
+            assert_eq!(sharded.clean_clients, unsharded.clean_clients);
+            assert_eq!(sharded.failed_aps, 0);
+            assert_eq!(sharded.total_events, unsharded.total_events);
+            assert_eq!(sharded.payload_bytes, unsharded.payload_bytes);
+            assert_eq!(sharded.injected_events, unsharded.injected_events);
+        }
+    }
+
+    #[test]
+    fn heterogeneous_fleet_is_byte_identical_across_shard_counts() {
+        // Profiles and weights are pinned to global AP indices, so sharding
+        // a heterogeneous fleet is a scheduling hint: everything but the
+        // reported shard count must match the unsharded run exactly.
+        let config = RunConfig {
+            seed: 11,
+            fleet_clients: 1_024,
+            fleet_aps: 8,
+            fleet_hetero: true,
+            fleet_jobs: 1,
+            ..RunConfig::default()
+        };
+        let unsharded = Registry::get(ExperimentId::CampaignFleet).run(&config);
+        let unsharded = unsharded.data.as_campaign_fleet().expect("campaign artifact");
+        let sharded = Registry::get(ExperimentId::CampaignFleet)
+            .run(&RunConfig { fleet_shards: 4, ..config });
+        let sharded = sharded.data.as_campaign_fleet().expect("campaign artifact");
+        assert_eq!(sharded.shards, 4);
+        assert_eq!(
+            CampaignFleetResult { shards: 1, ..sharded.clone() },
+            *unsharded,
+            "same global plan regardless of shard count"
+        );
+    }
+
+    #[test]
     fn fleet_shards_is_only_a_scheduling_hint() {
         // The per-AP plan is global: seeds, client counts and heterogeneity
         // profiles are pinned to global AP indices under the campaign seed,
         // so the shard hint may change nothing but its own echo — with or
-        // without heterogeneity, and with or without seeded jitter. Jitter
-        // beyond the ~80 ms race margin flips individual races, so any
-        // seed that depended on the hint would show in the counts.
+        // without heterogeneity, even under seeded jitter (the jitter-free
+        // cases are the two tests above). Jitter beyond the ~80 ms race
+        // margin flips individual races, so any seed that depended on the
+        // hint would show in the counts.
         for fleet_hetero in [false, true] {
-            for jitter_us in [0u64, 250, 100_000] {
+            for jitter_us in [250u64, 100_000] {
                 let config = RunConfig {
                     seed: 11,
                     fleet_clients: 1_024,

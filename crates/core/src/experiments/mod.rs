@@ -1423,14 +1423,32 @@ mod tests {
     #[test]
     fn overpacked_fleet_is_a_typed_config_error() {
         // More clients than one AP's /16 address space: a typed error, not a
-        // panic in a worker thread — and a shard hint must not mask the
-        // error class.
-        for (fleet_clients, fleet_aps, fleet_shards) in [(100_000, 1, 1), (1_000_000, 4, 2)] {
-            let config = RunConfig { fleet_clients, fleet_aps, fleet_shards, ..quick_config() };
-            match Registry::get(ExperimentId::CampaignFleet).try_run(&config) {
-                Err(ExperimentError::Config(message)) => assert!(message.contains("fleet_aps")),
-                other => panic!("expected a config error, got {other:?}"),
-            }
+        // panic in a worker thread.
+        let config = RunConfig {
+            fleet_clients: 100_000,
+            fleet_aps: 1,
+            ..quick_config()
+        };
+        match Registry::get(ExperimentId::CampaignFleet).try_run(&config) {
+            Err(ExperimentError::Config(message)) => assert!(message.contains("fleet_aps")),
+            other => panic!("expected a config error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn overpacked_sharded_fleet_surfaces_the_shard_config_error() {
+        // A shard hint must not mask the underlying error class: the global
+        // plan fails the per-AP capacity check with the same Config error
+        // whatever the hint, never a synthesized budget failure.
+        let config = RunConfig {
+            fleet_clients: 1_000_000,
+            fleet_aps: 4,
+            fleet_shards: 2,
+            ..quick_config()
+        };
+        match Registry::get(ExperimentId::CampaignFleet).try_run(&config) {
+            Err(ExperimentError::Config(message)) => assert!(message.contains("fleet_aps")),
+            other => panic!("expected the shard's config error, got {other:?}"),
         }
     }
 
