@@ -2,9 +2,11 @@
 //! real `paper-report serve` binary: the MP_FAULT_PLAN spec (see
 //! PROTOCOL.md) is set on the daemon process only, so a coordinator fanning
 //! a campaign out across daemons can rehearse a daemon that garbles a
-//! result line or dies mid-shard.
+//! result line or dies mid-shard. Also the startup contract those tests
+//! lean on: the socket file appears only once the daemon is listening.
 
 use std::io::{BufRead, BufReader, Write};
+use std::os::unix::fs::FileTypeExt;
 use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, ExitStatus, Stdio};
@@ -48,9 +50,7 @@ impl DaemonProcess {
 }
 
 /// Starts `paper-report serve` with the given fault env and waits until
-/// the daemon accepts connections. The socket file appears at `bind`,
-/// just before `listen`, so its existence alone does not mean a connect
-/// will succeed.
+/// the socket file exists, which means the daemon is listening.
 fn spawn_daemon(socket: &Path, plan: &str, claims: &Path) -> DaemonProcess {
     let daemon = DaemonProcess(
         Command::new(env!("CARGO_BIN_EXE_paper-report"))
@@ -64,9 +64,10 @@ fn spawn_daemon(socket: &Path, plan: &str, claims: &Path) -> DaemonProcess {
             .expect("daemon spawns"),
     );
     let deadline = Instant::now() + Duration::from_secs(10);
-    while UnixStream::connect(socket).is_err() {
-        assert!(Instant::now() < deadline, "the daemon never accepted a connection");
-        std::thread::sleep(Duration::from_millis(20));
+    // `test -S`: wait for a socket file, not for a connect to succeed.
+    while !std::fs::symlink_metadata(socket).is_ok_and(|meta| meta.file_type().is_socket()) {
+        assert!(Instant::now() < deadline, "the daemon never created its socket");
+        std::thread::sleep(Duration::from_millis(1));
     }
     daemon
 }
@@ -143,5 +144,26 @@ fn a_crash_fault_kills_the_daemon_before_the_shard_result() {
 
     let status = daemon.wait_within();
     assert_eq!(status.code(), Some(3), "the crash fault exits 3");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn the_socket_file_appears_only_once_the_daemon_listens() {
+    let dir = temp_dir("ready");
+    let socket = dir.join("daemon.sock");
+    let claims = dir.join("claims");
+    for start in 0..20 {
+        let mut daemon = spawn_daemon(&socket, "", &claims);
+        // One connect, no retry: the file's existence is the readiness signal.
+        if let Err(error) = UnixStream::connect(&socket) {
+            panic!("start {start}: connect right after the socket appeared failed: {error}");
+        }
+        let _ = request_line(&socket, "{\"op\":\"shutdown\"}");
+        assert!(daemon.wait_within().success(), "start {start}: clean shutdown");
+        assert!(!socket.exists(), "start {start}: socket removed on shutdown");
+    }
+    let leftovers: Vec<_> =
+        std::fs::read_dir(&dir).unwrap().flatten().map(|entry| entry.file_name()).collect();
+    assert!(leftovers.iter().all(|name| name == "claims"), "no staging files left: {leftovers:?}");
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -19,11 +19,9 @@
 //! sharding splits the fleet into contiguous AP ranges (`distrib`).
 
 use super::multiday::DayStats;
-use super::tables::{build_race_world, RaceTiming, RaceWorld};
+use super::tables::{build_race_world, delivers_parasite, request_wire, RaceTiming, RaceWorld};
 use super::{parallel_tasks, ExperimentError, RunConfig, RunCtx};
 use crate::json::{Json, ToJson};
-use crate::script::Parasite;
-use mp_httpsim::message::{Request, Response};
 use mp_httpsim::url::Url;
 use mp_netsim::addr::IpAddr;
 use mp_netsim::capture::TraceMode;
@@ -331,20 +329,20 @@ pub(super) fn simulate_ap_with(
         mut sim,
         wifi,
         server,
-        target,
+        request,
     } = build_race_world(task.seed, &timing, config.event_budget, TraceMode::SummaryOnly, shared);
     if jitter_us > 0 {
         sim.set_medium_jitter(wifi, SimDuration::from_micros(jitter_us));
     }
 
-    let other = Url::parse("http://somesite.com/weather.js").expect("static url");
+    let other = request_wire(&Url::parse("http://somesite.com/weather.js").expect("static url"));
     let mut connections = Vec::with_capacity(task.clients);
     for index in 0..task.clients {
         let ip = IpAddr::new(10, (index >> 8) as u8, (index & 0xff) as u8, 2);
         let client = sim.add_host("client", ip, wifi);
         let conn = sim.connect(client, server, 80)?;
-        let url = if unprepared(index) { &other } else { &target };
-        sim.send(client, conn, &Request::get(url.clone()).to_wire())?;
+        let wire = if unprepared(index) { &other } else { &request };
+        sim.send_bytes(client, conn, wire.clone())?;
         connections.push((client, conn));
     }
     sim.run_until_idle()?;
@@ -356,11 +354,7 @@ pub(super) fn simulate_ap_with(
         infected_flags.reserve(connections.len());
     }
     for (client, conn) in connections {
-        let delivered = sim.received(client, conn);
-        let got_parasite = Response::from_wire(&delivered)
-            .ok()
-            .map(|r| Parasite::detect(&r.body.as_text()).is_some())
-            .unwrap_or(false);
+        let got_parasite = delivers_parasite(sim.host(client).received(conn));
         if got_parasite {
             infected += 1;
         } else {
@@ -704,6 +698,88 @@ mod tests {
             assert!((150..=15_000).contains(&profile.attacker_reaction_us));
             assert!((1..=4).contains(&profile.client_weight));
         }
+    }
+
+    /// The per-seat flags of [`simulate_ap_with`], recomputed on the full
+    /// HTTP path: a freshly encoded request per client, a copied delivered
+    /// stream, `Response::from_wire` and `Parasite::detect` on the body text.
+    fn oracle_flags(
+        task: &ApTask,
+        config: &RunConfig,
+        unprepared: &dyn Fn(usize) -> bool,
+    ) -> Vec<bool> {
+        use crate::script::Parasite;
+        use mp_httpsim::message::{Request, Response};
+        let timing = task.profile.map(|p| p.timing()).unwrap_or(RaceTiming::PAPER);
+        let jitter_us = config.jitter_us + task.profile.map(|p| p.jitter_us).unwrap_or(0);
+        let RaceWorld { mut sim, wifi, server, .. } =
+            build_race_world(task.seed, &timing, config.event_budget, TraceMode::SummaryOnly, None);
+        if jitter_us > 0 {
+            sim.set_medium_jitter(wifi, SimDuration::from_micros(jitter_us));
+        }
+        let target = Url::parse("http://somesite.com/my.js").unwrap();
+        let other = Url::parse("http://somesite.com/weather.js").unwrap();
+        let connections: Vec<_> = (0..task.clients)
+            .map(|index| {
+                let ip = IpAddr::new(10, (index >> 8) as u8, (index & 0xff) as u8, 2);
+                let client = sim.add_host("client", ip, wifi);
+                let conn = sim.connect(client, server, 80).unwrap();
+                let url = if unprepared(index) { &other } else { &target };
+                sim.send(client, conn, &Request::get(url.clone()).to_wire()).unwrap();
+                (client, conn)
+            })
+            .collect();
+        sim.run_until_idle().unwrap();
+        connections
+            .into_iter()
+            .map(|(client, conn)| {
+                Response::from_wire(&sim.received(client, conn))
+                    .ok()
+                    .map(|r| Parasite::detect(&r.body.as_text()).is_some())
+                    .unwrap_or(false)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn per_seat_flags_match_the_full_http_oracle() {
+        let slow_master = ApProfile {
+            attacker_reaction_us: 30_000,
+            wifi_latency_us: 2_000,
+            wan_latency_us: 5_000,
+            jitter_us: 0,
+            client_weight: 1,
+        };
+        let rotated = |_: usize| true;
+        let mut outcomes = HashSet::new();
+        for seed in [1u64, 42, 2021] {
+            let profiles = [
+                None,
+                Some(ApProfile::for_ap(seed, 0)),
+                Some(ApProfile::for_ap(seed, 5)),
+                Some(slow_master),
+            ];
+            for jitter_us in [0u64, 250] {
+                let config = RunConfig { jitter_us, ..RunConfig::default() };
+                for profile in profiles {
+                    let task = ApTask { seed, clients: 48, profile };
+                    let days: [&(dyn Fn(usize) -> bool + Sync); 2] =
+                        [&requests_unprepared_object, &rotated];
+                    for unprepared in days {
+                        let outcome = simulate_ap_with(&task, &config, None, unprepared, true)
+                            .expect("simulation completes");
+                        let oracle = oracle_flags(&task, &config, unprepared);
+                        assert_eq!(
+                            outcome.infected_flags, oracle,
+                            "seed {seed}, jitter {jitter_us} us, profile {profile:?}"
+                        );
+                        assert_eq!(outcome.infected, oracle.iter().filter(|&&f| f).count());
+                        outcomes.extend(oracle);
+                    }
+                }
+            }
+        }
+        assert_eq!(outcomes.len(), 2, "the cases cover both infected and clean seats");
     }
 
     #[test]

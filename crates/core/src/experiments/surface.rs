@@ -23,12 +23,10 @@
 
 use super::campaign::{fleet_jobs, mix_seed, MAX_CLIENTS_PER_AP};
 use super::multiday::DAILY_CACHE_CLEAR;
-use super::tables::{build_race_world, RaceTiming, RaceWorld};
+use super::tables::{build_race_world, delivers_parasite, RaceTiming, RaceWorld};
 use super::{parallel_tasks, ExperimentError, RunConfig, RunCtx};
 use crate::defense::{stage_survives, AttackStage, Defense};
 use crate::json::{Json, ToJson};
-use crate::script::Parasite;
-use mp_httpsim::message::{Request, Response};
 use mp_netsim::addr::IpAddr;
 use mp_netsim::capture::TraceMode;
 use mp_netsim::error::NetError;
@@ -422,7 +420,7 @@ fn run_cell(
         mut sim,
         wifi,
         server,
-        target,
+        request,
     } = build_race_world(task.seed, &timing, config.event_budget, TraceMode::SummaryOnly, shared);
     if task.jitter_us > 0 {
         sim.set_medium_jitter(wifi, SimDuration::from_micros(task.jitter_us));
@@ -433,19 +431,14 @@ fn run_cell(
         let ip = IpAddr::new(10, (index >> 8) as u8, (index & 0xff) as u8, 2);
         let client = sim.add_host("client", ip, wifi);
         let conn = sim.connect(client, server, 80)?;
-        sim.send(client, conn, &Request::get(target.clone()).to_wire())?;
+        sim.send_bytes(client, conn, request.clone())?;
         connections.push((client, conn));
     }
     sim.run_until_idle()?;
 
     let wins = connections
         .into_iter()
-        .map(|(client, conn)| {
-            Response::from_wire(&sim.received(client, conn))
-                .ok()
-                .map(|r| Parasite::detect(&r.body.as_text()).is_some())
-                .unwrap_or(false)
-        })
+        .map(|(client, conn)| delivers_parasite(sim.host(client).received(conn)))
         .collect();
     Ok(CellOutcome { wins, events: sim.events_processed() })
 }

@@ -12,6 +12,7 @@ use crate::eviction::{junk_origin, EvictionAttack, EvictionReport};
 use crate::json::{Json, ToJson};
 use crate::master::Master;
 use crate::script::Parasite;
+use bytes::Bytes;
 use mp_apps::banking::BankingApp;
 use mp_apps::webmail::WebMailApp;
 use mp_browser::browser::{Browser, FetchSource};
@@ -259,8 +260,9 @@ pub(super) struct RaceWorld {
     pub(super) wifi: mp_netsim::link::MediumId,
     /// The genuine server (listening on port 80).
     pub(super) server: mp_netsim::endpoint::HostId,
-    /// The object the master races for.
-    pub(super) target: Url,
+    /// The wire form of the request for the object the master races for,
+    /// encoded once and shared by every victim that sends it.
+    pub(super) request: Bytes,
 }
 
 /// Builds the race world under the given [`RaceTiming`], with at most
@@ -303,8 +305,24 @@ pub(super) fn build_race_world(
         sim,
         wifi,
         server,
-        target,
+        request: request_wire(&target),
     }
+}
+
+/// The wire form of a GET for `url`, as a shareable buffer for
+/// [`Simulator::send_bytes`].
+pub(super) fn request_wire(url: &Url) -> Bytes {
+    Bytes::from(Request::get(url.clone()).to_wire())
+}
+
+/// Returns `true` if a victim's delivered byte stream carries the parasite:
+/// [`Response::frame`] finds the body exactly as [`Response::from_wire`]
+/// would (a losing attacker's trailing segments stay cut off), and
+/// [`Parasite::is_carried_by`] scans it in place. Agrees with
+/// `Response::from_wire` followed by [`Parasite::detect`] on the body text,
+/// without copying the stream; a stream that does not parse is clean.
+pub(super) fn delivers_parasite(delivered: &[u8]) -> bool {
+    Response::frame(delivered).is_ok_and(|frame| Parasite::is_carried_by(frame.body))
 }
 
 /// Builds and runs the paper's injection race: one victim on the shared WiFi
@@ -330,11 +348,11 @@ pub(super) fn run_race_simulation(
         mut sim,
         wifi,
         server,
-        target,
+        request,
     } = build_race_world(seed, &timing, event_budget, trace_mode, shared);
     let victim = sim.add_host("victim", mp_netsim::addr::IpAddr::new(10, 0, 0, 2), wifi);
     let conn = sim.connect(victim, server, 80).expect("hosts exist");
-    sim.send(victim, conn, &Request::get(target).to_wire()).expect("connection exists");
+    sim.send_bytes(victim, conn, request).expect("connection exists");
     sim.run_until_idle()?;
 
     Ok(RaceRun { sim, victim, conn })
@@ -351,10 +369,7 @@ fn injection_race(
     shared: Option<&SharedBudget>,
 ) -> Result<bool, NetError> {
     let race = run_race_simulation(seed, attacker_reaction_us, server_one_way_us, event_budget, trace_mode, shared)?;
-    Ok(Response::from_wire(&race.sim.received(race.victim, race.conn))
-        .ok()
-        .map(|r| Parasite::detect(&r.body.as_text()).is_some())
-        .unwrap_or(false))
+    Ok(delivers_parasite(race.sim.host(race.victim).received(race.conn)))
 }
 
 /// Runs one packet-level injection race with the paper's standard timing
@@ -853,4 +868,182 @@ pub(super) fn table5_attacks(
     reports.push(attacks::browser_ddos(250, 40, "192.168.0.1"));
 
     Ok(Table5Result { reports })
+}
+
+#[cfg(test)]
+mod classify_props {
+    //! Property coverage: the in-place classifier agrees with the full HTTP
+    //! path. On arbitrary bytes and on mutated streams that real races deliver
+    //! (truncated, with duplicate or garbled `Content-Length`, with non-UTF-8
+    //! bytes in the head or the body, with an unterminated payload field),
+    //! `delivers_parasite` must equal `Response::from_wire` followed by
+    //! `Parasite::detect` on the body text, and `Parasite::is_carried_by` must
+    //! equal `Parasite::detect` on the lossy text.
+
+    use super::{build_race_world, delivers_parasite, request_wire, RaceTiming, RaceWorld};
+    use crate::script::{Parasite, PARASITE_MARKER};
+    use mp_httpsim::message::Response;
+    use mp_httpsim::url::Url;
+    use mp_netsim::addr::IpAddr;
+    use mp_netsim::capture::TraceMode;
+    use mp_netsim::sim::DEFAULT_EVENT_BUDGET;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
+    use std::sync::OnceLock;
+
+    fn oracle(delivered: &[u8]) -> bool {
+        Response::from_wire(delivered)
+            .ok()
+            .map(|r| Parasite::detect(&r.body.as_text()).is_some())
+            .unwrap_or(false)
+    }
+
+    fn scan_oracle(body: &[u8]) -> bool {
+        Parasite::detect(&String::from_utf8_lossy(body)).is_some()
+    }
+
+    /// Streams delivered by real races: a won race (the forged response), a
+    /// lost one (the genuine response with the master's late segments trailing
+    /// it) and an unprepared request (the genuine response alone).
+    fn delivered_streams() -> &'static [Vec<u8>; 3] {
+        static STREAMS: OnceLock<[Vec<u8>; 3]> = OnceLock::new();
+        STREAMS.get_or_init(|| {
+            let race = |timing: &RaceTiming, url: Option<&str>| {
+                let RaceWorld { mut sim, wifi, server, request } =
+                    build_race_world(7, timing, DEFAULT_EVENT_BUDGET, TraceMode::SummaryOnly, None);
+                let wire =
+                    url.map(|url| request_wire(&Url::parse(url).unwrap())).unwrap_or(request);
+                let victim = sim.add_host("victim", IpAddr::new(10, 0, 0, 2), wifi);
+                let conn = sim.connect(victim, server, 80).unwrap();
+                sim.send_bytes(victim, conn, wire).unwrap();
+                sim.run_until_idle().unwrap();
+                sim.host(victim).received(conn).to_vec()
+            };
+            let slow_master = RaceTiming {
+                attacker_reaction_us: 30_000,
+                server_one_way_us: 5_000,
+                ..RaceTiming::PAPER
+            };
+            [
+                race(&RaceTiming::PAPER, None),
+                race(&slow_master, None),
+                race(&RaceTiming::PAPER, Some("http://somesite.com/weather.js")),
+            ]
+        })
+    }
+
+    #[test]
+    fn real_streams_cover_a_win_a_trailing_loss_and_a_passthrough() {
+        let [won, lost, passthrough] = delivered_streams();
+        assert!(delivers_parasite(won) && oracle(won));
+        assert!(!delivers_parasite(lost) && !oracle(lost));
+        assert!(!delivers_parasite(passthrough) && !oracle(passthrough));
+        // The lost race's stream carries the forged payload after the genuine
+        // body: only Content-Length framing keeps it clean.
+        assert!(Parasite::is_carried_by(lost));
+        assert!(Response::from_wire(lost).unwrap().body.len() < lost.len() / 2);
+    }
+
+    /// Byte offset of the blank line that ends the head.
+    fn head_end(stream: &[u8]) -> usize {
+        stream.windows(4).position(|w| w == b"\r\n\r\n").unwrap_or(stream.len())
+    }
+
+    proptest! {
+        #[test]
+        fn classifiers_agree_on_arbitrary_bytes(bytes in vec(any::<u8>(), 0..512)) {
+            prop_assert_eq!(delivers_parasite(&bytes), oracle(&bytes));
+            prop_assert_eq!(Parasite::is_carried_by(&bytes), scan_oracle(&bytes));
+        }
+
+        #[test]
+        fn classifiers_agree_on_arbitrary_bodies_behind_a_valid_head(
+            body in vec(any::<u8>(), 0..256),
+            marker_at in any::<usize>(),
+        ) {
+            // Splice the marker and the field prefixes into the noise so the
+            // scan gets past its first needle.
+            let mut body = body;
+            let at = marker_at % (body.len() + 1);
+            let fields = format!("{PARASITE_MARKER}__mp_cnc='a'__mp_campaign='b'__mp_modules=");
+            body.splice(at..at, fields.bytes());
+            let mut stream =
+                b"HTTP/1.1 200 OK\r\nContent-Type: application/javascript\r\n\r\n".to_vec();
+            stream.extend_from_slice(&body);
+            prop_assert_eq!(delivers_parasite(&stream), oracle(&stream));
+            prop_assert_eq!(Parasite::is_carried_by(&body), scan_oracle(&body));
+        }
+
+        #[test]
+        fn classifiers_agree_on_truncated_streams(which in 0..3usize, cut in any::<usize>()) {
+            let stream = &delivered_streams()[which];
+            let truncated = &stream[..cut % (stream.len() + 1)];
+            prop_assert_eq!(delivers_parasite(truncated), oracle(truncated));
+            prop_assert_eq!(Parasite::is_carried_by(truncated), scan_oracle(truncated));
+        }
+
+        #[test]
+        fn classifiers_agree_under_duplicate_or_garbled_content_length(
+            which in 0..3usize,
+            value in "\\+?[0-9]{1,4}|-[0-9]{1,2}|[0-9]{1,3}[a-z ]{1,2}|99999999999999999999999|",
+            duplicate in any::<bool>(),
+            first in any::<bool>(),
+        ) {
+            let stream = &delivered_streams()[which];
+            let text = String::from_utf8_lossy(stream).into_owned();
+            let line = format!("Content-Length: {value}\r\n");
+            let mutated = if duplicate {
+                // An extra header, before or after the genuine one.
+                let at = if first { text.find("\r\n").unwrap() + 2 } else { head_end(stream) + 2 };
+                format!("{}{line}{}", &text[..at], &text[at..])
+            } else {
+                // The genuine header's value replaced in place.
+                let start = text.find("Content-Length: ").unwrap();
+                let end = start + text[start..].find("\r\n").unwrap() + 2;
+                format!("{}{line}{}", &text[..start], &text[end..])
+            };
+            let mutated = mutated.into_bytes();
+            prop_assert_eq!(delivers_parasite(&mutated), oracle(&mutated));
+            prop_assert_eq!(Parasite::is_carried_by(&mutated), scan_oracle(&mutated));
+        }
+
+        #[test]
+        fn classifiers_agree_with_non_utf8_bytes_in_the_head_and_the_body(
+            which in 0..3usize,
+            junk in vec(0x80u8..=0xff, 1..4),
+            at in any::<usize>(),
+            in_head in any::<bool>(),
+        ) {
+            let stream = &delivered_streams()[which];
+            let head = head_end(stream);
+            let at = if in_head {
+                at % (head + 1)
+            } else {
+                head + 4 + at % (stream.len() - head - 3)
+            };
+            let mut mutated = stream.clone();
+            mutated.splice(at..at, junk);
+            prop_assert_eq!(delivers_parasite(&mutated), oracle(&mutated));
+            prop_assert_eq!(Parasite::is_carried_by(&mutated), scan_oracle(&mutated));
+        }
+
+        #[test]
+        fn classifiers_agree_when_a_payload_field_is_unterminated(
+            which in 0..2usize,
+            field in 0..3usize,
+        ) {
+            let stream = &delivered_streams()[which];
+            let prefix = ["__mp_cnc='", "__mp_campaign='", "__mp_modules='"][field].as_bytes();
+            let mut mutated = stream.clone();
+            // Drop every quote after the field's prefix: the field never closes.
+            let from =
+                mutated.windows(prefix.len()).position(|w| w == prefix).unwrap() + prefix.len();
+            let tail: Vec<u8> =
+                mutated.split_off(from).into_iter().filter(|&b| b != b'\'').collect();
+            mutated.extend(tail);
+            prop_assert!(!Parasite::is_carried_by(&mutated));
+            prop_assert_eq!(delivers_parasite(&mutated), oracle(&mutated));
+            prop_assert_eq!(Parasite::is_carried_by(&mutated), scan_oracle(&mutated));
+        }
+    }
 }

@@ -10,6 +10,7 @@
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::ops::Range;
 
 /// Marker that introduces the parasite payload inside a script body.
 pub const PARASITE_MARKER: &str = "/*__PARASITE__*/";
@@ -157,28 +158,47 @@ impl Parasite {
 
     /// Recovers a parasite from a script body, if the body carries one.
     pub fn detect(script_body: &str) -> Option<Parasite> {
-        let start = script_body.find(PARASITE_MARKER)?;
-        let payload = &script_body[start..];
-        let cnc_host = extract_quoted(payload, "__mp_cnc='")?;
-        let campaign = extract_quoted(payload, "__mp_campaign='")?;
-        let modules_raw = extract_quoted(payload, "__mp_modules='")?;
-        let modules = modules_raw
+        let [cnc_host, campaign, modules] = scan_payload(script_body.as_bytes())?;
+        // Every field sits between an ASCII prefix and an ASCII quote, so
+        // its byte range falls on character boundaries.
+        let modules = script_body[modules]
             .split(',')
             .filter_map(ParasiteModule::from_tag)
             .collect();
         Some(Parasite {
             modules,
-            cnc_host,
-            campaign,
+            cnc_host: script_body[cnc_host].to_string(),
+            campaign: script_body[campaign].to_string(),
         })
+    }
+
+    /// Returns `true` if `body` carries a parasite, scanning the raw bytes
+    /// in place. Agrees with [`Parasite::detect`] on the body's lossy UTF-8
+    /// text: the marker and field delimiters are ASCII, and lossy decoding
+    /// never adds, drops or reorders ASCII bytes.
+    pub fn is_carried_by(body: &[u8]) -> bool {
+        scan_payload(body).is_some()
     }
 }
 
-fn extract_quoted(text: &str, prefix: &str) -> Option<String> {
-    let start = text.find(prefix)? + prefix.len();
-    let rest = &text[start..];
-    let end = rest.find('\'')?;
-    Some(rest[..end].to_string())
+/// The one payload scan behind [`Parasite::detect`] and
+/// [`Parasite::is_carried_by`]: finds [`PARASITE_MARKER`], then the C&C
+/// host, campaign and module fields after it, and returns their byte ranges
+/// in that order.
+fn scan_payload(body: &[u8]) -> Option<[Range<usize>; 3]> {
+    let start = find(body, PARASITE_MARKER.as_bytes())?;
+    let quoted = |prefix: &[u8]| {
+        let from = start + find(&body[start..], prefix)? + prefix.len();
+        let len = body[from..].iter().position(|&b| b == b'\'')?;
+        Some(from..from + len)
+    };
+    Some([quoted(b"__mp_cnc='")?, quoted(b"__mp_campaign='")?, quoted(b"__mp_modules='")?])
+}
+
+/// Offset of the first occurrence of `needle` (not empty) in `haystack`.
+fn find(haystack: &[u8], needle: &[u8]) -> Option<usize> {
+    let last = haystack.len().checked_sub(needle.len())?;
+    (0..=last).find(|&at| haystack[at] == needle[0] && haystack[at..].starts_with(needle))
 }
 
 #[cfg(test)]

@@ -10,6 +10,7 @@ use crate::error::HttpError;
 use crate::headers::{names, HeaderMap};
 use crate::url::{Scheme, Url};
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::fmt;
 
 /// HTTP request method.
@@ -195,7 +196,8 @@ impl Request {
             reason: "missing request target".into(),
         })?;
 
-        let headers = parse_header_lines(lines)?;
+        let mut headers = HeaderMap::new();
+        for_each_header(lines, |name, value| headers.append(name, value.to_string()))?;
         let host = headers.get(names::HOST).unwrap_or("unknown.host").to_string();
         let url = Url::parse(&format!("{}://{}{}", scheme.as_str(), host, target))?;
         let kind = headers
@@ -290,61 +292,106 @@ impl Response {
     /// Returns [`HttpError::MalformedMessage`] when the status line or headers
     /// cannot be parsed.
     pub fn from_wire(bytes: &[u8]) -> Result<Self, HttpError> {
-        let (head, body_bytes) = split_head(bytes)?;
-        let mut lines = head.lines();
-        let status_line = lines.next().ok_or_else(|| HttpError::MalformedMessage {
-            reason: "missing status line".into(),
-        })?;
-        let mut parts = status_line.split_whitespace();
-        let version = parts.next().unwrap_or("");
-        if !version.starts_with("HTTP/1.") {
-            return Err(HttpError::MalformedMessage {
-                reason: format!("unsupported version in status line {status_line:?}"),
-            });
-        }
-        let code: u16 = parts
-            .next()
-            .and_then(|c| c.parse().ok())
-            .ok_or_else(|| HttpError::MalformedMessage {
-                reason: format!("bad status code in {status_line:?}"),
-            })?;
-        let headers = parse_header_lines(lines)?;
+        let mut headers = HeaderMap::new();
+        let frame = frame_response(bytes, |name, value| headers.append(name, value.to_string()))?;
         let kind = headers
             .get(names::CONTENT_TYPE)
             .map(ResourceKind::from_content_type)
             .unwrap_or(ResourceKind::Other);
-        // Respect Content-Length framing: bytes beyond the declared length do
-        // not belong to this message. This matters for the injection-race
-        // experiments, where a losing attacker's late segments can trail the
-        // genuine response in the byte stream.
-        let body_len = headers
-            .get(names::CONTENT_LENGTH)
-            .and_then(|v| v.parse::<usize>().ok())
-            .unwrap_or(body_bytes.len())
-            .min(body_bytes.len());
         Ok(Response {
-            status: StatusCode(code),
+            status: frame.status,
             headers,
-            body: Body::binary(kind, body_bytes[..body_len].to_vec()),
+            body: Body::binary(kind, frame.body.to_vec()),
         })
+    }
+
+    /// Frames a response on the wire without copying it: the same status
+    /// and header validation as [`Response::from_wire`], and the same body,
+    /// borrowed. Nothing is allocated when the head is valid UTF-8.
+    ///
+    /// # Errors
+    ///
+    /// Fails exactly when [`Response::from_wire`] does.
+    pub fn frame(bytes: &[u8]) -> Result<ResponseFrame<'_>, HttpError> {
+        frame_response(bytes, |_, _| {})
     }
 }
 
-fn split_head(bytes: &[u8]) -> Result<(String, &[u8]), HttpError> {
+/// A response framed in place by [`Response::frame`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ResponseFrame<'a> {
+    /// Status code.
+    pub status: StatusCode,
+    /// The body bytes `Content-Length` delimits (all the bytes after the
+    /// head when the header is absent or unparseable).
+    pub body: &'a [u8],
+}
+
+/// The one response head parser: validates the status line and the header
+/// lines, hands each header to `on_header` as a trimmed `(name, value)` pair,
+/// and frames the body by the first `Content-Length` header.
+fn frame_response<'a>(
+    bytes: &'a [u8],
+    mut on_header: impl FnMut(&str, &str),
+) -> Result<ResponseFrame<'a>, HttpError> {
+    let (head, body_bytes) = split_head(bytes)?;
+    let mut lines = head.lines();
+    let status_line = lines.next().ok_or_else(|| HttpError::MalformedMessage {
+        reason: "missing status line".into(),
+    })?;
+    let mut parts = status_line.split_whitespace();
+    let version = parts.next().unwrap_or("");
+    if !version.starts_with("HTTP/1.") {
+        return Err(HttpError::MalformedMessage {
+            reason: format!("unsupported version in status line {status_line:?}"),
+        });
+    }
+    let code: u16 = parts
+        .next()
+        .and_then(|c| c.parse().ok())
+        .ok_or_else(|| HttpError::MalformedMessage {
+            reason: format!("bad status code in {status_line:?}"),
+        })?;
+    // Respect Content-Length framing: bytes beyond the declared length do
+    // not belong to this message. This matters for the injection-race
+    // experiments, where a losing attacker's late segments can trail the
+    // genuine response in the byte stream. Like `HeaderMap::get`, the first
+    // header of that name decides.
+    let mut content_length: Option<Option<usize>> = None;
+    for_each_header(lines, |name, value| {
+        if content_length.is_none() && name.eq_ignore_ascii_case(names::CONTENT_LENGTH) {
+            content_length = Some(value.parse().ok());
+        }
+        on_header(name, value);
+    })?;
+    let body_len = content_length
+        .flatten()
+        .unwrap_or(body_bytes.len())
+        .min(body_bytes.len());
+    Ok(ResponseFrame {
+        status: StatusCode(code),
+        body: &body_bytes[..body_len],
+    })
+}
+
+/// Splits a message at its blank line. The head is decoded lossily, and
+/// borrowed whenever it is valid UTF-8.
+fn split_head(bytes: &[u8]) -> Result<(Cow<'_, str>, &[u8]), HttpError> {
     let window = bytes.windows(4).position(|w| w == b"\r\n\r\n");
     match window {
-        Some(idx) => {
-            let head = String::from_utf8_lossy(&bytes[..idx]).into_owned();
-            Ok((head, &bytes[idx + 4..]))
-        }
+        Some(idx) => Ok((String::from_utf8_lossy(&bytes[..idx]), &bytes[idx + 4..])),
         None => Err(HttpError::MalformedMessage {
             reason: "missing header/body separator".into(),
         }),
     }
 }
 
-fn parse_header_lines<'a>(lines: impl Iterator<Item = &'a str>) -> Result<HeaderMap, HttpError> {
-    let mut headers = HeaderMap::new();
+/// Validates header lines (blank lines are skipped, every other line needs a
+/// colon) and hands each trimmed `(name, value)` pair to `on_header`.
+fn for_each_header<'a>(
+    lines: impl Iterator<Item = &'a str>,
+    mut on_header: impl FnMut(&str, &str),
+) -> Result<(), HttpError> {
     for line in lines {
         if line.trim().is_empty() {
             continue;
@@ -352,9 +399,9 @@ fn parse_header_lines<'a>(lines: impl Iterator<Item = &'a str>) -> Result<Header
         let (name, value) = line.split_once(':').ok_or_else(|| HttpError::MalformedMessage {
             reason: format!("header line without colon: {line:?}"),
         })?;
-        headers.append(name.trim(), value.trim().to_string());
+        on_header(name.trim(), value.trim());
     }
-    Ok(headers)
+    Ok(())
 }
 
 #[cfg(test)]
@@ -447,6 +494,22 @@ mod framing_tests {
         wire.extend_from_slice(b";TRAILING_GARBAGE_FROM_A_LATE_SEGMENT;");
         let parsed = Response::from_wire(&wire).unwrap();
         assert_eq!(parsed.body.as_text(), "function genuine(){}");
+    }
+
+    #[test]
+    fn framing_in_place_matches_the_parsed_response() {
+        let body = Body::text(ResourceKind::JavaScript, "function genuine(){}");
+        let mut wire = Response::ok(body).to_wire();
+        wire.extend_from_slice(b";late segment");
+        let frame = Response::frame(&wire).unwrap();
+        let parsed = Response::from_wire(&wire).unwrap();
+        assert_eq!(frame.status, parsed.status);
+        assert_eq!(frame.body, &parsed.body.bytes[..]);
+        // The first Content-Length decides, as `HeaderMap::get` does.
+        let wire = b"HTTP/1.1 200 OK\r\nContent-Length: 3\r\ncontent-length: 5\r\n\r\nabcdefg";
+        assert_eq!(Response::frame(wire).unwrap().body, b"abc");
+        assert_eq!(Response::from_wire(wire).unwrap().body.bytes, b"abc");
+        assert!(Response::frame(b"HTTP/1.1 200 OK\r\nno colon\r\n\r\n").is_err());
     }
 
     #[test]

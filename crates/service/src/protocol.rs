@@ -34,6 +34,13 @@ pub mod codes {
     pub const UNAVAILABLE: &str = "unavailable";
 }
 
+/// The longest request line the daemon reads, newline included: far above
+/// any legitimate request (a `submit` or `shard_submit` line is well under
+/// 4 KiB), low enough that one client cannot grow the daemon's memory
+/// without bound. A longer line is answered with a `bad_request` error and
+/// dropped; the connection stays usable.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
+
 /// A client-to-daemon request: one JSON object on one line.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Request {

@@ -25,7 +25,7 @@
 //! itself can be bounded with [`ServeOptions::queue_limit`]; submissions
 //! past the bound are rejected with a typed `queue_full` error.
 
-use crate::protocol::{codes, Request, Response, RunOutcome, RunState, RunStatus};
+use crate::protocol::{codes, Request, Response, RunOutcome, RunState, RunStatus, MAX_LINE_BYTES};
 use crate::shard::serve_shard;
 use mp_netsim::sim::SharedBudget;
 use parasite::experiments::{
@@ -35,13 +35,13 @@ use parasite::experiments::{
 };
 use parasite::json::ToJson;
 use std::collections::{BTreeMap, VecDeque};
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::fs::FileTypeExt;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -130,41 +130,52 @@ pub struct Daemon {
     tcp_addr: Option<SocketAddr>,
 }
 
-/// Binds the unix socket, recovering from the stale file a crashed daemon
-/// leaves behind: if the path holds a socket nobody answers (the connect
-/// probe is refused), the file is removed and the bind retried. A live
-/// daemon, or any non-socket file at the path, keeps its `AddrInUse` error —
-/// a regular file is someone's data, not ours to clobber.
+/// Binds the unix socket so that its path appears only once it is
+/// listening: the listener is bound under a staging name in the same
+/// directory and renamed onto `path`, so a client that waits for the file
+/// to exist never finds it refusing connections. A socket file nobody
+/// answers (the connect probe is refused) is a crashed daemon's leftover,
+/// and the rename replaces it. A live daemon, or any non-socket file at the
+/// path, is an `AddrInUse` error — a regular file is someone's data, not
+/// ours to clobber.
 fn bind_unix(path: &Path) -> io::Result<UnixListener> {
-    match UnixListener::bind(path) {
-        Ok(listener) => Ok(listener),
-        Err(error) if error.kind() == io::ErrorKind::AddrInUse => {
-            let stale_socket = std::fs::symlink_metadata(path)
-                .map(|meta| meta.file_type().is_socket())
-                .unwrap_or(false);
-            if !stale_socket {
-                return Err(error);
-            }
-            match UnixStream::connect(path) {
-                Ok(_) => Err(io::Error::new(
-                    io::ErrorKind::AddrInUse,
-                    format!("another daemon is already listening on {}", path.display()),
-                )),
-                Err(probe) if probe.kind() == io::ErrorKind::ConnectionRefused => {
-                    std::fs::remove_file(path)?;
-                    UnixListener::bind(path)
-                }
-                Err(_) => Err(error),
-            }
+    let in_use = |why: String| io::Error::new(io::ErrorKind::AddrInUse, why);
+    match std::fs::symlink_metadata(path) {
+        Ok(meta) if !meta.file_type().is_socket() => {
+            return Err(in_use(format!("{} exists and is not a socket", path.display())));
         }
-        Err(error) => Err(error),
+        Ok(_) => match UnixStream::connect(path) {
+            Err(probe) if probe.kind() == io::ErrorKind::ConnectionRefused => {}
+            Ok(_) => {
+                return Err(in_use(format!(
+                    "another daemon is already listening on {}",
+                    path.display()
+                )))
+            }
+            Err(probe) => return Err(in_use(format!("{} is in use: {probe}", path.display()))),
+        },
+        Err(error) if error.kind() == io::ErrorKind::NotFound => {}
+        Err(error) => return Err(error),
     }
+    static STAGED: AtomicU64 = AtomicU64::new(0);
+    let staging = path.with_file_name(format!(
+        ".staging-{}-{}",
+        std::process::id(),
+        STAGED.fetch_add(1, Ordering::Relaxed)
+    ));
+    let listener = UnixListener::bind(&staging)?;
+    if let Err(error) = std::fs::rename(&staging, path) {
+        let _ = std::fs::remove_file(&staging);
+        return Err(error);
+    }
+    Ok(listener)
 }
 
 impl Daemon {
-    /// Binds the listeners and spawns the accept and worker threads. A stale
+    /// Binds the listeners and spawns the accept and worker threads. The
+    /// socket file appears only once the daemon is listening. A stale
     /// socket file from a crashed previous daemon is detected (nobody
-    /// answers a connect probe) and removed; a path where a daemon still
+    /// answers a connect probe) and replaced; a path where a daemon still
     /// listens, or that holds a non-socket file, refuses to bind.
     pub fn start(options: ServeOptions) -> io::Result<Daemon> {
         let unix = bind_unix(&options.socket)?;
@@ -312,15 +323,40 @@ fn spawn_connection(shared: &Arc<Shared>, connection: io::Result<Connection>) {
 }
 
 fn handle_connection(shared: &Arc<Shared>, mut connection: Connection) {
-    let mut line = String::new();
+    let mut line = Vec::new();
+    // Set while the rest of an over-long line is read and dropped.
+    let mut overlong = false;
     loop {
-        match connection.reader.read_line(&mut line) {
-            // `Ok` without a trailing newline means the client hung up
-            // mid-line; serve the fragment as its final request.
+        // Never buffer more than one capped line: a longer one stops at the
+        // cap, still without its newline.
+        let room = MAX_LINE_BYTES.saturating_sub(line.len()) as u64;
+        match (&mut connection.reader).take(room).read_until(b'\n', &mut line) {
             Ok(n) => {
-                let at_eof = n == 0 || !line.ends_with('\n');
-                if !line.trim().is_empty() && !serve_line(shared, &mut connection, &line) {
-                    break;
+                let complete = line.ends_with(b"\n");
+                if !complete && line.len() >= MAX_LINE_BYTES {
+                    line.clear();
+                    if !overlong {
+                        overlong = true;
+                        let reply = Response::Error {
+                            message: format!("request line exceeds the {MAX_LINE_BYTES}-byte limit"),
+                            code: coded(codes::BAD_REQUEST),
+                        };
+                        if connection.write_line(&reply).is_err() {
+                            break;
+                        }
+                    }
+                    continue;
+                }
+                // `Ok` without a trailing newline means the client hung up
+                // mid-line; serve the fragment as its final request.
+                let at_eof = n == 0 || !complete;
+                if overlong {
+                    overlong = false;
+                } else {
+                    let Ok(text) = std::str::from_utf8(&line) else { break };
+                    if !text.trim().is_empty() && !serve_line(shared, &mut connection, text) {
+                        break;
+                    }
                 }
                 line.clear();
                 if at_eof {

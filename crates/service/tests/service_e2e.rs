@@ -508,3 +508,54 @@ fn a_stale_socket_is_recovered_but_a_live_daemon_is_not_clobbered() {
     assert_eq!(std::fs::read_to_string(&socket).expect("file survives"), "precious");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn an_over_long_line_is_rejected_without_disturbing_other_runs() {
+    use std::io::{BufRead, BufReader, Write};
+    let dir = temp_dir("long-line");
+    let socket = dir.join("daemon.sock");
+    let daemon = Daemon::start(ServeOptions::new(&socket)).expect("daemon starts");
+
+    // A watched run on another connection is in flight throughout.
+    let config = RunConfig { fleet_days: 3, ..campaign_config(5) };
+    let mut watcher = connect(&socket);
+    let run = submit(&mut watcher, config, None);
+
+    // One line past the cap, in one write: the daemon answers once the cap
+    // is reached, drops the rest of the line, and keeps the connection.
+    let mut raw = std::os::unix::net::UnixStream::connect(&socket).expect("raw connect");
+    raw.set_read_timeout(Some(std::time::Duration::from_secs(60))).expect("read timeout");
+    let mut reader = BufReader::new(raw.try_clone().expect("clone"));
+    let mut long = vec![b'x'; mp_service::protocol::MAX_LINE_BYTES + 4096];
+    long.push(b'\n');
+    raw.write_all(&long).expect("write the long line");
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("error line");
+    let limit = format!("{}-byte limit", mp_service::protocol::MAX_LINE_BYTES);
+    assert!(line.contains(&limit), "got: {line}");
+    assert!(line.contains("\"code\":\"bad_request\""), "got: {line}");
+    writeln!(raw, "{}", Request::Status { run: None }.to_json()).expect("write status");
+    line.clear();
+    reader.read_line(&mut line).expect("status line");
+    assert!(line.contains("\"type\":\"status\""), "got: {line}");
+
+    // A line exactly at the cap (newline included) is still read as a
+    // request: here it is not JSON, so the error is about that instead.
+    let mut at_cap = vec![b' '; mp_service::protocol::MAX_LINE_BYTES - 2];
+    at_cap.extend_from_slice(b"x\n");
+    raw.write_all(&at_cap).expect("write the capped line");
+    line.clear();
+    reader.read_line(&mut line).expect("error line");
+    assert!(line.contains("not valid JSON"), "got: {line}");
+
+    let (days, outcome) = drain_stream(&mut watcher, run);
+    assert_eq!(days.len(), 3);
+    let reference = Registry::get(ExperimentId::CampaignFleet).run(&config).to_json().to_string();
+    match outcome {
+        RunOutcome::Ok { artifact } => assert_eq!(artifact.to_string(), reference),
+        other => panic!("expected an ok outcome, got {other:?}"),
+    }
+    drop(raw);
+    shutdown_and_wait(daemon, &socket);
+    let _ = std::fs::remove_dir_all(&dir);
+}
