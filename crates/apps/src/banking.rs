@@ -19,11 +19,10 @@ use mp_httpsim::body::{Body, ResourceKind};
 use mp_httpsim::message::{Request, Response};
 use mp_httpsim::transport::Exchange;
 use mp_httpsim::url::{Scheme, Url};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// A customer account.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Account {
     /// Login name.
     pub username: String,
@@ -36,7 +35,7 @@ pub struct Account {
 }
 
 /// A money transfer the bank has executed.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExecutedTransfer {
     /// Sending customer.
     pub from: String,
@@ -49,7 +48,7 @@ pub struct ExecutedTransfer {
 }
 
 /// A transfer awaiting OTP confirmation.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PendingTransfer {
     /// Session that initiated it.
     pub session: String,
@@ -62,7 +61,7 @@ pub struct PendingTransfer {
 }
 
 /// Outcome of submitting the transfer form.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TransferOutcome {
     /// The transfer needs an OTP; the pending transfer id is returned.
     OtpRequired {
@@ -79,7 +78,7 @@ pub enum TransferOutcome {
 }
 
 /// The banking application.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BankingApp {
     /// Host name the bank is served from.
     pub host: String,

@@ -9,11 +9,10 @@ use mp_httpsim::body::{Body, ResourceKind};
 use mp_httpsim::message::{Request, Response};
 use mp_httpsim::transport::Exchange;
 use mp_httpsim::url::{Scheme, Url};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// An executed withdrawal.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Withdrawal {
     /// Account that withdrew.
     pub user: String,
@@ -24,7 +23,7 @@ pub struct Withdrawal {
 }
 
 /// The crypto-exchange application.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CryptoExchangeApp {
     /// Host the exchange is served from.
     pub host: String,

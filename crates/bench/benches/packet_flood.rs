@@ -5,12 +5,12 @@
 //! events per second the transmit → trace → deliver path sustains under each
 //! trace recorder mode. `cargo bench -p mp-bench --bench packet_flood` prints
 //! an explicit events/sec line per mode (best of three passes over a 10k
-//! request flood, after a warm-up run) before the criterion timings, times an
-//! unsharded and a sharded campaign-fleet sweep, and writes the whole set of
-//! numbers to `BENCH_packet_flood.json` so CI can archive the perf trajectory
-//! and gate on regressions against a rolling same-runner baseline.
+//! request flood, after a warm-up run), times a single-day and a 5-day
+//! campaign-fleet sweep, the 5-day sweep split into three merged shards, and
+//! an attack-surface grid, and writes the whole set of numbers to
+//! `BENCH_packet_flood.json` so CI can archive the perf trajectory and gate on
+//! regressions against a rolling same-runner baseline.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use mp_netsim::addr::IpAddr;
 use mp_netsim::capture::TraceMode;
 use mp_netsim::link::MediumKind;
@@ -21,9 +21,8 @@ use parasite::experiments::{
 };
 use parasite::json::{Json, ToJson};
 
-/// Flood size for the criterion timings (kept small so the statistical run
-/// stays fast).
-const REQUESTS: usize = 2_000;
+/// Flood size for the warm-up run.
+const WARMUP_REQUESTS: usize = 2_000;
 
 /// Flood size for the explicit events/sec measurement: large enough that one
 /// pass runs for tens of milliseconds, drowning scheduling noise.
@@ -153,9 +152,9 @@ const MODES: [(&str, TraceMode); 3] = [
     ("summary_only", TraceMode::SummaryOnly),
 ];
 
-fn bench(c: &mut Criterion) {
+fn main() {
     // Warm-up: fault in the binary and the allocator before measuring.
-    let _ = flood(REQUESTS, TraceMode::SummaryOnly);
+    let _ = flood(WARMUP_REQUESTS, TraceMode::SummaryOnly);
 
     // Explicit throughput lines: events per wall-clock second per mode.
     let mut mode_entries: Vec<(&str, Json)> = Vec::new();
@@ -253,14 +252,4 @@ fn bench(c: &mut Criterion) {
     if let Err(error) = std::fs::write(&path, format!("{report}\n")) {
         eprintln!("warning: could not write {}: {error}", path.display());
     }
-
-    let mut group = c.benchmark_group("packet_flood");
-    group.sample_size(10);
-    for (label, mode) in MODES {
-        group.bench_function(label, |b| b.iter(|| criterion::black_box(flood(REQUESTS, mode))));
-    }
-    group.finish();
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

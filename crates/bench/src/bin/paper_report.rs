@@ -1003,7 +1003,7 @@ mod service {
 mod distribute {
     use super::service::usage_error;
     use super::*;
-    use mp_service::protocol::codes;
+    use mp_service::protocol::{codes, Line, LineReader};
     use mp_service::serve_shard;
     use parasite::experiments::{
         scan_journal, write_journal_entry, ExperimentError, FaultKind, FaultPlan, RunCtx,
@@ -1029,20 +1029,24 @@ mod distribute {
             Ok(faults) => faults,
             Err(message) => return usage_error(&format!("{FAULT_PLAN_ENV}: {message}")),
         };
+        let mut stdin = std::io::stdin().lock();
         let mut stdout = std::io::stdout();
+        let mut lines = LineReader::default();
         let mut run = 0u64;
-        for line in std::io::stdin().lock().lines() {
-            let Ok(line) = line else { return ExitCode::FAILURE };
-            if line.trim().is_empty() {
-                continue;
-            }
+        loop {
+            let request = match lines.read(&mut stdin) {
+                Ok(Line::Eof) => break,
+                Ok(Line::Text(text)) => Request::parse_line(&text),
+                Ok(Line::Rejected(message)) => Err(message),
+                Err(_) => return ExitCode::FAILURE,
+            };
             run += 1;
             let rejected = |message: String| {
                 Response::Error { message, code: Some(codes::BAD_REQUEST.to_string()) }
                     .to_json()
                     .to_string()
             };
-            let reply = match Request::parse_line(&line) {
+            let reply = match request {
                 Ok(Request::ShardSubmit { config, first_ap, aps }) => {
                     let plan = ShardPlan { first_ap, aps };
                     serve_shard(run, &config, plan, &RunCtx::default(), faults.as_ref()).line

@@ -360,8 +360,8 @@ fn a_bad_request_rejection_fails_fast_without_retrying() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-#[test]
-fn shard_worker_speaks_the_newline_json_protocol() {
+/// Runs a `shard-worker` with `input` on its stdin, then EOF.
+fn shard_worker(input: &[u8]) -> Output {
     let mut child = Command::new(env!("CARGO_BIN_EXE_paper-report"))
         .arg("shard-worker")
         .stdin(Stdio::piped())
@@ -369,6 +369,12 @@ fn shard_worker_speaks_the_newline_json_protocol() {
         .stderr(Stdio::piped())
         .spawn()
         .expect("shard-worker spawns");
+    child.stdin.take().expect("worker stdin").write_all(input).expect("write the worker's input");
+    finish_within(child)
+}
+
+#[test]
+fn shard_worker_speaks_the_newline_json_protocol() {
     let assignment = |fleet_days: u32, global_event_budget: u64| {
         format!(
             concat!(
@@ -380,19 +386,19 @@ fn shard_worker_speaks_the_newline_json_protocol() {
             fleet_days, global_event_budget
         )
     };
-    {
-        let mut stdin = child.stdin.take().expect("worker stdin");
-        // One valid assignment (APs [1, 3) of the 4-AP campaign), two
-        // assignments whose merged result would depend on the sharding,
-        // then two malformed lines; the worker must answer all five and
-        // exit on EOF.
-        writeln!(stdin, "{}", assignment(3, 0)).expect("write assignment");
-        writeln!(stdin, "{}", assignment(3, 100_000)).expect("write pooled assignment");
-        writeln!(stdin, "{}", assignment(1, 0)).expect("write 1-day assignment");
-        writeln!(stdin, "{{\"op\":\"fly\"}}").expect("write bad op");
-        writeln!(stdin, "not json").expect("write garbage");
-    }
-    let output = finish_within(child);
+    // One valid assignment (APs [1, 3) of the 4-AP campaign), two
+    // assignments whose merged result would depend on the sharding, then
+    // two malformed lines; the worker must answer all five and exit on EOF.
+    let input = [
+        assignment(3, 0),
+        assignment(3, 100_000),
+        assignment(1, 0),
+        "{\"op\":\"fly\"}".to_string(),
+        "not json".to_string(),
+    ]
+    .map(|line| line + "\n")
+    .concat();
+    let output = shard_worker(input.as_bytes());
     assert!(output.status.success(), "EOF is a clean exit");
     let stdout = String::from_utf8(output.stdout).expect("utf-8 replies");
     let replies: Vec<&str> = stdout.lines().collect();
@@ -416,6 +422,40 @@ fn shard_worker_speaks_the_newline_json_protocol() {
     bad_request(replies[2], "fleet_days");
     bad_request(replies[3], "unknown op");
     bad_request(replies[4], "not valid JSON");
+}
+
+#[test]
+fn a_shard_worker_answers_hostile_lines_and_keeps_serving() {
+    // A 3 MiB line, a non-UTF-8 line, a line nested far past the JSON depth
+    // cap, then a valid assignment: one reply each, in order.
+    let mut input = vec![b'x'; 3 << 20];
+    input.extend_from_slice(b"\n\xff\xfe{\"op\":\"shard_submit\"}\n");
+    input.extend_from_slice(format!("{}\n", "[".repeat(200_000)).as_bytes());
+    input.extend_from_slice(concat!(
+        "{\"op\":\"shard_submit\",\"config\":{\"seed\":13,\"fleet_clients\":2000,",
+        "\"fleet_aps\":4,\"fleet_days\":3,\"fleet_churn\":0.2},\"first_ap\":1,\"aps\":2}\n"
+    ).as_bytes());
+    let output = shard_worker(&input);
+    assert!(output.status.success(), "EOF is a clean exit");
+    let stdout = String::from_utf8(output.stdout).expect("utf-8 replies");
+    let replies: Vec<&str> = stdout.lines().collect();
+    assert_eq!(replies.len(), 4, "one reply line per input line: {stdout}");
+    let bad_request = |reply: &str, expected: &str| {
+        assert!(
+            reply.contains("\"type\":\"error\"")
+                && reply.contains("\"code\":\"bad_request\"")
+                && reply.contains(expected),
+            "expected a bad_request error mentioning {expected:?}, got: {reply}"
+        );
+    };
+    bad_request(replies[0], "request line exceeds the 1048576-byte limit");
+    bad_request(replies[1], "not valid UTF-8");
+    bad_request(replies[2], "nesting deeper than");
+    assert!(
+        replies[3].contains("\"type\":\"shard_result\"") && replies[3].contains("\"run\":4"),
+        "got: {}",
+        replies[3]
+    );
 }
 
 #[test]

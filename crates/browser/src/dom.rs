@@ -10,16 +10,15 @@
 //! changes to the parasite).
 
 use mp_httpsim::url::Url;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
 /// Identifier of an element within one document.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ElementId(pub u64);
 
 /// A DOM element.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Element {
     /// Identifier.
     pub id: ElementId,
@@ -53,7 +52,7 @@ impl Element {
 }
 
 /// A recorded form submission (the payload a submit-event hook sees).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FormSubmission {
     /// The form element.
     pub form: ElementId,
@@ -66,7 +65,7 @@ pub struct FormSubmission {
 }
 
 /// A single document's DOM.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Dom {
     /// The document URL.
     pub url: Url,

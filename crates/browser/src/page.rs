@@ -10,10 +10,9 @@ use crate::dom::Dom;
 use mp_httpsim::body::ResourceKind;
 use mp_httpsim::sri::IntegrityDigest;
 use mp_httpsim::url::Url;
-use serde::{Deserialize, Serialize};
 
 /// A reference from a document to a subresource.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SubresourceRef {
     /// Absolute URL of the subresource.
     pub url: Url,
@@ -24,7 +23,7 @@ pub struct SubresourceRef {
 }
 
 /// The referencing element kind.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SubresourceKind {
     /// `<script src=...>`.
     Script,
@@ -49,7 +48,7 @@ impl SubresourceKind {
 }
 
 /// A script that ended up executing in the page.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LoadedScript {
     /// Source URL (`None` for inline scripts).
     pub url: Option<Url>,
@@ -68,7 +67,7 @@ impl LoadedScript {
 }
 
 /// The result of loading one document and its subresources.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Page {
     /// Document URL (after any HSTS upgrade).
     pub url: Url,

@@ -8,11 +8,10 @@
 //! captures those published parameters so the experiments run against the
 //! same decision logic the paper measured.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The browser families evaluated in the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum BrowserKind {
     /// Google Chrome (Chromium cache backend).
     Chrome,
@@ -46,7 +45,7 @@ impl fmt::Display for BrowserKind {
 }
 
 /// Operating systems from the Table II injection matrix.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum OperatingSystem {
     /// Windows 10.
     Windows10,
@@ -85,7 +84,7 @@ impl fmt::Display for OperatingSystem {
 }
 
 /// How the cache behaves when the attacker floods it with junk objects.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EvictionBehaviour {
     /// Least-recently-used entries are evicted once the size budget is hit
     /// (Chromium family, Opera, Edge).
@@ -99,7 +98,7 @@ pub enum EvictionBehaviour {
 }
 
 /// Static description of one browser build.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BrowserProfile {
     /// Which browser this is.
     pub kind: BrowserKind,

@@ -8,7 +8,6 @@
 //! attacker 2 × 16 bits = 4 bytes per image.
 
 use mp_httpsim::url::{Origin, Url};
-use serde::{Deserialize, Serialize};
 
 /// Maximum image dimension browsers report; larger values are clamped.
 pub const MAX_IMAGE_DIMENSION: u32 = 65_535;
@@ -35,7 +34,7 @@ pub fn can_read_response(script_origin: &Origin, target: &Url) -> bool {
 
 /// What a script can see of an image element, depending on where the image
 /// came from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ImageView {
     /// Reported width in CSS pixels (clamped).
     pub width: u32,

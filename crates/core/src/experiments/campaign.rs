@@ -31,7 +31,6 @@ use mp_netsim::sim::SharedBudget;
 use mp_netsim::time::Duration as SimDuration;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 /// One AP addresses its clients out of `10.x.y.2`, so a single simulation
 /// holds at most a /16 of them.
@@ -52,7 +51,7 @@ pub(super) const PROFILE_TAG: u64 = 0x00f1_7e00_ab5e_ed00;
 /// [`RunConfig::fleet_hetero`] is set. Real café APs are not identical —
 /// latency, jitter, how fast the resident master reacts and how many clients
 /// sit behind each AP all vary; the profile captures one AP's draw.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ApProfile {
     /// Master-tap reaction delay in microseconds.
     pub attacker_reaction_us: u64,
@@ -147,7 +146,7 @@ pub(super) fn distribute_by_weight(total: usize, weights: &[u64]) -> Vec<usize> 
 }
 
 /// Result of the campaign fleet experiment.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CampaignFleetResult {
     /// The `fleet_shards` scheduling hint, echoed (clamped to the AP count);
     /// no other field depends on it.

@@ -34,7 +34,6 @@ use mp_netsim::sim::SharedBudget;
 use mp_netsim::time::Duration as SimDuration;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Seed-stream tag for per-cell race worlds: cell `(v, d, w, j)` simulates
 /// under `mix_seed(seed, SURFACE_TAG ^ cell_tag(v, d, w, j))`, a stream
@@ -69,7 +68,7 @@ pub(super) fn cell_tag(vector: usize, delay_idx: usize, wan_idx: usize, jitter_i
 /// One attack vector of the surface sweep: an injection-race campaign paired
 /// with the attack stage it must complete and the §VIII countermeasure the
 /// defended share of the population deploys against it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SurfaceVector {
     /// The active injection race against HSTS-preloaded victims: preloading
     /// removes the plaintext window, so adoption directly removes victims.
@@ -176,7 +175,7 @@ impl SurfaceVector {
 
 /// One point of a figure-style curve: raw counts plus the success rate and
 /// its Wilson 95% interval, plot-ready.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CurvePoint {
     /// The x coordinate (reaction delay in µs, or adoption fraction).
     pub x: f64,
@@ -234,7 +233,7 @@ fn curve_point(x: f64, successes: u64, trials: u64) -> CurvePoint {
 
 /// One attack vector's slice of the surface: the raw per-cell grid plus the
 /// two derived curves.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VectorSurface {
     /// The vector id ([`SurfaceVector::as_str`]).
     pub vector: String,
@@ -285,7 +284,7 @@ impl ToJson for VectorSurface {
 
 /// Result of the attack-surface sweep: the grid axes and one
 /// [`VectorSurface`] per requested vector.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SurfaceResult {
     /// Master reaction delays swept, in microseconds.
     pub delays_us: Vec<u64>,

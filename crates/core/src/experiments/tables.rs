@@ -27,14 +27,13 @@ use mp_netsim::link::MediumKind;
 use mp_netsim::sim::{FixedResponder, SharedBudget, Simulator, DEFAULT_EVENT_BUDGET};
 use mp_netsim::time::Duration as SimDuration;
 use mp_webcache::{table4_entries, SharedCache};
-use serde::{Deserialize, Serialize};
 
 // ---------------------------------------------------------------------------
 // Table I — cache eviction
 // ---------------------------------------------------------------------------
 
 /// Result of the Table I experiment.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table1Result {
     /// One report per evaluated browser.
     pub rows: Vec<EvictionReport>,
@@ -128,7 +127,7 @@ pub(super) fn table1_cache_eviction(
 // ---------------------------------------------------------------------------
 
 /// One cell of the Table II matrix.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum InjectionCell {
     /// Injection succeeded.
     Success,
@@ -152,7 +151,7 @@ impl ToJson for InjectionCell {
 }
 
 /// Result of the Table II experiment.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Table2Result {
     /// Browser column labels.
     pub browsers: Vec<String>,
@@ -428,7 +427,7 @@ pub(super) fn table2_injection_matrix(
 // ---------------------------------------------------------------------------
 
 /// The user actions evaluated in Table III.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RefreshMethod {
     /// Ctrl-F5 hard reload.
     HardReload,
@@ -450,7 +449,7 @@ impl std::fmt::Display for RefreshMethod {
 }
 
 /// One cell of Table III: did the refresh method remove the parasite?
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RemovalCell {
     /// The parasite was removed.
     Removed,
@@ -474,7 +473,7 @@ impl ToJson for RemovalCell {
 }
 
 /// Result of the Table III experiment.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Table3Result {
     /// Rows: browser name plus one cell per refresh method
     /// (Ctrl-F5, clear cache, clear cookies).
@@ -599,7 +598,7 @@ pub(super) fn table3_refresh_methods(
 // ---------------------------------------------------------------------------
 
 /// One evaluated cache row.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Table4Row {
     /// Location section.
     pub location: String,
@@ -630,7 +629,7 @@ impl ToJson for Table4Row {
 }
 
 /// Result of the Table IV experiment.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Table4Result {
     /// Rows in the paper's order.
     pub rows: Vec<Table4Row>,
@@ -726,7 +725,7 @@ pub(super) fn table4_caches(
 // ---------------------------------------------------------------------------
 
 /// Result of the Table V experiment.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Table5Result {
     /// One report per attack row exercised.
     pub reports: Vec<AttackReport>,

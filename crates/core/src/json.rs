@@ -1,8 +1,8 @@
 //! Minimal JSON value model, serializer and parser.
 //!
-//! The workspace is built offline against a stub `serde` that carries no data
-//! format, so machine-readable experiment output ([`crate::experiments::Artifact`])
-//! is produced through this self-contained module instead: a [`Json`] value
+//! Every machine-readable byte the workspace writes — experiment output
+//! ([`crate::experiments::Artifact`]), checkpoints, journal entries and
+//! protocol lines — goes through this self-contained module: a [`Json`] value
 //! tree, a compact writer (via [`std::fmt::Display`]), a recursive-descent
 //! parser ([`Json::parse`]) and a [`ToJson`] conversion trait implemented by
 //! every experiment result type.
@@ -89,10 +89,15 @@ impl Json {
     }
 
     /// Parses a JSON document.
+    ///
+    /// Arrays and objects may nest at most [`MAX_DEPTH`] levels deep; a
+    /// deeper document is rejected with a [`JsonError`] instead of
+    /// exhausting the stack.
     pub fn parse(input: &str) -> Result<Json, JsonError> {
         let mut parser = Parser {
             bytes: input.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         parser.skip_ws();
         let value = parser.value()?;
@@ -264,9 +269,17 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// The deepest nesting of arrays and objects [`Json::parse`] accepts. The
+/// deepest documents the workspace writes — checkpoints, journal entries and
+/// `shard_result` lines — nest fewer than ten levels; the cap only stops a
+/// hostile line from recursing the parser off the end of its thread's stack.
+pub const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -311,12 +324,27 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(_) => Err(self.error("unexpected character")),
             None => Err(self.error("unexpected end of input")),
         }
+    }
+
+    /// Parses one array or object one level deeper, refusing to pass
+    /// [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.error(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn array(&mut self) -> Result<Json, JsonError> {
@@ -476,6 +504,28 @@ mod tests {
         assert!(Json::parse("[1,]").is_err());
         assert!(Json::parse("true false").is_err());
         assert!(Json::parse("\"unterminated").is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let arrays = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        let objects =
+            |depth: usize| format!("{}1{}", "{\"a\":".repeat(depth), "}".repeat(depth));
+        for document in [arrays(MAX_DEPTH), objects(MAX_DEPTH)] {
+            assert!(Json::parse(&document).is_ok(), "depth {MAX_DEPTH} parses");
+        }
+        // The error points at the opening bracket one level too deep.
+        for (document, offset) in [
+            (arrays(MAX_DEPTH + 1), MAX_DEPTH),
+            (objects(MAX_DEPTH + 1), MAX_DEPTH * "{\"a\":".len()),
+        ] {
+            let error = Json::parse(&document).unwrap_err();
+            assert_eq!(error.offset, offset);
+            assert!(error.message.contains("nesting deeper than"), "{error}");
+        }
+        // Far past the cap, unterminated: an error, not a stack overflow.
+        assert!(Json::parse(&"[".repeat(200_000)).is_err());
+        assert!(Json::parse(&"{\"a\":".repeat(200_000)).is_err());
     }
 
     #[test]

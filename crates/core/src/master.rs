@@ -13,10 +13,9 @@ use crate::script::Parasite;
 use mp_httpsim::transport::Exchange;
 use mp_httpsim::url::Url;
 use mp_netsim::time::Duration;
-use serde::{Deserialize, Serialize};
 
 /// A bot (one parasite instance phoning home) known to the master.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Bot {
     /// Campaign identifier the bot reported.
     pub campaign: String,
@@ -25,7 +24,7 @@ pub struct Bot {
 }
 
 /// The master attacker.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Master {
     /// The parasite template injected into targets.
     pub parasite: Parasite,

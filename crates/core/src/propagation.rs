@@ -20,10 +20,9 @@ use mp_browser::browser::Browser;
 use mp_browser::dom::Dom;
 use mp_httpsim::transport::Exchange;
 use mp_httpsim::url::Url;
-use serde::{Deserialize, Serialize};
 
 /// Which domains ended up executing the parasite after a propagation step.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PropagationReport {
     /// Domains whose cached objects now carry the parasite.
     pub infected_domains: Vec<String>,

@@ -1,6 +1,5 @@
 //! Resource kinds and message bodies.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The kind of web resource a response carries.
@@ -8,7 +7,7 @@ use std::fmt;
 /// The parasite only infects HTML and JavaScript (paper §VI-A); images —
 /// especially SVG — matter because the C&C downstream channel encodes data in
 /// image dimensions (§VI-C).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ResourceKind {
     /// An HTML document.
     Html,
@@ -89,7 +88,7 @@ impl fmt::Display for ResourceKind {
 }
 
 /// A message body: raw bytes plus the resource kind they represent.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Body {
     /// The payload bytes.
     pub bytes: Vec<u8>,

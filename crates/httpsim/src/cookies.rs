@@ -7,11 +7,10 @@
 //! the browser model ties Cache API lifetime to cookie clearing.
 
 use crate::url::Url;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A single cookie.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Cookie {
     /// Cookie name.
     pub name: String,
@@ -97,7 +96,7 @@ impl fmt::Display for Cookie {
 }
 
 /// A per-browser cookie store.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CookieJar {
     cookies: Vec<Cookie>,
 }

@@ -1,6 +1,5 @@
 //! Case-insensitive HTTP header map.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Well-known header names used throughout the reproduction.
@@ -54,7 +53,7 @@ pub mod names {
 }
 
 /// An ordered, case-insensitive multimap of HTTP headers.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct HeaderMap {
     entries: Vec<(String, String)>,
 }

@@ -7,11 +7,10 @@
 //! a browser-side HSTS store with preload entries, and the stripping decision.
 
 use crate::headers::{names, HeaderMap};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// A parsed `Strict-Transport-Security` policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HstsPolicy {
     /// `max-age` in seconds.
     pub max_age: u64,
@@ -66,7 +65,7 @@ impl HstsPolicy {
     }
 }
 
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 struct StoredPolicy {
     policy: HstsPolicy,
     /// Absolute expiry, simulation seconds.
@@ -75,7 +74,7 @@ struct StoredPolicy {
 
 /// Browser-side HSTS state: dynamic entries learnt from headers plus the
 /// built-in preload list.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct HstsStore {
     dynamic: HashMap<String, StoredPolicy>,
     preload: Vec<String>,

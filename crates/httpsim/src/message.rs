@@ -9,12 +9,11 @@ use crate::body::{Body, ResourceKind};
 use crate::error::HttpError;
 use crate::headers::{names, HeaderMap};
 use crate::url::{Scheme, Url};
-use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 use std::fmt;
 
 /// HTTP request method.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Method {
     /// GET — the only method browser subresource fetches use here.
     Get,
@@ -52,7 +51,7 @@ impl fmt::Display for Method {
 }
 
 /// HTTP status code.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct StatusCode(pub u16);
 
 impl StatusCode {
@@ -103,7 +102,7 @@ impl fmt::Display for StatusCode {
 }
 
 /// An HTTP request.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Request {
     /// Method.
     pub method: Method,
@@ -214,7 +213,7 @@ impl Request {
 }
 
 /// An HTTP response.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Response {
     /// Status code.
     pub status: StatusCode,

@@ -7,11 +7,10 @@
 //! protocol version, certificate authenticity, and whether the combination
 //! leaves the transport injectable by the eavesdropping master.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Protocol version offered by a site.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum TlsVersion {
     /// Plain HTTP, no TLS at all.
     None,
@@ -60,7 +59,7 @@ impl fmt::Display for TlsVersion {
 
 /// Certificate state for a domain, from the point of view of a client that
 /// trusts the public CA ecosystem.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CertificateState {
     /// Valid certificate held only by the legitimate operator.
     Valid,
@@ -75,7 +74,7 @@ pub enum CertificateState {
 }
 
 /// TLS deployment of one site.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TlsDeployment {
     /// Best protocol version the site offers.
     pub version: TlsVersion,

@@ -6,12 +6,11 @@
 //! file (rather than serving it from an attacker domain) bypasses SOP.
 
 use crate::error::HttpError;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::str::FromStr;
 
 /// URL scheme. Only the web schemes the paper cares about are modelled.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Scheme {
     /// Cleartext HTTP — injectable by the eavesdropping master.
     Http,
@@ -45,7 +44,7 @@ impl fmt::Display for Scheme {
 }
 
 /// A web origin: scheme, host and port — the SOP isolation boundary.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Origin {
     /// Scheme.
     pub scheme: Scheme,
@@ -98,7 +97,7 @@ impl fmt::Display for Origin {
 }
 
 /// A parsed URL.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Url {
     /// Scheme.
     pub scheme: Scheme,

@@ -14,18 +14,17 @@
 
 use crate::packet::Packet;
 use crate::time::Instant;
-use serde::{Deserialize, Serialize};
 use crate::fasthash::FxHashMap;
 use std::collections::VecDeque;
 use std::fmt;
 use std::str::FromStr;
 
 /// Index into a [`Trace`]'s interned name table.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NameId(pub u32);
 
 /// How much of the packet flow a [`Trace`] retains.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum TraceMode {
     /// Keep every event (unbounded; the classic behaviour and the default).
     #[default]
@@ -96,7 +95,7 @@ impl FromStr for TraceMode {
 /// [`TraceMode::SummaryOnly`] — events evicted from a ring (or never retained
 /// at all) still count here. How many events the recorder itself discarded is
 /// recorder metadata, reported separately by [`Trace::recorder_dropped`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TraceSummary {
     /// Transmissions seen (retained or not).
     pub total_events: u64,
@@ -118,7 +117,7 @@ pub struct TraceSummary {
 /// Endpoint names are stored as [`NameId`] references into the owning
 /// [`Trace`]'s name table; resolve them with [`Trace::name`] or render the
 /// event with [`Trace::describe`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceEvent {
     /// Simulated time at which the packet left its sender.
     pub sent_at: Instant,
@@ -144,7 +143,7 @@ fn truncate(s: &str, max: usize) -> String {
 
 /// An ordered log of packet transmissions in a simulation run, with an
 /// interned endpoint-name table and a bounded-memory recorder mode.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Trace {
     mode: TraceMode,
     names: Vec<String>,

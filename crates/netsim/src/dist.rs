@@ -10,11 +10,10 @@
 
 use crate::time::Duration;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// An integer-valued sampling distribution (values are microseconds when used
 /// for link timing, plain counts when used for population weights).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Dist {
     /// Always the same value.
     Const(u64),

@@ -13,6 +13,7 @@
 
 use parasite::experiments::{DayStats, ExperimentId, RunConfig};
 use parasite::json::{Json, ToJson};
+use std::io::{self, BufRead, Read};
 use std::path::PathBuf;
 
 /// The machine-readable `code` values the daemon attaches to
@@ -34,12 +35,84 @@ pub mod codes {
     pub const UNAVAILABLE: &str = "unavailable";
 }
 
-/// The longest request line the daemon reads, newline included: far above
-/// any legitimate request (a `submit` or `shard_submit` line is well under
-/// 4 KiB), low enough that one client cannot grow the daemon's memory
-/// without bound. A longer line is answered with a `bad_request` error and
-/// dropped; the connection stays usable.
+/// The longest request line the daemon or a `shard-worker` reads, newline
+/// included: far above any legitimate request (a `submit` or `shard_submit`
+/// line is well under 4 KiB), low enough that one client cannot grow the
+/// reader's memory without bound. A longer line is answered with a
+/// `bad_request` error and dropped; the connection stays usable.
 pub const MAX_LINE_BYTES: usize = 1 << 20;
+
+/// One line delivered by [`LineReader::read`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Line {
+    /// A request line without its line terminator; never blank.
+    Text(String),
+    /// A line that cannot be a request — over [`MAX_LINE_BYTES`] or not
+    /// UTF-8 — with the message of its `bad_request` reply. The reader has
+    /// dropped (or will drop) the rest of the line.
+    Rejected(String),
+    /// The peer closed its end.
+    Eof,
+}
+
+/// The capped request-line reader shared by the daemon's connections and
+/// the `shard-worker` stdin loop: it never buffers more than
+/// [`MAX_LINE_BYTES`], rejects an over-long line once and skips its tail,
+/// rejects a non-UTF-8 line and skips blank ones, so hostile input always
+/// gets a reply and never ends the session.
+#[derive(Debug, Default)]
+pub struct LineReader {
+    line: Vec<u8>,
+    /// Set while the rest of an over-long line is read and dropped.
+    overlong: bool,
+}
+
+impl LineReader {
+    /// Reads the next line from `reader`. A final line without a newline is
+    /// delivered before [`Line::Eof`]. On an error — a read timeout, say —
+    /// the bytes of a partial line stay buffered, so calling again resumes
+    /// the same line.
+    pub fn read(&mut self, reader: &mut impl BufRead) -> io::Result<Line> {
+        loop {
+            // Never buffer more than one capped line: a longer one stops at
+            // the cap, still without its newline.
+            let room = MAX_LINE_BYTES.saturating_sub(self.line.len()) as u64;
+            let read = reader.by_ref().take(room).read_until(b'\n', &mut self.line)?;
+            let complete = self.line.ends_with(b"\n");
+            if !complete && self.line.len() >= MAX_LINE_BYTES {
+                self.line.clear();
+                if !self.overlong {
+                    self.overlong = true;
+                    return Ok(Line::Rejected(format!(
+                        "request line exceeds the {MAX_LINE_BYTES}-byte limit"
+                    )));
+                }
+                continue;
+            }
+            if read == 0 && self.line.is_empty() {
+                return Ok(Line::Eof);
+            }
+            let bytes = std::mem::take(&mut self.line);
+            if std::mem::take(&mut self.overlong) {
+                // The tail of a line already rejected.
+                continue;
+            }
+            let Ok(mut text) = String::from_utf8(bytes) else {
+                return Ok(Line::Rejected("request line is not valid UTF-8".to_string()));
+            };
+            if text.trim().is_empty() {
+                continue;
+            }
+            if text.ends_with('\n') {
+                text.pop();
+                if text.ends_with('\r') {
+                    text.pop();
+                }
+            }
+            return Ok(Line::Text(text));
+        }
+    }
+}
 
 /// A client-to-daemon request: one JSON object on one line.
 #[derive(Debug, Clone, PartialEq)]
@@ -742,5 +815,50 @@ mod tests {
             }
             other => panic!("expected a submit, got {other:?}"),
         }
+    }
+
+    /// A reader replaying scripted chunks and errors, then EOF.
+    struct Script(std::collections::VecDeque<io::Result<Vec<u8>>>);
+
+    impl Read for Script {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            match self.0.pop_front() {
+                None => Ok(0),
+                Some(Err(error)) => Err(error),
+                Some(Ok(mut chunk)) => {
+                    let n = chunk.len().min(buf.len());
+                    buf[..n].copy_from_slice(&chunk[..n]);
+                    if n < chunk.len() {
+                        self.0.push_front(Ok(chunk.split_off(n)));
+                    }
+                    Ok(n)
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_line_reader_rejects_hostile_lines_and_resumes_after_a_timeout() {
+        let mut long = vec![b'x'; MAX_LINE_BYTES + 10];
+        long.push(b'\n');
+        let mut input = std::io::BufReader::new(Script(
+            [
+                Ok(long),
+                Ok(b"\xff\xfe\n".to_vec()),
+                Ok(b"{\"op\"".to_vec()),
+                Err(io::Error::from(io::ErrorKind::TimedOut)),
+                Ok(b":\"status\"}\r\n \ntail".to_vec()),
+            ]
+            .into(),
+        ));
+        let mut lines = LineReader::default();
+        let mut next = || lines.read(&mut input).map_err(|error| error.kind());
+        let limit = format!("request line exceeds the {MAX_LINE_BYTES}-byte limit");
+        assert_eq!(next(), Ok(Line::Rejected(limit)));
+        assert_eq!(next(), Ok(Line::Rejected("request line is not valid UTF-8".into())));
+        assert_eq!(next(), Err(io::ErrorKind::TimedOut));
+        assert_eq!(next(), Ok(Line::Text("{\"op\":\"status\"}".into())));
+        assert_eq!(next(), Ok(Line::Text("tail".into())));
+        assert_eq!(next(), Ok(Line::Eof));
     }
 }

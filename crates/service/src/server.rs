@@ -25,7 +25,9 @@
 //! itself can be bounded with [`ServeOptions::queue_limit`]; submissions
 //! past the bound are rejected with a typed `queue_full` error.
 
-use crate::protocol::{codes, Request, Response, RunOutcome, RunState, RunStatus, MAX_LINE_BYTES};
+use crate::protocol::{
+    codes, Line, LineReader, Request, Response, RunOutcome, RunState, RunStatus,
+};
 use crate::shard::serve_shard;
 use mp_netsim::sim::SharedBudget;
 use parasite::experiments::{
@@ -35,7 +37,7 @@ use parasite::experiments::{
 };
 use parasite::json::ToJson;
 use std::collections::{BTreeMap, VecDeque};
-use std::io::{self, BufRead, BufReader, Read, Write};
+use std::io::{self, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::fs::FileTypeExt;
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -323,58 +325,27 @@ fn spawn_connection(shared: &Arc<Shared>, connection: io::Result<Connection>) {
 }
 
 fn handle_connection(shared: &Arc<Shared>, mut connection: Connection) {
-    let mut line = Vec::new();
-    // Set while the rest of an over-long line is read and dropped.
-    let mut overlong = false;
+    let mut lines = LineReader::default();
     loop {
-        // Never buffer more than one capped line: a longer one stops at the
-        // cap, still without its newline.
-        let room = MAX_LINE_BYTES.saturating_sub(line.len()) as u64;
-        match (&mut connection.reader).take(room).read_until(b'\n', &mut line) {
-            Ok(n) => {
-                let complete = line.ends_with(b"\n");
-                if !complete && line.len() >= MAX_LINE_BYTES {
-                    line.clear();
-                    if !overlong {
-                        overlong = true;
-                        let reply = Response::Error {
-                            message: format!("request line exceeds the {MAX_LINE_BYTES}-byte limit"),
-                            code: coded(codes::BAD_REQUEST),
-                        };
-                        if connection.write_line(&reply).is_err() {
-                            break;
-                        }
-                    }
-                    continue;
-                }
-                // `Ok` without a trailing newline means the client hung up
-                // mid-line; serve the fragment as its final request.
-                let at_eof = n == 0 || !complete;
-                if overlong {
-                    overlong = false;
-                } else {
-                    let Ok(text) = std::str::from_utf8(&line) else { break };
-                    if !text.trim().is_empty() && !serve_line(shared, &mut connection, text) {
-                        break;
-                    }
-                }
-                line.clear();
-                if at_eof {
-                    break;
-                }
-            }
+        let keep_reading = match lines.read(&mut connection.reader) {
+            Ok(Line::Text(text)) => serve_line(shared, &mut connection, &text),
+            Ok(Line::Rejected(message)) => connection
+                .write_line(&Response::Error { message, code: coded(codes::BAD_REQUEST) })
+                .is_ok(),
+            Ok(Line::Eof) => false,
+            // Idle. Any bytes of a partial request that arrived before the
+            // timeout stay buffered in `lines` — the rest of the line is
+            // still in flight.
             Err(error)
                 if error.kind() == io::ErrorKind::WouldBlock
                     || error.kind() == io::ErrorKind::TimedOut =>
             {
-                // Idle. Any bytes of a partial request that arrived before
-                // the timeout were appended to `line` and must survive this
-                // iteration — the rest of the line is still in flight.
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    break;
-                }
+                !shared.shutdown.load(Ordering::SeqCst)
             }
-            Err(_) => break,
+            Err(_) => false,
+        };
+        if !keep_reading {
+            break;
         }
     }
 }

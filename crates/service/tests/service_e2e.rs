@@ -559,3 +559,49 @@ fn an_over_long_line_is_rejected_without_disturbing_other_runs() {
     shutdown_and_wait(daemon, &socket);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn hostile_lines_are_rejected_without_disturbing_other_runs() {
+    use std::io::{BufRead, BufReader, Write};
+    let dir = temp_dir("hostile-lines");
+    let socket = dir.join("daemon.sock");
+    let daemon = Daemon::start(ServeOptions::new(&socket)).expect("daemon starts");
+
+    // A watched run on another connection is in flight throughout.
+    let config = RunConfig { fleet_days: 3, ..campaign_config(9) };
+    let mut watcher = connect(&socket);
+    let run = submit(&mut watcher, config, None);
+
+    // 200k `[` (under the line cap, far past the parser's depth cap), then a
+    // non-UTF-8 line: each gets a bad_request reply, and the connection and
+    // the daemon stay up.
+    let mut raw = std::os::unix::net::UnixStream::connect(&socket).expect("raw connect");
+    raw.set_read_timeout(Some(std::time::Duration::from_secs(60))).expect("read timeout");
+    let mut reader = BufReader::new(raw.try_clone().expect("clone"));
+    let mut line = String::new();
+    let mut reply_to = |request: &[u8]| {
+        raw.write_all(request).expect("write the line");
+        line.clear();
+        reader.read_line(&mut line).expect("reply line");
+        line.clone()
+    };
+    let nested = reply_to(format!("{}\n", "[".repeat(200_000)).as_bytes());
+    assert!(nested.contains("nesting deeper than"), "got: {nested}");
+    assert!(nested.contains("\"code\":\"bad_request\""), "got: {nested}");
+    let invalid = reply_to(b"\xff\xfe{\"op\":\"status\"}\n");
+    assert!(invalid.contains("not valid UTF-8"), "got: {invalid}");
+    assert!(invalid.contains("\"code\":\"bad_request\""), "got: {invalid}");
+    let status = reply_to(format!("{}\n", Request::Status { run: None }.to_json()).as_bytes());
+    assert!(status.contains("\"type\":\"status\""), "got: {status}");
+
+    let (days, outcome) = drain_stream(&mut watcher, run);
+    assert_eq!(days.len(), 3);
+    let reference = Registry::get(ExperimentId::CampaignFleet).run(&config).to_json().to_string();
+    match outcome {
+        RunOutcome::Ok { artifact } => assert_eq!(artifact.to_string(), reference),
+        other => panic!("expected an ok outcome, got {other:?}"),
+    }
+    drop(raw);
+    shutdown_and_wait(daemon, &socket);
+    let _ = std::fs::remove_dir_all(&dir);
+}

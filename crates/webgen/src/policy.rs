@@ -7,12 +7,11 @@
 use crate::population::Population;
 use mp_httpsim::csp::{ContentSecurityPolicy, CspVersion, Directive};
 use mp_httpsim::tls::TlsVersion;
-use serde::{Deserialize, Serialize};
 
 /// HTTPS / SSL-version adoption statistics (§V: "21 % of the 100,000-top
 /// Alexa websites do not use HTTPS and almost 7 % use vulnerable SSL
 /// versions").
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct TlsStats {
     /// Total sites scanned.
     pub total: usize,
@@ -38,7 +37,7 @@ impl TlsStats {
 
 /// HSTS statistics (§V: of 13 419 responders, 67.92 % without HSTS, 545
 /// preloaded, up to 96.59 % strippable).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct HstsStats {
     /// HTTP(S) responders considered.
     pub responders: usize,
@@ -63,7 +62,7 @@ impl HstsStats {
 }
 
 /// CSP statistics (Figure 5).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct CspStats {
     /// Pages scanned.
     pub total: usize,
@@ -101,7 +100,7 @@ impl CspStats {
 }
 
 /// All policy measurements for one population.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct PolicyScan {
     /// TLS adoption numbers.
     pub tls: TlsStats,

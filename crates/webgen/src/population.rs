@@ -21,11 +21,10 @@ use mp_httpsim::url::{Scheme, Url};
 use mp_httpsim::Body;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Marginal distributions used to generate the population. Defaults are the
 /// paper's published measurement results.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PopulationConfig {
     /// Number of sites to generate (the paper uses 15 000 for most studies).
     pub size: usize,
@@ -101,7 +100,7 @@ pub const ANALYTICS_HOST: &str = "analytics.shared-metrics.example";
 pub const ANALYTICS_PATH: &str = "/ga.js";
 
 /// One generated website.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Website {
     /// Popularity rank (1-based).
     pub rank: usize,
@@ -215,7 +214,7 @@ impl Website {
 }
 
 /// A generated population of websites.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Population {
     /// The configuration it was generated from.
     pub config: PopulationConfig,
