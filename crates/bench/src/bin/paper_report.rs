@@ -15,8 +15,8 @@
 use mp_bench::{render_report, report_json, try_run_selected};
 use mp_service::{Client, Daemon, Endpoint, Request, Response, RunOutcome, ServeOptions};
 use parasite::experiments::{
-    run_campaign_with_checkpoint, Artifact, ArtifactData, DayStats, ExperimentId, RunConfig,
-    SurfaceVector,
+    run_campaign_with_checkpoint, Artifact, ArtifactData, ConfigError, DayStats, ExperimentId,
+    RunConfig, SurfaceVector,
 };
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -177,31 +177,48 @@ struct Options {
     checkpoint: Option<PathBuf>,
 }
 
+/// Flags that configure only the campaign_fleet experiment.
+const FLEET_FLAGS: [&str; 6] = [
+    "--fleet-clients",
+    "--fleet-aps",
+    "--fleet-shards",
+    "--fleet-days",
+    "--fleet-hetero",
+    "--fleet-visit-prob",
+];
+/// Flags that configure campaign_fleet or attack_surface.
+const SHARED_EXTENSION_FLAGS: [&str; 3] = ["--jitter-us", "--fleet-jobs", "--fleet-churn"];
+/// Flags that configure only the attack_surface experiment.
+const SURFACE_FLAGS: [&str; 5] = [
+    "--surface-vectors",
+    "--surface-delays",
+    "--surface-adoption",
+    "--surface-wan",
+    "--surface-trials",
+];
+
 fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
     let mut ids: Vec<ExperimentId> = Vec::new();
     let mut config = RunConfig::default();
     let mut jobs = 1usize;
     let mut json = false;
     let mut checkpoint: Option<PathBuf> = None;
-    // Flags that configure only an extension experiment, recorded when
-    // explicitly passed so inert combinations can be rejected after the id
-    // set is known.
-    let mut fleet_only_flags: Vec<&'static str> = Vec::new();
-    let mut shared_extension_flags: Vec<&'static str> = Vec::new();
-    let mut surface_only_flags: Vec<&'static str> = Vec::new();
-    let mut churn_set = false;
-    let mut visit_prob_set = false;
+    // Every flag given, in order, so inert combinations can be rejected
+    // after the id set is known.
+    let mut given: Vec<&str> = Vec::new();
 
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
-        let mut value_for = |flag: &str| {
+        let flag = arg.as_str();
+        given.push(flag);
+        let mut value = || {
             iter.next()
                 .cloned()
                 .ok_or_else(|| format!("{flag} requires a value"))
         };
-        match arg.as_str() {
+        match flag {
             "--only" => {
-                for part in value_for("--only")?.split(',') {
+                for part in value()?.split(',') {
                     let id = part
                         .parse::<ExperimentId>()
                         .map_err(|error| error.to_string())?;
@@ -210,182 +227,44 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
                     }
                 }
             }
-            "--seed" => config.seed = parse_number(&value_for("--seed")?, "--seed")?,
-            "--scale" => config.scale = parse_number(&value_for("--scale")?, "--scale")?,
-            "--sites" => {
-                config.sites = usize::try_from(parse_number(&value_for("--sites")?, "--sites")?)
-                    .map_err(|_| "--sites is out of range".to_string())?;
-            }
-            "--crawl-sites" => {
-                config.crawl_sites =
-                    usize::try_from(parse_number(&value_for("--crawl-sites")?, "--crawl-sites")?)
-                        .map_err(|_| "--crawl-sites is out of range".to_string())?;
-            }
-            "--days" => {
-                config.days = u32::try_from(parse_number(&value_for("--days")?, "--days")?)
-                    .map_err(|_| format!("--days is out of range (max {})", u32::MAX))?;
-            }
-            "--event-budget" => {
-                config.event_budget = parse_number(&value_for("--event-budget")?, "--event-budget")?;
-                if config.event_budget == 0 {
-                    return Err("--event-budget must be at least 1".to_string());
-                }
-            }
+            "--seed" => config.seed = parse_number(&value()?, flag)?,
+            "--scale" => config.scale = parse_number(&value()?, flag)?,
+            "--sites" => config.sites = parse_number(&value()?, flag)?,
+            "--crawl-sites" => config.crawl_sites = parse_number(&value()?, flag)?,
+            "--days" => config.days = parse_number(&value()?, flag)?,
+            "--event-budget" => config.event_budget = parse_number(&value()?, flag)?,
             "--trace-mode" => {
-                config.trace_mode = value_for("--trace-mode")?
+                config.trace_mode = value()?
                     .parse()
                     .map_err(|error: mp_netsim::capture::ParseTraceModeError| error.to_string())?;
             }
-            "--jitter-us" => {
-                config.jitter_us = parse_number(&value_for("--jitter-us")?, "--jitter-us")?;
-                shared_extension_flags.push("--jitter-us");
-            }
-            "--fleet-clients" => {
-                config.fleet_clients =
-                    usize::try_from(parse_number(&value_for("--fleet-clients")?, "--fleet-clients")?)
-                        .map_err(|_| "--fleet-clients is out of range".to_string())?;
-                fleet_only_flags.push("--fleet-clients");
-            }
-            "--fleet-aps" => {
-                config.fleet_aps =
-                    usize::try_from(parse_number(&value_for("--fleet-aps")?, "--fleet-aps")?)
-                        .map_err(|_| "--fleet-aps is out of range".to_string())?;
-                if config.fleet_aps == 0 {
-                    return Err("--fleet-aps must be at least 1".to_string());
-                }
-                fleet_only_flags.push("--fleet-aps");
-            }
-            "--fleet-shards" => {
-                config.fleet_shards =
-                    usize::try_from(parse_number(&value_for("--fleet-shards")?, "--fleet-shards")?)
-                        .map_err(|_| "--fleet-shards is out of range".to_string())?;
-                if config.fleet_shards == 0 {
-                    return Err("--fleet-shards must be at least 1".to_string());
-                }
-                fleet_only_flags.push("--fleet-shards");
-            }
-            "--fleet-jobs" => {
-                config.fleet_jobs =
-                    usize::try_from(parse_number(&value_for("--fleet-jobs")?, "--fleet-jobs")?)
-                        .map_err(|_| "--fleet-jobs is out of range".to_string())?;
-                shared_extension_flags.push("--fleet-jobs");
-            }
-            "--fleet-days" => {
-                config.fleet_days =
-                    u32::try_from(parse_number(&value_for("--fleet-days")?, "--fleet-days")?)
-                        .map_err(|_| "--fleet-days is out of range".to_string())?;
-                if config.fleet_days == 0 {
-                    return Err("--fleet-days must be at least 1".to_string());
-                }
-                fleet_only_flags.push("--fleet-days");
-            }
-            "--fleet-churn" => {
-                let text = value_for("--fleet-churn")?;
-                config.fleet_churn = text
-                    .parse::<f64>()
-                    .map_err(|_| format!("--fleet-churn: expected a fraction, got {text:?}"))?;
-                if !(0.0..=1.0).contains(&config.fleet_churn) {
-                    return Err("--fleet-churn must be in [0, 1]".to_string());
-                }
-                shared_extension_flags.push("--fleet-churn");
-                churn_set = true;
-            }
-            "--fleet-hetero" => {
-                config.fleet_hetero = true;
-                fleet_only_flags.push("--fleet-hetero");
-            }
-            "--fleet-visit-prob" => {
-                let text = value_for("--fleet-visit-prob")?;
-                config.fleet_visit_prob = text.parse::<f64>().map_err(|_| {
-                    format!("--fleet-visit-prob: expected a probability, got {text:?}")
-                })?;
-                if !(0.0..=1.0).contains(&config.fleet_visit_prob)
-                    || config.fleet_visit_prob == 0.0
-                {
-                    return Err("--fleet-visit-prob must be in (0, 1]".to_string());
-                }
-                fleet_only_flags.push("--fleet-visit-prob");
-                visit_prob_set = true;
-            }
-            "--fleet-checkpoint" => {
-                checkpoint = Some(PathBuf::from(value_for("--fleet-checkpoint")?));
-            }
-            "--global-event-budget" => {
-                config.global_event_budget =
-                    parse_number(&value_for("--global-event-budget")?, "--global-event-budget")?;
-            }
+            "--jitter-us" => config.jitter_us = parse_number(&value()?, flag)?,
+            "--fleet-clients" => config.fleet_clients = parse_number(&value()?, flag)?,
+            "--fleet-aps" => config.fleet_aps = parse_number(&value()?, flag)?,
+            "--fleet-shards" => config.fleet_shards = parse_number(&value()?, flag)?,
+            "--fleet-jobs" => config.fleet_jobs = parse_number(&value()?, flag)?,
+            "--fleet-days" => config.fleet_days = parse_number(&value()?, flag)?,
+            "--fleet-churn" => config.fleet_churn = parse_fraction(&value()?, flag)?,
+            "--fleet-hetero" => config.fleet_hetero = true,
+            "--fleet-visit-prob" => config.fleet_visit_prob = parse_fraction(&value()?, flag)?,
+            "--fleet-checkpoint" => checkpoint = Some(PathBuf::from(value()?)),
+            "--global-event-budget" => config.global_event_budget = parse_number(&value()?, flag)?,
             "--surface-vectors" => {
-                config.surface_vectors = SurfaceVector::parse_mask(&value_for("--surface-vectors")?)
-                    .map_err(|error| format!("--surface-vectors: {error}"))?;
-                surface_only_flags.push("--surface-vectors");
+                config.surface_vectors = SurfaceVector::parse_mask(&value()?)
+                    .map_err(|error| format!("{flag}: {error}"))?;
             }
             "--surface-delays" => {
-                let text = value_for("--surface-delays")?;
-                let parts: Vec<&str> = text.split(':').collect();
-                let [start, end, steps] = parts.as_slice() else {
-                    return Err(format!(
-                        "--surface-delays: expected <start:end:steps>, got {text:?}"
-                    ));
-                };
-                config.surface_delay_start_us = parse_number(start, "--surface-delays")?;
-                config.surface_delay_end_us = parse_number(end, "--surface-delays")?;
-                config.surface_delay_steps =
-                    usize::try_from(parse_number(steps, "--surface-delays")?)
-                        .map_err(|_| "--surface-delays: steps out of range".to_string())?;
-                if config.surface_delay_steps == 0 {
-                    return Err("--surface-delays: steps must be at least 1".to_string());
-                }
-                if config.surface_delay_start_us > config.surface_delay_end_us {
-                    return Err(format!(
-                        "--surface-delays: range is inverted: [{}, {}]",
-                        config.surface_delay_start_us, config.surface_delay_end_us
-                    ));
-                }
-                surface_only_flags.push("--surface-delays");
+                (config.surface_delay_start_us, config.surface_delay_end_us, config.surface_delay_steps) =
+                    parse_axis(&value()?, flag)?;
             }
-            "--surface-adoption" => {
-                config.surface_adoption_steps =
-                    usize::try_from(parse_number(&value_for("--surface-adoption")?, "--surface-adoption")?)
-                        .map_err(|_| "--surface-adoption is out of range".to_string())?;
-                if config.surface_adoption_steps == 0 {
-                    return Err("--surface-adoption must be at least 1".to_string());
-                }
-                surface_only_flags.push("--surface-adoption");
-            }
+            "--surface-adoption" => config.surface_adoption_steps = parse_number(&value()?, flag)?,
             "--surface-wan" => {
-                let text = value_for("--surface-wan")?;
-                let parts: Vec<&str> = text.split(':').collect();
-                let [start, end, steps] = parts.as_slice() else {
-                    return Err(format!(
-                        "--surface-wan: expected <start:end:steps>, got {text:?}"
-                    ));
-                };
-                config.surface_wan_start_us = parse_number(start, "--surface-wan")?;
-                config.surface_wan_end_us = parse_number(end, "--surface-wan")?;
-                config.surface_wan_steps = usize::try_from(parse_number(steps, "--surface-wan")?)
-                    .map_err(|_| "--surface-wan: steps out of range".to_string())?;
-                if config.surface_wan_steps == 0 {
-                    return Err("--surface-wan: steps must be at least 1".to_string());
-                }
-                if config.surface_wan_start_us > config.surface_wan_end_us {
-                    return Err(format!(
-                        "--surface-wan: range is inverted: [{}, {}]",
-                        config.surface_wan_start_us, config.surface_wan_end_us
-                    ));
-                }
-                surface_only_flags.push("--surface-wan");
+                (config.surface_wan_start_us, config.surface_wan_end_us, config.surface_wan_steps) =
+                    parse_axis(&value()?, flag)?;
             }
-            "--surface-trials" => {
-                config.surface_trials =
-                    usize::try_from(parse_number(&value_for("--surface-trials")?, "--surface-trials")?)
-                        .map_err(|_| "--surface-trials is out of range".to_string())?;
-                if config.surface_trials == 0 {
-                    return Err("--surface-trials must be at least 1".to_string());
-                }
-                surface_only_flags.push("--surface-trials");
-            }
+            "--surface-trials" => config.surface_trials = parse_number(&value()?, flag)?,
             "--jobs" => {
-                jobs = parse_number(&value_for("--jobs")?, "--jobs")? as usize;
+                jobs = parse_number(&value()?, flag)?;
                 if jobs == 0 {
                     return Err("--jobs must be at least 1".to_string());
                 }
@@ -403,21 +282,21 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
             }
             "--socket" | "--tcp" | "--serve-workers" | "--serve-queue-limit" => {
                 return Err(format!(
-                    "{arg} configures the service daemon; use a subcommand: \
+                    "{flag} configures the service daemon; use a subcommand: \
                      paper-report serve|submit|status|watch|cancel|shutdown \
                      --socket <path>"
                 ));
             }
             "--workers" | "--worker-cmd" | "--journal" | "--shard-timeout" | "--retry-limit" => {
                 return Err(format!(
-                    "{arg} splits a campaign across worker processes; use the \
+                    "{flag} splits a campaign across worker processes; use the \
                      distribute subcommand: paper-report distribute \
                      --workers <n> --only campaign_fleet --fleet-days <n>"
                 ));
             }
             "--watch" | "--run" => {
                 return Err(format!(
-                    "{arg} is a service client flag; use it with a subcommand, \
+                    "{flag} is a service client flag; use it with a subcommand, \
                      e.g. paper-report watch --socket <path> --run <n>"
                 ));
             }
@@ -438,25 +317,26 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
     // silently ignoring it would mask typos and misread sweeps.
     let campaign = ids.contains(&ExperimentId::CampaignFleet);
     let surface = ids.contains(&ExperimentId::AttackSurface);
-    if let Some(flag) = fleet_only_flags.first().filter(|_| !campaign) {
+    let first_of = |group: &[&str]| given.iter().copied().find(|flag| group.contains(flag));
+    if let Some(flag) = first_of(&FLEET_FLAGS).filter(|_| !campaign) {
         return Err(format!(
             "{flag} configures the campaign_fleet experiment, which is not \
              selected; add --only campaign_fleet"
         ));
     }
-    if let Some(flag) = shared_extension_flags.first().filter(|_| !campaign && !surface) {
+    if let Some(flag) = first_of(&SHARED_EXTENSION_FLAGS).filter(|_| !campaign && !surface) {
         return Err(format!(
             "{flag} configures the campaign_fleet / attack_surface \
              experiments, none of which is selected; add them to --only"
         ));
     }
-    if let Some(flag) = surface_only_flags.first().filter(|_| !surface) {
+    if let Some(flag) = first_of(&SURFACE_FLAGS).filter(|_| !surface) {
         return Err(format!(
             "{flag} configures the attack_surface experiment, which is not \
              selected; add --only attack_surface"
         ));
     }
-    if churn_set && !surface && config.fleet_days < 2 {
+    if given.contains(&"--fleet-churn") && !surface && !config.multi_day() {
         return Err(
             "--fleet-churn only affects a multi-day campaign; set \
              --fleet-days to 2 or more (or select attack_surface, whose \
@@ -464,39 +344,65 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
                 .to_string(),
         );
     }
-    if visit_prob_set && config.fleet_days < 2 {
+    if given.contains(&"--fleet-visit-prob") && !config.multi_day() {
         return Err(
             "--fleet-visit-prob only affects a multi-day campaign; set \
              --fleet-days to 2 or more"
                 .to_string(),
         );
     }
-    if checkpoint.is_some() {
-        // A checkpointed campaign is a dedicated operation: it must not
-        // silently switch a single-snapshot run onto the churn model, and it
-        // must not run beside a batch sweep (which would get its own global
-        // budget pool).
-        if ids != [ExperimentId::CampaignFleet] {
+    // A checkpointed campaign is a dedicated operation: it runs instead of
+    // the selected ids, so it must be the only one.
+    let valid = match (&checkpoint, ids.as_slice()) {
+        (None, _) => config.validate(),
+        (Some(_), [id]) => config.validate_checkpointed(*id),
+        (Some(_), _) => {
             return Err(
                 "--fleet-checkpoint runs the campaign alone; use exactly \
                  --only campaign_fleet"
                     .to_string(),
-            );
+            )
         }
-        if config.fleet_days < 2 {
-            return Err(
-                "--fleet-checkpoint requires a multi-day campaign; \
-                 set --fleet-days to 2 or more"
-                    .to_string(),
-            );
-        }
-    }
+    };
+    valid.map_err(config_usage)?;
     Ok(Some(Options { ids, config, jobs, json, checkpoint }))
 }
 
-fn parse_number(text: &str, flag: &str) -> Result<u64, String> {
-    text.parse::<u64>()
-        .map_err(|_| format!("{flag}: expected a non-negative integer, got {text:?}"))
+/// A [`RunConfig`] validation failure as a usage error naming the flag that
+/// set the rejected field (`--only` selects the experiment).
+fn config_usage(error: ConfigError) -> String {
+    let flag = match error.field {
+        "experiment" => "--only".to_string(),
+        "surface_delay_start_us" | "surface_delay_end_us" | "surface_delay_steps" => {
+            "--surface-delays".to_string()
+        }
+        "surface_wan_start_us" | "surface_wan_end_us" | "surface_wan_steps" => {
+            "--surface-wan".to_string()
+        }
+        "surface_adoption_steps" => "--surface-adoption".to_string(),
+        field => format!("--{}", field.replace('_', "-")),
+    };
+    format!("{flag}: {error}")
+}
+
+fn parse_number<T: TryFrom<u64>>(text: &str, flag: &str) -> Result<T, String> {
+    let value = text
+        .parse::<u64>()
+        .map_err(|_| format!("{flag}: expected a non-negative integer, got {text:?}"))?;
+    T::try_from(value).map_err(|_| format!("{flag}: {value} is out of range"))
+}
+
+fn parse_fraction(text: &str, flag: &str) -> Result<f64, String> {
+    text.parse().map_err(|_| format!("{flag}: expected a number, got {text:?}"))
+}
+
+/// Parses a `<start:end:steps>` sweep axis.
+fn parse_axis(text: &str, flag: &str) -> Result<(u64, u64, usize), String> {
+    let parts: Vec<&str> = text.split(':').collect();
+    let [start, end, steps] = parts.as_slice() else {
+        return Err(format!("{flag}: expected <start:end:steps>, got {text:?}"));
+    };
+    Ok((parse_number(start, flag)?, parse_number(end, flag)?, parse_number(steps, flag)?))
 }
 
 fn main() -> ExitCode {
@@ -615,19 +521,14 @@ mod service {
                 "--watch" => parsed.watch = true,
                 "--json" => parsed.json = true,
                 "--serve-workers" => {
-                    parsed.workers =
-                        usize::try_from(parse_number(&value_for("--serve-workers")?, "--serve-workers")?)
-                            .map_err(|_| "--serve-workers is out of range".to_string())?;
+                    parsed.workers = parse_number(&value_for("--serve-workers")?, "--serve-workers")?;
                     if parsed.workers == 0 {
                         return Err("--serve-workers must be at least 1".to_string());
                     }
                 }
                 "--serve-queue-limit" => {
-                    parsed.queue_limit = usize::try_from(parse_number(
-                        &value_for("--serve-queue-limit")?,
-                        "--serve-queue-limit",
-                    )?)
-                    .map_err(|_| "--serve-queue-limit is out of range".to_string())?;
+                    parsed.queue_limit =
+                        parse_number(&value_for("--serve-queue-limit")?, "--serve-queue-limit")?;
                 }
                 other => parsed.rest.push(other.to_string()),
             }
@@ -1083,7 +984,7 @@ mod distribute {
                     };
                     workers = match parse_number(value, "--workers") {
                         Ok(0) => return usage_error("--workers must be at least 1"),
-                        Ok(value) => value as usize,
+                        Ok(value) => value,
                         Err(message) => return usage_error(&message),
                     };
                 }
@@ -1115,7 +1016,7 @@ mod distribute {
                         return usage_error("--retry-limit requires a value");
                     };
                     retry_limit = match parse_number(value, "--retry-limit") {
-                        Ok(value) => value as usize,
+                        Ok(value) => value,
                         Err(message) => return usage_error(&message),
                     };
                 }
@@ -1132,23 +1033,14 @@ mod distribute {
                 "distribute runs the campaign alone; use exactly --only campaign_fleet",
             );
         }
-        if options.config.fleet_days < 2 {
-            return usage_error(
-                "distribute requires a multi-day campaign; set --fleet-days to 2 or more",
-            );
-        }
         if options.checkpoint.is_some() {
             return usage_error(
                 "--fleet-checkpoint belongs to the single-process batch mode; \
                  distribute keeps its partial outcomes in memory",
             );
         }
-        if options.config.global_event_budget > 0 {
-            return usage_error(
-                "--global-event-budget cannot be distributed: a budget pool \
-                 shared across worker processes would make the merged result \
-                 depend on scheduling",
-            );
+        if let Err(error) = options.config.validate_sharded() {
+            return usage_error(&config_usage(error));
         }
         let config = options.config;
 

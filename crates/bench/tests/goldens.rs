@@ -1,0 +1,103 @@
+//! Byte-identity goldens for the `paper-report` binary: the default report
+//! text, the `--json` report and a checkpointed multi-day campaign (its JSON
+//! and the checkpoint file it writes) must equal the files committed under
+//! `tests/goldens/` at the repository root, byte for byte.
+//!
+//! `MP_GOLDEN_BLESS=1 cargo test -p mp-bench --test goldens` rewrites the
+//! files from the current binary; review the diff before committing.
+
+use std::path::{Path, PathBuf};
+use std::process::Command;
+
+/// perfbench's recorded FNV-1a-64 digest of the default report text (seed
+/// 2021, variant 0), without its trailing newline.
+const REPORT_DIGEST: u64 = 0x0cee_b8d8_715a_482d;
+
+const CAMPAIGN: [&str; 14] = [
+    "--only",
+    "campaign_fleet",
+    "--fleet-clients",
+    "10000",
+    "--fleet-aps",
+    "16",
+    "--fleet-days",
+    "3",
+    "--fleet-churn",
+    "0.2",
+    "--fleet-hetero",
+    "--json",
+    "--fleet-checkpoint",
+    "<checkpoint>",
+];
+
+fn golden_dir() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/goldens")
+}
+
+fn paper_report(args: &[&str]) -> Vec<u8> {
+    let output = Command::new(env!("CARGO_BIN_EXE_paper-report"))
+        .args(args)
+        .output()
+        .expect("paper-report spawns");
+    assert!(
+        output.status.success(),
+        "args {args:?}: exit {:?}; stderr: {}",
+        output.status.code(),
+        String::from_utf8_lossy(&output.stderr)
+    );
+    output.stdout
+}
+
+/// Compares `actual` with the golden `name`, or rewrites the golden when
+/// `MP_GOLDEN_BLESS` is set.
+fn check(name: &str, actual: &[u8]) {
+    let path = golden_dir().join(name);
+    if std::env::var_os("MP_GOLDEN_BLESS").is_some() {
+        std::fs::create_dir_all(golden_dir()).expect("golden dir");
+        std::fs::write(&path, actual)
+            .unwrap_or_else(|error| panic!("golden {} is writable: {error}", path.display()));
+    }
+    let expected = std::fs::read(&path)
+        .unwrap_or_else(|error| panic!("golden {} is readable: {error}", path.display()));
+    assert!(
+        actual == expected.as_slice(),
+        "output drifted from {}:\n{}",
+        path.display(),
+        String::from_utf8_lossy(actual)
+    );
+}
+
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+#[test]
+fn the_default_report_matches_its_golden_and_the_recorded_digest() {
+    let report = paper_report(&[]);
+    check("report.txt", &report);
+    let text = report.strip_suffix(b"\n").expect("report ends in a newline");
+    assert_eq!(format!("{:016x}", fnv1a64(text)), format!("{REPORT_DIGEST:016x}"));
+}
+
+#[test]
+fn the_json_report_matches_its_golden() {
+    check("report.json", &paper_report(&["--json", "--jobs", "2"]));
+}
+
+#[test]
+fn a_checkpointed_campaign_and_its_checkpoint_match_their_goldens() {
+    let dir = std::env::temp_dir().join(format!("mp-goldens-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let checkpoint = dir.join("checkpoint.json");
+    let checkpoint_arg = checkpoint.to_str().expect("utf-8 temp path");
+    let args = CAMPAIGN.map(|arg| if arg == "<checkpoint>" { checkpoint_arg } else { arg });
+    check("campaign_checkpointed.json", &paper_report(&args));
+    check(
+        "campaign_checkpoint.json",
+        &std::fs::read(&checkpoint).expect("the campaign wrote its checkpoint"),
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}

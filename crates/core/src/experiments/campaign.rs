@@ -403,12 +403,12 @@ pub(super) fn campaign_fleet(
     config: &RunConfig,
     ctx: &RunCtx,
 ) -> Result<CampaignFleetResult, ExperimentError> {
-    if config.fleet_days > 1 {
+    if config.multi_day() {
         return super::multiday::run_multiday(config, ctx, None);
     }
     let shared = ctx.budget_for(config);
     let shared = shared.as_ref();
-    let aps = config.fleet_aps.max(1);
+    let aps = config.fleet_aps;
     let total_clients = config.fleet_clients;
     let tasks = plan_ap_tasks(config, config.seed, total_clients)?;
 
@@ -416,7 +416,7 @@ pub(super) fn campaign_fleet(
     let outcomes = parallel_tasks(&tasks, jobs, |task| simulate_ap(task, config, shared));
 
     let mut result = CampaignFleetResult {
-        shards: config.fleet_shards.max(1).min(aps),
+        shards: config.fleet_shards.min(aps),
         aps,
         clients: total_clients,
         infected_clients: 0,

@@ -157,25 +157,6 @@ fn seat_layout(config: &RunConfig) -> Result<SeatLayout, ExperimentError> {
     Ok(SeatLayout { offsets })
 }
 
-/// Validates the campaign-shaped parts of a configuration (shared by the
-/// single-process loop, the shard runner, and the coordinator).
-pub(super) fn validate_campaign(config: &RunConfig) -> Result<(), ExperimentError> {
-    if !(0.0..=1.0).contains(&config.fleet_churn) {
-        return Err(ExperimentError::Config(format!(
-            "fleet_churn must be a fraction in [0, 1], got {}",
-            config.fleet_churn
-        )));
-    }
-    if !(0.0..=1.0).contains(&config.fleet_visit_prob) {
-        return Err(ExperimentError::Config(format!(
-            "fleet_visit_prob must be a probability in [0, 1], got {}",
-            config.fleet_visit_prob
-        )));
-    }
-    // Surface an overpacked fleet before day one instead of inside a worker.
-    seat_layout(config).map(|_| ())
-}
-
 // ---------------------------------------------------------------------------
 // Shard outcomes
 // ---------------------------------------------------------------------------
@@ -492,9 +473,9 @@ pub fn run_campaign_shard(
     plan: ShardPlan,
     ctx: &RunCtx,
 ) -> Result<ShardOutcome, ExperimentError> {
-    validate_campaign(config)?;
+    config.validate_sharded()?;
     let mut outcome = ShardOutcome::fresh(config, plan)?;
-    run_shard(config, plan, ctx, &mut outcome, None, config.fleet_days.max(1))?;
+    run_shard(config, plan, ctx, &mut outcome, None, config.fleet_days)?;
     Ok(outcome)
 }
 
@@ -862,8 +843,8 @@ impl ShardOutcome {
         let layout = seat_layout(config).map_err(|_| corrupt())?;
         let total_aps = config.fleet_aps.max(1);
 
-        let completed_days =
-            json.get("completed_days").and_then(Json::as_u64).ok_or_else(corrupt)? as u32;
+        let completed_days: u32 =
+            json.get("completed_days").and_then(Json::as_int).ok_or_else(corrupt)?;
 
         let target_json = json.get("target").ok_or_else(corrupt)?;
         let mut target = ChurningObject::new(
@@ -871,11 +852,10 @@ impl ShardOutcome {
             StabilityClass::SlowChurn,
             mix_seed(config.seed, TARGET_TAG),
         );
-        target.day = target_json.get("day").and_then(Json::as_u64).ok_or_else(corrupt)? as u32;
-        target.renames =
-            target_json.get("renames").and_then(Json::as_u64).ok_or_else(corrupt)? as u32;
-        target.content_changes =
-            target_json.get("content_changes").and_then(Json::as_u64).ok_or_else(corrupt)? as u32;
+        let counter = |key: &str| target_json.get(key).and_then(Json::as_int).ok_or_else(corrupt);
+        target.day = counter("day")?;
+        target.renames = counter("renames")?;
+        target.content_changes = counter("content_changes")?;
         target.current_path = target_json
             .get("current_path")
             .and_then(Json::as_str)
@@ -889,12 +869,9 @@ impl ShardOutcome {
 
         let mut parts = Vec::new();
         for part_json in json.get("shards").and_then(Json::as_array).ok_or_else(corrupt)? {
-            let first_ap =
-                part_json.get("first_ap").and_then(Json::as_u64).ok_or_else(corrupt)? as usize;
-            let aps = part_json.get("aps").and_then(Json::as_u64).ok_or_else(corrupt)? as usize;
-            let seat_lo =
-                part_json.get("seat_lo").and_then(Json::as_u64).ok_or_else(corrupt)? as usize;
-            let seats = part_json.get("seats").and_then(Json::as_u64).ok_or_else(corrupt)? as usize;
+            let index = |key: &str| part_json.get(key).and_then(Json::as_int).ok_or_else(corrupt);
+            let (first_ap, aps, seat_lo, seats): (usize, usize, usize, usize) =
+                (index("first_ap")?, index("aps")?, index("seat_lo")?, index("seats")?);
             if aps == 0
                 || first_ap + aps > total_aps
                 || seat_lo != layout.offsets[first_ap]
@@ -921,7 +898,7 @@ impl ShardOutcome {
             payload_bytes: field("payload_bytes")?,
             injected_events: field("injected_events")?,
             pending_bytes_dropped: field("pending_bytes_dropped")?,
-            failed_aps: field("failed_aps")? as usize,
+            failed_aps: usize::try_from(field("failed_aps")?).map_err(|_| corrupt())?,
         };
 
         let days = json
@@ -1417,6 +1394,20 @@ mod tests {
             &config,
             "is not a valid campaign checkpoint",
         );
+        // Counters a u32 cannot hold are corrupt, not wrapped to day zero.
+        for (field, wide) in [
+            ("\"completed_days\":0", "\"completed_days\":4294967296"),
+            ("\"day\":0", "\"day\":4294967296"),
+            ("\"renames\":0", "\"renames\":4294967296"),
+        ] {
+            assert!(text.contains(field), "fresh checkpoints carry {field}");
+            expect_checkpoint_error(
+                "wide.json",
+                &text.replacen(field, wide, 1),
+                &config,
+                "is not a valid campaign checkpoint",
+            );
+        }
         // An intact checkpoint from a different campaign.
         expect_checkpoint_error(
             "mismatch.json",

@@ -30,6 +30,7 @@ mod figures;
 mod multiday;
 mod surface;
 mod tables;
+mod validate;
 
 pub use campaign::{ApProfile, CampaignFleetResult};
 pub use distrib::{
@@ -40,6 +41,7 @@ pub use multiday::{
     run_campaign_with_checkpoint, run_campaign_with_checkpoint_ctx, DayStats,
 };
 pub use surface::{CurvePoint, SurfaceResult, SurfaceVector, VectorSurface};
+pub use validate::ConfigError;
 pub use figures::{AblationResult, Fig3Result, Fig4Result, Fig5Result, FlowTrace};
 pub use tables::{
     injection_race_with_timing, run_injection_race, InjectionCell, RefreshMethod, RemovalCell,
@@ -278,7 +280,7 @@ pub struct RunConfig {
     pub fleet_aps: usize,
     /// Shard count hint for the campaign fleet. A scheduling hint only: the
     /// per-AP plan is global, so the artifact's numbers never depend on it,
-    /// and the result echoes it (clamped to `[1, fleet_aps]`) as `shards`.
+    /// and the result echoes it (capped at `fleet_aps`) as `shards`.
     /// `distribute --workers` is what actually splits a campaign into
     /// contiguous AP-range shards.
     pub fleet_shards: usize,
@@ -380,102 +382,47 @@ impl Default for RunConfig {
 
 impl RunConfig {
     /// Reads a config back from its [`ToJson`] representation. Missing keys
-    /// fall back to the defaults; wrongly-typed keys are an error.
+    /// fall back to the defaults; wrongly-typed keys, and integers that do
+    /// not fit their field, are an error. Decoding does not validate: see
+    /// [`RunConfig::validate`].
     pub fn from_json(json: &Json) -> Option<RunConfig> {
-        fn field<T>(json: &Json, key: &str, default: T, get: impl Fn(&Json) -> Option<T>) -> Option<T> {
-            match json.get(key) {
-                Some(value) => get(value),
-                None => Some(default),
-            }
-        }
         let defaults = RunConfig::default();
+        // Every key is its field's name.
+        macro_rules! field {
+            ($name:ident, $get:expr) => {
+                match json.get(stringify!($name)) {
+                    Some(value) => ($get)(value)?,
+                    None => defaults.$name,
+                }
+            };
+        }
         Some(RunConfig {
-            seed: field(json, "seed", defaults.seed, Json::as_u64)?,
-            scale: field(json, "scale", defaults.scale, Json::as_u64)?,
-            sites: field(json, "sites", defaults.sites, |v| v.as_u64().map(|n| n as usize))?,
-            crawl_sites: field(json, "crawl_sites", defaults.crawl_sites, |v| {
-                v.as_u64().map(|n| n as usize)
-            })?,
-            days: field(json, "days", defaults.days, |v| v.as_u64().map(|n| n as u32))?,
-            event_budget: field(json, "event_budget", defaults.event_budget, Json::as_u64)?,
-            trace_mode: field(json, "trace_mode", defaults.trace_mode, |v| {
-                v.as_str().and_then(|s| s.parse::<TraceMode>().ok())
-            })?,
-            jitter_us: field(json, "jitter_us", defaults.jitter_us, Json::as_u64)?,
-            fleet_clients: field(json, "fleet_clients", defaults.fleet_clients, |v| {
-                v.as_u64().map(|n| n as usize)
-            })?,
-            fleet_aps: field(json, "fleet_aps", defaults.fleet_aps, |v| {
-                v.as_u64().map(|n| n as usize)
-            })?,
-            fleet_shards: field(json, "fleet_shards", defaults.fleet_shards, |v| {
-                v.as_u64().map(|n| n as usize)
-            })?,
-            fleet_jobs: field(json, "fleet_jobs", defaults.fleet_jobs, |v| {
-                v.as_u64().map(|n| n as usize)
-            })?,
-            fleet_days: field(json, "fleet_days", defaults.fleet_days, |v| {
-                v.as_u64().map(|n| n as u32)
-            })?,
-            fleet_churn: field(json, "fleet_churn", defaults.fleet_churn, Json::as_f64)?,
-            fleet_hetero: field(json, "fleet_hetero", defaults.fleet_hetero, Json::as_bool)?,
-            fleet_visit_prob: field(
-                json,
-                "fleet_visit_prob",
-                defaults.fleet_visit_prob,
-                Json::as_f64,
-            )?,
-            global_event_budget: field(
-                json,
-                "global_event_budget",
-                defaults.global_event_budget,
-                Json::as_u64,
-            )?,
-            surface_trials: field(json, "surface_trials", defaults.surface_trials, |v| {
-                v.as_u64().map(|n| n as usize)
-            })?,
-            surface_delay_start_us: field(
-                json,
-                "surface_delay_start_us",
-                defaults.surface_delay_start_us,
-                Json::as_u64,
-            )?,
-            surface_delay_end_us: field(
-                json,
-                "surface_delay_end_us",
-                defaults.surface_delay_end_us,
-                Json::as_u64,
-            )?,
-            surface_delay_steps: field(
-                json,
-                "surface_delay_steps",
-                defaults.surface_delay_steps,
-                |v| v.as_u64().map(|n| n as usize),
-            )?,
-            surface_adoption_steps: field(
-                json,
-                "surface_adoption_steps",
-                defaults.surface_adoption_steps,
-                |v| v.as_u64().map(|n| n as usize),
-            )?,
-            surface_wan_start_us: field(
-                json,
-                "surface_wan_start_us",
-                defaults.surface_wan_start_us,
-                Json::as_u64,
-            )?,
-            surface_wan_end_us: field(
-                json,
-                "surface_wan_end_us",
-                defaults.surface_wan_end_us,
-                Json::as_u64,
-            )?,
-            surface_wan_steps: field(json, "surface_wan_steps", defaults.surface_wan_steps, |v| {
-                v.as_u64().map(|n| n as usize)
-            })?,
-            surface_vectors: field(json, "surface_vectors", defaults.surface_vectors, |v| {
-                v.as_u64().map(|n| n as u8)
-            })?,
+            seed: field!(seed, Json::as_int),
+            scale: field!(scale, Json::as_int),
+            sites: field!(sites, Json::as_int),
+            crawl_sites: field!(crawl_sites, Json::as_int),
+            days: field!(days, Json::as_int),
+            event_budget: field!(event_budget, Json::as_int),
+            trace_mode: field!(trace_mode, |v: &Json| v.as_str().and_then(|s| s.parse().ok())),
+            jitter_us: field!(jitter_us, Json::as_int),
+            fleet_clients: field!(fleet_clients, Json::as_int),
+            fleet_aps: field!(fleet_aps, Json::as_int),
+            fleet_shards: field!(fleet_shards, Json::as_int),
+            fleet_jobs: field!(fleet_jobs, Json::as_int),
+            fleet_days: field!(fleet_days, Json::as_int),
+            fleet_churn: field!(fleet_churn, Json::as_f64),
+            fleet_hetero: field!(fleet_hetero, Json::as_bool),
+            fleet_visit_prob: field!(fleet_visit_prob, Json::as_f64),
+            global_event_budget: field!(global_event_budget, Json::as_int),
+            surface_trials: field!(surface_trials, Json::as_int),
+            surface_delay_start_us: field!(surface_delay_start_us, Json::as_int),
+            surface_delay_end_us: field!(surface_delay_end_us, Json::as_int),
+            surface_delay_steps: field!(surface_delay_steps, Json::as_int),
+            surface_adoption_steps: field!(surface_adoption_steps, Json::as_int),
+            surface_wan_start_us: field!(surface_wan_start_us, Json::as_int),
+            surface_wan_end_us: field!(surface_wan_end_us, Json::as_int),
+            surface_wan_steps: field!(surface_wan_steps, Json::as_int),
+            surface_vectors: field!(surface_vectors, Json::as_int),
         })
     }
 }
@@ -915,6 +862,7 @@ macro_rules! experiments {
                 }
 
                 fn try_run_ctx(&self, config: &RunConfig, ctx: &RunCtx) -> Result<Artifact, ExperimentError> {
+                    config.validate()?;
                     Ok(Artifact {
                         id: self.id(),
                         config: *config,
@@ -1193,6 +1141,11 @@ mod tests {
             RunConfig::from_json(&Json::obj([("trace_mode", Json::Str("sometimes".into()))])),
             None
         );
+        // So are integers their field cannot hold: 2^32 + 2 days must not
+        // decode as a 2-day campaign.
+        for (key, value) in [("fleet_days", (1u64 << 32) + 2), ("days", 1 << 32), ("surface_vectors", 256)] {
+            assert_eq!(RunConfig::from_json(&Json::obj([(key, value.to_json())])), None, "{key}");
+        }
     }
 
     #[test]

@@ -37,10 +37,8 @@
 //! [`StabilityClass::SlowChurn`]: mp_webgen::StabilityClass::SlowChurn
 
 use super::campaign::{mix_seed, CampaignFleetResult};
-use super::distrib::{
-    load_checkpoint, run_shard, validate_campaign, ShardOutcome, ShardPlan,
-};
-use super::{ExperimentError, RunConfig, RunCtx};
+use super::distrib::{load_checkpoint, run_shard, ShardOutcome, ShardPlan};
+use super::{ExperimentError, ExperimentId, RunConfig, RunCtx};
 use crate::json::{Json, ToJson};
 use mp_netsim::dist::Dist;
 use rand::rngs::StdRng;
@@ -128,9 +126,9 @@ impl DayStats {
     /// service daemon's `day` stream messages, so clients (`mp_service`)
     /// decode with this too.
     pub fn from_json(json: &Json) -> Option<DayStats> {
-        let usize_of = |key: &str| json.get(key).and_then(Json::as_u64).map(|n| n as usize);
+        let usize_of = |key: &str| json.get(key).and_then(Json::as_int::<usize>);
         Some(DayStats {
-            day: json.get("day").and_then(Json::as_u64)? as u32,
+            day: json.get("day").and_then(Json::as_int)?,
             departures: usize_of("departures")?,
             arrivals: usize_of("arrivals")?,
             cache_clears: usize_of("cache_clears")?,
@@ -151,8 +149,9 @@ impl DayStats {
 // ---------------------------------------------------------------------------
 
 /// Runs a multi-day churn campaign, optionally checkpointing after every
-/// completed day. Called from the registry runner (`fleet_days > 1`, no
-/// checkpoint) and from [`run_campaign_with_checkpoint`]. This is the
+/// completed day. Called, with `config` already validated, from the
+/// registry runner (`fleet_days > 1`, no checkpoint) and from
+/// [`run_campaign_with_checkpoint_ctx`]. This is the
 /// full-coverage special case of the shard engine: one [`ShardPlan`]
 /// spanning every AP, run to the configured horizon in this process.
 pub(super) fn run_multiday(
@@ -160,13 +159,12 @@ pub(super) fn run_multiday(
     ctx: &RunCtx,
     checkpoint: Option<&Path>,
 ) -> Result<CampaignFleetResult, ExperimentError> {
-    validate_campaign(config)?;
     let plan = ShardPlan::full(config);
     let mut outcome = match checkpoint {
         Some(path) if path.exists() => load_checkpoint(path, config)?,
         _ => ShardOutcome::fresh(config, plan)?,
     };
-    run_shard(config, plan, ctx, &mut outcome, checkpoint, config.fleet_days.max(1))?;
+    run_shard(config, plan, ctx, &mut outcome, checkpoint, config.fleet_days)?;
     outcome.into_fleet_result(config)
 }
 
@@ -210,11 +208,11 @@ pub(super) fn seat_visit_probs(config: &RunConfig) -> Option<Vec<f64>> {
 /// rerunning with the same configuration yields a byte-identical final
 /// artifact.
 ///
-/// This entry point *always* runs the churn model, even at `fleet_days = 1`
-/// (one churn day is not the classic single-snapshot sweep: it draws from
-/// the per-day seed streams and the target object may rotate). The
-/// `paper-report` CLI therefore requires `--fleet-days >= 2` with
-/// `--fleet-checkpoint`.
+/// This entry point always runs the churn model, so it rejects a
+/// configuration that fails [`RunConfig::validate_checkpointed`] — notably
+/// `fleet_days < 2` (one churn day is not the classic single-snapshot sweep:
+/// it draws from the per-day seed streams and the target object may rotate)
+/// — with [`ExperimentError::Config`] before any work starts.
 ///
 /// The checkpoint is a compact hand-rolled JSON document (`parasite::json`):
 /// the campaign configuration fingerprint, the completed-day count, the
@@ -243,6 +241,7 @@ pub fn run_campaign_with_checkpoint_ctx(
     checkpoint: &Path,
     ctx: &RunCtx,
 ) -> Result<CampaignFleetResult, ExperimentError> {
+    config.validate_checkpointed(ExperimentId::CampaignFleet)?;
     run_multiday(config, ctx, Some(checkpoint))
 }
 
@@ -275,6 +274,16 @@ mod tests {
         run_shard(config, plan, &RunCtx::default(), &mut outcome, None, days)
             .expect("days run");
         outcome
+    }
+
+    #[test]
+    fn day_stats_round_trip_and_reject_a_day_past_u32() {
+        let artifact = Registry::get(ExperimentId::CampaignFleet).run(&churn_config());
+        let day = artifact.data.as_campaign_fleet().expect("campaign artifact").day_stats[2];
+        let text = day.to_json().to_string();
+        assert_eq!(DayStats::from_json(&Json::parse(&text).expect("day JSON")), Some(day));
+        let wide = text.replacen("\"day\":3", "\"day\":4294967299", 1);
+        assert_eq!(DayStats::from_json(&Json::parse(&wide).expect("day JSON")), None);
     }
 
     #[test]

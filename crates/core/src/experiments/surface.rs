@@ -21,7 +21,7 @@
 //! *by construction* (common random numbers: raising adoption only grows the
 //! defended set).
 
-use super::campaign::{fleet_jobs, mix_seed, MAX_CLIENTS_PER_AP};
+use super::campaign::{fleet_jobs, mix_seed};
 use super::multiday::DAILY_CACHE_CLEAR;
 use super::tables::{build_race_world, delivers_parasite, RaceTiming, RaceWorld};
 use super::{parallel_tasks, ExperimentError, RunConfig, RunCtx};
@@ -48,11 +48,11 @@ pub(super) const SURFACE_TAG: u64 = 0x5caf_ace0_0000_0000;
 pub(super) const ADOPT_TAG: u64 = 0xad07_7000_0000_0000;
 
 /// Hard cap on grid-axis lengths so [`cell_tag`] bit fields cannot overlap.
-const MAX_AXIS_STEPS: usize = 1 << 16;
+pub(super) const MAX_AXIS_STEPS: usize = 1 << 16;
 
 /// Packs one grid cell's coordinates into the seed-stream index: vector in
 /// bits 48+, delay in bits 32–47, WAN latency in bits 16–31, jitter in bits
-/// 0–15. Axis lengths are validated against [`MAX_AXIS_STEPS`], so the
+/// 0–15. [`RunConfig::validate`] caps axis lengths at [`MAX_AXIS_STEPS`], so the
 /// 16-bit lanes never overlap.
 pub(super) fn cell_tag(vector: usize, delay_idx: usize, wan_idx: usize, jitter_idx: usize) -> u64 {
     ((vector as u64) << 48)
@@ -149,23 +149,15 @@ impl SurfaceVector {
         Ok(mask)
     }
 
-    /// Expands the [`RunConfig::surface_vectors`] bitmask (`0` = all).
-    fn from_mask(mask: u8) -> Result<Vec<SurfaceVector>, ExperimentError> {
-        if mask == 0 {
-            return Ok(SurfaceVector::ALL.to_vec());
-        }
-        if mask >> SurfaceVector::ALL.len() != 0 {
-            return Err(ExperimentError::Config(format!(
-                "surface_vectors mask {mask:#x} has bits beyond the {} known vectors",
-                SurfaceVector::ALL.len()
-            )));
-        }
-        Ok(SurfaceVector::ALL
+    /// Expands the [`RunConfig::surface_vectors`] bitmask (`0` = all);
+    /// [`RunConfig::validate`] rejects bits beyond the known vectors.
+    fn from_mask(mask: u8) -> Vec<SurfaceVector> {
+        SurfaceVector::ALL
             .into_iter()
             .enumerate()
-            .filter(|(bit, _)| mask & (1 << bit) != 0)
+            .filter(|(bit, _)| mask == 0 || mask & (1 << bit) != 0)
             .map(|(_, vector)| vector)
-            .collect())
+            .collect()
     }
 }
 
@@ -444,7 +436,7 @@ fn run_cell(
 
 /// The linearly spaced reaction-delay axis.
 fn delay_axis(config: &RunConfig) -> Vec<u64> {
-    let steps = config.surface_delay_steps.max(1);
+    let steps = config.surface_delay_steps;
     let (start, end) = (config.surface_delay_start_us, config.surface_delay_end_us);
     if steps == 1 || start == end {
         return vec![start];
@@ -457,7 +449,7 @@ fn delay_axis(config: &RunConfig) -> Vec<u64> {
 /// The linearly spaced WAN-latency axis (genuine server one-way time). The
 /// default single point is the paper's 40 ms internet path.
 fn wan_axis(config: &RunConfig) -> Vec<u64> {
-    let steps = config.surface_wan_steps.max(1);
+    let steps = config.surface_wan_steps;
     let (start, end) = (config.surface_wan_start_us, config.surface_wan_end_us);
     if steps == 1 || start == end {
         return vec![start];
@@ -469,7 +461,7 @@ fn wan_axis(config: &RunConfig) -> Vec<u64> {
 
 /// The adoption axis: `steps` evenly spaced fractions covering `[0, 1]`.
 fn adoption_axis(config: &RunConfig) -> Vec<f64> {
-    let steps = config.surface_adoption_steps.max(1);
+    let steps = config.surface_adoption_steps;
     if steps == 1 {
         return vec![0.0];
     }
@@ -491,38 +483,7 @@ pub(super) fn attack_surface(
     config: &RunConfig,
     ctx: &RunCtx,
 ) -> Result<SurfaceResult, ExperimentError> {
-    if config.surface_trials == 0 {
-        return Err(ExperimentError::Config(
-            "surface_trials must be at least 1".to_string(),
-        ));
-    }
-    if config.surface_trials > MAX_CLIENTS_PER_AP {
-        return Err(ExperimentError::Config(format!(
-            "surface_trials is {}, but one race world holds at most {MAX_CLIENTS_PER_AP} victims",
-            config.surface_trials
-        )));
-    }
-    if config.surface_delay_start_us > config.surface_delay_end_us {
-        return Err(ExperimentError::Config(format!(
-            "surface delay range is inverted: [{}, {}]",
-            config.surface_delay_start_us, config.surface_delay_end_us
-        )));
-    }
-    if config.surface_wan_start_us > config.surface_wan_end_us {
-        return Err(ExperimentError::Config(format!(
-            "surface WAN range is inverted: [{}, {}]",
-            config.surface_wan_start_us, config.surface_wan_end_us
-        )));
-    }
-    if config.surface_delay_steps > MAX_AXIS_STEPS
-        || config.surface_wan_steps > MAX_AXIS_STEPS
-        || config.surface_adoption_steps > MAX_AXIS_STEPS
-    {
-        return Err(ExperimentError::Config(format!(
-            "surface axes are capped at {MAX_AXIS_STEPS} steps"
-        )));
-    }
-    let vectors = SurfaceVector::from_mask(config.surface_vectors)?;
+    let vectors = SurfaceVector::from_mask(config.surface_vectors);
     let delays = delay_axis(config);
     let wans = wan_axis(config);
     let jitters = if config.jitter_us == 0 { vec![0] } else { vec![0, config.jitter_us] };
@@ -642,6 +603,7 @@ pub(super) fn attack_surface(
 
 #[cfg(test)]
 mod tests {
+    use super::super::campaign::MAX_CLIENTS_PER_AP;
     use super::super::{ExperimentId, Registry, RunConfig};
     use super::*;
     use crate::json::Json;
@@ -748,12 +710,13 @@ mod tests {
             Ok(0b0110)
         );
         assert!(SurfaceVector::parse_mask("race_vs_nothing").is_err());
-        assert_eq!(SurfaceVector::from_mask(0).unwrap(), SurfaceVector::ALL.to_vec());
+        assert_eq!(SurfaceVector::from_mask(0), SurfaceVector::ALL.to_vec());
         assert_eq!(
-            SurfaceVector::from_mask(0b0101).unwrap(),
+            SurfaceVector::from_mask(0b0101),
             vec![SurfaceVector::RaceVsHsts, SurfaceVector::PersistVsSri]
         );
-        assert!(SurfaceVector::from_mask(0b1_0000).is_err());
+        let unknown = RunConfig { surface_vectors: 0b1_0000, ..small_config() };
+        assert_eq!(unknown.validate().map_err(|error| error.field), Err("surface_vectors"));
         // A single-vector sweep carries exactly that vector.
         let config = RunConfig { surface_vectors: 0b0010, ..small_config() };
         let artifact = Registry::get(ExperimentId::AttackSurface).run(&config);

@@ -1,0 +1,237 @@
+//! What a valid run is. [`RunConfig::validate`] checks every field's range;
+//! [`RunConfig::validate_checkpointed`] and [`RunConfig::validate_sharded`]
+//! add the rules of the two campaign modes on top. Every door into the
+//! experiment layer calls one of these before any work starts — the registry
+//! runner, the checkpoint and shard entry points, the service daemon's
+//! `submit`, `distribute` and the `paper-report` CLI — so each rule has
+//! exactly one home and a bad configuration fails fast with the same typed
+//! error on every path.
+//!
+//! The over-packing rule (no AP may seat more clients than its address space
+//! holds) depends on the heterogeneity weight draw, so the campaign planner
+//! checks it where the plan is made.
+
+use super::campaign::MAX_CLIENTS_PER_AP;
+use super::surface::MAX_AXIS_STEPS;
+use super::{ExperimentError, ExperimentId, RunConfig, SurfaceVector};
+use std::fmt;
+
+/// Why a [`RunConfig`] does not describe a valid run: the rejected field, by
+/// its `RunConfig` (and JSON) name, and what is wrong with its value.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ConfigError {
+    /// The rejected field; `"experiment"` when a mode rule rejects the
+    /// experiment the run would execute.
+    pub field: &'static str,
+    /// What is wrong, phrased to follow the field name.
+    pub reason: String,
+}
+
+impl fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{} {}", self.field, self.reason)
+    }
+}
+
+impl std::error::Error for ConfigError {}
+
+impl From<ConfigError> for ExperimentError {
+    fn from(error: ConfigError) -> Self {
+        ExperimentError::Config(error.to_string())
+    }
+}
+
+fn reject(field: &'static str, reason: String) -> Result<(), ConfigError> {
+    Err(ConfigError { field, reason })
+}
+
+fn at_least<T>(field: &'static str, value: T, min: T) -> Result<(), ConfigError>
+where
+    T: PartialOrd + fmt::Display,
+{
+    if value < min {
+        return reject(field, format!("must be at least {min}, got {value}"));
+    }
+    Ok(())
+}
+
+fn within(field: &'static str, value: usize, max: usize) -> Result<(), ConfigError> {
+    at_least(field, value, 1)?;
+    if value > max {
+        return reject(field, format!("must be at most {max}, got {value}"));
+    }
+    Ok(())
+}
+
+fn ordered(start: (&'static str, u64), end: (&'static str, u64)) -> Result<(), ConfigError> {
+    if start.1 > end.1 {
+        let reason = format!("exceeds {}: the range [{}, {}] is inverted", end.0, start.1, end.1);
+        return reject(start.0, reason);
+    }
+    Ok(())
+}
+
+impl RunConfig {
+    /// Whether the campaign fleet runs the multi-day churn loop
+    /// (`fleet_days` above 1) rather than the single-snapshot sweep.
+    pub fn multi_day(&self) -> bool {
+        self.fleet_days > 1
+    }
+
+    /// Checks that every field is in range: positive event budget, AP,
+    /// shard and day counts; a churn fraction in `[0, 1]` and a visit
+    /// probability in `(0, 1]`; attack-surface trials and axis lengths from
+    /// 1 up to what one race world and the seed-lane layout hold; surface
+    /// ranges that are not inverted; and a vector mask naming only known
+    /// vectors. Costs O(1).
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        at_least("event_budget", self.event_budget, 1)?;
+        at_least("fleet_aps", self.fleet_aps, 1)?;
+        at_least("fleet_shards", self.fleet_shards, 1)?;
+        at_least("fleet_days", self.fleet_days, 1)?;
+        if !(0.0..=1.0).contains(&self.fleet_churn) {
+            let reason = format!("must be a fraction in [0, 1], got {}", self.fleet_churn);
+            return reject("fleet_churn", reason);
+        }
+        if !(self.fleet_visit_prob > 0.0 && self.fleet_visit_prob <= 1.0) {
+            let reason = format!("must be a probability in (0, 1], got {}", self.fleet_visit_prob);
+            return reject("fleet_visit_prob", reason);
+        }
+        within("surface_trials", self.surface_trials, MAX_CLIENTS_PER_AP)?;
+        within("surface_delay_steps", self.surface_delay_steps, MAX_AXIS_STEPS)?;
+        within("surface_adoption_steps", self.surface_adoption_steps, MAX_AXIS_STEPS)?;
+        within("surface_wan_steps", self.surface_wan_steps, MAX_AXIS_STEPS)?;
+        ordered(
+            ("surface_delay_start_us", self.surface_delay_start_us),
+            ("surface_delay_end_us", self.surface_delay_end_us),
+        )?;
+        ordered(
+            ("surface_wan_start_us", self.surface_wan_start_us),
+            ("surface_wan_end_us", self.surface_wan_end_us),
+        )?;
+        if self.surface_vectors >> SurfaceVector::ALL.len() != 0 {
+            let (mask, known) = (self.surface_vectors, SurfaceVector::ALL.len());
+            let reason = format!("mask {mask:#x} has bits beyond the {known} known vectors");
+            return reject("surface_vectors", reason);
+        }
+        Ok(())
+    }
+
+    /// [`RunConfig::validate`] plus the checkpoint rule: a checkpointed run
+    /// is a multi-day `campaign_fleet` (the checkpoint entry point always
+    /// runs the churn model, which a single-snapshot run must not silently
+    /// switch onto).
+    pub fn validate_checkpointed(&self, experiment: ExperimentId) -> Result<(), ConfigError> {
+        self.validate()?;
+        if experiment != ExperimentId::CampaignFleet {
+            let reason = format!("must be campaign_fleet for a checkpointed run, not {experiment}");
+            return reject("experiment", reason);
+        }
+        self.multi_day_for("a checkpointed run")
+    }
+
+    /// [`RunConfig::validate`] plus the shard rule: a sharded run is a
+    /// multi-day campaign without a `global_event_budget`, whose pool shared
+    /// across shards would make the merged result depend on scheduling.
+    pub fn validate_sharded(&self) -> Result<(), ConfigError> {
+        self.validate()?;
+        self.multi_day_for("a sharded run")?;
+        if self.global_event_budget > 0 {
+            return reject(
+                "global_event_budget",
+                "must be 0 for a sharded run: a budget pool shared across shards would \
+                 make the merged result depend on worker scheduling"
+                    .to_string(),
+            );
+        }
+        Ok(())
+    }
+
+    fn multi_day_for(&self, mode: &str) -> Result<(), ConfigError> {
+        if !self.multi_day() {
+            let reason = format!("must be at least 2 for {mode}, got {}", self.fleet_days);
+            return reject("fleet_days", reason);
+        }
+        Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The default config with one edit applied.
+    fn with(edit: impl FnOnce(&mut RunConfig)) -> RunConfig {
+        let mut config = RunConfig::default();
+        edit(&mut config);
+        config
+    }
+
+    #[test]
+    fn the_default_config_is_valid_in_every_mode_it_can_run() {
+        assert_eq!(RunConfig::default().validate(), Ok(()));
+        let multi_day = with(|c| c.fleet_days = 2);
+        assert_eq!(multi_day.validate_checkpointed(ExperimentId::CampaignFleet), Ok(()));
+        assert_eq!(multi_day.validate_sharded(), Ok(()));
+    }
+
+    #[test]
+    fn every_range_rule_names_its_field() {
+        for (config, field) in [
+            (with(|c| c.event_budget = 0), "event_budget"),
+            (with(|c| c.fleet_aps = 0), "fleet_aps"),
+            (with(|c| c.fleet_shards = 0), "fleet_shards"),
+            (with(|c| c.fleet_days = 0), "fleet_days"),
+            (with(|c| c.fleet_churn = 1.5), "fleet_churn"),
+            (with(|c| c.fleet_churn = f64::NAN), "fleet_churn"),
+            (with(|c| c.fleet_visit_prob = 0.0), "fleet_visit_prob"),
+            (with(|c| c.fleet_visit_prob = 1.01), "fleet_visit_prob"),
+            (with(|c| c.surface_trials = 0), "surface_trials"),
+            (with(|c| c.surface_trials = MAX_CLIENTS_PER_AP + 1), "surface_trials"),
+            (with(|c| c.surface_delay_steps = 0), "surface_delay_steps"),
+            (with(|c| c.surface_adoption_steps = MAX_AXIS_STEPS + 1), "surface_adoption_steps"),
+            (with(|c| c.surface_wan_steps = 0), "surface_wan_steps"),
+            (with(|c| c.surface_delay_start_us = 200_000), "surface_delay_start_us"),
+            (with(|c| c.surface_wan_start_us = 50_000), "surface_wan_start_us"),
+            (with(|c| c.surface_vectors = 0b1_0000), "surface_vectors"),
+        ] {
+            assert_eq!(config.validate().map_err(|error| error.field), Err(field));
+        }
+        // The edges of every range are valid.
+        for config in [
+            with(|c| (c.fleet_churn, c.fleet_visit_prob) = (1.0, f64::MIN_POSITIVE)),
+            with(|c| (c.surface_trials, c.surface_wan_steps) = (MAX_CLIENTS_PER_AP, MAX_AXIS_STEPS)),
+            with(|c| (c.surface_delay_start_us, c.surface_vectors) = (160_000, 0b1111)),
+        ] {
+            assert_eq!(config.validate(), Ok(()));
+        }
+    }
+
+    #[test]
+    fn the_mode_rules_reject_single_day_and_pooled_runs() {
+        let single_day = RunConfig::default();
+        assert_eq!(
+            single_day.validate_checkpointed(ExperimentId::CampaignFleet).unwrap_err().to_string(),
+            "fleet_days must be at least 2 for a checkpointed run, got 1"
+        );
+        assert_eq!(single_day.validate_sharded().unwrap_err().field, "fleet_days");
+
+        let multi_day = with(|c| c.fleet_days = 3);
+        assert_eq!(
+            multi_day.validate_checkpointed(ExperimentId::Fig4).unwrap_err().to_string(),
+            "experiment must be campaign_fleet for a checkpointed run, not fig4"
+        );
+        let pooled = RunConfig { global_event_budget: 10, ..multi_day };
+        assert_eq!(pooled.validate_sharded().unwrap_err().field, "global_event_budget");
+        assert_eq!(pooled.validate_checkpointed(ExperimentId::CampaignFleet), Ok(()));
+
+        // The mode rules include the range rules.
+        let broken = RunConfig { event_budget: 0, ..multi_day };
+        assert_eq!(broken.validate_sharded().unwrap_err().field, "event_budget");
+        let error = broken.validate_checkpointed(ExperimentId::CampaignFleet).unwrap_err();
+        assert_eq!(
+            ExperimentError::from(error),
+            ExperimentError::Config("event_budget must be at least 1, got 0".to_string())
+        );
+    }
+}

@@ -22,9 +22,8 @@ use bytes::Bytes;
 use mp_netsim::attacker::{Injection, Injector, Tap};
 use mp_netsim::packet::Packet;
 use mp_netsim::time::Instant;
-use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Shared statistics about what the master injected.
 #[derive(Debug, Clone, Default)]
@@ -100,10 +99,10 @@ impl Tap for MasterTap {
             return Vec::new();
         };
         let Some(infected) = self.prepared_objects.get(&(host, path)) else {
-            self.stats.lock().passthrough += 1;
+            self.stats.lock().unwrap().passthrough += 1;
             return Vec::new();
         };
-        let mut stats = self.stats.lock();
+        let mut stats = self.stats.lock().unwrap();
         stats.target_requests_seen += 1;
         stats.responses_injected += 1;
         drop(stats);
@@ -348,13 +347,13 @@ mod tests {
             .collect();
         let response = Response::from_wire(&wire).unwrap();
         assert!(Parasite::detect(&response.body.as_text()).is_some());
-        assert_eq!(stats.lock().responses_injected, 1);
+        assert_eq!(stats.lock().unwrap().responses_injected, 1);
 
         // A request for an unprepared object is ignored.
         let other = Request::get(url("http://somesite.com/unknown.js")).to_wire();
         let segment = Segment::data(51000, 80, SeqNum::new(100), SeqNum::new(200), other);
         let packet = Packet::new(IpAddr::new(10, 0, 0, 2), IpAddr::new(203, 0, 113, 9), segment);
         assert!(tap.observe(&packet, Instant::ZERO).is_empty());
-        assert_eq!(stats.lock().passthrough, 1);
+        assert_eq!(stats.lock().unwrap().passthrough, 1);
     }
 }

@@ -72,6 +72,13 @@ impl Json {
         }
     }
 
+    /// The value as a non-negative integer of type `T`, if it is a whole
+    /// number `T` holds exactly: decoders narrow with this, so an
+    /// out-of-range value is a decode error instead of a silent wrap.
+    pub fn as_int<T: TryFrom<u64>>(&self) -> Option<T> {
+        self.as_u64().and_then(|n| T::try_from(n).ok())
+    }
+
     /// The value as a boolean, if it is one.
     pub fn as_bool(&self) -> Option<bool> {
         match self {

@@ -135,7 +135,7 @@ mod tests {
         let genuine = Response::ok(Body::text(ResourceKind::JavaScript, "f()"));
         let (tap, stats) = master.packet_tap(&[(url, genuine)], Duration::from_micros(300));
         assert_eq!(mp_netsim::attacker::Tap::name(&tap), "master");
-        assert_eq!(stats.lock().responses_injected, 0);
+        assert_eq!(stats.lock().unwrap().responses_injected, 0);
     }
 
     #[test]

@@ -125,15 +125,14 @@ pub fn propagate_via_shared_cache<U: Exchange + 'static>(
     page: &Url,
     infector: &Infector,
 ) -> (bool, bool) {
-    use parking_lot::Mutex;
-    use std::sync::Arc;
+    use std::sync::{Arc, Mutex};
 
     // Both victims share the same cache instance; an Arc<Mutex<_>> transport
     // adapter lets two browsers take turns on it.
     struct SharedHandle<C>(Arc<Mutex<C>>);
     impl<C: Exchange> Exchange for SharedHandle<C> {
         fn exchange(&mut self, request: &mp_httpsim::message::Request) -> mp_httpsim::message::Response {
-            self.0.lock().exchange(request)
+            self.0.lock().unwrap().exchange(request)
         }
         fn name(&self) -> &str {
             "shared-cache-handle"

@@ -14,8 +14,7 @@ use crate::packet::{Packet, Segment, DEFAULT_MSS};
 use crate::seq::SeqNum;
 use crate::time::{Duration, Instant};
 use bytes::Bytes;
-use parking_lot::Mutex;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// A packet injection requested by a tap, to be delivered after `delay`.
 #[derive(Debug, Clone)]
@@ -83,7 +82,7 @@ impl Eavesdropper {
 
 impl Tap for Eavesdropper {
     fn observe(&mut self, packet: &Packet, now: Instant) -> Vec<Injection> {
-        self.log.lock().push(Observation {
+        self.log.lock().unwrap().push(Observation {
             at: now,
             packet: packet.clone(),
         });
@@ -335,7 +334,7 @@ mod tests {
         let pkt = observed_request();
         let injections = tap.observe(&pkt, Instant::from_micros(55));
         assert!(injections.is_empty());
-        let observations = log.lock();
+        let observations = log.lock().unwrap();
         assert_eq!(observations.len(), 1);
         assert_eq!(observations[0].at, Instant::from_micros(55));
         assert_eq!(observations[0].packet.segment.dst_port, 80);

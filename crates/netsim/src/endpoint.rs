@@ -26,28 +26,23 @@ pub struct ConnId(pub u64);
 /// Application logic attached to a server host.
 ///
 /// The simulator calls [`Service::on_data`] whenever new contiguous bytes
-/// arrive on a connection to a listening port; every returned byte vector is
-/// transmitted back to the peer as application data, and the service's
-/// processing delay is applied before the reply leaves the host.
+/// arrive on a connection to a listening port; every response chunk the
+/// service appends is transmitted back to the peer as application data, and
+/// the service's processing delay is applied before the reply leaves the
+/// host.
 pub trait Service: Send {
-    /// Handles newly arrived request bytes and returns response chunks.
+    /// Handles newly arrived request bytes, appending response chunks to
+    /// `out`.
     ///
     /// Both directions are [`Bytes`]: `data` is the freshly arrived stream as
     /// zero-copy chunks of the wire segments (no per-delivery reassembly
-    /// buffer is built), and every returned chunk shares one buffer with the
+    /// buffer is built), and every response chunk shares one buffer with the
     /// outgoing segments, trace and receiver instead of being copied per
-    /// reply. A service that needs the request contiguous can concatenate the
-    /// chunks itself — most services only sniff the first chunk's prefix.
-    fn on_data(&mut self, conn: ConnId, data: &[Bytes]) -> Vec<Bytes>;
-
-    /// [`Service::on_data`] appending the response chunks to a caller-owned
-    /// buffer. The simulator calls this form so one response vector is reused
-    /// across every service invocation; implementors with a hot reply path
-    /// (e.g. [`crate::sim::FixedResponder`]) override it to skip the
-    /// intermediate `Vec` entirely.
-    fn on_data_into(&mut self, conn: ConnId, data: &[Bytes], out: &mut Vec<Bytes>) {
-        out.extend(self.on_data(conn, data));
-    }
+    /// reply. `out` is caller-owned and reused across every invocation, so a
+    /// reply costs no allocation of its own. A service that needs the request
+    /// contiguous can concatenate the chunks itself — most services only
+    /// sniff the first chunk's prefix.
+    fn on_data(&mut self, conn: ConnId, data: &[Bytes], out: &mut Vec<Bytes>);
 
     /// Server-side think time applied before responses are emitted.
     fn processing_delay(&self) -> crate::time::Duration {

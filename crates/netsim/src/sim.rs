@@ -770,7 +770,7 @@ impl Simulator {
             }
             let delay = {
                 let service = slot.host.service_mut().expect("checked above");
-                service.on_data_into(conn, &chunks, &mut responses);
+                service.on_data(conn, &chunks, &mut responses);
                 service.processing_delay()
             };
             let Some(remote) = slot.host.connection_remote(conn) else {
@@ -911,11 +911,7 @@ impl FixedResponder {
 }
 
 impl Service for FixedResponder {
-    fn on_data(&mut self, _conn: ConnId, _data: &[Bytes]) -> Vec<Bytes> {
-        vec![self.response.clone()]
-    }
-
-    fn on_data_into(&mut self, _conn: ConnId, _data: &[Bytes], out: &mut Vec<Bytes>) {
+    fn on_data(&mut self, _conn: ConnId, _data: &[Bytes], out: &mut Vec<Bytes>) {
         out.push(self.response.clone());
     }
 

@@ -251,13 +251,13 @@ impl Request {
                 };
                 let range_field = |key: &str| {
                     json.get(key)
-                        .and_then(Json::as_u64)
+                        .and_then(Json::as_int)
                         .ok_or_else(|| format!("shard_submit requires a numeric {key:?} field"))
                 };
                 Ok(Request::ShardSubmit {
                     config: Box::new(config),
-                    first_ap: range_field("first_ap")? as usize,
-                    aps: range_field("aps")? as usize,
+                    first_ap: range_field("first_ap")?,
+                    aps: range_field("aps")?,
                 })
             }
             other => Err(format!("unknown op {other:?}")),
@@ -366,9 +366,8 @@ impl RunOutcome {
             Some("cancelled") => Ok(RunOutcome::Cancelled {
                 days_completed: json
                     .get("days_completed")
-                    .and_then(Json::as_u64)
-                    .ok_or_else(|| "cancelled outcome is missing \"days_completed\"".to_string())?
-                    as u32,
+                    .and_then(Json::as_int)
+                    .ok_or_else(|| "cancelled outcome is missing \"days_completed\"".to_string())?,
             }),
             Some("failed") => Ok(RunOutcome::Failed {
                 message: json
@@ -430,7 +429,10 @@ impl RunStatus {
                     .and_then(Json::as_str)
                     .ok_or_else(|| "status row is missing \"state\"".to_string())?,
             )?,
-            days: field("days")? as u32,
+            days: json
+                .get("days")
+                .and_then(Json::as_int)
+                .ok_or_else(|| "status row is missing \"days\"".to_string())?,
             outcome: json.get("outcome").and_then(Json::as_str).map(str::to_string),
         })
     }

@@ -437,7 +437,8 @@ fn dispatch(
 /// [`codes`] constant — every daemon-originated error is typed.
 type SubmitError = (String, &'static str);
 
-/// Validates and enqueues a submission, returning the new run id.
+/// Validates and enqueues a submission, returning the new run id. An invalid
+/// configuration is rejected here, before it gets a run id.
 fn submit(
     shared: &Arc<Shared>,
     experiment: ExperimentId,
@@ -450,25 +451,11 @@ fn submit(
             codes::UNAVAILABLE,
         ));
     }
-    if checkpoint.is_some() {
-        // Mirror the CLI's batch-mode contract: checkpoints belong to
-        // multi-day campaign_fleet runs only.
-        if experiment != ExperimentId::CampaignFleet {
-            return Err((
-                format!(
-                    "checkpoint submissions must run campaign_fleet, not {}",
-                    experiment.as_str()
-                ),
-                codes::BAD_REQUEST,
-            ));
-        }
-        if config.fleet_days < 2 {
-            return Err((
-                "checkpoint submissions need fleet_days >= 2".to_string(),
-                codes::BAD_REQUEST,
-            ));
-        }
-    }
+    let valid = match checkpoint {
+        Some(_) => config.validate_checkpointed(experiment),
+        None => config.validate(),
+    };
+    valid.map_err(|error| (ExperimentError::from(error).to_string(), codes::BAD_REQUEST))?;
     let mut state = shared.state.lock().unwrap();
     if shared.queue_limit > 0 && state.queue.len() >= shared.queue_limit {
         return Err((

@@ -26,12 +26,10 @@ pub struct ShardReply {
 /// PROTOCOL.md), runs APs `[plan.first_ap, plan.first_ap + plan.aps)` of the
 /// campaign under `ctx`, and renders the reply line.
 ///
-/// A shard rejects configurations whose merged result could depend on how
-/// the campaign was sharded: a single-day fleet (`fleet_days < 2`) and a
-/// `global_event_budget` pool shared across shards. Those, and any
-/// configuration the campaign itself rejects, reply `bad_request`; a
-/// cancelled shard replies `cancelled`, and any other failure (including a
-/// panic) `internal`. A `crash` fault exits the process with code 3 and a
+/// A configuration that fails [`RunConfig::validate_sharded`] replies
+/// `bad_request` before any fault is claimed, as does one the campaign
+/// itself rejects (an over-packed fleet); a cancelled shard replies
+/// `cancelled`, and any other failure (including a panic) `internal`. A `crash` fault exits the process with code 3 and a
 /// `hang` fault sleeps forever, both before replying.
 pub fn serve_shard(
     run: u64,
@@ -46,18 +44,9 @@ pub fn serve_shard(
             RunOutcome::Failed { message },
         )
     };
-    let invalid = if config.fleet_days < 2 {
-        Some("shard submissions need fleet_days >= 2")
-    } else if config.global_event_budget > 0 {
-        Some(
-            "shard submissions cannot carry a global_event_budget; a budget pool shared \
-             across shards would make the merged result depend on worker scheduling",
-        )
-    } else {
-        None
-    };
-    if let Some(message) = invalid {
-        let (response, outcome) = failed(message.to_string(), codes::BAD_REQUEST);
+    if let Err(error) = config.validate_sharded() {
+        let (response, outcome) =
+            failed(ExperimentError::from(error).to_string(), codes::BAD_REQUEST);
         return ShardReply { line: response.to_json().to_string(), outcome };
     }
 

@@ -591,6 +591,28 @@ fn hostile_lines_are_rejected_without_disturbing_other_runs() {
     let invalid = reply_to(b"\xff\xfe{\"op\":\"status\"}\n");
     assert!(invalid.contains("not valid UTF-8"), "got: {invalid}");
     assert!(invalid.contains("\"code\":\"bad_request\""), "got: {invalid}");
+    // Configurations the validator or the decoder rejects: a shard gets
+    // bad_request before it runs, a submit before it gets a run id.
+    for (config, expected) in [
+        (r#"{"fleet_clients":2000,"fleet_aps":4,"fleet_days":3,"event_budget":0}"#, "event_budget"),
+        (r#"{"fleet_clients":2000,"fleet_aps":0,"fleet_days":3}"#, "fleet_aps"),
+        (r#"{"fleet_clients":2000,"fleet_aps":4,"fleet_days":3,"fleet_visit_prob":0}"#, "fleet_visit_prob"),
+        (r#"{"fleet_clients":2000,"fleet_aps":4,"fleet_days":4294967298}"#, "run configuration"),
+    ] {
+        let line = format!("{{\"op\":\"shard_submit\",\"config\":{config},\"first_ap\":0,\"aps\":1}}\n");
+        let reply = reply_to(line.as_bytes());
+        assert!(reply.contains("\"code\":\"bad_request\"") && reply.contains(expected), "got: {reply}");
+    }
+    for (config, expected) in [
+        (r#"{"fleet_clients":2000,"fleet_aps":4,"fleet_days":3,"fleet_churn":1.5}"#, "fleet_churn"),
+        (r#"{"fleet_clients":2000,"fleet_aps":4,"event_budget":0}"#, "event_budget"),
+        (r#"{"fleet_days":4294967298}"#, "run configuration"),
+    ] {
+        let line = format!("{{\"op\":\"submit\",\"experiment\":\"campaign_fleet\",\"config\":{config}}}\n");
+        let reply = reply_to(line.as_bytes());
+        assert!(reply.contains("\"code\":\"bad_request\"") && reply.contains(expected), "got: {reply}");
+        assert!(!reply.contains("\"run\""), "a rejected submit gets no run id: {reply}");
+    }
     let status = reply_to(format!("{}\n", Request::Status { run: None }.to_json()).as_bytes());
     assert!(status.contains("\"type\":\"status\""), "got: {status}");
 
