@@ -102,7 +102,7 @@ OPTIONS:
                           experiments (campaign_fleet, attack_surface) run
                           only when named here
     --seed <n>            RNG seed for populations and races [default: 2021]
-    --scale <n>           Table I cache-size divisor [default: 1000]
+    --scale <n>           Table I cache-size divisor, at least 1 [default: 1000]
     --sites <n>           Figure 5 population size [default: 15000]
     --crawl-sites <n>     Figure 3 population size [default: 3000]
     --days <n>            Figure 3 crawl length in days [default: 100]

@@ -85,6 +85,13 @@ fn malformed_surface_axes_are_rejected() {
 }
 
 #[test]
+fn a_zero_scale_is_rejected_not_clamped() {
+    // Table I divides its cache sizes by --scale: 0 is no divisor.
+    assert_rejected(&["--scale", "0"], "--scale: scale must be at least 1, got 0");
+    assert_rejected(&["--only", "table1", "--scale", "0"], "--scale");
+}
+
+#[test]
 fn visit_probability_needs_a_multiday_campaign() {
     // Outside [0, 1] (and exactly 0, which would freeze the campaign).
     let fleet = ["--only", "campaign_fleet", "--fleet-days", "5"];

@@ -1,6 +1,7 @@
 //! Byte-identity goldens for the `paper-report` binary: the default report
-//! text, the `--json` report and a checkpointed multi-day campaign (its JSON
-//! and the checkpoint file it writes) must equal the files committed under
+//! text, the `--json` report, a checkpointed multi-day campaign (its JSON
+//! and the checkpoint file it writes) and the small-grid `attack_surface`
+//! JSON that CI validates must equal the files committed under
 //! `tests/goldens/` at the repository root, byte for byte.
 //!
 //! `MP_GOLDEN_BLESS=1 cargo test -p mp-bench --test goldens` rewrites the
@@ -100,4 +101,26 @@ fn a_checkpointed_campaign_and_its_checkpoint_match_their_goldens() {
         &std::fs::read(&checkpoint).expect("the campaign wrote its checkpoint"),
     );
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn the_small_grid_attack_surface_json_matches_its_golden() {
+    check(
+        "attack_surface.json",
+        &paper_report(&[
+            "--only",
+            "attack_surface",
+            "--surface-trials",
+            "16",
+            "--surface-delays",
+            "300:160000:4",
+            "--surface-adoption",
+            "3",
+            "--surface-wan",
+            "5000:120000:3",
+            "--json",
+            "--jobs",
+            "2",
+        ]),
+    );
 }

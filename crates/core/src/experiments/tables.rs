@@ -81,20 +81,19 @@ impl ToJson for Table1Result {
 
 /// Runs the cache-eviction attack against every Table I browser profile.
 ///
-/// `config.scale` shrinks the cache sizes and junk objects so the experiment
-/// runs in milliseconds; the *behaviour* (who evicts, who melts down) is
-/// unaffected.
+/// `config.scale` (at least 1, see [`RunConfig::validate`]) shrinks the cache
+/// sizes and junk objects so the experiment runs in milliseconds; the
+/// *behaviour* (who evicts, who melts down) is unaffected.
 pub(super) fn table1_cache_eviction(
     config: &RunConfig,
     _ctx: &RunCtx,
 ) -> Result<Table1Result, ExperimentError> {
-    let scale = config.scale.max(1);
     let rows = BrowserProfile::table1_browsers()
         .into_iter()
         .map(|profile| {
             let original_capacity = profile.cache_capacity_bytes;
             let scaled = BrowserProfile {
-                cache_capacity_bytes: (profile.cache_capacity_bytes / scale).max(10_000),
+                cache_capacity_bytes: (profile.cache_capacity_bytes / config.scale).max(10_000),
                 ..profile
             };
             let junk_size = 2_048usize;

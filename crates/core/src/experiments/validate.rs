@@ -78,14 +78,15 @@ impl RunConfig {
         self.fleet_days > 1
     }
 
-    /// Checks that every field is in range: positive event budget, AP,
-    /// shard and day counts; a churn fraction in `[0, 1]` and a visit
-    /// probability in `(0, 1]`; attack-surface trials and axis lengths from
-    /// 1 up to what one race world and the seed-lane layout hold; surface
-    /// ranges that are not inverted; and a vector mask naming only known
-    /// vectors. Costs O(1).
+    /// Checks that every field is in range: positive event budget, Table I
+    /// cache-size divisor, AP, shard and day counts; a churn fraction in
+    /// `[0, 1]` and a visit probability in `(0, 1]`; attack-surface trials
+    /// and axis lengths from 1 up to what one race world and the seed-lane
+    /// layout hold; surface ranges that are not inverted; and a vector mask
+    /// naming only known vectors. Costs O(1).
     pub fn validate(&self) -> Result<(), ConfigError> {
         at_least("event_budget", self.event_budget, 1)?;
+        at_least("scale", self.scale, 1)?;
         at_least("fleet_aps", self.fleet_aps, 1)?;
         at_least("fleet_shards", self.fleet_shards, 1)?;
         at_least("fleet_days", self.fleet_days, 1)?;
@@ -179,6 +180,7 @@ mod tests {
     fn every_range_rule_names_its_field() {
         for (config, field) in [
             (with(|c| c.event_budget = 0), "event_budget"),
+            (with(|c| c.scale = 0), "scale"),
             (with(|c| c.fleet_aps = 0), "fleet_aps"),
             (with(|c| c.fleet_shards = 0), "fleet_shards"),
             (with(|c| c.fleet_days = 0), "fleet_days"),
@@ -200,6 +202,7 @@ mod tests {
         // The edges of every range are valid.
         for config in [
             with(|c| (c.fleet_churn, c.fleet_visit_prob) = (1.0, f64::MIN_POSITIVE)),
+            with(|c| c.scale = 1),
             with(|c| (c.surface_trials, c.surface_wan_steps) = (MAX_CLIENTS_PER_AP, MAX_AXIS_STEPS)),
             with(|c| (c.surface_delay_start_us, c.surface_vectors) = (160_000, 0b1111)),
         ] {

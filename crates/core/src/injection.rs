@@ -43,11 +43,13 @@ pub type SharedInjectionStats = Arc<Mutex<InjectionStats>>;
 pub struct MasterTap {
     infector: Infector,
     injector: Injector,
-    /// Origin content the master has prepared in advance, keyed by
-    /// `(host, path)` — "waiting for an HTTP request to one of the objects he
-    /// has prepared" (§V). Stored pre-serialised as [`Bytes`], so every
-    /// injection slices the one buffer instead of re-encoding the response.
-    prepared_objects: HashMap<(String, String), Bytes>,
+    /// Origin content the master has prepared in advance, as `(host, path,
+    /// response)` — "waiting for an HTTP request to one of the objects he
+    /// has prepared" (§V). The responses are stored pre-serialised as
+    /// [`Bytes`], so every injection slices the one buffer instead of
+    /// re-encoding the response. A master prepares a handful of objects, so
+    /// a scan beats hashing an owned key per observed request.
+    prepared_objects: Vec<(String, String, Bytes)>,
     stats: SharedInjectionStats,
 }
 
@@ -60,7 +62,7 @@ impl MasterTap {
             MasterTap {
                 infector,
                 injector: Injector::new(reaction),
-                prepared_objects: HashMap::new(),
+                prepared_objects: Vec::new(),
                 stats: Arc::clone(&stats),
             },
             stats,
@@ -70,12 +72,22 @@ impl MasterTap {
     /// Registers a target object the master has fetched and infected ahead of
     /// time.
     pub fn prepare_object(&mut self, url: &Url, genuine: Response) {
-        let infected = self.infector.infect_response(&genuine);
-        self.prepared_objects
-            .insert((url.host.clone(), url.path.clone()), Bytes::from(infected.to_wire()));
+        let infected = Bytes::from(self.infector.infect_response(&genuine).to_wire());
+        match self
+            .prepared_objects
+            .iter_mut()
+            .find(|(host, path, _)| *host == url.host && *path == url.path)
+        {
+            Some((_, _, response)) => *response = infected,
+            None => self
+                .prepared_objects
+                .push((url.host.clone(), url.path.clone(), infected)),
+        }
     }
 
-    fn parse_request(payload: &[u8]) -> Option<(String, String)> {
+    /// The `(Host header value, path)` of a GET request, borrowed from the
+    /// payload.
+    fn parse_request(payload: &[u8]) -> Option<(&str, &str)> {
         let text = std::str::from_utf8(payload).ok()?;
         let mut lines = text.lines();
         let request_line = lines.next()?;
@@ -83,30 +95,38 @@ impl MasterTap {
         if parts.next()? != "GET" {
             return None;
         }
-        let target = parts.next()?.to_string();
-        let path = target.split('?').next().unwrap_or(&target).to_string();
+        let target = parts.next()?;
+        let path = target.split('?').next().unwrap_or(target);
         let host = lines
             .filter_map(|l| l.split_once(':'))
             .find(|(name, _)| name.trim().eq_ignore_ascii_case("host"))
-            .map(|(_, value)| value.trim().to_ascii_lowercase())?;
+            .map(|(_, value)| value.trim())?;
         Some((host, path))
     }
 }
 
 impl Tap for MasterTap {
-    fn observe(&mut self, packet: &Packet, _now: Instant) -> Vec<Injection> {
+    fn observe(&mut self, packet: &Packet, _now: Instant, out: &mut Vec<Injection>) {
         let Some((host, path)) = Self::parse_request(&packet.segment.payload) else {
-            return Vec::new();
+            return;
         };
-        let Some(infected) = self.prepared_objects.get(&(host, path)) else {
+        // `Url` hosts are lowercase, so a case-insensitive match is exactly
+        // "the lowercased Host header names the prepared host".
+        let Some((_, _, infected)) = self
+            .prepared_objects
+            .iter()
+            .find(|(prepared_host, prepared_path, _)| {
+                prepared_path == path && prepared_host.eq_ignore_ascii_case(host)
+            })
+        else {
             self.stats.lock().unwrap().passthrough += 1;
-            return Vec::new();
+            return;
         };
         let mut stats = self.stats.lock().unwrap();
         stats.target_requests_seen += 1;
         stats.responses_injected += 1;
         drop(stats);
-        self.injector.forge_response_bytes(packet, infected.clone())
+        self.injector.forge_response_bytes(packet, infected.clone(), out);
     }
 
     fn name(&self) -> &str {
@@ -338,7 +358,8 @@ mod tests {
         let segment = Segment::data(51000, 80, SeqNum::new(100), SeqNum::new(200), request_bytes);
         let packet = Packet::new(IpAddr::new(10, 0, 0, 2), IpAddr::new(203, 0, 113, 9), segment);
 
-        let injections = tap.observe(&packet, Instant::ZERO);
+        let mut injections = Vec::new();
+        tap.observe(&packet, Instant::ZERO, &mut injections);
         assert!(!injections.is_empty());
         assert!(injections[0].packet.spoofed);
         let wire: Vec<u8> = injections
@@ -353,7 +374,18 @@ mod tests {
         let other = Request::get(url("http://somesite.com/unknown.js")).to_wire();
         let segment = Segment::data(51000, 80, SeqNum::new(100), SeqNum::new(200), other);
         let packet = Packet::new(IpAddr::new(10, 0, 0, 2), IpAddr::new(203, 0, 113, 9), segment);
-        assert!(tap.observe(&packet, Instant::ZERO).is_empty());
+        injections.clear();
+        tap.observe(&packet, Instant::ZERO, &mut injections);
+        assert!(injections.is_empty());
         assert_eq!(stats.lock().unwrap().passthrough, 1);
+
+        // Header names and host values match case-insensitively, around
+        // whitespace, and the query string is not part of the path.
+        let shouted = &b"GET /my.js?v=2 HTTP/1.1\r\nHOST:  SomeSite.COM \r\n\r\n"[..];
+        let segment = Segment::data(51000, 80, SeqNum::new(100), SeqNum::new(200), shouted);
+        let packet = Packet::new(IpAddr::new(10, 0, 0, 2), IpAddr::new(203, 0, 113, 9), segment);
+        tap.observe(&packet, Instant::ZERO, &mut injections);
+        assert!(!injections.is_empty());
+        assert_eq!(stats.lock().unwrap().responses_injected, 2);
     }
 }

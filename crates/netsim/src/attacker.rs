@@ -28,14 +28,16 @@ pub struct Injection {
 
 /// Observer attached to a shared medium.
 ///
-/// Taps receive a copy of every packet that traverses an observable medium
-/// and may request injections in response. They can never suppress or alter
-/// the observed packet — matching the paper's "can eavesdrop but cannot block
-/// or modify" attacker.
+/// Taps see every packet that traverses an observable medium and may request
+/// injections in response. They can never suppress or alter the observed
+/// packet — matching the paper's "can eavesdrop but cannot block or modify"
+/// attacker.
 pub trait Tap: Send {
-    /// Called for every observed packet; any returned injections are
-    /// scheduled for delivery.
-    fn observe(&mut self, packet: &Packet, now: Instant) -> Vec<Injection>;
+    /// Called for every observed packet; injections appended to `out` are
+    /// scheduled for delivery. `out` is simulator-owned and reused across
+    /// every observation, so a tap that injects nothing (or forges from a
+    /// shared buffer) costs no allocation.
+    fn observe(&mut self, packet: &Packet, now: Instant, out: &mut Vec<Injection>);
 
     /// Human-readable name used in traces.
     fn name(&self) -> &str {
@@ -81,12 +83,11 @@ impl Eavesdropper {
 }
 
 impl Tap for Eavesdropper {
-    fn observe(&mut self, packet: &Packet, now: Instant) -> Vec<Injection> {
+    fn observe(&mut self, packet: &Packet, now: Instant, _out: &mut Vec<Injection>) {
         self.log.lock().unwrap().push(Observation {
             at: now,
             packet: packet.clone(),
         });
-        Vec::new()
     }
 
     fn name(&self) -> &str {
@@ -130,20 +131,15 @@ impl Injector {
     }
 
     /// Builds the spoofed server response for an observed client request
-    /// packet, splitting `payload` into MSS-sized spoofed segments.
+    /// packet, appending one injection per MSS-sized spoofed segment to
+    /// `out`. The segments slice the shared `payload` buffer, so a master
+    /// replaying a prepared object pays no per-injection allocation.
     ///
-    /// Returns an empty vector if the observed packet carries no payload
-    /// (there is nothing to respond to yet).
-    pub fn forge_response(&self, observed: &Packet, payload: &[u8]) -> Vec<Injection> {
-        self.forge_response_bytes(observed, Bytes::copy_from_slice(payload))
-    }
-
-    /// [`Injector::forge_response`] without the copy: spoofed segments slice
-    /// the shared payload buffer, so a master replaying a prepared object pays
-    /// no per-injection allocation.
-    pub fn forge_response_bytes(&self, observed: &Packet, payload: Bytes) -> Vec<Injection> {
+    /// Appends nothing if the observed packet carries no payload (there is
+    /// nothing to respond to yet).
+    pub fn forge_response_bytes(&self, observed: &Packet, payload: Bytes, out: &mut Vec<Injection>) {
         if observed.segment.payload.is_empty() {
-            return Vec::new();
+            return;
         }
         let tuple: FourTuple = observed.four_tuple();
         // The spoofed response impersonates the server: source = the server
@@ -159,7 +155,6 @@ impl Injector {
         // Acknowledge everything the client has sent including this request.
         let ack: SeqNum = observed.segment.seq_end();
 
-        let mut injections = Vec::new();
         let mut offset = 0usize;
         while offset < payload.len() {
             let end = (offset + self.mss).min(payload.len());
@@ -168,13 +163,12 @@ impl Injector {
             let mut segment = Segment::data(src_port, dst_port, seq, ack, chunk);
             segment.window = observed.segment.window;
             seq = seq + len;
-            injections.push(Injection {
+            out.push(Injection {
                 delay: self.reaction_time,
                 packet: Packet::new(src_ip, dst_ip, segment).spoofed(),
             });
             offset = end;
         }
-        injections
     }
 
     /// Builds a spoofed RST that would tear down the observed connection.
@@ -253,16 +247,17 @@ impl ResponseInjector {
 }
 
 impl Tap for ResponseInjector {
-    fn observe(&mut self, packet: &Packet, _now: Instant) -> Vec<Injection> {
+    fn observe(&mut self, packet: &Packet, _now: Instant, out: &mut Vec<Injection>) {
         if packet.segment.payload.is_empty() || !(self.matcher)(&packet.segment.payload) {
-            return Vec::new();
+            return;
         }
         let response = (self.response_builder)(&packet.segment.payload);
-        let injections = self.injector.forge_response(packet, &response);
-        if !injections.is_empty() {
+        let before = out.len();
+        self.injector
+            .forge_response_bytes(packet, Bytes::copy_from_slice(&response), out);
+        if out.len() > before {
             self.injected_count += 1;
         }
-        injections
     }
 
     fn name(&self) -> &str {
@@ -290,7 +285,9 @@ mod tests {
     fn forged_response_impersonates_server_and_uses_observed_numbers() {
         let injector = Injector::default();
         let observed = observed_request();
-        let injections = injector.forge_response(&observed, b"HTTP/1.1 200 OK\r\n\r\nevil");
+        let mut injections = Vec::new();
+        let response = Bytes::from_static(b"HTTP/1.1 200 OK\r\n\r\nevil");
+        injector.forge_response_bytes(&observed, response, &mut injections);
         assert_eq!(injections.len(), 1);
         let pkt = &injections[0].packet;
         assert!(pkt.spoofed);
@@ -311,7 +308,8 @@ mod tests {
         let injector = Injector::default();
         let observed = observed_request();
         let big = vec![b'x'; DEFAULT_MSS * 2 + 17];
-        let injections = injector.forge_response(&observed, &big);
+        let mut injections = Vec::new();
+        injector.forge_response_bytes(&observed, Bytes::from(big), &mut injections);
         assert_eq!(injections.len(), 3);
         // Sequence numbers are contiguous across spoofed segments.
         assert_eq!(
@@ -325,14 +323,17 @@ mod tests {
         let injector = Injector::default();
         let seg = Segment::control(51000, 80, SeqNum::new(1), SeqNum::new(1), crate::packet::TcpFlags::ACK);
         let pkt = Packet::new(IpAddr::new(10, 0, 0, 2), IpAddr::new(203, 0, 113, 10), seg);
-        assert!(injector.forge_response(&pkt, b"data").is_empty());
+        let mut injections = Vec::new();
+        injector.forge_response_bytes(&pkt, Bytes::from_static(b"data"), &mut injections);
+        assert!(injections.is_empty());
     }
 
     #[test]
     fn eavesdropper_records_observations() {
         let (mut tap, log) = Eavesdropper::new("sniffer");
         let pkt = observed_request();
-        let injections = tap.observe(&pkt, Instant::from_micros(55));
+        let mut injections = Vec::new();
+        tap.observe(&pkt, Instant::from_micros(55), &mut injections);
         assert!(injections.is_empty());
         let observations = log.lock().unwrap();
         assert_eq!(observations.len(), 1);
@@ -350,11 +351,13 @@ mod tests {
         );
         let miss_seg = Segment::data(51000, 80, SeqNum::new(1), SeqNum::new(1), &b"GET /other.js"[..]);
         let miss = Packet::new(IpAddr::new(10, 0, 0, 2), IpAddr::new(203, 0, 113, 10), miss_seg);
-        assert!(tap.observe(&miss, Instant::ZERO).is_empty());
+        let mut injections = Vec::new();
+        tap.observe(&miss, Instant::ZERO, &mut injections);
+        assert!(injections.is_empty());
         assert_eq!(tap.injected_count(), 0);
 
         let hit = observed_request();
-        let injections = tap.observe(&hit, Instant::ZERO);
+        tap.observe(&hit, Instant::ZERO, &mut injections);
         assert_eq!(injections.len(), 1);
         assert_eq!(tap.injected_count(), 1);
         assert!(injections[0].packet.spoofed);

@@ -34,15 +34,15 @@ pub trait Service: Send {
     /// Handles newly arrived request bytes, appending response chunks to
     /// `out`.
     ///
-    /// Both directions are [`Bytes`]: `data` is the freshly arrived stream as
-    /// zero-copy chunks of the wire segments (no per-delivery reassembly
-    /// buffer is built), and every response chunk shares one buffer with the
+    /// Both directions are [`Bytes`]: `data` is every byte that arrived since
+    /// the previous call, as one slice of the connection's received stream —
+    /// zero-copy while a single segment has built that stream (a request
+    /// that fits in one segment, the common case), a copy once several
+    /// segments have. Every response chunk shares one buffer with the
     /// outgoing segments, trace and receiver instead of being copied per
     /// reply. `out` is caller-owned and reused across every invocation, so a
-    /// reply costs no allocation of its own. A service that needs the request
-    /// contiguous can concatenate the chunks itself — most services only
-    /// sniff the first chunk's prefix.
-    fn on_data(&mut self, conn: ConnId, data: &[Bytes], out: &mut Vec<Bytes>);
+    /// reply costs no allocation of its own.
+    fn on_data(&mut self, conn: ConnId, data: &Bytes, out: &mut Vec<Bytes>);
 
     /// Server-side think time applied before responses are emitted.
     fn processing_delay(&self) -> crate::time::Duration {
@@ -72,21 +72,29 @@ impl DeliveryResult {
     }
 }
 
+/// Connection count up to which [`Host`] demultiplexes by scanning its
+/// connection slab; past it, the host builds a hash table.
+const DEMUX_SCAN_LIMIT: usize = 8;
+
 /// A simulated host.
 ///
 /// Connections are stored in a dense slab indexed by [`ConnId`] (ids are
 /// allocated sequentially from 1 and never freed), so the per-event state
-/// machine advance is a direct vector index instead of a hash lookup; only
-/// the wire-driven demultiplexing step hashes, through a table keyed with the
-/// crate's fast internal hasher.
+/// machine advance is a direct vector index instead of a hash lookup. The
+/// wire-driven demultiplexing step scans the slab while the host has at most
+/// eight connections (`DEMUX_SCAN_LIMIT`), which covers every client of a
+/// café. Only a host that grows past that, in practice the server, builds a
+/// hash table keyed with the crate's fast internal hasher. A client host
+/// therefore costs one heap allocation: its one-slot connection slab. Its
+/// trace name is interned by the simulator, not stored here.
 pub struct Host {
     id: HostId,
-    name: String,
     ip: IpAddr,
     medium: MediumId,
     /// Connection slab: `ConnId(n)` lives at index `n - 1`.
     connections: Vec<TcpConnection>,
     /// Demultiplexing table: (local port, remote endpoint) -> connection.
+    /// Empty (and unallocated) until the slab outgrows `DEMUX_SCAN_LIMIT`.
     demux: FxHashMap<(u16, SocketAddr), ConnId>,
     listeners: Vec<u16>,
     next_ephemeral_port: u16,
@@ -98,7 +106,6 @@ impl fmt::Debug for Host {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Host")
             .field("id", &self.id)
-            .field("name", &self.name)
             .field("ip", &self.ip)
             .field("connections", &self.connections.len())
             .field("listeners", &self.listeners)
@@ -108,10 +115,9 @@ impl fmt::Debug for Host {
 
 impl Host {
     /// Creates a host attached to `medium`.
-    pub fn new(id: HostId, name: impl Into<String>, ip: IpAddr, medium: MediumId) -> Self {
+    pub fn new(id: HostId, ip: IpAddr, medium: MediumId) -> Self {
         Host {
             id,
-            name: name.into(),
             ip,
             medium,
             connections: Vec::new(),
@@ -127,11 +133,6 @@ impl Host {
     /// Host identifier.
     pub fn id(&self) -> HostId {
         self.id
-    }
-
-    /// Host name (for traces).
-    pub fn name(&self) -> &str {
-        &self.name
     }
 
     /// Host IP address.
@@ -185,10 +186,43 @@ impl Host {
     }
 
     /// Appends a connection to the slab and returns its id (`len` after the
-    /// push, so ids start at 1 and `ConnId(0)` stays invalid).
+    /// push, so ids start at 1 and `ConnId(0)` stays invalid). The first
+    /// connection gets a one-slot slab (a client never opens a second); the
+    /// push that takes the slab past [`DEMUX_SCAN_LIMIT`] builds the
+    /// demultiplexing table from every connection, later pushes add to it.
     fn push_conn(&mut self, conn: TcpConnection) -> ConnId {
+        if self.connections.is_empty() {
+            self.connections.reserve_exact(1);
+        }
         self.connections.push(conn);
-        ConnId(self.connections.len() as u64)
+        let count = self.connections.len();
+        if count == DEMUX_SCAN_LIMIT + 1 {
+            for index in 0..count {
+                let key = Self::demux_key(&self.connections[index]);
+                self.demux.insert(key, ConnId(index as u64 + 1));
+            }
+        } else if count > DEMUX_SCAN_LIMIT {
+            let key = Self::demux_key(&self.connections[count - 1]);
+            self.demux.insert(key, ConnId(count as u64));
+        }
+        ConnId(count as u64)
+    }
+
+    /// A connection's demultiplexing key: (local port, remote endpoint).
+    fn demux_key(conn: &TcpConnection) -> (u16, SocketAddr) {
+        (conn.local().port, conn.remote())
+    }
+
+    /// The connection a packet for `key` belongs to. The newest match wins,
+    /// as a re-inserted table key would.
+    fn demux(&self, key: (u16, SocketAddr)) -> Option<ConnId> {
+        if self.connections.len() > DEMUX_SCAN_LIMIT {
+            return self.demux.get(&key).copied();
+        }
+        self.connections
+            .iter()
+            .rposition(|conn| Self::demux_key(conn) == key)
+            .map(|index| ConnId(index as u64 + 1))
     }
 
     fn alloc_iss(&mut self) -> SeqNum {
@@ -210,9 +244,7 @@ impl Host {
         let local = SocketAddr::new(self.ip, self.alloc_ephemeral_port());
         let iss = self.alloc_iss();
         let (conn, syn) = TcpConnection::connect(local, remote, iss);
-        let id = self.push_conn(conn);
-        self.demux.insert((local.port, remote), id);
-        (id, syn)
+        (self.push_conn(conn), syn)
     }
 
     /// Sends application data on an established connection.
@@ -296,14 +328,13 @@ impl Host {
         self.conn_mut(conn).map(|c| c.read_new()).unwrap_or_default()
     }
 
-    /// [`Host::read_new`] without the copy: appends the bytes that arrived
-    /// since the previous read to `out` as shared [`Bytes`] chunks (see
-    /// [`TcpConnection::take_new_bytes`]). The simulator owns the scratch
-    /// vector and recycles it across service invocations.
-    pub fn read_new_bytes(&mut self, conn: ConnId, out: &mut Vec<Bytes>) {
-        if let Some(connection) = self.conn_mut(conn) {
-            connection.take_new_bytes(out);
-        }
+    /// [`Host::read_new`] as a shared [`Bytes`] slice of the received
+    /// stream (see [`TcpConnection::take_new_bytes`]); empty when nothing new
+    /// arrived or the connection does not exist.
+    pub fn read_new_bytes(&mut self, conn: ConnId) -> Bytes {
+        self.conn_mut(conn)
+            .map(TcpConnection::take_new_bytes)
+            .unwrap_or_default()
     }
 
     /// Returns `true` once the connection has completed its handshake.
@@ -334,17 +365,14 @@ impl Host {
         let local_port = packet.segment.dst_port;
         let key = (local_port, remote);
 
-        let conn_id = match self.demux.get(&key) {
-            Some(&id) => Some(id),
+        let conn_id = match self.demux(key) {
+            Some(id) => Some(id),
             None => {
                 if packet.segment.flags.syn && !packet.segment.flags.ack && self.is_listening(local_port)
                 {
                     let local = SocketAddr::new(self.ip, local_port);
                     let iss = self.alloc_iss();
-                    let conn = TcpConnection::listen(local, iss);
-                    let id = self.push_conn(conn);
-                    self.demux.insert(key, id);
-                    Some(id)
+                    Some(self.push_conn(TcpConnection::accept(local, remote, iss)))
                 } else {
                     None
                 }
@@ -366,13 +394,9 @@ impl Host {
             return;
         };
 
-        let track_chunks = self.service.is_some();
         let connection = self
             .conn_mut(conn_id)
             .expect("demuxed connection must exist");
-        // Only hosts with a service consume data incrementally; recording
-        // chunks for anyone else would pin the arriving payload buffers.
-        connection.set_chunk_delivery(track_chunks);
         let before = connection.received().len();
         let outcome = connection.on_segment_into(remote, &packet.segment, &mut result.responses);
         let after = connection.received().len();
@@ -390,8 +414,8 @@ mod tests {
     use crate::packet::TcpFlags;
 
     fn make_hosts() -> (Host, Host) {
-        let client = Host::new(HostId(1), "client", IpAddr::new(10, 0, 0, 2), MediumId(0));
-        let mut server = Host::new(HostId(2), "server", IpAddr::new(203, 0, 113, 10), MediumId(0));
+        let client = Host::new(HostId(1), IpAddr::new(10, 0, 0, 2), MediumId(0));
+        let mut server = Host::new(HostId(2), IpAddr::new(203, 0, 113, 10), MediumId(0));
         server.listen(80);
         (client, server)
     }
@@ -452,6 +476,25 @@ mod tests {
         let sconn = result.data_ready[0];
         assert_eq!(server.read_new(sconn), b"ping");
         assert!(server.read_new(sconn).is_empty());
+    }
+
+    #[test]
+    fn demultiplexing_survives_the_switch_from_scan_to_table() {
+        let (mut client, mut server) = make_hosts();
+        let conns: Vec<ConnId> = (0..DEMUX_SCAN_LIMIT + 4)
+            .map(|_| establish(&mut client, &mut server))
+            .collect();
+        for (index, &conn) in conns.iter().enumerate() {
+            let request = format!("request {index}");
+            let segs = client.send(conn, request.as_bytes()).unwrap();
+            let sconn = ship(&client, &mut server, segs[0].clone()).data_ready[0];
+            assert_eq!(sconn, ConnId(index as u64 + 1));
+            assert_eq!(server.received(sconn), request.as_bytes());
+            let reply = format!("reply {index}");
+            let segs = server.send(sconn, reply.as_bytes()).unwrap();
+            ship(&server, &mut client, segs[0].clone());
+            assert_eq!(client.received(conn), reply.as_bytes());
+        }
     }
 
     #[test]

@@ -4,8 +4,16 @@
 //! `Vec`-backed slabs indexed directly by [`HostId`] / [`MediumId`] (no tree
 //! or hash lookup per event), queued events are compact keys in a calendar
 //! queue backed by a recycling payload pool (see [`crate::queue`]), and one
-//! set of simulator-owned scratch buffers is reused across deliveries so the
-//! steady state allocates nothing per event.
+//! set of simulator-owned scratch buffers is reused across deliveries.
+//!
+//! The event loop allocates nothing per event; it allocates only when one of
+//! its own buffers grows. Payload-less segments (SYN, ACK, RST) carry an
+//! empty [`Bytes`], which owns no storage. Taps and services append into
+//! scratch vectors. A one-segment stream is a slice of that segment (see
+//! [`crate::tcp::Reassembler`]). Adding a client host costs one allocation,
+//! its one-slot connection slab: the host's name is interned here, a host
+//! with few connections demultiplexes by scanning them, and its first
+//! pre-handshake send is held inline in its slab entry.
 
 use crate::addr::{IpAddr, SocketAddr};
 use crate::attacker::{Injection, Tap};
@@ -119,9 +127,46 @@ struct HostSlot {
     name: NameId,
     /// The medium the host is attached to (cached from the host).
     medium: MediumId,
-    /// Pre-handshake send buffers by connection. `step()` checks plain
-    /// emptiness before running the flush / eviction passes.
-    pending: FxHashMap<ConnId, Vec<Bytes>>,
+    /// Pre-handshake sends. `step()` checks plain emptiness before running
+    /// the flush / eviction passes.
+    pending: PendingSends,
+}
+
+/// One host's pre-handshake sends, in send order. The first is held inline,
+/// so a client that buffers its one request before the handshake completes
+/// costs no allocation; only a host with two or more buffered sends at once
+/// spills into `rest`.
+#[derive(Default)]
+struct PendingSends {
+    first: Option<(ConnId, Bytes)>,
+    rest: Vec<(ConnId, Bytes)>,
+}
+
+impl PendingSends {
+    fn is_empty(&self) -> bool {
+        self.first.is_none() && self.rest.is_empty()
+    }
+
+    fn len(&self) -> usize {
+        usize::from(self.first.is_some()) + self.rest.len()
+    }
+
+    fn push(&mut self, conn: ConnId, data: Bytes) {
+        if self.is_empty() {
+            self.first = Some((conn, data));
+        } else {
+            self.rest.push((conn, data));
+        }
+    }
+
+    /// Moves the sends whose connection satisfies `take` into `out`, in send
+    /// order.
+    fn take_where(&mut self, mut take: impl FnMut(ConnId) -> bool, out: &mut Vec<(ConnId, Bytes)>) {
+        if self.first.as_ref().is_some_and(|(conn, _)| take(*conn)) {
+            out.extend(self.first.take());
+        }
+        out.extend(self.rest.extract_if(.., |(conn, _)| take(*conn)));
+    }
 }
 
 /// Discrete-event network simulator.
@@ -159,11 +204,12 @@ pub struct Simulator {
     rng: StdRng,
     // --- reusable scratch, so the steady state allocates nothing per event ---
     delivery_scratch: DeliveryResult,
-    chunk_scratch: Vec<Bytes>,
     response_scratch: Vec<Bytes>,
     segment_scratch: Vec<Segment>,
-    conn_scratch: Vec<ConnId>,
-    injection_scratch: Vec<(MediumId, Injection)>,
+    pending_scratch: Vec<(ConnId, Bytes)>,
+    injection_scratch: Vec<Injection>,
+    /// The tap medium of each entry of `injection_scratch`.
+    injection_media: Vec<MediumId>,
 }
 
 impl std::fmt::Debug for Simulator {
@@ -203,11 +249,11 @@ impl Simulator {
             any_jitter: false,
             rng: StdRng::seed_from_u64(seed),
             delivery_scratch: DeliveryResult::default(),
-            chunk_scratch: Vec::new(),
             response_scratch: Vec::new(),
             segment_scratch: Vec::new(),
-            conn_scratch: Vec::new(),
+            pending_scratch: Vec::new(),
             injection_scratch: Vec::new(),
+            injection_media: Vec::new(),
         }
     }
 
@@ -303,7 +349,9 @@ impl Simulator {
         self.any_jitter = self.media.iter().any(|m| m.jitter > Duration::ZERO);
     }
 
-    /// Adds a host attached to `medium` and returns its id.
+    /// Adds a host attached to `medium` and returns its id. `name` labels
+    /// the host in the trace; it is interned once, so a thousand hosts named
+    /// `"client"` share one copy.
     ///
     /// # Panics
     ///
@@ -320,10 +368,10 @@ impl Simulator {
         let id = HostId(self.hosts.len() as u64);
         let name_id = self.trace.intern(name);
         self.hosts.push(HostSlot {
-            host: Host::new(id, name, ip, medium),
+            host: Host::new(id, ip, medium),
             name: name_id,
             medium,
-            pending: FxHashMap::default(),
+            pending: PendingSends::default(),
         });
         self.ip_index.insert(ip, id);
         id
@@ -436,8 +484,8 @@ impl Simulator {
             .connection_state(conn)
             .ok_or(NetError::UnknownConnection(conn.0))?;
         // A dead connection can never flush a buffer: reject instead of
-        // buffering into the pending map, where (with no further events for
-        // the host) nothing would ever evict it.
+        // buffering it, where (with no further events for the host) nothing
+        // would ever evict it.
         if matches!(state, TcpState::Closed | TcpState::Reset) {
             return Err(NetError::InvalidState {
                 reason: format!("cannot send in state {state:?}"),
@@ -458,7 +506,7 @@ impl Simulator {
             }
             self.segment_scratch = segments;
         } else {
-            slot.pending.entry(conn).or_default().push(data);
+            slot.pending.push(conn, data);
         }
         Ok(())
     }
@@ -511,9 +559,9 @@ impl Simulator {
         self.events_processed
     }
 
-    /// Number of pre-handshake send buffers currently held. Buffers are
-    /// flushed on establishment and evicted (with a note in the trace
-    /// summary) when their connection closes or resets first.
+    /// Number of pre-handshake sends currently buffered. Buffers are flushed
+    /// on establishment and evicted (with a note in the trace summary) when
+    /// their connection closes or resets first.
     pub fn pending_send_buffers(&self) -> usize {
         self.hosts.iter().map(|slot| slot.pending.len()).sum()
     }
@@ -622,10 +670,11 @@ impl Simulator {
         // packets are not re-observed, which both matches reality (the
         // attacker knows its own traffic) and prevents feedback loops. With no
         // taps registered — the population-scale common case — the scan is
-        // skipped outright; otherwise requested injections collect into a
+        // skipped outright; otherwise taps append requested injections to a
         // reusable scratch buffer.
         if !injected && !self.taps.is_empty() {
-            let mut pending_injections = std::mem::take(&mut self.injection_scratch);
+            let mut injections = std::mem::take(&mut self.injection_scratch);
+            let mut media = std::mem::take(&mut self.injection_media);
             for entry in &mut self.taps {
                 if !entry.observable {
                     continue;
@@ -635,17 +684,17 @@ impl Simulator {
                 if !on_path {
                     continue;
                 }
-                for injection in entry.tap.observe(&packet, now) {
-                    pending_injections.push((entry.medium, injection));
-                }
+                entry.tap.observe(&packet, now, &mut injections);
+                media.resize(injections.len(), entry.medium);
             }
             // The observed packet queues first, then its injections, so
             // sequence numbers match the pre-calendar-queue simulator exactly.
             self.enqueue(dst_host, deliver_at, packet);
-            for (tap_medium, injection) in pending_injections.drain(..) {
+            for (injection, tap_medium) in injections.drain(..).zip(media.drain(..)) {
                 self.schedule_injection(tap_medium, injection);
             }
-            self.injection_scratch = pending_injections;
+            self.injection_scratch = injections;
+            self.injection_media = media;
         } else {
             self.enqueue(dst_host, deliver_at, packet);
         }
@@ -744,79 +793,62 @@ impl Simulator {
 
     fn run_service(&mut self, host_id: HostId, conn: ConnId) {
         let index = host_id.0 as usize;
-        // The freshly arrived bytes travel as shared chunks in a
-        // simulator-owned scratch vector: no per-delivery reassembly buffer.
-        let mut chunks = std::mem::take(&mut self.chunk_scratch);
         let mut responses = std::mem::take(&mut self.response_scratch);
-        chunks.clear();
-        responses.clear();
-        let restore = |sim: &mut Simulator, chunks: Vec<Bytes>, responses: Vec<Bytes>| {
-            sim.chunk_scratch = chunks;
-            sim.response_scratch = responses;
-        };
-        let (delay, remote, ip) = {
-            let Some(slot) = self.hosts.get_mut(index) else {
-                restore(self, chunks, responses);
-                return;
-            };
-            if slot.host.service_mut().is_none() {
-                restore(self, chunks, responses);
-                return;
+        let reply = self
+            .hosts
+            .get_mut(index)
+            .and_then(|slot| Self::serve(&mut slot.host, conn, &mut responses));
+        if let Some((delay, remote, ip)) = reply {
+            let mut segments = std::mem::take(&mut self.segment_scratch);
+            for chunk in responses.drain(..) {
+                segments.clear();
+                if self.hosts[index].host.send_bytes_into(conn, chunk, &mut segments).is_err() {
+                    break;
+                }
+                for seg in segments.drain(..) {
+                    let pkt = Packet::new(ip, remote.ip, seg);
+                    self.transmit(host_id, pkt, false, delay);
+                }
             }
-            slot.host.read_new_bytes(conn, &mut chunks);
-            if chunks.is_empty() {
-                restore(self, chunks, responses);
-                return;
-            }
-            let delay = {
-                let service = slot.host.service_mut().expect("checked above");
-                service.on_data(conn, &chunks, &mut responses);
-                service.processing_delay()
-            };
-            let Some(remote) = slot.host.connection_remote(conn) else {
-                restore(self, chunks, responses);
-                return;
-            };
-            (delay, remote, slot.host.ip())
-        };
-        chunks.clear();
-        self.chunk_scratch = chunks;
-
-        let mut segments = std::mem::take(&mut self.segment_scratch);
-        for chunk in responses.drain(..) {
-            segments.clear();
-            if self.hosts[index].host.send_bytes_into(conn, chunk, &mut segments).is_err() {
-                break;
-            }
-            for seg in segments.drain(..) {
-                let pkt = Packet::new(ip, remote.ip, seg);
-                self.transmit(host_id, pkt, false, delay);
-            }
+            self.segment_scratch = segments;
         }
-        self.segment_scratch = segments;
         responses.clear();
         self.response_scratch = responses;
     }
 
-    fn flush_pending(&mut self, host_id: HostId) {
-        let index = host_id.0 as usize;
-        let mut ready = std::mem::take(&mut self.conn_scratch);
-        ready.clear();
-        let slot = &self.hosts[index];
-        ready.extend(slot.pending.keys().filter(|c| slot.host.is_established(**c)));
-        // Deterministic flush order regardless of hash-map iteration order.
-        ready.sort_unstable();
-        for &conn in &ready {
-            let Some(chunks) = self.hosts[index].pending.remove(&conn) else {
-                continue;
-            };
-            for chunk in chunks {
-                // Established now, so this sends immediately.
-                let _ = self.send_bytes(host_id, conn, chunk);
-            }
+    /// Hands the bytes that arrived on `conn` since the last read to the
+    /// host's service as one shared slice of the received stream, collecting
+    /// its reply chunks in `out`. Returns the service's processing delay and
+    /// the reply's addressing (remote endpoint, local IP), or `None` when the
+    /// host has no service or nothing new arrived.
+    fn serve(
+        host: &mut Host,
+        conn: ConnId,
+        out: &mut Vec<Bytes>,
+    ) -> Option<(Duration, SocketAddr, IpAddr)> {
+        host.service_mut()?;
+        let data = host.read_new_bytes(conn);
+        if data.is_empty() {
+            return None;
         }
-        ready.clear();
-        self.conn_scratch = ready;
+        let service = host.service_mut()?;
+        service.on_data(conn, &data, out);
+        let delay = service.processing_delay();
+        Some((delay, host.connection_remote(conn)?, host.ip()))
+    }
+
+    fn flush_pending(&mut self, host_id: HostId) {
+        let mut ready = std::mem::take(&mut self.pending_scratch);
+        let HostSlot { host, pending, .. } = &mut self.hosts[host_id.0 as usize];
+        pending.take_where(|conn| host.is_established(conn), &mut ready);
+        // Connection order, each connection's sends in send order (the sort
+        // is stable).
+        ready.sort_by_key(|(conn, _)| *conn);
+        for (conn, data) in ready.drain(..) {
+            // Established now, so this sends immediately.
+            let _ = self.send_bytes(host_id, conn, data);
+        }
+        self.pending_scratch = ready;
     }
 
     /// Evicts pre-handshake send buffers whose connection on `host_id` was
@@ -824,26 +856,24 @@ impl Simulator {
     /// never leak its buffered data for the simulator's lifetime. The dropped
     /// volume is surfaced in the trace summary.
     fn evict_dead_pending(&mut self, host_id: HostId) {
-        let index = host_id.0 as usize;
-        let mut dead = std::mem::take(&mut self.conn_scratch);
-        dead.clear();
-        let slot = &self.hosts[index];
-        dead.extend(slot.pending.keys().filter(|c| {
-            matches!(
-                slot.host.connection_state(**c),
-                None | Some(TcpState::Closed) | Some(TcpState::Reset)
-            )
-        }));
-        dead.sort_unstable();
-        for &conn in &dead {
-            if let Some(chunks) = self.hosts[index].pending.remove(&conn) {
-                let bytes: usize = chunks.iter().map(Bytes::len).sum();
-                self.trace
-                    .note_dropped_pending(chunks.len() as u64, bytes as u64);
-            }
+        let mut dead = std::mem::take(&mut self.pending_scratch);
+        let HostSlot { host, pending, .. } = &mut self.hosts[host_id.0 as usize];
+        pending.take_where(
+            |conn| {
+                matches!(
+                    host.connection_state(conn),
+                    None | Some(TcpState::Closed) | Some(TcpState::Reset)
+                )
+            },
+            &mut dead,
+        );
+        if !dead.is_empty() {
+            let bytes: usize = dead.iter().map(|(_, data)| data.len()).sum();
+            self.trace
+                .note_dropped_pending(dead.len() as u64, bytes as u64);
         }
         dead.clear();
-        self.conn_scratch = dead;
+        self.pending_scratch = dead;
     }
 
     /// Runs the simulation until no events remain.
@@ -911,7 +941,7 @@ impl FixedResponder {
 }
 
 impl Service for FixedResponder {
-    fn on_data(&mut self, _conn: ConnId, _data: &[Bytes], out: &mut Vec<Bytes>) {
+    fn on_data(&mut self, _conn: ConnId, _data: &Bytes, out: &mut Vec<Bytes>) {
         out.push(self.response.clone());
     }
 
@@ -1035,6 +1065,28 @@ mod tests {
         assert_eq!(sim.received(server, sconn), b"early data");
         // Flushed, not dropped.
         assert_eq!(sim.trace().summary().pending_chunks_dropped, 0);
+    }
+
+    #[test]
+    fn several_pending_sends_flush_per_connection_in_send_order() {
+        let (mut sim, client, server, _, _) = basic_world();
+        let first = sim.connect(client, server, 80).unwrap();
+        let second = sim.connect(client, server, 80).unwrap();
+        let doomed = sim.connect(client, server, 8080).unwrap();
+        sim.send(client, second, b"b1").unwrap();
+        sim.send(client, doomed, b"lost").unwrap();
+        sim.send(client, first, b"a1").unwrap();
+        sim.send(client, second, b"b2").unwrap();
+        sim.send(client, doomed, b"gone").unwrap();
+        assert_eq!(sim.pending_send_buffers(), 5);
+        sim.run_until_idle().unwrap();
+        assert_eq!(sim.pending_send_buffers(), 0);
+        let server_conns = sim.connections(server);
+        assert_eq!(sim.received(server, server_conns[0]), b"a1");
+        assert_eq!(sim.received(server, server_conns[1]), b"b1b2");
+        let summary = sim.trace().summary();
+        assert_eq!(summary.pending_chunks_dropped, 2);
+        assert_eq!(summary.pending_bytes_dropped, 8);
     }
 
     #[test]

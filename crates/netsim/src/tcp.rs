@@ -14,6 +14,11 @@
 //!   (paper §V, Figure 2).
 //! * RST and FIN handling, so middlebox and teardown experiments behave
 //!   plausibly.
+//!
+//! Received data is not copied while it fits in one segment: the reassembled
+//! stream is then a zero-copy slice of that segment's payload, and
+//! [`TcpConnection::take_new_bytes`] slices it again. The stream is copied
+//! into an owned buffer only when a second segment extends it.
 
 use crate::addr::SocketAddr;
 use crate::error::NetError;
@@ -69,18 +74,55 @@ pub enum AcceptOutcome {
 /// Bytes are addressed by their offset from the initial receive sequence
 /// number. For every offset the *first* byte value accepted is kept; later
 /// arrivals for the same offset are discarded.
+///
+/// The contiguous stream is shared, not copied, for as long as one in-order
+/// segment has built it: [`Reassembler::offer_bytes`] keeps a zero-copy
+/// slice of that segment's payload. The stream is copied into an owned
+/// buffer only when a second segment extends it (or bytes arrive out of
+/// order), so a one-segment request or response costs no allocation.
 #[derive(Debug, Clone, Default)]
 pub struct Reassembler {
     /// Contiguous, application-visible stream.
-    assembled: Vec<u8>,
+    stream: Stream,
     /// Out-of-order byte ranges, keyed by stream offset.
     pending: BTreeMap<u64, Vec<u8>>,
-    /// Zero-copy chunks of freshly contiguous bytes, recorded by
-    /// [`Reassembler::offer_bytes`] when chunk tracking is on and consumed by
-    /// [`TcpConnection::take_new_bytes`]. Covers `fresh_bytes` bytes.
-    fresh: Vec<Bytes>,
-    /// Total bytes across `fresh`.
-    fresh_bytes: u64,
+}
+
+/// The contiguous stream of a [`Reassembler`].
+#[derive(Debug, Clone)]
+enum Stream {
+    /// Built by at most one segment: a slice of its payload.
+    Shared(Bytes),
+    /// Extended by more than one segment: an owned copy.
+    Owned(Vec<u8>),
+}
+
+impl Default for Stream {
+    fn default() -> Self {
+        Stream::Shared(Bytes::new())
+    }
+}
+
+impl Stream {
+    fn as_slice(&self) -> &[u8] {
+        match self {
+            Stream::Shared(bytes) => bytes,
+            Stream::Owned(vec) => vec,
+        }
+    }
+
+    /// Appends `data`, first copying a shared stream into an owned buffer.
+    fn extend(&mut self, data: &[u8]) {
+        match self {
+            Stream::Owned(vec) => vec.extend_from_slice(data),
+            Stream::Shared(bytes) => {
+                let mut vec = Vec::with_capacity(bytes.len() + data.len());
+                vec.extend_from_slice(bytes);
+                vec.extend_from_slice(data);
+                *self = Stream::Owned(vec);
+            }
+        }
+    }
 }
 
 impl Reassembler {
@@ -91,58 +133,26 @@ impl Reassembler {
 
     /// Number of contiguous bytes delivered so far.
     pub fn assembled_len(&self) -> u64 {
-        self.assembled.len() as u64
+        self.stream.as_slice().len() as u64
     }
 
-    /// [`Reassembler::offer`] for a shared buffer, optionally recording the
-    /// newly contiguous bytes as zero-copy chunks for
-    /// [`TcpConnection::take_new_bytes`]. In the common in-order case the
-    /// recorded chunk is a slice of `data` itself — no byte is copied twice.
-    pub fn offer_bytes(&mut self, offset: u64, data: &Bytes, track_chunks: bool) -> usize {
-        let before = self.assembled_len();
-        let had_pending = !self.pending.is_empty();
-        let fresh = self.offer(offset, data);
-        if track_chunks {
-            let after = self.assembled_len();
-            if after > before {
-                let chunk = if had_pending {
-                    // Rare path: previously buffered out-of-order ranges
-                    // contributed (first segment wins), so the contiguous
-                    // growth is not a pure slice of `data`.
-                    Bytes::copy_from_slice(&self.assembled[before as usize..after as usize])
-                } else {
-                    // All growth came from this segment, contiguously from
-                    // `before`: share the arriving buffer.
-                    data.slice((before - offset) as usize..(after - offset) as usize)
-                };
-                self.fresh_bytes += chunk.len() as u64;
-                self.fresh.push(chunk);
-            }
-        }
-        fresh
-    }
-
-    /// Total bytes covered by recorded-but-unconsumed fresh chunks.
-    pub(crate) fn fresh_len(&self) -> u64 {
-        self.fresh_bytes
-    }
-
-    /// Moves the recorded fresh chunks into `out`.
-    pub(crate) fn take_fresh(&mut self, out: &mut Vec<Bytes>) {
-        out.append(&mut self.fresh);
-        self.fresh_bytes = 0;
-    }
-
-    /// Discards the recorded fresh chunks (releasing their shared buffers).
-    pub(crate) fn clear_fresh(&mut self) {
-        self.fresh.clear();
-        self.fresh_bytes = 0;
+    /// [`Reassembler::offer`] for a shared buffer: while the stream is empty
+    /// and `data` extends it in order, the stream becomes a zero-copy slice
+    /// of `data` instead of a copy.
+    pub fn offer_bytes(&mut self, offset: u64, data: &Bytes) -> usize {
+        self.offer_shared(offset, data, Some(data))
     }
 
     /// Offers bytes starting at `offset` (relative to the initial sequence
     /// number). Returns the number of *fresh* bytes that had not been covered
     /// by earlier segments.
     pub fn offer(&mut self, offset: u64, data: &[u8]) -> usize {
+        self.offer_shared(offset, data, None)
+    }
+
+    /// [`Reassembler::offer`], with `shared` the buffer `data` views when the
+    /// caller has one to share.
+    fn offer_shared(&mut self, offset: u64, data: &[u8], shared: Option<&Bytes>) -> usize {
         if data.is_empty() {
             return 0;
         }
@@ -151,15 +161,20 @@ impl Reassembler {
 
         // In-order fast path (the overwhelmingly common case): no buffered
         // out-of-order ranges and the segment touches the contiguous prefix,
-        // so the new tail extends `assembled` directly — no range buffer is
-        // allocated and every byte is copied exactly once.
+        // so the new tail extends the stream directly — no range buffer is
+        // allocated and every byte is copied at most once.
         if self.pending.is_empty() && offset <= assembled_len {
             if end <= assembled_len {
                 return 0;
             }
-            let tail = &data[(assembled_len - offset) as usize..];
-            self.assembled.extend_from_slice(tail);
-            return tail.len();
+            let skip = (assembled_len - offset) as usize;
+            match (&mut self.stream, shared) {
+                (Stream::Shared(stream), Some(shared)) if stream.is_empty() => {
+                    *stream = shared.slice(skip..);
+                }
+                (stream, _) => stream.extend(&data[skip..]),
+            }
+            return data.len() - skip;
         }
 
         let mut fresh = 0usize;
@@ -200,7 +215,7 @@ impl Reassembler {
         loop {
             let next_offset = self.assembled_len();
             match self.pending.remove(&next_offset) {
-                Some(chunk) => self.assembled.extend_from_slice(&chunk),
+                Some(chunk) => self.stream.extend(&chunk),
                 None => break,
             }
         }
@@ -208,7 +223,16 @@ impl Reassembler {
 
     /// Returns the contiguous application-visible byte stream.
     pub fn assembled(&self) -> &[u8] {
-        &self.assembled
+        self.stream.as_slice()
+    }
+
+    /// The stream from `start` on as a shared buffer: a zero-copy slice while
+    /// the stream is shared, a copy once it is owned.
+    fn assembled_from(&self, start: usize) -> Bytes {
+        match &self.stream {
+            Stream::Shared(bytes) => bytes.slice(start..),
+            Stream::Owned(vec) => Bytes::copy_from_slice(&vec[start..]),
+        }
     }
 
     /// Returns `true` if there are buffered out-of-order ranges waiting for a gap to fill.
@@ -240,11 +264,6 @@ pub struct TcpConnection {
     reassembler: Reassembler,
     /// Bytes already handed to the application.
     delivered: usize,
-    /// Whether freshly contiguous bytes are recorded as zero-copy chunks for
-    /// [`TcpConnection::take_new_bytes`]. Off by default so endpoints nobody
-    /// reads incrementally (e.g. clients without a service) retain no shared
-    /// payload handles.
-    deliver_chunks: bool,
 }
 
 impl TcpConnection {
@@ -263,7 +282,16 @@ impl TcpConnection {
             mss: DEFAULT_MSS,
             reassembler: Reassembler::new(),
             delivered: 0,
-            deliver_chunks: false,
+        }
+    }
+
+    /// A passive open created for a SYN from `peer`: a [`TcpConnection::listen`]
+    /// connection whose remote endpoint is known from the start, so the
+    /// host can demultiplex on it before the SYN is processed.
+    pub(crate) fn accept(local: SocketAddr, peer: SocketAddr, iss: SeqNum) -> Self {
+        TcpConnection {
+            remote: peer,
+            ..TcpConnection::listen(local, iss)
         }
     }
 
@@ -284,7 +312,6 @@ impl TcpConnection {
             mss: DEFAULT_MSS,
             reassembler: Reassembler::new(),
             delivered: 0,
-            deliver_chunks: false,
         };
         (conn, syn)
     }
@@ -325,19 +352,6 @@ impl TcpConnection {
     pub fn set_mss(&mut self, mss: usize) {
         assert!(mss > 0, "MSS must be positive");
         self.mss = mss;
-    }
-
-    /// Enables or disables zero-copy chunk recording for
-    /// [`TcpConnection::take_new_bytes`]. [`Host::deliver`] switches it on for
-    /// hosts with an attached service; leaving it off keeps endpoints nobody
-    /// reads incrementally from holding shared payload buffers alive.
-    ///
-    /// [`Host::deliver`]: crate::endpoint::Host::deliver
-    pub fn set_chunk_delivery(&mut self, enabled: bool) {
-        self.deliver_chunks = enabled;
-        if !enabled {
-            self.reassembler.clear_fresh();
-        }
     }
 
     /// Returns `true` once the three-way handshake has completed.
@@ -549,9 +563,7 @@ impl TcpConnection {
                 let offset = self.irs.distance_to(seg.seq) as u64;
                 // Offset 0 is the SYN; payload starts at stream offset (offset - 1).
                 let stream_offset = offset.saturating_sub(1);
-                let fresh =
-                    self.reassembler
-                        .offer_bytes(stream_offset, &seg.payload, self.deliver_chunks);
+                let fresh = self.reassembler.offer_bytes(stream_offset, &seg.payload);
                 outcome = if fresh > 0 {
                     AcceptOutcome::Accepted { fresh_bytes: fresh }
                 } else {
@@ -583,34 +595,25 @@ impl TcpConnection {
 
     /// Returns application data that has become available since the last call.
     pub fn read_new(&mut self) -> Vec<u8> {
-        self.reassembler.clear_fresh();
         let assembled = self.reassembler.assembled();
         let new = assembled[self.delivered..].to_vec();
         self.delivered = assembled.len();
         new
     }
 
-    /// [`TcpConnection::read_new`] without the copy: appends the bytes that
-    /// became available since the last read to `out` as shared [`Bytes`]
-    /// chunks. With chunk delivery enabled
-    /// ([`TcpConnection::set_chunk_delivery`]) the chunks are zero-copy slices
-    /// of the arriving segments; otherwise (or after mixing in plain
-    /// [`TcpConnection::read_new`] calls) one copied chunk is produced.
-    pub fn take_new_bytes(&mut self, out: &mut Vec<Bytes>) {
+    /// [`TcpConnection::read_new`] as a shared buffer: the bytes that became
+    /// available since the last read, sliced from the received stream. While
+    /// one segment has built the stream the slice shares that segment's
+    /// payload (no copy); once the stream is owned the new bytes are copied
+    /// out. Empty when nothing new arrived.
+    pub fn take_new_bytes(&mut self) -> Bytes {
         let len = self.reassembler.assembled().len();
         if self.delivered >= len {
-            self.reassembler.clear_fresh();
-            return;
+            return Bytes::new();
         }
-        if self.reassembler.fresh_len() == (len - self.delivered) as u64 {
-            self.reassembler.take_fresh(out);
-        } else {
-            self.reassembler.clear_fresh();
-            out.push(Bytes::copy_from_slice(
-                &self.reassembler.assembled()[self.delivered..],
-            ));
-        }
+        let new = self.reassembler.assembled_from(self.delivered);
         self.delivered = len;
+        new
     }
 
     /// Returns the entire contiguous byte stream received so far.
@@ -762,44 +765,37 @@ mod tests {
     fn take_new_bytes_hands_over_zero_copy_chunks() {
         let (mut client, mut server) = handshake();
         let (client_addr, _) = addrs();
-        server.set_chunk_delivery(true);
         let segments = client.send(b"GET /my.js HTTP/1.1\r\n\r\n").unwrap();
-        for seg in &segments {
-            server.on_segment(client_addr, seg);
-        }
-        let mut chunks = Vec::new();
-        server.take_new_bytes(&mut chunks);
-        let stitched: Vec<u8> = chunks.iter().flat_map(|c| c.iter().copied()).collect();
-        assert_eq!(stitched, b"GET /my.js HTTP/1.1\r\n\r\n");
+        assert_eq!(segments.len(), 1);
+        server.on_segment(client_addr, &segments[0]);
+        let new = server.take_new_bytes();
+        assert_eq!(new, b"GET /my.js HTTP/1.1\r\n\r\n");
+        // One segment built the stream: the slice shares its payload.
+        assert_eq!(new.as_ptr(), segments[0].payload.as_ptr());
         // Nothing new: a second take yields nothing.
-        chunks.clear();
-        server.take_new_bytes(&mut chunks);
-        assert!(chunks.is_empty());
+        assert!(server.take_new_bytes().is_empty());
         // The bytes counted as delivered, so read_new sees nothing either.
         assert!(server.read_new().is_empty());
     }
 
     #[test]
-    fn take_new_bytes_falls_back_to_a_copy_without_chunk_tracking() {
+    fn take_new_bytes_copies_once_a_second_segment_extends_the_stream() {
         let (mut client, mut server) = handshake();
         let (client_addr, _) = addrs();
-        // Tracking off (the default): delivery still works, via one copied
-        // chunk.
-        let segments = client.send(b"hello world").unwrap();
-        for seg in &segments {
-            server.on_segment(client_addr, seg);
-        }
-        let mut chunks = Vec::new();
-        server.take_new_bytes(&mut chunks);
-        assert_eq!(chunks.len(), 1);
-        assert_eq!(&chunks[0][..], b"hello world");
+        let first = client.send(b"hello").unwrap();
+        let second = client.send(b" world").unwrap();
+        server.on_segment(client_addr, &first[0]);
+        server.on_segment(client_addr, &second[0]);
+        let new = server.take_new_bytes();
+        assert_eq!(new, b"hello world");
+        assert_ne!(new.as_ptr(), first[0].payload.as_ptr());
+        assert_eq!(server.received(), b"hello world");
     }
 
     #[test]
-    fn chunk_tracking_interoperates_with_read_new() {
+    fn take_new_bytes_interoperates_with_read_new() {
         let (mut client, mut server) = handshake();
         let (client_addr, _) = addrs();
-        server.set_chunk_delivery(true);
         for seg in &client.send(b"first").unwrap() {
             server.on_segment(client_addr, seg);
         }
@@ -807,10 +803,7 @@ mod tests {
         for seg in &client.send(b"second").unwrap() {
             server.on_segment(client_addr, seg);
         }
-        let mut chunks = Vec::new();
-        server.take_new_bytes(&mut chunks);
-        let stitched: Vec<u8> = chunks.iter().flat_map(|c| c.iter().copied()).collect();
-        assert_eq!(stitched, b"second");
+        assert_eq!(server.take_new_bytes(), b"second");
         assert_eq!(server.received(), b"firstsecond");
     }
 
@@ -818,16 +811,12 @@ mod tests {
     fn out_of_order_chunks_are_stitched_correctly() {
         let (client, mut server) = handshake();
         let (client_addr, _) = addrs();
-        server.set_chunk_delivery(true);
         let seq = client.send_next();
         let part2 = Segment::data(51000, 80, seq + 5, server.send_next(), &b"world"[..]);
         let part1 = Segment::data(51000, 80, seq, server.send_next(), &b"hello"[..]);
         server.on_segment(client_addr, &part2);
         server.on_segment(client_addr, &part1);
-        let mut chunks = Vec::new();
-        server.take_new_bytes(&mut chunks);
-        let stitched: Vec<u8> = chunks.iter().flat_map(|c| c.iter().copied()).collect();
-        assert_eq!(stitched, b"helloworld");
+        assert_eq!(server.take_new_bytes(), b"helloworld");
     }
 
     #[test]
@@ -837,6 +826,18 @@ mod tests {
         // Overlapping write: only the two new trailing bytes are fresh.
         assert_eq!(r.offer(2, b"BBBB"), 2);
         assert_eq!(r.assembled(), b"AAAABB");
+    }
+
+    #[test]
+    fn reassembler_shares_a_one_segment_stream_until_a_second_extends_it() {
+        let payload = Bytes::copy_from_slice(b"xxhello");
+        let mut r = Reassembler::new();
+        // An overlapping first segment: only its tail is new, and shared.
+        assert_eq!(r.offer_bytes(0, &payload.slice(2..)), 5);
+        assert_eq!(r.assembled().as_ptr(), payload[2..].as_ptr());
+        assert_eq!(r.offer_bytes(3, &Bytes::copy_from_slice(b"lo world")), 6);
+        assert_eq!(r.assembled(), b"hello world");
+        assert_ne!(r.assembled().as_ptr(), payload[2..].as_ptr());
     }
 
     #[test]

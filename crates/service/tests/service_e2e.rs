@@ -606,6 +606,7 @@ fn hostile_lines_are_rejected_without_disturbing_other_runs() {
     for (config, expected) in [
         (r#"{"fleet_clients":2000,"fleet_aps":4,"fleet_days":3,"fleet_churn":1.5}"#, "fleet_churn"),
         (r#"{"fleet_clients":2000,"fleet_aps":4,"event_budget":0}"#, "event_budget"),
+        (r#"{"scale":0}"#, "scale"),
         (r#"{"fleet_days":4294967298}"#, "run configuration"),
     ] {
         let line = format!("{{\"op\":\"submit\",\"experiment\":\"campaign_fleet\",\"config\":{config}}}\n");

@@ -6,9 +6,12 @@ use mp_httpsim::body::{Body, ResourceKind};
 use mp_httpsim::caching::CacheDirectives;
 use mp_httpsim::message::Response;
 use mp_httpsim::url::Url;
+use bytes::Bytes;
+use mp_netsim::addr::{IpAddr, SocketAddr};
 use mp_netsim::capture::TraceMode;
+use mp_netsim::packet::{Segment, TcpFlags};
 use mp_netsim::seq::SeqNum;
-use mp_netsim::tcp::Reassembler;
+use mp_netsim::tcp::{Reassembler, TcpConnection};
 use parasite::cnc::{decode_dimensions, decode_upstream, encode_dimensions, encode_upstream};
 use parasite::experiments::{ExperimentId, RunConfig};
 use parasite::infect::Infector;
@@ -83,6 +86,73 @@ proptest! {
         reassembler.offer(0, &first);
         reassembler.offer(0, &second);
         prop_assert_eq!(&reassembler.assembled()[..first.len()], &first[..]);
+    }
+
+    /// The shared-stream reassembler agrees with the copying one and with a
+    /// first-write-wins byte array on any sequence of `(offset, data)`
+    /// writes: in order, out of order, partially overlapping, and extending a
+    /// stream one segment built (the switch from a shared slice to an owned
+    /// buffer). Driven through a TCP connection, `take_new_bytes` between
+    /// writes returns exactly the bytes added since the previous read.
+    #[test]
+    fn reassembler_offer_bytes_matches_offer_and_a_byte_model(
+        offsets in proptest::collection::vec(0u64..48, 1..12),
+        payloads in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..24), 1..12),
+        reads in proptest::collection::vec(any::<bool>(), 12),
+    ) {
+        let client = SocketAddr::new(IpAddr::new(10, 0, 0, 2), 51000);
+        let server_addr = SocketAddr::new(IpAddr::new(203, 0, 113, 10), 80);
+        let irs = SeqNum::new(7_000);
+        let mut server = TcpConnection::listen(server_addr, SeqNum::new(1_000));
+        server.on_segment(client, &Segment::control(51000, 80, irs, SeqNum::new(0), TcpFlags::SYN));
+        server.on_segment(client, &Segment::control(51000, 80, irs + 1, SeqNum::new(1_001), TcpFlags::ACK));
+        prop_assert!(server.is_established());
+
+        let mut shared = Reassembler::new();
+        let mut copied = Reassembler::new();
+        let mut model: Vec<Option<u8>> = vec![None; 48 + 12 * 24];
+        let mut taken = 0usize;
+        for ((&raw_offset, payload), &read) in offsets.iter().zip(&payloads).zip(&reads) {
+            // Raw offsets from 36 on stand for "at the contiguous end", so a
+            // quarter of the writes arrive in order: a shared stream forms
+            // and later writes extend it.
+            let end = shared.assembled_len();
+            let offset = if raw_offset >= 36 { end } else { raw_offset };
+            // The payload as a window of a larger buffer, like a segment's
+            // view of a wire packet.
+            let wire = Bytes::from([&b"hdr"[..], payload].concat());
+            let data = wire.slice(3..);
+            let shares = end == 0 && offset == 0 && !shared.has_gaps() && !data.is_empty();
+            let fresh = shared.offer_bytes(offset, &data);
+            if shares {
+                // One in-order segment built the stream: it is that segment.
+                prop_assert_eq!(shared.assembled().as_ptr(), data.as_ptr());
+            }
+            prop_assert_eq!(copied.offer(offset, payload), fresh);
+            let mut model_fresh = 0;
+            for (slot, &byte) in model[offset as usize..].iter_mut().zip(payload) {
+                if slot.is_none() {
+                    *slot = Some(byte);
+                    model_fresh += 1;
+                }
+            }
+            prop_assert_eq!(fresh, model_fresh);
+            let contiguous: Vec<u8> = model.iter().map_while(|byte| *byte).collect();
+            prop_assert_eq!(shared.assembled(), &contiguous[..]);
+            prop_assert_eq!(copied.assembled(), &contiguous[..]);
+
+            let seq = irs + 1 + offset as u32;
+            server.on_segment(client, &Segment::data(51000, 80, seq, SeqNum::new(1_001), data));
+            prop_assert_eq!(server.received(), &contiguous[..]);
+            if read {
+                let new = server.take_new_bytes();
+                prop_assert_eq!(&new[..], &contiguous[taken..]);
+                taken = contiguous.len();
+            }
+        }
+        let rest = server.take_new_bytes();
+        prop_assert_eq!(&rest[..], &server.received()[taken..]);
+        prop_assert!(server.take_new_bytes().is_empty());
     }
 
     /// TCP sequence-number window membership is consistent with distance.
