@@ -13,13 +13,18 @@
 //! ```
 
 use mp_bench::{render_report, report_json, try_run_selected};
-use mp_service::{Client, Daemon, Endpoint, Request, Response, RunOutcome, ServeOptions};
-use parasite::experiments::{
-    run_campaign_with_checkpoint, Artifact, ArtifactData, ConfigError, DayStats, ExperimentId,
-    RunConfig, SurfaceVector,
+use mp_service::{
+    serve_shard_lines, Client, Coordinator, Daemon, Endpoint, Request, Response, RunOutcome,
+    ServeOptions, WorkerProcess,
 };
+use parasite::experiments::{
+    run_campaign_with_checkpoint, Artifact, ArtifactData, CampaignFleetResult, ConfigError,
+    ExperimentError, ExperimentId, FaultPlan, RunConfig, SurfaceVector, FAULT_PLAN_ENV,
+};
+use parasite::json::ToJson;
 use std::path::PathBuf;
 use std::process::ExitCode;
+use std::time::Duration;
 
 const USAGE: &str = "\
 paper-report: regenerate the tables and figures of The Master and Parasite Attack
@@ -197,6 +202,62 @@ const SURFACE_FLAGS: [&str; 5] = [
     "--surface-trials",
 ];
 
+/// The flag cursor every subcommand parses with: each argument in turn,
+/// then on demand the value that follows the current flag.
+struct Cursor<'a> {
+    args: std::slice::Iter<'a, String>,
+    flag: &'a str,
+}
+
+impl<'a> Cursor<'a> {
+    fn new(args: &'a [String]) -> Self {
+        Cursor { args: args.iter(), flag: "" }
+    }
+
+    fn next_flag(&mut self) -> Option<&'a str> {
+        self.flag = self.args.next()?;
+        Some(self.flag)
+    }
+
+    fn value(&mut self) -> Result<&'a str, String> {
+        let flag = self.flag;
+        self.args.next().map(String::as_str).ok_or_else(|| format!("{flag} requires a value"))
+    }
+
+    fn number<T: TryFrom<u64>>(&mut self) -> Result<T, String> {
+        parse_number(self.value()?, self.flag)
+    }
+
+    fn fraction(&mut self) -> Result<f64, String> {
+        let text = self.value()?;
+        text.parse().map_err(|_| format!("{}: expected a number, got {text:?}", self.flag))
+    }
+
+    /// A `<start:end:steps>` sweep axis.
+    fn axis(&mut self) -> Result<(u64, u64, usize), String> {
+        let (text, flag) = (self.value()?, self.flag);
+        let parts: Vec<&str> = text.split(':').collect();
+        let [start, end, steps] = parts.as_slice() else {
+            return Err(format!("{flag}: expected <start:end:steps>, got {text:?}"));
+        };
+        Ok((parse_number(start, flag)?, parse_number(end, flag)?, parse_number(steps, flag)?))
+    }
+}
+
+fn parse_number<T: TryFrom<u64>>(text: &str, flag: &str) -> Result<T, String> {
+    let value = text
+        .parse::<u64>()
+        .map_err(|_| format!("{flag}: expected a non-negative integer, got {text:?}"))?;
+    T::try_from(value).map_err(|_| format!("{flag}: {value} is out of range"))
+}
+
+/// Prints `message` and the `usage` text on stderr; exit code 2.
+fn usage_error(usage: &str, message: &str) -> ExitCode {
+    eprintln!("error: {message}\n");
+    eprint!("{usage}");
+    ExitCode::from(2)
+}
+
 fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
     let mut ids: Vec<ExperimentId> = Vec::new();
     let mut config = RunConfig::default();
@@ -207,18 +268,12 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
     // after the id set is known.
     let mut given: Vec<&str> = Vec::new();
 
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        let flag = arg.as_str();
+    let mut args = Cursor::new(args);
+    while let Some(flag) = args.next_flag() {
         given.push(flag);
-        let mut value = || {
-            iter.next()
-                .cloned()
-                .ok_or_else(|| format!("{flag} requires a value"))
-        };
         match flag {
             "--only" => {
-                for part in value()?.split(',') {
+                for part in args.value()?.split(',') {
                     let id = part
                         .parse::<ExperimentId>()
                         .map_err(|error| error.to_string())?;
@@ -227,44 +282,45 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
                     }
                 }
             }
-            "--seed" => config.seed = parse_number(&value()?, flag)?,
-            "--scale" => config.scale = parse_number(&value()?, flag)?,
-            "--sites" => config.sites = parse_number(&value()?, flag)?,
-            "--crawl-sites" => config.crawl_sites = parse_number(&value()?, flag)?,
-            "--days" => config.days = parse_number(&value()?, flag)?,
-            "--event-budget" => config.event_budget = parse_number(&value()?, flag)?,
+            "--seed" => config.seed = args.number()?,
+            "--scale" => config.scale = args.number()?,
+            "--sites" => config.sites = args.number()?,
+            "--crawl-sites" => config.crawl_sites = args.number()?,
+            "--days" => config.days = args.number()?,
+            "--event-budget" => config.event_budget = args.number()?,
             "--trace-mode" => {
-                config.trace_mode = value()?
+                config.trace_mode = args
+                    .value()?
                     .parse()
                     .map_err(|error: mp_netsim::capture::ParseTraceModeError| error.to_string())?;
             }
-            "--jitter-us" => config.jitter_us = parse_number(&value()?, flag)?,
-            "--fleet-clients" => config.fleet_clients = parse_number(&value()?, flag)?,
-            "--fleet-aps" => config.fleet_aps = parse_number(&value()?, flag)?,
-            "--fleet-shards" => config.fleet_shards = parse_number(&value()?, flag)?,
-            "--fleet-jobs" => config.fleet_jobs = parse_number(&value()?, flag)?,
-            "--fleet-days" => config.fleet_days = parse_number(&value()?, flag)?,
-            "--fleet-churn" => config.fleet_churn = parse_fraction(&value()?, flag)?,
+            "--jitter-us" => config.jitter_us = args.number()?,
+            "--fleet-clients" => config.fleet_clients = args.number()?,
+            "--fleet-aps" => config.fleet_aps = args.number()?,
+            "--fleet-shards" => config.fleet_shards = args.number()?,
+            "--fleet-jobs" => config.fleet_jobs = args.number()?,
+            "--fleet-days" => config.fleet_days = args.number()?,
+            "--fleet-churn" => config.fleet_churn = args.fraction()?,
             "--fleet-hetero" => config.fleet_hetero = true,
-            "--fleet-visit-prob" => config.fleet_visit_prob = parse_fraction(&value()?, flag)?,
-            "--fleet-checkpoint" => checkpoint = Some(PathBuf::from(value()?)),
-            "--global-event-budget" => config.global_event_budget = parse_number(&value()?, flag)?,
+            "--fleet-visit-prob" => config.fleet_visit_prob = args.fraction()?,
+            "--fleet-checkpoint" => checkpoint = Some(PathBuf::from(args.value()?)),
+            "--global-event-budget" => config.global_event_budget = args.number()?,
             "--surface-vectors" => {
-                config.surface_vectors = SurfaceVector::parse_mask(&value()?)
+                config.surface_vectors = SurfaceVector::parse_mask(args.value()?)
                     .map_err(|error| format!("{flag}: {error}"))?;
             }
             "--surface-delays" => {
                 (config.surface_delay_start_us, config.surface_delay_end_us, config.surface_delay_steps) =
-                    parse_axis(&value()?, flag)?;
+                    args.axis()?;
             }
-            "--surface-adoption" => config.surface_adoption_steps = parse_number(&value()?, flag)?,
+            "--surface-adoption" => config.surface_adoption_steps = args.number()?,
             "--surface-wan" => {
                 (config.surface_wan_start_us, config.surface_wan_end_us, config.surface_wan_steps) =
-                    parse_axis(&value()?, flag)?;
+                    args.axis()?;
             }
-            "--surface-trials" => config.surface_trials = parse_number(&value()?, flag)?,
+            "--surface-trials" => config.surface_trials = args.number()?,
             "--jobs" => {
-                jobs = parse_number(&value()?, flag)?;
+                jobs = args.number()?;
                 if jobs == 0 {
                     return Err("--jobs must be at least 1".to_string());
                 }
@@ -385,80 +441,65 @@ fn config_usage(error: ConfigError) -> String {
     format!("{flag}: {error}")
 }
 
-fn parse_number<T: TryFrom<u64>>(text: &str, flag: &str) -> Result<T, String> {
-    let value = text
-        .parse::<u64>()
-        .map_err(|_| format!("{flag}: expected a non-negative integer, got {text:?}"))?;
-    T::try_from(value).map_err(|_| format!("{flag}: {value} is out of range"))
-}
-
-fn parse_fraction(text: &str, flag: &str) -> Result<f64, String> {
-    text.parse().map_err(|_| format!("{flag}: expected a number, got {text:?}"))
-}
-
-/// Parses a `<start:end:steps>` sweep axis.
-fn parse_axis(text: &str, flag: &str) -> Result<(u64, u64, usize), String> {
-    let parts: Vec<&str> = text.split(':').collect();
-    let [start, end, steps] = parts.as_slice() else {
-        return Err(format!("{flag}: expected <start:end:steps>, got {text:?}"));
-    };
-    Ok((parse_number(start, flag)?, parse_number(end, flag)?, parse_number(steps, flag)?))
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    // Service mode: a leading subcommand word routes to the daemon / client
+    // A leading subcommand word routes to the distributed, service or lint
     // paths; everything else is the classic batch report.
     match args.first().map(String::as_str) {
-        Some("distribute") => return distribute::run(&args[1..]),
-        Some("shard-worker") => return distribute::worker(&args[1..]),
-        Some("serve") => return service::serve(&args[1..]),
-        Some("submit") => return service::submit(&args[1..]),
-        Some("status") => return service::status(&args[1..]),
-        Some("watch") => return service::watch(&args[1..]),
-        Some("cancel") => return service::cancel(&args[1..]),
-        Some("shutdown") => return service::shutdown(&args[1..]),
-        Some("lint") => return lint_cmd::run(&args[1..]),
-        _ => {}
+        Some("distribute") => distribute(&args[1..]),
+        Some("shard-worker") => shard_worker(&args[1..]),
+        Some(command @ ("serve" | "submit" | "status" | "watch" | "cancel" | "shutdown")) => {
+            service::run(command, &args[1..])
+        }
+        Some("lint") => lint(&args[1..]),
+        _ => batch(&args),
     }
-    batch(&args)
 }
 
 fn batch(args: &[String]) -> ExitCode {
     let options = match parse_args(args) {
         Ok(Some(options)) => options,
         Ok(None) => return ExitCode::SUCCESS,
-        Err(message) => {
-            eprintln!("error: {message}\n");
-            eprint!("{USAGE}");
-            return ExitCode::from(2);
-        }
+        Err(message) => return usage_error(USAGE, &message),
     };
-
     // With a checkpoint path, the (sole, validated by parse_args) campaign
     // fleet id runs through the checkpointing entry point (write-per-day +
     // resume) instead of the batch runner.
-    let (result_ids, results) = if let Some(path) = options.checkpoint.as_deref() {
-        let result = run_campaign_with_checkpoint(&options.config, path).map(|result| Artifact {
-            id: ExperimentId::CampaignFleet,
-            config: options.config,
-            data: ArtifactData::CampaignFleet(result),
-        });
-        (vec![ExperimentId::CampaignFleet], vec![result])
-    } else {
-        (
-            options.ids.clone(),
-            try_run_selected(&options.ids, &options.config, options.jobs),
-        )
-    };
+    if let Some(path) = options.checkpoint.as_deref() {
+        let result = run_campaign_with_checkpoint(&options.config, path);
+        return print_campaign(result, &options);
+    }
+    let results = try_run_selected(&options.ids, &options.config, options.jobs);
+    print_report(&options.ids, results, &options)
+}
+
+/// Prints the report of one campaign_fleet result.
+fn print_campaign(
+    result: Result<CampaignFleetResult, ExperimentError>,
+    options: &Options,
+) -> ExitCode {
+    let result = result.map(|result| Artifact {
+        id: ExperimentId::CampaignFleet,
+        config: options.config,
+        data: ArtifactData::CampaignFleet(result),
+    });
+    print_report(&[ExperimentId::CampaignFleet], vec![result], options)
+}
+
+/// Prints the report of every artifact in `results` (one per id, in order);
+/// an experiment that failed reports its error and the rest still print.
+/// Exits 1 when any experiment failed.
+fn print_report(
+    ids: &[ExperimentId],
+    results: Vec<Result<Artifact, ExperimentError>>,
+    options: &Options,
+) -> ExitCode {
     let mut artifacts = Vec::new();
     let mut failed = false;
-    for (id, result) in result_ids.iter().zip(results) {
+    for (id, result) in ids.iter().zip(results) {
         match result {
             Ok(artifact) => artifacts.push(artifact),
             Err(error) => {
-                // One runaway experiment reports its error and the rest of
-                // the report still prints.
                 eprintln!("error: experiment {id} failed: {error}");
                 failed = true;
             }
@@ -483,133 +524,170 @@ fn batch(args: &[String]) -> ExitCode {
 mod service {
     use super::*;
 
-    /// Flags shared by every subcommand, plus the leftover (batch
-    /// configuration) arguments that `submit` forwards to `parse_args`.
+    /// The service flags `command` accepts: those that do something there.
+    fn accepted(command: &str) -> &'static [&'static str] {
+        match command {
+            "serve" => &["--socket", "--tcp", "--serve-workers", "--serve-queue-limit"],
+            "submit" => &["--socket", "--tcp", "--watch", "--json"],
+            "shutdown" => &["--socket", "--tcp", "--json"],
+            _ => &["--socket", "--tcp", "--run", "--json"],
+        }
+    }
+
+    /// One subcommand's parsed flags, plus the batch configuration
+    /// arguments that `submit` forwards to `parse_args`.
+    #[derive(Default)]
     struct ServiceArgs {
         socket: Option<PathBuf>,
         tcp: Option<String>,
         run: Option<u64>,
         watch: bool,
         json: bool,
-        workers: usize,
+        workers: Option<usize>,
         queue_limit: usize,
+        global_event_budget: u64,
         rest: Vec<String>,
     }
 
-    fn parse_service(args: &[String]) -> Result<ServiceArgs, String> {
-        let mut parsed = ServiceArgs {
-            socket: None,
-            tcp: None,
-            run: None,
-            watch: false,
-            json: false,
-            workers: 2,
-            queue_limit: 0,
-            rest: Vec::new(),
-        };
-        let mut iter = args.iter();
-        while let Some(arg) = iter.next() {
-            let mut value_for = |flag: &str| {
-                iter.next()
-                    .cloned()
-                    .ok_or_else(|| format!("{flag} requires a value"))
-            };
-            match arg.as_str() {
-                "--socket" => parsed.socket = Some(PathBuf::from(value_for("--socket")?)),
-                "--tcp" => parsed.tcp = Some(value_for("--tcp")?),
-                "--run" => parsed.run = Some(parse_number(&value_for("--run")?, "--run")?),
+    fn parse_service(command: &str, args: &[String]) -> Result<ServiceArgs, String> {
+        let mut parsed = ServiceArgs::default();
+        let mut args = Cursor::new(args);
+        while let Some(flag) = args.next_flag() {
+            match flag {
+                "--socket" | "--tcp" | "--serve-workers" | "--serve-queue-limit" | "--run"
+                | "--watch" | "--json"
+                    if !accepted(command).contains(&flag) =>
+                {
+                    return Err(format!("{flag} has no effect on {command}"));
+                }
+                "--socket" => parsed.socket = Some(PathBuf::from(args.value()?)),
+                "--tcp" => parsed.tcp = Some(args.value()?.to_string()),
+                "--run" => parsed.run = Some(args.number()?),
                 "--watch" => parsed.watch = true,
                 "--json" => parsed.json = true,
-                "--serve-workers" => {
-                    parsed.workers = parse_number(&value_for("--serve-workers")?, "--serve-workers")?;
-                    if parsed.workers == 0 {
-                        return Err("--serve-workers must be at least 1".to_string());
-                    }
+                "--serve-workers" => match args.number()? {
+                    0 => return Err("--serve-workers must be at least 1".to_string()),
+                    workers => parsed.workers = Some(workers),
+                },
+                "--serve-queue-limit" => parsed.queue_limit = args.number()?,
+                // serve accepts one batch flag: the daemon-wide pool for
+                // submissions that do not bring their own.
+                "--global-event-budget" if command == "serve" => {
+                    parsed.global_event_budget = args.number()?;
                 }
-                "--serve-queue-limit" => {
-                    parsed.queue_limit =
-                        parse_number(&value_for("--serve-queue-limit")?, "--serve-queue-limit")?;
+                other if command == "submit" => parsed.rest.push(other.to_string()),
+                other if command == "serve" => {
+                    return Err(format!(
+                        "unknown serve argument {other:?}; run configuration \
+                         belongs to submit, not serve"
+                    ));
                 }
-                other => parsed.rest.push(other.to_string()),
+                other => return Err(format!("unknown {command} argument {other:?}")),
             }
         }
         Ok(parsed)
     }
 
-    /// The endpoint a client subcommand dials: `--tcp` wins, else `--socket`.
-    fn endpoint(parsed: &ServiceArgs, command: &str) -> Result<Endpoint, String> {
-        match (&parsed.tcp, &parsed.socket) {
-            (Some(addr), _) => Ok(Endpoint::Tcp(addr.clone())),
-            (None, Some(path)) => Ok(Endpoint::Unix(path.clone())),
-            (None, None) => Err(format!(
-                "{command} needs the daemon's address; pass --socket <path> \
-                 (or --tcp <addr>)"
-            )),
-        }
-    }
-
-    pub(super) fn usage_error(message: &str) -> ExitCode {
-        eprintln!("error: {message}\n");
-        eprint!("{USAGE}");
-        ExitCode::from(2)
-    }
-
-    fn connect(endpoint: &Endpoint) -> Result<Client, ExitCode> {
-        Client::connect(endpoint).map_err(|error| {
-            let (shown, hint) = match endpoint {
-                Endpoint::Unix(path) => (
-                    path.display().to_string(),
-                    format!("paper-report serve --socket {}", path.display()),
-                ),
-                Endpoint::Tcp(addr) => (
-                    addr.clone(),
-                    format!("paper-report serve --socket <path> --tcp {addr}"),
-                ),
-            };
-            eprintln!(
-                "error: cannot connect to the daemon at {shown}: {error}\n\
-                 is the daemon running? start one with: {hint}"
-            );
-            ExitCode::from(2)
-        })
-    }
-
-    pub fn serve(args: &[String]) -> ExitCode {
-        let parsed = match parse_service(args) {
+    pub fn run(command: &str, args: &[String]) -> ExitCode {
+        let parsed = match parse_service(command, args) {
             Ok(parsed) => parsed,
-            Err(message) => return usage_error(&message),
+            Err(message) => return usage_error(USAGE, &message),
         };
-        let Some(socket) = parsed.socket.clone() else {
-            return usage_error("serve requires --socket <path>");
+        if command == "serve" {
+            return serve(parsed);
+        }
+        // The endpoint a client dials: --tcp wins, else --socket.
+        let endpoint = match (&parsed.tcp, &parsed.socket) {
+            (Some(addr), _) => Endpoint::Tcp(addr.clone()),
+            (None, Some(path)) => Endpoint::Unix(path.clone()),
+            (None, None) => {
+                return usage_error(
+                    USAGE,
+                    &format!(
+                        "{command} needs the daemon's address; pass --socket <path> \
+                         (or --tcp <addr>)"
+                    ),
+                )
+            }
         };
-        let mut global_event_budget = 0u64;
-        // serve accepts one batch flag: the daemon-wide --global-event-budget
-        // pool for submissions that do not bring their own.
-        let mut iter = parsed.rest.iter();
-        while let Some(arg) = iter.next() {
-            match arg.as_str() {
-                "--global-event-budget" => {
-                    let Some(value) = iter.next() else {
-                        return usage_error("--global-event-budget requires a value");
-                    };
-                    global_event_budget = match parse_number(value, "--global-event-budget") {
-                        Ok(value) => value,
-                        Err(message) => return usage_error(&message),
-                    };
-                }
-                other => {
-                    return usage_error(&format!(
-                        "unknown serve argument {other:?}; run configuration \
-                         belongs to submit, not serve"
-                    ));
+        let json = parsed.json;
+        let request = match request(command, &parsed) {
+            Ok(Some(request)) => request,
+            Ok(None) => return ExitCode::SUCCESS,
+            Err(message) => return usage_error(USAGE, &message),
+        };
+        let mut client = match connect(&endpoint) {
+            Ok(client) => client,
+            Err(code) => return code,
+        };
+        if let Request::Watch { .. } = request {
+            return match client.send(&request) {
+                Ok(()) => stream(&mut client, json),
+                Err(error) => unexpected(Err(error.into())),
+            };
+        }
+        match client.request(&request) {
+            Ok(Response::Error { message, .. }) => {
+                eprintln!("error: {message}");
+                ExitCode::FAILURE
+            }
+            Ok(
+                response @ (Response::Accepted { .. }
+                | Response::Status { .. }
+                | Response::Cancelling { .. }
+                | Response::ShuttingDown { .. }),
+            ) => {
+                print_response(&response, json);
+                if parsed.watch {
+                    stream(&mut client, json)
+                } else {
+                    ExitCode::SUCCESS
                 }
             }
+            other => unexpected(other),
         }
+    }
+
+    /// The request a client subcommand sends.
+    fn request(command: &str, parsed: &ServiceArgs) -> Result<Option<Request>, String> {
+        let run = || parsed.run.ok_or_else(|| format!("{command} requires --run <n>"));
+        let request = match command {
+            "status" => Request::Status { run: parsed.run },
+            "watch" => Request::Watch { run: run()? },
+            "cancel" => Request::Cancel { run: run()? },
+            "shutdown" => Request::Shutdown,
+            _ => {
+                if parsed.rest.iter().any(|arg| arg == "--jobs") {
+                    return Err("--jobs schedules a batch sweep; the daemon runs one \
+                                experiment per submission (tune --serve-workers on serve)"
+                        .to_string());
+                }
+                let Some(options) = parse_args(&parsed.rest)? else { return Ok(None) };
+                let [experiment] = options.ids.as_slice() else {
+                    return Err("submit runs exactly one experiment; pass a single id, \
+                                e.g. --only campaign_fleet"
+                        .to_string());
+                };
+                Request::Submit {
+                    experiment: *experiment,
+                    config: Box::new(options.config),
+                    checkpoint: options.checkpoint,
+                    watch: parsed.watch,
+                }
+            }
+        };
+        Ok(Some(request))
+    }
+
+    fn serve(parsed: ServiceArgs) -> ExitCode {
+        let Some(socket) = parsed.socket else {
+            return usage_error(USAGE, "serve requires --socket <path>");
+        };
         let options = ServeOptions {
             socket: socket.clone(),
-            tcp: parsed.tcp.clone(),
-            workers: parsed.workers,
-            global_event_budget,
+            tcp: parsed.tcp,
+            workers: parsed.workers.unwrap_or(2),
+            global_event_budget: parsed.global_event_budget,
             queue_limit: parsed.queue_limit,
         };
         let daemon = match Daemon::start(options) {
@@ -641,190 +719,24 @@ mod service {
         }
     }
 
-    pub fn submit(args: &[String]) -> ExitCode {
-        let parsed = match parse_service(args) {
-            Ok(parsed) => parsed,
-            Err(message) => return usage_error(&message),
-        };
-        let endpoint = match endpoint(&parsed, "submit") {
-            Ok(endpoint) => endpoint,
-            Err(message) => return usage_error(&message),
-        };
-        if parsed.rest.iter().any(|arg| arg == "--jobs") {
-            return usage_error(
-                "--jobs schedules a batch sweep; the daemon runs one \
-                 experiment per submission (tune --serve-workers on serve)",
-            );
-        }
-        let options = match parse_args(&parsed.rest) {
-            Ok(Some(options)) => options,
-            Ok(None) => return ExitCode::SUCCESS,
-            Err(message) => return usage_error(&message),
-        };
-        let [experiment] = options.ids.as_slice() else {
-            return usage_error(
-                "submit runs exactly one experiment; pass a single id, e.g. \
-                 --only campaign_fleet",
-            );
-        };
-        let mut client = match connect(&endpoint) {
-            Ok(client) => client,
-            Err(code) => return code,
-        };
-        let request = Request::Submit {
-            experiment: *experiment,
-            config: Box::new(options.config),
-            checkpoint: options.checkpoint.clone(),
-            watch: parsed.watch,
-        };
-        let json = parsed.json || options.json;
-        match client.request(&request) {
-            Ok(Response::Accepted { run, experiment }) => {
-                if json {
-                    println!(
-                        "{}",
-                        Response::Accepted { run, experiment }.to_json()
-                    );
-                } else {
-                    println!("run {run} accepted ({experiment})");
-                }
-                if parsed.watch {
-                    stream(&mut client, json)
-                } else {
-                    ExitCode::SUCCESS
-                }
-            }
-            Ok(Response::Error { message, .. }) => {
-                eprintln!("error: daemon rejected the submission: {message}");
-                ExitCode::FAILURE
-            }
-            Ok(other) => {
-                eprintln!("error: unexpected response: {}", other.to_json());
-                ExitCode::FAILURE
-            }
-            Err(error) => {
-                eprintln!("error: {error}");
-                ExitCode::FAILURE
-            }
-        }
-    }
-
-    pub fn status(args: &[String]) -> ExitCode {
-        with_client(args, "status", |parsed, client| {
-            match client.request(&Request::Status { run: parsed.run }) {
-                Ok(Response::Status { runs }) => {
-                    if parsed.json {
-                        println!("{}", Response::Status { runs }.to_json());
-                    } else if runs.is_empty() {
-                        println!("no runs");
-                    } else {
-                        println!("{:<6} {:<16} {:<8} {:>5}  outcome", "run", "experiment", "state", "days");
-                        for row in runs {
-                            println!(
-                                "{:<6} {:<16} {:<8} {:>5}  {}",
-                                row.run,
-                                row.experiment.as_str(),
-                                row.state.as_str(),
-                                row.days,
-                                row.outcome.as_deref().unwrap_or("-")
-                            );
-                        }
-                    }
-                    ExitCode::SUCCESS
-                }
-                Ok(Response::Error { message, .. }) => {
-                    eprintln!("error: {message}");
-                    ExitCode::FAILURE
-                }
-                other => unexpected(other),
-            }
-        })
-    }
-
-    pub fn watch(args: &[String]) -> ExitCode {
-        with_client(args, "watch", |parsed, client| {
-            let Some(run) = parsed.run else {
-                return usage_error("watch requires --run <n>");
+    fn connect(endpoint: &Endpoint) -> Result<Client, ExitCode> {
+        Client::connect(endpoint).map_err(|error| {
+            let (shown, hint) = match endpoint {
+                Endpoint::Unix(path) => (
+                    path.display().to_string(),
+                    format!("paper-report serve --socket {}", path.display()),
+                ),
+                Endpoint::Tcp(addr) => (
+                    addr.clone(),
+                    format!("paper-report serve --socket <path> --tcp {addr}"),
+                ),
             };
-            match client.send(&Request::Watch { run }) {
-                Ok(()) => stream(client, parsed.json),
-                Err(error) => {
-                    eprintln!("error: {error}");
-                    ExitCode::FAILURE
-                }
-            }
+            eprintln!(
+                "error: cannot connect to the daemon at {shown}: {error}\n\
+                 is the daemon running? start one with: {hint}"
+            );
+            ExitCode::from(2)
         })
-    }
-
-    pub fn cancel(args: &[String]) -> ExitCode {
-        with_client(args, "cancel", |parsed, client| {
-            let Some(run) = parsed.run else {
-                return usage_error("cancel requires --run <n>");
-            };
-            match client.request(&Request::Cancel { run }) {
-                Ok(Response::Cancelling { run }) => {
-                    if parsed.json {
-                        println!("{}", Response::Cancelling { run }.to_json());
-                    } else {
-                        println!(
-                            "run {run} cancelling (stops at its next day \
-                             boundary; any checkpoint stays resumable)"
-                        );
-                    }
-                    ExitCode::SUCCESS
-                }
-                Ok(Response::Error { message, .. }) => {
-                    eprintln!("error: {message}");
-                    ExitCode::FAILURE
-                }
-                other => unexpected(other),
-            }
-        })
-    }
-
-    pub fn shutdown(args: &[String]) -> ExitCode {
-        with_client(args, "shutdown", |parsed, client| {
-            match client.request(&Request::Shutdown) {
-                Ok(Response::ShuttingDown { active_runs }) => {
-                    if parsed.json {
-                        println!("{}", Response::ShuttingDown { active_runs }.to_json());
-                    } else {
-                        println!("daemon shutting down ({active_runs} active run(s) cancelled)");
-                    }
-                    ExitCode::SUCCESS
-                }
-                Ok(Response::Error { message, .. }) => {
-                    eprintln!("error: {message}");
-                    ExitCode::FAILURE
-                }
-                other => unexpected(other),
-            }
-        })
-    }
-
-    /// Parses service flags, rejects stray arguments, connects, and hands
-    /// the client to `body` — the shared scaffolding of the pure-client
-    /// subcommands.
-    fn with_client(
-        args: &[String],
-        command: &str,
-        body: impl FnOnce(&ServiceArgs, &mut Client) -> ExitCode,
-    ) -> ExitCode {
-        let parsed = match parse_service(args) {
-            Ok(parsed) => parsed,
-            Err(message) => return usage_error(&message),
-        };
-        if let Some(stray) = parsed.rest.first() {
-            return usage_error(&format!("unknown {command} argument {stray:?}"));
-        }
-        let endpoint = match endpoint(&parsed, command) {
-            Ok(endpoint) => endpoint,
-            Err(message) => return usage_error(&message),
-        };
-        match connect(&endpoint) {
-            Ok(mut client) => body(&parsed, &mut client),
-            Err(code) => code,
-        }
     }
 
     fn unexpected(response: Result<Response, mp_service::ClientError>) -> ExitCode {
@@ -840,29 +752,13 @@ mod service {
     fn stream(client: &mut Client, json: bool) -> ExitCode {
         loop {
             match client.read_response() {
-                Ok(Response::Day { run, stats }) => {
-                    if json {
-                        println!("{}", Response::Day { run, stats }.to_json());
-                    } else {
-                        print_day(&stats);
-                    }
-                }
-                Ok(Response::Done { run, outcome }) => {
-                    if json {
-                        println!("{}", Response::Done { run, outcome: outcome.clone() }.to_json());
-                    } else {
-                        match &outcome {
-                            RunOutcome::Ok { .. } => println!("run {run} done: ok"),
-                            RunOutcome::Cancelled { days_completed } => println!(
-                                "run {run} cancelled after {days_completed} completed day(s)"
-                            ),
-                            RunOutcome::Failed { message } => {
-                                println!("run {run} failed: {message}")
-                            }
+                Ok(response @ Response::Day { .. }) => print_response(&response, json),
+                Ok(response @ Response::Done { .. }) => {
+                    print_response(&response, json);
+                    return match response {
+                        Response::Done { outcome: RunOutcome::Failed { .. }, .. } => {
+                            ExitCode::FAILURE
                         }
-                    }
-                    return match outcome {
-                        RunOutcome::Failed { .. } => ExitCode::FAILURE,
                         _ => ExitCode::SUCCESS,
                     };
                 }
@@ -870,631 +766,175 @@ mod service {
                     eprintln!("error: {message}");
                     return ExitCode::FAILURE;
                 }
-                Ok(other) => return unexpected(Ok(other)),
-                Err(error) => {
-                    eprintln!("error: {error}");
-                    return ExitCode::FAILURE;
-                }
+                other => return unexpected(other),
             }
         }
     }
 
-    fn print_day(stats: &DayStats) {
-        println!(
-            "day {:>3}: exposed {:>6}  newly infected {:>6}  infected {:>7}  \
-             clean {:>7}  events {}",
-            stats.day,
-            stats.exposed,
-            stats.newly_infected,
-            stats.infected,
-            stats.clean,
-            stats.events
-        );
+    /// Prints one daemon response: its JSON line, or a line of text.
+    fn print_response(response: &Response, json: bool) {
+        if json {
+            println!("{}", response.to_json());
+            return;
+        }
+        match response {
+            Response::Accepted { run, experiment } => println!("run {run} accepted ({experiment})"),
+            Response::Status { runs } if runs.is_empty() => println!("no runs"),
+            Response::Status { runs } => {
+                println!("{:<6} {:<16} {:<8} {:>5}  outcome", "run", "experiment", "state", "days");
+                for row in runs {
+                    println!(
+                        "{:<6} {:<16} {:<8} {:>5}  {}",
+                        row.run,
+                        row.experiment.as_str(),
+                        row.state.as_str(),
+                        row.days,
+                        row.outcome.as_deref().unwrap_or("-")
+                    );
+                }
+            }
+            Response::Cancelling { run } => println!(
+                "run {run} cancelling (stops at its next day boundary; any \
+                 checkpoint stays resumable)"
+            ),
+            Response::ShuttingDown { active_runs } => {
+                println!("daemon shutting down ({active_runs} active run(s) cancelled)")
+            }
+            Response::Day { stats, .. } => println!(
+                "day {:>3}: exposed {:>6}  newly infected {:>6}  infected {:>7}  \
+                 clean {:>7}  events {}",
+                stats.day,
+                stats.exposed,
+                stats.newly_infected,
+                stats.infected,
+                stats.clean,
+                stats.events
+            ),
+            Response::Done { run, outcome: RunOutcome::Ok { .. } } => {
+                println!("run {run} done: ok")
+            }
+            Response::Done { run, outcome: RunOutcome::Cancelled { days_completed } } => {
+                println!("run {run} cancelled after {days_completed} completed day(s)")
+            }
+            Response::Done { run, outcome: RunOutcome::Failed { message } } => {
+                println!("run {run} failed: {message}")
+            }
+            other => println!("{}", other.to_json()),
+        }
     }
 }
 
-/// The distributed-campaign subcommands: `distribute` is the coordinator
-/// (split, farm out, merge, report); `shard-worker` is the per-process
-/// worker half it spawns. Both speak the daemon's shard messages: a
-/// shard-worker reads one `shard_submit` request per stdin line and replies
-/// on stdout with one `shard_result` (carrying the shard's mergeable
-/// partial-checkpoint document) or `error` line, until EOF. The same
-/// protocol works unchanged across an ssh transport, which is what
-/// `--worker-cmd` exists for.
-mod distribute {
-    use super::service::usage_error;
-    use super::*;
-    use mp_service::protocol::{codes, Line, LineReader};
-    use mp_service::serve_shard;
-    use parasite::experiments::{
-        scan_journal, write_journal_entry, ExperimentError, FaultKind, FaultPlan, RunCtx,
-        ShardOutcome, ShardPlan, FAULT_PLAN_ENV,
-    };
-    use std::collections::VecDeque;
-    use std::io::{BufRead, BufReader, Write as _};
-    use std::path::Path;
-    use std::process::{Child, Command, Stdio};
-    use std::sync::{mpsc, Mutex};
-    use std::time::{Duration, Instant};
-
-    /// The `shard-worker` loop: serve stdin assignments until EOF, each
-    /// through the daemon's shard path with the assignment's ordinal as its
-    /// run id. A seeded `MP_FAULT_PLAN` (see PROTOCOL.md) makes chosen
-    /// assignments misbehave on demand — crash before replying, hang, or
-    /// garble the reply line — so the coordinator's supervision is testable.
-    pub fn worker(args: &[String]) -> ExitCode {
-        if let Some(stray) = args.first() {
-            return usage_error(&format!("unknown shard-worker argument {stray:?}"));
-        }
-        let faults = match FaultPlan::from_env() {
-            Ok(faults) => faults,
-            Err(message) => return usage_error(&format!("{FAULT_PLAN_ENV}: {message}")),
-        };
-        let mut stdin = std::io::stdin().lock();
-        let mut stdout = std::io::stdout();
-        let mut lines = LineReader::default();
-        let mut run = 0u64;
-        loop {
-            let request = match lines.read(&mut stdin) {
-                Ok(Line::Eof) => break,
-                Ok(Line::Text(text)) => Request::parse_line(&text),
-                Ok(Line::Rejected(message)) => Err(message),
-                Err(_) => return ExitCode::FAILURE,
-            };
-            run += 1;
-            let rejected = |message: String| {
-                Response::Error { message, code: Some(codes::BAD_REQUEST.to_string()) }
-                    .to_json()
-                    .to_string()
-            };
-            let reply = match request {
-                Ok(Request::ShardSubmit { config, first_ap, aps }) => {
-                    let plan = ShardPlan { first_ap, aps };
-                    serve_shard(run, &config, plan, &RunCtx::default(), faults.as_ref()).line
-                }
-                Ok(_) => rejected("a shard-worker serves only shard_submit requests".to_string()),
-                Err(message) => rejected(message),
-            };
-            if writeln!(stdout, "{reply}").and_then(|()| stdout.flush()).is_err() {
-                return ExitCode::FAILURE;
-            }
-        }
-        ExitCode::SUCCESS
-    }
-
-    /// The `distribute` coordinator.
-    pub fn run(args: &[String]) -> ExitCode {
-        // Strip the coordinator-only flags before the batch parser sees the
-        // rest: --workers / --worker-cmd / --journal / --shard-timeout /
-        // --retry-limit are pure scheduling knobs and must never reach the
-        // RunConfig, or the merged artifact's config echo would diverge from
-        // the batch run's.
-        let mut workers = 2usize;
-        let mut worker_cmd: Option<String> = None;
-        let mut journal: Option<PathBuf> = None;
-        let mut shard_timeout: Option<Duration> = None;
-        let mut retry_limit = 3usize;
-        let mut rest: Vec<String> = Vec::new();
-        let mut iter = args.iter();
-        while let Some(arg) = iter.next() {
-            match arg.as_str() {
-                "--workers" => {
-                    let Some(value) = iter.next() else {
-                        return usage_error("--workers requires a value");
-                    };
-                    workers = match parse_number(value, "--workers") {
-                        Ok(0) => return usage_error("--workers must be at least 1"),
-                        Ok(value) => value,
-                        Err(message) => return usage_error(&message),
-                    };
-                }
-                "--worker-cmd" => {
-                    let Some(value) = iter.next() else {
-                        return usage_error("--worker-cmd requires a value");
-                    };
-                    worker_cmd = Some(value.clone());
-                }
-                "--journal" => {
-                    let Some(value) = iter.next() else {
-                        return usage_error("--journal requires a value");
-                    };
-                    journal = Some(PathBuf::from(value));
-                }
+/// The `distribute` coordinator: splits one multi-day campaign into AP-range
+/// shards, runs each on a fresh `shard-worker` process (or `--worker-cmd`)
+/// through [`Coordinator`], merges the outcomes and prints the report. The
+/// coordinator-only flags are scheduling knobs and never reach the
+/// `RunConfig`, so the merged artifact's config echo equals the batch run's.
+fn distribute(args: &[String]) -> ExitCode {
+    let mut workers = 2usize;
+    let mut worker_cmd: Option<&str> = None;
+    let mut journal: Option<PathBuf> = None;
+    // None keeps the automatic warm-estimate deadline.
+    let mut shard_timeout: Option<Duration> = None;
+    let mut retry_limit = 3usize;
+    let mut rest: Vec<String> = Vec::new();
+    let mut cursor = Cursor::new(args);
+    let parsed = (|| {
+        while let Some(flag) = cursor.next_flag() {
+            match flag {
+                "--workers" => match cursor.number()? {
+                    0 => return Err("--workers must be at least 1".to_string()),
+                    value => workers = value,
+                },
+                "--worker-cmd" => worker_cmd = Some(cursor.value()?),
+                "--journal" => journal = Some(PathBuf::from(cursor.value()?)),
                 "--shard-timeout" => {
-                    let Some(value) = iter.next() else {
-                        return usage_error("--shard-timeout requires a value");
-                    };
-                    shard_timeout = match parse_number(value, "--shard-timeout") {
-                        // 0 keeps the automatic warm-estimate deadline.
-                        Ok(0) => None,
-                        Ok(secs) => Some(Duration::from_secs(secs)),
-                        Err(message) => return usage_error(&message),
-                    };
+                    shard_timeout = Some(Duration::from_secs(cursor.number()?))
+                        .filter(|timeout| !timeout.is_zero());
                 }
-                "--retry-limit" => {
-                    let Some(value) = iter.next() else {
-                        return usage_error("--retry-limit requires a value");
-                    };
-                    retry_limit = match parse_number(value, "--retry-limit") {
-                        Ok(value) => value,
-                        Err(message) => return usage_error(&message),
-                    };
-                }
+                "--retry-limit" => retry_limit = cursor.number()?,
                 other => rest.push(other.to_string()),
             }
         }
-        let options = match parse_args(&rest) {
-            Ok(Some(options)) => options,
-            Ok(None) => return ExitCode::SUCCESS,
-            Err(message) => return usage_error(&message),
-        };
-        if options.ids != [ExperimentId::CampaignFleet] {
-            return usage_error(
-                "distribute runs the campaign alone; use exactly --only campaign_fleet",
-            );
-        }
-        if options.checkpoint.is_some() {
-            return usage_error(
-                "--fleet-checkpoint belongs to the single-process batch mode; \
-                 distribute keeps its partial outcomes in memory",
-            );
-        }
-        if let Err(error) = options.config.validate_sharded() {
-            return usage_error(&config_usage(error));
-        }
-        let config = options.config;
-
-        // The coordinator's own fault plan handles torn-journal injection;
-        // `claim` sequencing across the worker processes needs a shared
-        // claim directory, auto-provisioned when the plan is armed but no
-        // MP_FAULT_DIR was exported.
-        let faults = match FaultPlan::from_env() {
-            Ok(faults) => faults,
-            Err(message) => return usage_error(&format!("{FAULT_PLAN_ENV}: {message}")),
-        };
-        let faults = match faults {
-            Some(plan) if plan.dir().is_none() => {
-                let dir = std::env::temp_dir()
-                    .join(format!("mp-fault-claims-{}", std::process::id()));
-                match plan.with_dir(dir) {
-                    Ok(plan) => Some(plan),
-                    Err(message) => {
-                        eprintln!("error: {message}");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            other => other,
-        };
-
-        // With a journal, completed shard ranges survive a coordinator
-        // death: scan it, keep what validates, and re-plan only the gaps.
-        let mut resumed: Vec<ShardOutcome> = Vec::new();
-        let plans = match journal.as_deref() {
-            None => ShardPlan::split(&config, workers),
-            Some(dir) => match scan_journal(dir, &config) {
-                Err(error) => {
-                    eprintln!("error: {error}");
+        parse_args(&rest)
+    })();
+    let options = match parsed {
+        Ok(Some(options)) => options,
+        Ok(None) => return ExitCode::SUCCESS,
+        Err(message) => return usage_error(USAGE, &message),
+    };
+    if options.ids != [ExperimentId::CampaignFleet] {
+        return usage_error(
+            USAGE,
+            "distribute runs the campaign alone; use exactly --only campaign_fleet",
+        );
+    }
+    if options.checkpoint.is_some() {
+        return usage_error(
+            USAGE,
+            "--fleet-checkpoint belongs to the single-process batch mode; \
+             distribute keeps its partial outcomes in memory",
+        );
+    }
+    if let Err(error) = options.config.validate_sharded() {
+        return usage_error(USAGE, &config_usage(error));
+    }
+    // The coordinator's fault plan claims torn journal writes; claim
+    // sequencing across the worker processes needs a shared claim
+    // directory, provisioned here when the plan is armed without one.
+    let faults = match FaultPlan::from_env() {
+        Err(message) => return usage_error(USAGE, &format!("{FAULT_PLAN_ENV}: {message}")),
+        Ok(Some(plan)) if plan.dir().is_none() => {
+            let dir = std::env::temp_dir().join(format!("mp-fault-claims-{}", std::process::id()));
+            match plan.with_dir(dir) {
+                Ok(plan) => Some(plan),
+                Err(message) => {
+                    eprintln!("error: {message}");
                     return ExitCode::FAILURE;
                 }
-                Ok(scan) => {
-                    for (path, why) in &scan.discarded {
-                        eprintln!(
-                            "warning: discarded damaged journal entry {} ({why}); \
-                             its range will re-run",
-                            path.display()
-                        );
-                    }
-                    if !scan.outcomes.is_empty() {
-                        eprintln!(
-                            "resuming from journal {}: {} completed shard(s)",
-                            dir.display(),
-                            scan.outcomes.len()
-                        );
-                    }
-                    resumed = scan.outcomes;
-                    uncovered_plans(&config, &resumed, workers)
-                }
-            },
-        };
-
-        let supervision = Supervision { timeout: shard_timeout, warm: Mutex::new(None) };
-        let coordinator = Coordinator {
-            config: &config,
-            worker_cmd: worker_cmd.as_deref(),
-            journal: journal.as_deref(),
-            retry_limit,
-            supervision,
-            faults,
-        };
-        let merged = match coordinator.execute(&plans, workers, resumed) {
-            Ok(Some(merged)) => merged,
-            Ok(None) => {
-                eprintln!("error: no shards were planned");
-                return ExitCode::FAILURE;
-            }
-            Err(error) => {
-                eprintln!("error: {error}");
-                return ExitCode::FAILURE;
-            }
-        };
-        match merged.into_fleet_result(&config) {
-            Ok(result) => {
-                let artifact = Artifact {
-                    id: ExperimentId::CampaignFleet,
-                    config,
-                    data: ArtifactData::CampaignFleet(result),
-                };
-                if options.json {
-                    println!("{}", report_json(&config, &[artifact]));
-                } else {
-                    println!("{}", render_report(&[artifact]));
-                }
-                ExitCode::SUCCESS
-            }
-            Err(error) => {
-                eprintln!("error: experiment campaign_fleet failed: {error}");
-                ExitCode::FAILURE
             }
         }
-    }
-
-    /// Re-plans the AP ranges not yet covered by journaled outcomes: each
-    /// contiguous uncovered run is split across the workers exactly as a
-    /// fresh campaign's whole range would be, so an empty journal reproduces
-    /// `ShardPlan::split` and the merged report never depends on where the
-    /// previous coordinator died.
-    fn uncovered_plans(
-        config: &RunConfig,
-        done: &[ShardOutcome],
-        workers: usize,
-    ) -> Vec<ShardPlan> {
-        let total = config.fleet_aps.max(1);
-        let mut covered = vec![false; total];
-        for outcome in done {
-            for (first_ap, aps) in outcome.covered_aps() {
-                for flag in covered.iter_mut().skip(first_ap).take(aps) {
-                    *flag = true;
-                }
-            }
-        }
-        let mut plans = Vec::new();
-        let mut ap = 0;
-        while ap < total {
-            if covered[ap] {
-                ap += 1;
-                continue;
-            }
-            let start = ap;
-            while ap < total && !covered[ap] {
-                ap += 1;
-            }
-            plans.extend(ShardPlan::split_range(start, ap - start, workers));
-        }
-        plans
-    }
-
-    /// The per-assignment deadline policy. An explicit `--shard-timeout`
-    /// wins; otherwise the deadline derives from a warm estimate — five
-    /// times the first completed shard's duration, floored at ten seconds —
-    /// and until any shard completes, automatic mode imposes none (a cold
-    /// first shard is not evidence of a hang).
-    struct Supervision {
-        timeout: Option<Duration>,
-        warm: Mutex<Option<Duration>>,
-    }
-
-    impl Supervision {
-        fn deadline(&self) -> Option<Duration> {
-            if let Some(timeout) = self.timeout {
-                return Some(timeout);
-            }
-            self.warm
-                .lock()
-                .unwrap()
-                .map(|warm| (warm * 5).max(Duration::from_secs(10)))
-        }
-
-        fn record_success(&self, elapsed: Duration) {
-            let mut warm = self.warm.lock().unwrap();
-            if warm.is_none() {
-                *warm = Some(elapsed);
-            }
-        }
-    }
-
-    struct Coordinator<'a> {
-        config: &'a RunConfig,
-        worker_cmd: Option<&'a str>,
-        journal: Option<&'a Path>,
-        retry_limit: usize,
-        supervision: Supervision,
-        faults: Option<FaultPlan>,
-    }
-
-    /// Why one assignment attempt failed.
-    enum AttemptError {
-        /// Worth another attempt on a fresh worker: a death, a hang, a
-        /// garbled reply or a failure inside the worker.
-        Retry(String),
-        /// The worker rejected the assignment itself (`bad_request`): the
-        /// rejection is deterministic, so every retry would repeat it.
-        Rejected(String),
-    }
-
-    /// Folds one shard outcome into the merged accumulator.
-    fn fold(
-        merged: &mut Option<ShardOutcome>,
-        outcome: ShardOutcome,
-    ) -> Result<(), ExperimentError> {
-        *merged = Some(match merged.take() {
-            None => outcome,
-            Some(accumulated) => accumulated.merge(outcome).map_err(|error| {
-                ExperimentError::Shard(format!("cannot merge shard outcomes: {error}"))
-            })?,
-        });
-        Ok(())
-    }
-
-    impl Coordinator<'_> {
-        /// Farms the shard plans out to worker processes and folds each
-        /// outcome into one merged accumulator as it arrives, starting from
-        /// the journal-resumed outcomes (`merge` is associative and
-        /// order-insensitive, so arrival order cannot change the result).
-        /// Each assignment gets a fresh worker process (no half-poisoned
-        /// state to reason about on retry); an assignment whose worker dies,
-        /// hangs past the supervision deadline, or replies garbage goes back
-        /// on the queue after a bounded exponential backoff, with retries
-        /// accounted per shard — one poisoned range exhausts its own
-        /// `--retry-limit` and fails fast with an error naming the range,
-        /// instead of burning a budget shared with healthy shards. A
-        /// `bad_request` rejection fails the run at once.
-        fn execute(
-            &self,
-            plans: &[ShardPlan],
-            workers: usize,
-            resumed: Vec<ShardOutcome>,
-        ) -> Result<Option<ShardOutcome>, ExperimentError> {
-            let mut merged = None;
-            for outcome in resumed {
-                fold(&mut merged, outcome)?;
-            }
-            if plans.is_empty() {
-                return Ok(merged);
-            }
-            let merged = Mutex::new(merged);
-            let queue: Mutex<VecDeque<(usize, usize)>> =
-                Mutex::new((0..plans.len()).map(|index| (index, 0usize)).collect());
-            let failure: Mutex<Option<ExperimentError>> = Mutex::new(None);
-            let fail = |error: ExperimentError| {
-                failure.lock().unwrap().get_or_insert(error);
-                queue.lock().unwrap().clear();
-            };
-            std::thread::scope(|scope| {
-                for _ in 0..workers.clamp(1, plans.len()) {
-                    scope.spawn(|| loop {
-                        let Some((index, attempt)) = queue.lock().unwrap().pop_front() else {
-                            break;
-                        };
-                        let plan = plans[index];
-                        let range =
-                            format!("[{}, {})", plan.first_ap, plan.first_ap + plan.aps);
-                        // Supervision-layer wall-clock read: worker
-                        // deadlines are real time, not simulated time.
-                        // mp-lint: allow(wallclock)
-                        let started = Instant::now();
-                        match self.run_worker(plan) {
-                            Ok(outcome) => {
-                                self.supervision.record_success(started.elapsed());
-                                let folded = self
-                                    .journal_outcome(&outcome)
-                                    .and_then(|()| fold(&mut merged.lock().unwrap(), outcome));
-                                if let Err(error) = folded {
-                                    fail(error);
-                                    break;
-                                }
-                            }
-                            Err(AttemptError::Rejected(message)) => {
-                                fail(ExperimentError::Shard(format!(
-                                    "range {range} was rejected by its worker: {message}"
-                                )));
-                                break;
-                            }
-                            Err(AttemptError::Retry(message)) => {
-                                if attempt >= self.retry_limit {
-                                    fail(ExperimentError::Shard(format!(
-                                        "range {range} failed {} time(s), exhausting \
-                                         --retry-limit {}: {message}",
-                                        attempt + 1,
-                                        self.retry_limit
-                                    )));
-                                    break;
-                                }
-                                let backoff = Duration::from_millis(
-                                    (50u64 << attempt.min(5)).min(2_000),
-                                );
-                                eprintln!(
-                                    "warning: shard {range} attempt {}/{} failed \
-                                     ({message}); retrying in {}ms",
-                                    attempt + 1,
-                                    self.retry_limit + 1,
-                                    backoff.as_millis()
-                                );
-                                std::thread::sleep(backoff);
-                                queue.lock().unwrap().push_back((index, attempt + 1));
-                            }
-                        }
-                    });
-                }
-            });
-            match failure.into_inner().unwrap() {
-                Some(error) => Err(error),
-                None => Ok(merged.into_inner().unwrap()),
-            }
-        }
-
-        /// Writes one completed shard into the journal (when one is
-        /// configured). A planned torn-write fault leaves a strict prefix of
-        /// the entry at its final path and kills the coordinator — exactly
-        /// the damage a power cut mid-write would leave for the resume path
-        /// to discard.
-        fn journal_outcome(&self, outcome: &ShardOutcome) -> Result<(), ExperimentError> {
-            let Some(dir) = self.journal else { return Ok(()) };
-            let torn = matches!(
-                self.faults.as_ref().and_then(FaultPlan::claim_journal),
-                Some(FaultKind::Torn)
-            );
-            let path = write_journal_entry(dir, self.config, outcome)?;
-            if torn {
-                let document = std::fs::read_to_string(&path).unwrap_or_default();
-                let mut cut = document.len() / 2;
-                while !document.is_char_boundary(cut) {
-                    cut -= 1;
-                }
-                let _ = std::fs::write(&path, &document[..cut]);
-                eprintln!("fault: torn journal write at {}; dying", path.display());
-                std::process::exit(17);
-            }
-            Ok(())
-        }
-
-        /// Runs one assignment on a fresh worker process: write the
-        /// `shard_submit` line, close stdin (the worker replies, sees EOF
-        /// and exits), and read the single reply line under the supervision
-        /// deadline — a worker silent past it is killed and its range
-        /// reported hung.
-        fn run_worker(&self, plan: ShardPlan) -> Result<ShardOutcome, AttemptError> {
-            let retry = AttemptError::Retry;
-            let mut child = self.spawn_worker().map_err(retry)?;
-            let request = Request::ShardSubmit {
-                config: Box::new(*self.config),
-                first_ap: plan.first_ap,
-                aps: plan.aps,
-            };
-            {
-                let mut stdin = child
-                    .stdin
-                    .take()
-                    .ok_or_else(|| retry("worker stdin unavailable".to_string()))?;
-                writeln!(stdin, "{}", request.to_json())
-                    .map_err(|error| retry(format!("cannot write to the worker: {error}")))?;
-            }
-            let stdout = child
-                .stdout
-                .take()
-                .ok_or_else(|| retry("worker stdout unavailable".to_string()))?;
-            let (sender, receiver) = mpsc::channel();
-            // Supervision-layer reader thread: it only shuttles one reply
-            // line into the timeout loop. mp-lint: allow(thread-spawn)
-            std::thread::spawn(move || {
-                let mut reply = String::new();
-                let read = BufReader::new(stdout).read_line(&mut reply);
-                let _ = sender.send(read.map(|bytes| (bytes, reply)));
-            });
-            // Supervision-layer wall-clock read (shard timeout clock).
-            // mp-lint: allow(wallclock)
-            let started = Instant::now();
-            let read = loop {
-                match receiver.recv_timeout(Duration::from_millis(100)) {
-                    Ok(read) => break read,
-                    Err(mpsc::RecvTimeoutError::Timeout) => {
-                        // Re-read the deadline every poll: the automatic
-                        // warm estimate may arrive while this worker runs.
-                        if let Some(deadline) = self.supervision.deadline() {
-                            if started.elapsed() >= deadline {
-                                let _ = child.kill();
-                                let _ = child.wait();
-                                return Err(retry(format!(
-                                    "worker hung past the {deadline:?} shard \
-                                     timeout; killed"
-                                )));
-                            }
-                        }
-                    }
-                    Err(mpsc::RecvTimeoutError::Disconnected) => {
-                        break Err(std::io::Error::other("the reply reader died"));
-                    }
-                }
-            };
-            let status = child
-                .wait()
-                .map_err(|error| retry(format!("cannot await the worker: {error}")))?;
-            match read {
-                Ok((0, _)) => Err(retry(format!("worker exited without replying ({status})"))),
-                Ok((_, reply)) => decode_reply(reply.trim(), self.config, plan),
-                Err(error) => Err(retry(format!("cannot read the worker's reply: {error}"))),
-            }
-        }
-
-        fn spawn_worker(&self) -> Result<Child, String> {
-            let mut command = match self.worker_cmd {
-                Some(cmd) => {
-                    let mut command = Command::new("sh");
-                    command.arg("-c").arg(cmd);
-                    command
-                }
-                None => {
-                    let exe = std::env::current_exe()
-                        .map_err(|error| format!("cannot locate this binary: {error}"))?;
-                    let mut command = Command::new(exe);
-                    command.arg("shard-worker");
-                    command
-                }
-            };
-            if let Some(dir) = self.faults.as_ref().and_then(FaultPlan::dir) {
-                // Workers must share the coordinator's claim directory, or a
-                // plan like crash@2 would fire once per worker process
-                // instead of once across the fleet.
-                command.env(parasite::experiments::FAULT_DIR_ENV, dir);
-            }
-            command
-                .stdin(Stdio::piped())
-                .stdout(Stdio::piped())
-                .spawn()
-                .map_err(|error| format!("cannot spawn a shard worker: {error}"))
-        }
-    }
-
-    /// Decodes a worker's reply line into the outcome of `plan`.
-    fn decode_reply(
-        line: &str,
-        config: &RunConfig,
-        plan: ShardPlan,
-    ) -> Result<ShardOutcome, AttemptError> {
-        let retry = AttemptError::Retry;
-        let outcome = match Response::parse_line(line).map_err(retry)? {
-            Response::ShardResult { outcome, .. } => outcome,
-            Response::Error { message, code } if code.as_deref() == Some(codes::BAD_REQUEST) => {
-                return Err(AttemptError::Rejected(message));
-            }
-            Response::Error { message, .. } => {
-                return Err(retry(format!("worker reported: {message}")));
-            }
-            other => return Err(retry(format!("unexpected worker reply: {}", other.to_json()))),
-        };
-        let outcome = ShardOutcome::from_checkpoint_json(&outcome, config)
-            .map_err(|message| retry(format!("worker outcome rejected: it {message}")))?;
-        match outcome.covered_range() {
-            Ok(range) if range == (plan.first_ap, plan.aps) => Ok(outcome),
-            covered => Err(retry(format!(
-                "worker replied for {covered:?} instead of APs [{}, {})",
-                plan.first_ap,
-                plan.first_ap + plan.aps
-            ))),
+        Ok(plan) => plan,
+    };
+    let config = &options.config;
+    let fault_dir = faults.as_ref().and_then(FaultPlan::dir);
+    let process = WorkerProcess::new(config, worker_cmd, shard_timeout, fault_dir);
+    let coordinator = Coordinator {
+        config,
+        workers,
+        journal: journal.as_deref(),
+        retry_limit,
+        faults: faults.as_ref(),
+    };
+    match coordinator.run(|plan| process.attempt(plan)) {
+        Ok(merged) => print_campaign(merged.into_fleet_result(config), &options),
+        Err(error) => {
+            eprintln!("error: {error}");
+            ExitCode::FAILURE
         }
     }
 }
 
-// ---------------------------------------------------------------------------
-// Static analysis: the mp-lint subcommand
-// ---------------------------------------------------------------------------
+/// The `shard-worker` subcommand that `distribute` spawns: serves stdin
+/// assignments until EOF (see [`serve_shard_lines`]). A seeded
+/// `MP_FAULT_PLAN` (see PROTOCOL.md) makes chosen assignments misbehave on
+/// demand — crash before replying, hang, or garble the reply line — so the
+/// coordinator's supervision is testable.
+fn shard_worker(args: &[String]) -> ExitCode {
+    if let Some(stray) = args.first() {
+        return usage_error(USAGE, &format!("unknown shard-worker argument {stray:?}"));
+    }
+    let faults = match FaultPlan::from_env() {
+        Ok(faults) => faults,
+        Err(message) => return usage_error(USAGE, &format!("{FAULT_PLAN_ENV}: {message}")),
+    };
+    let (mut stdin, mut stdout) = (std::io::stdin().lock(), std::io::stdout());
+    match serve_shard_lines(&mut stdin, &mut stdout, faults.as_ref()) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(_) => ExitCode::FAILURE,
+    }
+}
 
-mod lint_cmd {
-    use parasite::json::ToJson;
-    use std::path::PathBuf;
-    use std::process::ExitCode;
-
-    const LINT_USAGE: &str = "\
+const LINT_USAGE: &str = "\
 usage: paper-report lint [--json] [--fix-hints] [--root <dir>]
 
     --json                emit the report as one structured JSON document
@@ -1505,55 +945,46 @@ usage: paper-report lint [--json] [--fix-hints] [--root <dir>]
 exit status: 0 clean, 1 diagnostics found, 2 usage/setup error
 ";
 
-    pub fn run(args: &[String]) -> ExitCode {
-        let mut json = false;
-        let mut fix_hints = false;
-        let mut root: Option<PathBuf> = None;
-        let mut iter = args.iter();
-        while let Some(arg) = iter.next() {
-            match arg.as_str() {
-                "--json" => json = true,
-                "--fix-hints" => fix_hints = true,
-                "--root" => match iter.next() {
-                    Some(dir) => root = Some(PathBuf::from(dir)),
-                    None => return usage_error("--root requires a directory argument"),
-                },
-                "-h" | "--help" => {
-                    print!("{LINT_USAGE}");
-                    return ExitCode::SUCCESS;
-                }
-                other => return usage_error(&format!("unknown lint flag {other:?}")),
-            }
-        }
-        let root = match root {
-            Some(dir) => dir,
-            None => match std::env::current_dir() {
-                Ok(dir) => dir,
-                Err(error) => {
-                    return usage_error(&format!("cannot resolve current directory: {error}"))
-                }
+/// The `lint` subcommand: the mp-lint static analysis pass.
+fn lint(args: &[String]) -> ExitCode {
+    let mut json = false;
+    let mut fix_hints = false;
+    let mut root: Option<PathBuf> = None;
+    let mut args = Cursor::new(args);
+    while let Some(flag) = args.next_flag() {
+        match flag {
+            "--json" => json = true,
+            "--fix-hints" => fix_hints = true,
+            "--root" => match args.value() {
+                Ok(dir) => root = Some(PathBuf::from(dir)),
+                Err(_) => return usage_error(LINT_USAGE, "--root requires a directory argument"),
             },
-        };
-        match mp_lint::run_workspace(&root) {
-            Ok(report) => {
-                if json {
-                    println!("{}", report.to_json());
-                } else {
-                    print!("{}", report.render_text(fix_hints));
-                }
-                if report.clean() {
-                    ExitCode::SUCCESS
-                } else {
-                    ExitCode::from(1)
-                }
+            "-h" | "--help" => {
+                print!("{LINT_USAGE}");
+                return ExitCode::SUCCESS;
             }
-            Err(message) => usage_error(&message),
+            other => return usage_error(LINT_USAGE, &format!("unknown lint flag {other:?}")),
         }
     }
-
-    fn usage_error(message: &str) -> ExitCode {
-        eprintln!("error: {message}\n");
-        eprint!("{LINT_USAGE}");
-        ExitCode::from(2)
+    let root = match root.map_or_else(std::env::current_dir, Ok) {
+        Ok(dir) => dir,
+        Err(error) => {
+            return usage_error(LINT_USAGE, &format!("cannot resolve current directory: {error}"))
+        }
+    };
+    match mp_lint::run_workspace(&root) {
+        Ok(report) => {
+            if json {
+                println!("{}", report.to_json());
+            } else {
+                print!("{}", report.render_text(fix_hints));
+            }
+            if report.clean() {
+                ExitCode::SUCCESS
+            } else {
+                ExitCode::from(1)
+            }
+        }
+        Err(message) => usage_error(LINT_USAGE, &message),
     }
 }

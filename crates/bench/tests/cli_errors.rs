@@ -92,6 +92,21 @@ fn a_zero_scale_is_rejected_not_clamped() {
 }
 
 #[test]
+fn zero_population_sizes_and_crawl_lengths_are_rejected() {
+    // Figure 3 over no sites printed NaN rows, over no days an empty
+    // figure, and Figure 5 over no sites 0.00 % against every paper figure.
+    assert_rejected(
+        &["--only", "fig3", "--crawl-sites", "0"],
+        "--crawl-sites: crawl_sites must be at least 1, got 0",
+    );
+    assert_rejected(&["--only", "fig3", "--days", "0"], "--days: days must be at least 1, got 0");
+    assert_rejected(
+        &["--only", "fig5", "--sites", "0"],
+        "--sites: sites must be at least 1, got 0",
+    );
+}
+
+#[test]
 fn visit_probability_needs_a_multiday_campaign() {
     // Outside [0, 1] (and exactly 0, which would freeze the campaign).
     let fleet = ["--only", "campaign_fleet", "--fleet-days", "5"];
@@ -161,6 +176,27 @@ fn service_subcommand_usage_errors_are_pointed() {
         &["submit", "--socket", "/tmp/x.sock", "--only", "fig1,fig2"],
         "exactly one experiment",
     );
+}
+
+#[test]
+fn service_subcommands_reject_flags_that_do_nothing_there() {
+    // Each subcommand accepts only the service flags it uses; an inert one
+    // is a usage error naming it, before any connection is tried.
+    let socket = ["--socket", "/tmp/mp-cli-inert.sock"];
+    for (args, flag) in [
+        (&["status", "--serve-workers", "4"][..], "--serve-workers"),
+        (&["shutdown", "--run", "3", "--watch"], "--run"),
+        (&["shutdown", "--watch"], "--watch"),
+        (&["cancel", "--run", "1", "--serve-queue-limit", "9"], "--serve-queue-limit"),
+        (&["watch", "--run", "1", "--watch"], "--watch"),
+        (&["submit", "--only", "fig1", "--run", "2"], "--run"),
+        (&["serve", "--run", "1"], "--run"),
+        (&["serve", "--watch"], "--watch"),
+        (&["serve", "--json"], "--json"),
+    ] {
+        let args = [args, &socket[..]].concat();
+        assert_rejected(&args, &format!("{flag} has no effect on {}", args[0]));
+    }
 }
 
 #[test]

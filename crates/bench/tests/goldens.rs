@@ -1,14 +1,16 @@
 //! Byte-identity goldens for the `paper-report` binary: the default report
 //! text, the `--json` report, a checkpointed multi-day campaign (its JSON
-//! and the checkpoint file it writes) and the small-grid `attack_surface`
-//! JSON that CI validates must equal the files committed under
+//! and the checkpoint file it writes), the small-grid `attack_surface`
+//! JSON that CI validates, one `distribute --journal` entry and one
+//! `shard-worker` reply must equal the files committed under
 //! `tests/goldens/` at the repository root, byte for byte.
 //!
 //! `MP_GOLDEN_BLESS=1 cargo test -p mp-bench --test goldens` rewrites the
 //! files from the current binary; review the diff before committing.
 
+use std::io::Write as _;
 use std::path::{Path, PathBuf};
-use std::process::Command;
+use std::process::{Command, Stdio};
 
 /// perfbench's recorded FNV-1a-64 digest of the default report text (seed
 /// 2021, variant 0), without its trailing newline.
@@ -30,6 +32,24 @@ const CAMPAIGN: [&str; 14] = [
     "--fleet-checkpoint",
     "<checkpoint>",
 ];
+
+/// The checkpointed campaign's configuration as `distribute` flags.
+const DISTRIBUTED: [&str; 11] = [
+    "--only",
+    "campaign_fleet",
+    "--fleet-clients",
+    "10000",
+    "--fleet-aps",
+    "16",
+    "--fleet-days",
+    "3",
+    "--fleet-churn",
+    "0.2",
+    "--fleet-hetero",
+];
+
+/// One assignment of the same campaign on the shard-worker wire.
+const SHARD_SUBMIT: &str = r#"{"op":"shard_submit","config":{"fleet_clients":10000,"fleet_aps":16,"fleet_days":3,"fleet_churn":0.2,"fleet_hetero":true},"first_ap":4,"aps":4}"#;
 
 fn golden_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/goldens")
@@ -68,6 +88,14 @@ fn check(name: &str, actual: &[u8]) {
     );
 }
 
+/// A fresh per-process scratch directory named after `label`.
+fn scratch_dir(label: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("mp-goldens-{label}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    dir
+}
+
 fn fnv1a64(bytes: &[u8]) -> u64 {
     bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &byte| {
         (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
@@ -89,9 +117,7 @@ fn the_json_report_matches_its_golden() {
 
 #[test]
 fn a_checkpointed_campaign_and_its_checkpoint_match_their_goldens() {
-    let dir = std::env::temp_dir().join(format!("mp-goldens-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("temp dir");
+    let dir = scratch_dir("checkpoint");
     let checkpoint = dir.join("checkpoint.json");
     let checkpoint_arg = checkpoint.to_str().expect("utf-8 temp path");
     let args = CAMPAIGN.map(|arg| if arg == "<checkpoint>" { checkpoint_arg } else { arg });
@@ -123,4 +149,36 @@ fn the_small_grid_attack_surface_json_matches_its_golden() {
             "2",
         ]),
     );
+}
+
+#[test]
+fn a_distribute_journal_entry_matches_its_golden() {
+    let dir = scratch_dir("journal");
+    let journal = dir.join("journal");
+    let journal_arg = journal.to_str().expect("utf-8 temp path");
+    let mut args = vec!["distribute", "--workers", "2", "--journal", journal_arg];
+    args.extend(DISTRIBUTED);
+    paper_report(&args);
+    check(
+        "distribute_journal_entry.json",
+        &std::fs::read(journal.join("shard-000000-000008.json"))
+            .expect("distribute journaled the first range"),
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_shard_worker_reply_matches_its_golden() {
+    let mut worker = Command::new(env!("CARGO_BIN_EXE_paper-report"))
+        .arg("shard-worker")
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .spawn()
+        .expect("shard-worker spawns");
+    let mut stdin = worker.stdin.take().expect("piped stdin");
+    writeln!(stdin, "{SHARD_SUBMIT}").expect("the worker reads its assignment");
+    drop(stdin);
+    let output = worker.wait_with_output().expect("shard-worker exits");
+    assert!(output.status.success(), "shard-worker exit {:?}", output.status.code());
+    check("shard_worker_reply.jsonl", &output.stdout);
 }

@@ -100,10 +100,9 @@ impl ShardPlan {
         ShardPlan::split_range(0, config.fleet_aps.max(1), workers)
     }
 
-    /// Splits one contiguous AP range into (at most) `workers` plans — the
-    /// journal-resume complement of [`split`](Self::split): each gap
-    /// between journaled ranges becomes its own set of fresh plans.
-    pub fn split_range(first_ap: usize, aps: usize, workers: usize) -> Vec<ShardPlan> {
+    /// Splits one contiguous AP range into (at most) `workers` plans,
+    /// earlier plans taking the remainder.
+    fn split_range(first_ap: usize, aps: usize, workers: usize) -> Vec<ShardPlan> {
         let total = aps.max(1);
         let parts = workers.max(1).min(total);
         let mut plans = Vec::with_capacity(parts);
@@ -112,6 +111,35 @@ impl ShardPlan {
             let aps = share(total, parts, index);
             plans.push(ShardPlan { first_ap: start, aps });
             start += aps;
+        }
+        plans
+    }
+
+    /// Plans the AP ranges no outcome in `done` covers: each contiguous
+    /// uncovered run is split across the workers exactly as
+    /// [`split`](Self::split) splits the whole fleet, so with nothing done
+    /// this is `split`, and a journal-resumed plan never depends on where
+    /// the previous coordinator died.
+    pub fn uncovered(config: &RunConfig, done: &[ShardOutcome], workers: usize) -> Vec<ShardPlan> {
+        let total = config.fleet_aps.max(1);
+        let mut covered = vec![false; total];
+        for part in done.iter().flat_map(|outcome| &outcome.parts) {
+            for flag in covered.iter_mut().skip(part.first_ap).take(part.aps) {
+                *flag = true;
+            }
+        }
+        let mut plans = Vec::new();
+        let mut ap = 0;
+        while ap < total {
+            if covered[ap] {
+                ap += 1;
+                continue;
+            }
+            let start = ap;
+            while ap < total && !covered[ap] {
+                ap += 1;
+            }
+            plans.extend(ShardPlan::split_range(start, ap - start, workers));
         }
         plans
     }
@@ -262,13 +290,6 @@ impl ShardOutcome {
     /// The (partial) per-day statistics of this outcome.
     pub fn days(&self) -> &[DayStats] {
         &self.days
-    }
-
-    /// The `(first_ap, aps)` range of every part, sorted — what a
-    /// journal-resuming coordinator subtracts from the fleet to find the
-    /// ranges still to run.
-    pub fn covered_aps(&self) -> Vec<(usize, usize)> {
-        self.parts.iter().map(|part| (part.first_ap, part.aps)).collect()
     }
 
     /// The single contiguous `(first_ap, aps)` range this outcome covers,

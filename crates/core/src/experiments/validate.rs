@@ -79,7 +79,8 @@ impl RunConfig {
     }
 
     /// Checks that every field is in range: positive event budget, Table I
-    /// cache-size divisor, AP, shard and day counts; a churn fraction in
+    /// cache-size divisor, Figure 5 and Figure 3 population sizes, Figure 3
+    /// crawl length, and fleet AP, shard and day counts; a churn fraction in
     /// `[0, 1]` and a visit probability in `(0, 1]`; attack-surface trials
     /// and axis lengths from 1 up to what one race world and the seed-lane
     /// layout hold; surface ranges that are not inverted; and a vector mask
@@ -87,6 +88,9 @@ impl RunConfig {
     pub fn validate(&self) -> Result<(), ConfigError> {
         at_least("event_budget", self.event_budget, 1)?;
         at_least("scale", self.scale, 1)?;
+        at_least("sites", self.sites, 1)?;
+        at_least("crawl_sites", self.crawl_sites, 1)?;
+        at_least("days", self.days, 1)?;
         at_least("fleet_aps", self.fleet_aps, 1)?;
         at_least("fleet_shards", self.fleet_shards, 1)?;
         at_least("fleet_days", self.fleet_days, 1)?;
@@ -181,6 +185,9 @@ mod tests {
         for (config, field) in [
             (with(|c| c.event_budget = 0), "event_budget"),
             (with(|c| c.scale = 0), "scale"),
+            (with(|c| c.sites = 0), "sites"),
+            (with(|c| c.crawl_sites = 0), "crawl_sites"),
+            (with(|c| c.days = 0), "days"),
             (with(|c| c.fleet_aps = 0), "fleet_aps"),
             (with(|c| c.fleet_shards = 0), "fleet_shards"),
             (with(|c| c.fleet_days = 0), "fleet_days"),
@@ -202,7 +209,7 @@ mod tests {
         // The edges of every range are valid.
         for config in [
             with(|c| (c.fleet_churn, c.fleet_visit_prob) = (1.0, f64::MIN_POSITIVE)),
-            with(|c| c.scale = 1),
+            with(|c| (c.scale, c.sites, c.crawl_sites, c.days) = (1, 1, 1, 1)),
             with(|c| (c.surface_trials, c.surface_wan_steps) = (MAX_CLIENTS_PER_AP, MAX_AXIS_STEPS)),
             with(|c| (c.surface_delay_start_us, c.surface_vectors) = (160_000, 0b1111)),
         ] {

@@ -4,7 +4,7 @@
 //! long-running process that serves concurrent experiment runs over a
 //! newline-delimited JSON socket (unix, optionally also TCP).
 //!
-//! Four modules:
+//! Five modules:
 //!
 //! * [`protocol`] — the wire messages ([`Request`], [`Response`],
 //!   [`RunOutcome`], [`RunStatus`]); one JSON object per line, documented
@@ -14,7 +14,11 @@
 //! * [`client`] — [`Client`]: a small blocking client used by the
 //!   `paper-report` subcommands and the end-to-end tests,
 //! * [`shard`] — [`serve_shard`]: the one shard-serving path, shared by the
-//!   daemon's `shard_submit` and the `paper-report shard-worker` loop.
+//!   daemon's `shard_submit` and the `shard-worker` loop
+//!   ([`serve_shard_lines`]),
+//! * [`distribute`] — [`Coordinator`]: the `paper-report distribute`
+//!   coordinator (planning, retry queue, journal, merge) behind one attempt
+//!   closure, and [`WorkerProcess`], its child-process attempt.
 //!
 //! ```no_run
 //! use mp_service::{Client, Daemon, Endpoint, Request, ServeOptions};
@@ -37,6 +41,7 @@
 #![warn(missing_docs)]
 
 pub mod client;
+pub mod distribute;
 pub mod protocol;
 pub mod server;
 pub mod shard;
@@ -44,4 +49,5 @@ pub mod shard;
 pub use client::{Client, ClientError, Endpoint};
 pub use protocol::{Request, Response, RunOutcome, RunState, RunStatus};
 pub use server::{Daemon, ServeOptions};
-pub use shard::{serve_shard, ShardReply};
+pub use distribute::{AttemptError, Coordinator, WorkerProcess};
+pub use shard::{serve_shard, serve_shard_lines, ShardReply};

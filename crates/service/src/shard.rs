@@ -1,13 +1,14 @@
 //! The one shard-serving path: the daemon's `shard_submit` handler and the
-//! `paper-report shard-worker` stdin loop both serve an assignment through
-//! [`serve_shard`], so the two transports share one validation, one fault
-//! hook and one reply codec.
+//! `paper-report shard-worker` stdin loop ([`serve_shard_lines`]) both serve
+//! an assignment through [`serve_shard`], so the two transports share one
+//! validation, one fault hook and one reply codec.
 
-use crate::protocol::{codes, Response, RunOutcome};
+use crate::protocol::{codes, Line, LineReader, Request, Response, RunOutcome};
 use parasite::experiments::{
     panic_message, run_campaign_shard, ExperimentError, FaultKind, FaultPlan, RunConfig, RunCtx,
     ShardPlan,
 };
+use std::io::{self, BufRead, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Duration;
 
@@ -98,4 +99,77 @@ pub fn serve_shard(
         line.truncate(cut);
     }
     ShardReply { line, outcome }
+}
+
+/// The `shard-worker` loop: serves every `shard_submit` line of `input`
+/// through [`serve_shard`], with the line's ordinal as its run id, and
+/// writes one reply line per request line to `output` until EOF. Any other
+/// request, and a line that does not parse, gets a `bad_request` error.
+/// Returns the first read or write error.
+pub fn serve_shard_lines(
+    input: &mut impl BufRead,
+    output: &mut impl Write,
+    faults: Option<&FaultPlan>,
+) -> io::Result<()> {
+    let mut lines = LineReader::default();
+    let mut run = 0u64;
+    loop {
+        let request = match lines.read(input)? {
+            Line::Eof => return Ok(()),
+            Line::Text(text) => Request::parse_line(&text),
+            Line::Rejected(message) => Err(message),
+        };
+        run += 1;
+        let rejected = |message: String| {
+            Response::Error { message, code: Some(codes::BAD_REQUEST.to_string()) }
+                .to_json()
+                .to_string()
+        };
+        let reply = match request {
+            Ok(Request::ShardSubmit { config, first_ap, aps }) => {
+                let plan = ShardPlan { first_ap, aps };
+                serve_shard(run, &config, plan, &RunCtx::default(), faults).line
+            }
+            Ok(_) => rejected("a shard-worker serves only shard_submit requests".to_string()),
+            Err(message) => rejected(message),
+        };
+        writeln!(output, "{reply}")?;
+        output.flush()?;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn the_worker_loop_replies_once_per_line_until_eof() {
+        let config = RunConfig {
+            fleet_clients: 400,
+            fleet_aps: 4,
+            fleet_days: 3,
+            fleet_churn: 0.2,
+            ..RunConfig::default()
+        };
+        let plan = ShardPlan { first_ap: 1, aps: 2 };
+        let submit = Request::ShardSubmit { config: Box::new(config), first_ap: 1, aps: 2 };
+        let input = format!("{}\nnot json\n{}\n", submit.to_json(), Request::Shutdown.to_json());
+        let mut output = Vec::new();
+        serve_shard_lines(&mut input.as_bytes(), &mut output, None).expect("buffers never fail");
+
+        let output = String::from_utf8(output).expect("utf-8 replies");
+        let replies: Vec<&str> = output.lines().collect();
+        let served = serve_shard(1, &config, plan, &RunCtx::default(), None).line;
+        assert_eq!(replies.len(), 3, "{output}");
+        assert_eq!(replies[0], served, "the first line is run 1");
+        for rejected in &replies[1..] {
+            match Response::parse_line(rejected) {
+                Ok(Response::Error { code, .. }) => {
+                    assert_eq!(code.as_deref(), Some(codes::BAD_REQUEST));
+                }
+                other => panic!("expected a bad_request error, got {other:?}"),
+            }
+        }
+        assert!(replies[2].contains("only shard_submit"), "{}", replies[2]);
+    }
 }

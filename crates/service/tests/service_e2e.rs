@@ -212,9 +212,12 @@ fn queued_run_cancelled_before_execution_resolves_with_zero_days() {
 
     // With one worker the second submission sits in the queue while the
     // first runs; cancelling it must resolve it without executing a day.
+    // The first campaign is ten times the usual size so that it outlasts
+    // the submit and cancel round trips (the usual one finishes in ~20 ms).
     let mut first = connect(&socket);
     let mut second = connect(&socket);
-    let running = submit(&mut first, campaign_config(3), None);
+    let long = RunConfig { fleet_clients: 20_000, ..campaign_config(3) };
+    let running = submit(&mut first, long, None);
     let queued = submit(&mut second, campaign_config(5), None);
     let mut control = connect(&socket);
     match control.request(&Request::Cancel { run: queued }).expect("cancel response") {
@@ -607,6 +610,9 @@ fn hostile_lines_are_rejected_without_disturbing_other_runs() {
         (r#"{"fleet_clients":2000,"fleet_aps":4,"fleet_days":3,"fleet_churn":1.5}"#, "fleet_churn"),
         (r#"{"fleet_clients":2000,"fleet_aps":4,"event_budget":0}"#, "event_budget"),
         (r#"{"scale":0}"#, "scale"),
+        (r#"{"sites":0}"#, "sites"),
+        (r#"{"crawl_sites":0}"#, "crawl_sites"),
+        (r#"{"days":0}"#, "days"),
         (r#"{"fleet_days":4294967298}"#, "run configuration"),
     ] {
         let line = format!("{{\"op\":\"submit\",\"experiment\":\"campaign_fleet\",\"config\":{config}}}\n");
