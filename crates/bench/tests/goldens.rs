@@ -1,16 +1,19 @@
 //! Byte-identity goldens for the `paper-report` binary: the default report
 //! text, the `--json` report, a checkpointed multi-day campaign (its JSON
 //! and the checkpoint file it writes), the small-grid `attack_surface`
-//! JSON that CI validates, one `distribute --journal` entry and one
-//! `shard-worker` reply must equal the files committed under
-//! `tests/goldens/` at the repository root, byte for byte.
+//! JSON that CI validates, one `distribute --journal` entry, one
+//! `shard-worker` reply and one daemon session transcript must equal the
+//! files committed under `tests/goldens/` at the repository root, byte for
+//! byte.
 //!
 //! `MP_GOLDEN_BLESS=1 cargo test -p mp-bench --test goldens` rewrites the
 //! files from the current binary; review the diff before committing.
 
 use std::io::Write as _;
+use std::os::unix::fs::FileTypeExt;
 use std::path::{Path, PathBuf};
-use std::process::{Command, Stdio};
+use std::process::{Child, Command, Stdio};
+use std::time::{Duration, Instant};
 
 /// perfbench's recorded FNV-1a-64 digest of the default report text (seed
 /// 2021, variant 0), without its trailing newline.
@@ -51,6 +54,19 @@ const DISTRIBUTED: [&str; 11] = [
 /// One assignment of the same campaign on the shard-worker wire.
 const SHARD_SUBMIT: &str = r#"{"op":"shard_submit","config":{"fleet_clients":10000,"fleet_aps":16,"fleet_days":3,"fleet_churn":0.2,"fleet_hetero":true},"first_ap":4,"aps":4}"#;
 
+/// The campaign of PROTOCOL.md's "A complete session" as `submit` flags.
+const SESSION: [&str; 9] = [
+    "--only",
+    "campaign_fleet",
+    "--fleet-clients",
+    "2000",
+    "--fleet-days",
+    "3",
+    "--fleet-churn",
+    "0.2",
+    "--watch",
+];
+
 fn golden_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/goldens")
 }
@@ -86,6 +102,17 @@ fn check(name: &str, actual: &[u8]) {
         path.display(),
         String::from_utf8_lossy(actual)
     );
+}
+
+/// A `paper-report serve` child, killed when dropped: a failing test must
+/// not leave a daemon running.
+struct DaemonProcess(Child);
+
+impl Drop for DaemonProcess {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
 }
 
 /// A fresh per-process scratch directory named after `label`.
@@ -181,4 +208,43 @@ fn a_shard_worker_reply_matches_its_golden() {
     let output = worker.wait_with_output().expect("shard-worker exits");
     assert!(output.status.success(), "shard-worker exit {:?}", output.status.code());
     check("shard_worker_reply.jsonl", &output.stdout);
+}
+
+#[test]
+fn a_daemon_session_transcript_matches_its_golden() {
+    let dir = scratch_dir("session");
+    let socket = dir.join("daemon.sock");
+    let socket_arg = socket.to_str().expect("utf-8 temp path");
+    let mut daemon = DaemonProcess(
+        Command::new(env!("CARGO_BIN_EXE_paper-report"))
+            .args(["serve", "--socket", socket_arg])
+            .stdin(Stdio::null())
+            .stdout(Stdio::piped())
+            .stderr(Stdio::null())
+            .spawn()
+            .expect("the daemon spawns"),
+    );
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !std::fs::symlink_metadata(&socket).is_ok_and(|meta| meta.file_type().is_socket()) {
+        assert!(Instant::now() < deadline, "the daemon never created its socket");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let mut submit = vec!["submit", "--socket", socket_arg, "--json"];
+    submit.extend(SESSION);
+    let mut transcript = paper_report(&submit);
+    transcript.extend(paper_report(&["shutdown", "--socket", socket_arg, "--json"]));
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while daemon.0.try_wait().expect("poll the daemon").is_none() {
+        assert!(Instant::now() < deadline, "the daemon did not exit after shutdown");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    let mut served = Vec::new();
+    std::io::Read::read_to_end(
+        &mut daemon.0.stdout.take().expect("piped stdout"),
+        &mut served,
+    )
+    .expect("the daemon's stdout is readable");
+    transcript.extend(served);
+    check("daemon_session.jsonl", &transcript);
+    let _ = std::fs::remove_dir_all(&dir);
 }

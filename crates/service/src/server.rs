@@ -2,12 +2,16 @@
 //! per-connection protocol handler.
 //!
 //! The daemon owns a small fixed worker pool (no async runtime — plain
-//! threads, a [`Mutex`]ed run table and [`Condvar`]s). Each accepted
-//! connection gets its own thread that parses newline-JSON
-//! [`Request`]s and writes [`Response`] lines back. Campaign runs execute on
-//! the worker threads through the existing experiment registry, with a
-//! [`DaySink`] publishing every completed day into the run's progress record
-//! so any number of watchers can stream it.
+//! threads, a [`Mutex`]ed run table and [`Condvar`]s). Each listener has an
+//! accept thread blocked in `accept()`, so a connection is served as soon
+//! as it is accepted; `shutdown` wakes those threads by connecting once to
+//! each listener. Each accepted connection gets its own thread that parses
+//! newline-JSON [`Request`]s and writes [`Response`] lines back, and every
+//! new connection reaps the threads of connections that have finished, so
+//! a long-lived daemon keeps only live connections' stacks mapped.
+//! Campaign runs execute on the worker threads through the existing
+//! experiment registry, with a [`DaySink`] publishing every completed day
+//! into the run's progress record so any number of watchers can stream it.
 //!
 //! Budget isolation: a submission whose config asks for a
 //! `global_event_budget` gets its **own fresh** [`SharedBudget`] (per-run
@@ -38,8 +42,8 @@ use parasite::experiments::{
 use parasite::json::ToJson;
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{self, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::os::unix::fs::FileTypeExt;
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
+use std::os::unix::fs::{FileTypeExt, MetadataExt};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
@@ -48,9 +52,10 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// How long blocking reads wait before re-checking the shutdown flag, and how
-/// long accept loops and watch streams sleep between polls.
-const POLL_INTERVAL: Duration = Duration::from_millis(50);
+/// How long a connection thread's read waits for a request before it
+/// re-checks the shutdown flag: an idle connection closes within this long
+/// of a `shutdown`.
+const IDLE_READ_TIMEOUT: Duration = Duration::from_millis(50);
 
 /// How the daemon should listen and schedule.
 #[derive(Debug, Clone)]
@@ -113,6 +118,59 @@ struct State {
     queue: VecDeque<u64>,
 }
 
+/// The unix socket file the daemon bound: its path and the identity
+/// (device, inode) of the file, so shutdown never mistakes a socket someone
+/// else later bound at the same path for its own.
+#[derive(Debug)]
+struct SocketFile {
+    path: PathBuf,
+    id: (u64, u64),
+}
+
+impl SocketFile {
+    /// Whether `path` still holds the socket file the daemon bound.
+    fn is_ours(&self) -> bool {
+        std::fs::symlink_metadata(&self.path).is_ok_and(|meta| (meta.dev(), meta.ino()) == self.id)
+    }
+}
+
+/// Where `begin_shutdown` connects to wake an accept thread blocked in
+/// `accept()`, and whether that connect succeeded.
+#[derive(Debug)]
+struct AcceptLoop {
+    wake: Wake,
+    woken: AtomicBool,
+}
+
+#[derive(Debug)]
+enum Wake {
+    Unix,
+    Tcp(SocketAddr),
+}
+
+impl Wake {
+    /// Connects once to the listener so that its accept thread, blocked in
+    /// `accept()`, returns and sees the shutdown flag; the connection is
+    /// dropped at once. A TCP listener bound to an unspecified address
+    /// (`0.0.0.0`, `::`) is reached over loopback on the same port. Returns
+    /// whether the connect succeeded.
+    fn connect(&self, socket: &SocketFile) -> bool {
+        match self {
+            Wake::Unix => socket.is_ours() && UnixStream::connect(&socket.path).is_ok(),
+            Wake::Tcp(addr) => {
+                let mut addr = *addr;
+                if addr.ip().is_unspecified() {
+                    addr.set_ip(match addr.ip() {
+                        IpAddr::V4(_) => IpAddr::V4(Ipv4Addr::LOCALHOST),
+                        IpAddr::V6(_) => IpAddr::V6(Ipv6Addr::LOCALHOST),
+                    });
+                }
+                TcpStream::connect(addr).is_ok()
+            }
+        }
+    }
+}
+
 /// State shared by accept threads, connection threads and workers.
 struct Shared {
     state: Mutex<State>,
@@ -120,7 +178,8 @@ struct Shared {
     shutdown: AtomicBool,
     pool: Option<SharedBudget>,
     queue_limit: usize,
-    socket: PathBuf,
+    socket: SocketFile,
+    accept_loops: Vec<AcceptLoop>,
     conn_threads: Mutex<Vec<JoinHandle<()>>>,
 }
 
@@ -128,7 +187,9 @@ struct Shared {
 /// `shutdown` request (or call [`Daemon::wait`] after one) to stop cleanly.
 pub struct Daemon {
     inner: Arc<Shared>,
-    threads: Vec<JoinHandle<()>>,
+    /// One per entry of `Shared::accept_loops`, in the same order.
+    accept_threads: Vec<JoinHandle<()>>,
+    workers: Vec<JoinHandle<()>>,
     tcp_addr: Option<SocketAddr>,
 }
 
@@ -181,15 +242,9 @@ impl Daemon {
     /// listens, or that holds a non-socket file, refuses to bind.
     pub fn start(options: ServeOptions) -> io::Result<Daemon> {
         let unix = bind_unix(&options.socket)?;
-        unix.set_nonblocking(true)?;
-        let tcp = match &options.tcp {
-            Some(addr) => {
-                let listener = TcpListener::bind(addr)?;
-                listener.set_nonblocking(true)?;
-                Some(listener)
-            }
-            None => None,
-        };
+        let meta = std::fs::symlink_metadata(&options.socket)?;
+        let socket = SocketFile { path: options.socket.clone(), id: (meta.dev(), meta.ino()) };
+        let tcp = options.tcp.as_ref().map(TcpListener::bind).transpose()?;
         let tcp_addr = tcp.as_ref().map(|listener| listener.local_addr()).transpose()?;
 
         let shared = Arc::new(Shared {
@@ -199,30 +254,41 @@ impl Daemon {
             pool: (options.global_event_budget > 0)
                 .then(|| SharedBudget::new(options.global_event_budget)),
             queue_limit: options.queue_limit,
-            socket: options.socket.clone(),
+            socket,
+            accept_loops: std::iter::once(Wake::Unix)
+                .chain(tcp_addr.map(Wake::Tcp))
+                .map(|wake| AcceptLoop { wake, woken: AtomicBool::new(false) })
+                .collect(),
             conn_threads: Mutex::new(Vec::new()),
         });
 
         // The daemon's listener/worker pool is a sanctioned thread pool:
-        // every thread is joined on shutdown and no simulation state is
-        // shared across them except through the run queue.
-        let mut threads = Vec::new();
+        // every thread is joined on shutdown (an accept thread shutdown could
+        // not wake is detached instead) and no simulation state is shared
+        // across them except through the run queue.
+        let mut accept_threads = Vec::new();
         {
             let shared = Arc::clone(&shared);
             // mp-lint: allow(thread-spawn)
-            threads.push(std::thread::spawn(move || accept_unix(&shared, unix)));
+            accept_threads.push(std::thread::spawn(move || {
+                accept_loop(&shared, unix.incoming(), Connection::unix)
+            }));
         }
         if let Some(listener) = tcp {
             let shared = Arc::clone(&shared);
             // mp-lint: allow(thread-spawn)
-            threads.push(std::thread::spawn(move || accept_tcp(&shared, listener)));
+            accept_threads.push(std::thread::spawn(move || {
+                accept_loop(&shared, listener.incoming(), Connection::tcp)
+            }));
         }
-        for _ in 0..options.workers.max(1) {
-            let shared = Arc::clone(&shared);
-            // mp-lint: allow(thread-spawn)
-            threads.push(std::thread::spawn(move || worker_loop(&shared)));
-        }
-        Ok(Daemon { inner: shared, threads, tcp_addr })
+        let workers = (0..options.workers.max(1))
+            .map(|_| {
+                let shared = Arc::clone(&shared);
+                // mp-lint: allow(thread-spawn)
+                std::thread::spawn(move || worker_loop(&shared))
+            })
+            .collect();
+        Ok(Daemon { inner: shared, accept_threads, workers, tcp_addr })
     }
 
     /// The bound TCP address, when a TCP listener was requested (useful with
@@ -232,16 +298,29 @@ impl Daemon {
     }
 
     /// Blocks until the daemon shuts down (a client sent `shutdown`), then
-    /// joins every thread and removes the socket file.
+    /// joins every thread and removes the socket file if it is still the
+    /// one the daemon bound. An accept thread that shutdown could not wake
+    /// (someone unlinked the socket file, say) stays blocked in `accept()`
+    /// and is detached rather than joined, so this always returns.
     pub fn wait(self) -> io::Result<()> {
-        for handle in self.threads {
+        // Workers see the shutdown flag only under the state lock, which
+        // `begin_shutdown` holds until it has tried every wake-up.
+        for handle in self.workers {
             let _ = handle.join();
+        }
+        for (handle, accept) in self.accept_threads.into_iter().zip(&self.inner.accept_loops) {
+            if accept.woken.load(Ordering::SeqCst) {
+                let _ = handle.join();
+            }
         }
         let connections = std::mem::take(&mut *self.inner.conn_threads.lock().unwrap());
         for handle in connections {
             let _ = handle.join();
         }
-        match std::fs::remove_file(&self.inner.socket) {
+        if !self.inner.socket.is_ours() {
+            return Ok(());
+        }
+        match std::fs::remove_file(&self.inner.socket.path) {
             Ok(()) => Ok(()),
             Err(error) if error.kind() == io::ErrorKind::NotFound => Ok(()),
             Err(error) => Err(error),
@@ -249,26 +328,22 @@ impl Daemon {
     }
 }
 
-fn accept_unix(shared: &Arc<Shared>, listener: UnixListener) {
-    while !shared.shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => spawn_connection(shared, Connection::unix(stream)),
-            Err(error) if error.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(POLL_INTERVAL);
-            }
-            Err(_) => std::thread::sleep(POLL_INTERVAL),
+/// Serves every connection a listener accepts until shutdown: blocks in
+/// `accept()`, and stops at the first connection accepted after the
+/// shutdown flag is set — the one `begin_shutdown` makes to wake it. A
+/// failed accept (an aborted connection, or no file descriptor left) is
+/// skipped and `accept()` is called again at once.
+fn accept_loop<S>(
+    shared: &Arc<Shared>,
+    incoming: impl Iterator<Item = io::Result<S>>,
+    connection: fn(S) -> io::Result<Connection>,
+) {
+    for stream in incoming {
+        if shared.shutdown.load(Ordering::SeqCst) {
+            return;
         }
-    }
-}
-
-fn accept_tcp(shared: &Arc<Shared>, listener: TcpListener) {
-    while !shared.shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => spawn_connection(shared, Connection::tcp(stream)),
-            Err(error) if error.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(POLL_INTERVAL);
-            }
-            Err(_) => std::thread::sleep(POLL_INTERVAL),
+        if let Ok(stream) = stream {
+            spawn_connection(shared, connection(stream));
         }
     }
 }
@@ -283,8 +358,7 @@ struct Connection {
 
 impl Connection {
     fn unix(stream: UnixStream) -> io::Result<Connection> {
-        stream.set_nonblocking(false)?;
-        stream.set_read_timeout(Some(POLL_INTERVAL))?;
+        stream.set_read_timeout(Some(IDLE_READ_TIMEOUT))?;
         let writer = stream.try_clone()?;
         Ok(Connection {
             reader: BufReader::new(Box::new(stream)),
@@ -293,8 +367,7 @@ impl Connection {
     }
 
     fn tcp(stream: TcpStream) -> io::Result<Connection> {
-        stream.set_nonblocking(false)?;
-        stream.set_read_timeout(Some(POLL_INTERVAL))?;
+        stream.set_read_timeout(Some(IDLE_READ_TIMEOUT))?;
         let writer = stream.try_clone()?;
         Ok(Connection {
             reader: BufReader::new(Box::new(stream)),
@@ -315,13 +388,19 @@ impl Connection {
     }
 }
 
+/// Spawns the connection's thread, first joining the threads of
+/// connections that have finished: an exited thread keeps its stack mapped
+/// until it is joined.
 fn spawn_connection(shared: &Arc<Shared>, connection: io::Result<Connection>) {
     let Ok(connection) = connection else { return };
     let shared_for_thread = Arc::clone(shared);
+    let mut threads = shared.conn_threads.lock().unwrap();
+    for finished in threads.extract_if(.., |handle| handle.is_finished()) {
+        let _ = finished.join();
+    }
     // Per-connection thread of the sanctioned daemon pool, tracked in
     // conn_threads and joined on shutdown. mp-lint: allow(thread-spawn)
-    let handle = std::thread::spawn(move || handle_connection(&shared_for_thread, connection));
-    shared.conn_threads.lock().unwrap().push(handle);
+    threads.push(std::thread::spawn(move || handle_connection(&shared_for_thread, connection)));
 }
 
 fn handle_connection(shared: &Arc<Shared>, mut connection: Connection) {
@@ -577,8 +656,7 @@ fn stream_run(shared: &Arc<Shared>, connection: &mut Connection, run: u64) -> io
         let (fresh, outcome) = {
             let mut progress = entry.progress.lock().unwrap();
             while progress.days.len() == cursor && progress.outcome.is_none() {
-                let (next, _) = entry.cond.wait_timeout(progress, POLL_INTERVAL).unwrap();
-                progress = next;
+                progress = entry.cond.wait(progress).unwrap();
             }
             let fresh: Vec<DayStats> = progress.days[cursor..].to_vec();
             (fresh, progress.outcome.clone())
@@ -593,11 +671,18 @@ fn stream_run(shared: &Arc<Shared>, connection: &mut Connection, run: u64) -> io
     }
 }
 
-/// Flags shutdown, cancels every unfinished run and wakes all sleepers.
-/// Returns how many runs were still queued or running.
+/// Flags shutdown, wakes the accept threads, cancels every unfinished run
+/// and wakes all sleepers. Returns how many runs were still queued or
+/// running.
 fn begin_shutdown(shared: &Arc<Shared>) -> u64 {
-    shared.shutdown.store(true, Ordering::SeqCst);
     let state = shared.state.lock().unwrap();
+    // Both under the state lock, so no worker exits — and `Daemon::wait`
+    // reads no `woken` flag — before every wake-up has been tried.
+    if !shared.shutdown.swap(true, Ordering::SeqCst) {
+        for accept in &shared.accept_loops {
+            accept.woken.store(accept.wake.connect(&shared.socket), Ordering::SeqCst);
+        }
+    }
     let mut active = 0;
     for entry in state.runs.values() {
         let progress = entry.progress.lock().unwrap();
@@ -625,8 +710,7 @@ fn worker_loop(shared: &Arc<Shared>) {
                 if shared.shutdown.load(Ordering::SeqCst) {
                     return;
                 }
-                let (next, _) = shared.queue_ready.wait_timeout(state, POLL_INTERVAL).unwrap();
-                state = next;
+                state = shared.queue_ready.wait(state).unwrap();
             }
         };
         if let Some(entry) = entry {
@@ -684,4 +768,31 @@ fn finish(entry: &Arc<RunEntry>, outcome: RunOutcome) {
     progress.outcome = Some(outcome);
     drop(progress);
     entry.cond.notify_all();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client::{Client, Endpoint};
+
+    #[test]
+    fn finished_connection_threads_are_reaped() {
+        let dir = std::env::temp_dir().join(format!("mp-server-reap-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let socket = dir.join("daemon.sock");
+        let daemon = Daemon::start(ServeOptions::new(&socket)).expect("daemon starts");
+        let endpoint = Endpoint::Unix(socket.clone());
+        for _ in 0..64 {
+            let mut client = Client::connect(&endpoint).expect("connect");
+            let reply = client.request(&Request::Status { run: None }).expect("status");
+            assert!(matches!(reply, Response::Status { .. }), "got {reply:?}");
+        }
+        let held = daemon.inner.conn_threads.lock().unwrap().len();
+        assert!(held <= 8, "{held} connection handles held after 64 closed connections");
+        let reply = Client::connect(&endpoint).expect("connect").request(&Request::Shutdown);
+        assert!(matches!(reply, Ok(Response::ShuttingDown { .. })), "got {reply:?}");
+        daemon.wait().expect("daemon joins cleanly");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

@@ -634,3 +634,103 @@ fn hostile_lines_are_rejected_without_disturbing_other_runs() {
     shutdown_and_wait(daemon, &socket);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Runs [`Daemon::wait`] on a thread and fails the test if it has not
+/// returned within 5 s: a shutdown that hangs must fail, not stall the suite.
+fn wait_within_limit(daemon: Daemon) {
+    let (done, finished) = std::sync::mpsc::channel();
+    std::thread::spawn(move || done.send(daemon.wait()));
+    finished
+        .recv_timeout(std::time::Duration::from_secs(5))
+        .expect("Daemon::wait returned within 5 s")
+        .expect("daemon joins cleanly");
+}
+
+fn request_shutdown(client: &mut Client) {
+    match client.request(&Request::Shutdown).expect("shutdown response") {
+        Response::ShuttingDown { .. } => {}
+        other => panic!("expected shutting_down, got {other:?}"),
+    }
+}
+
+#[test]
+fn fresh_connections_are_served_without_an_accept_timer() {
+    let dir = temp_dir("fresh");
+    let socket = dir.join("daemon.sock");
+    let daemon = Daemon::start(ServeOptions::new(&socket)).expect("daemon starts");
+    // A daemon that polled its listener every 50 ms would take about 1 s
+    // here: each connection would wait for the next poll.
+    let started = std::time::Instant::now();
+    for _ in 0..20 {
+        match connect(&socket).request(&Request::Status { run: None }).expect("status") {
+            Response::Status { .. } => {}
+            other => panic!("expected status, got {other:?}"),
+        }
+    }
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed < std::time::Duration::from_millis(500),
+        "20 fresh status trips took {elapsed:?}"
+    );
+    shutdown_and_wait(daemon, &socket);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn shutdown_returns_while_a_second_connection_sits_idle() {
+    let dir = temp_dir("idle");
+    let socket = dir.join("daemon.sock");
+    let daemon = Daemon::start(ServeOptions::new(&socket)).expect("daemon starts");
+    let _idle = connect(&socket);
+    request_shutdown(&mut connect(&socket));
+    wait_within_limit(daemon);
+    assert!(!socket.exists(), "socket file must be removed on clean shutdown");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn shutdown_wakes_a_tcp_listener_that_served_a_submit() {
+    let dir = temp_dir("tcp");
+    let socket = dir.join("daemon.sock");
+    // An unspecified bind address is woken over loopback.
+    for bind in ["127.0.0.1:0", "0.0.0.0:0"] {
+        let options = ServeOptions { tcp: Some(bind.to_string()), ..ServeOptions::new(&socket) };
+        let daemon = Daemon::start(options).expect("daemon starts");
+        let port = daemon.tcp_addr().expect("a bound TCP address").port();
+        let endpoint = Endpoint::Tcp(format!("127.0.0.1:{port}"));
+        let mut client = Client::connect(&endpoint).expect("connect over TCP");
+        let config = RunConfig { fleet_days: 3, ..campaign_config(5) };
+        let run = submit(&mut client, config, None);
+        let (days, outcome) = drain_stream(&mut client, run);
+        assert_eq!(days.len(), 3);
+        assert!(matches!(outcome, RunOutcome::Ok { .. }), "got {outcome:?}");
+        request_shutdown(&mut Client::connect(&endpoint).expect("reconnect"));
+        wait_within_limit(daemon);
+        assert!(!socket.exists(), "socket file must be removed on clean shutdown");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn shutdown_returns_after_the_socket_file_was_unlinked_or_replaced() {
+    let dir = temp_dir("unlinked");
+    let socket = dir.join("daemon.sock");
+
+    // Unlinked: the wake-up connect finds no socket file.
+    let daemon = Daemon::start(ServeOptions::new(&socket)).expect("daemon starts");
+    let mut client = connect(&socket);
+    std::fs::remove_file(&socket).expect("unlink the socket file");
+    request_shutdown(&mut client);
+    wait_within_limit(daemon);
+
+    // Replaced: someone else now listens at the path. The daemon must not
+    // take their socket for its own, neither to wake itself nor to remove.
+    let daemon = Daemon::start(ServeOptions::new(&socket)).expect("daemon starts");
+    let mut client = connect(&socket);
+    std::fs::remove_file(&socket).expect("unlink the socket file");
+    let _other = std::os::unix::net::UnixListener::bind(&socket).expect("another listener");
+    request_shutdown(&mut client);
+    wait_within_limit(daemon);
+    assert!(socket.exists(), "the other listener's socket file is left alone");
+    let _ = std::fs::remove_dir_all(&dir);
+}
