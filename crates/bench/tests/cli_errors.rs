@@ -92,6 +92,17 @@ fn a_zero_scale_is_rejected_not_clamped() {
 }
 
 #[test]
+fn integers_json_cannot_carry_exactly_are_rejected_not_rounded() {
+    // 2^53 + 1 used to run under the seed 2^53, the value its JSON echo
+    // rounds to; a distributed run sent that echo to every worker.
+    let seed = ["--seed", "9007199254740993"];
+    assert_rejected(&seed, "--seed: seed must be below 2^53");
+    let campaign = ["--only", "campaign_fleet", "--fleet-days", "3", "--fleet-churn", "0.2"];
+    assert_rejected(&[&["distribute"][..], &campaign, &seed].concat(), "--seed");
+    assert_rejected(&["--only", "table1", "--scale", "9007199254740992"], "--scale");
+}
+
+#[test]
 fn zero_population_sizes_and_crawl_lengths_are_rejected() {
     // Figure 3 over no sites printed NaN rows, over no days an empty
     // figure, and Figure 5 over no sites 0.00 % against every paper figure.

@@ -1,10 +1,10 @@
 //! Byte-identity goldens for the `paper-report` binary: the default report
-//! text, the `--json` report, a checkpointed multi-day campaign (its JSON
-//! and the checkpoint file it writes), the small-grid `attack_surface`
-//! JSON that CI validates, one `distribute --journal` entry, one
-//! `shard-worker` reply and one daemon session transcript must equal the
-//! files committed under `tests/goldens/` at the repository root, byte for
-//! byte.
+//! text, the `--json` report, a single-day hetero fleet, a checkpointed
+//! multi-day campaign (its JSON and the checkpoint file it writes), the
+//! small-grid `attack_surface` JSON that CI validates, one `distribute
+//! --journal` entry, one `shard-worker` reply and one daemon session
+//! transcript must equal the files committed under `tests/goldens/` at the
+//! repository root, byte for byte.
 //!
 //! `MP_GOLDEN_BLESS=1 cargo test -p mp-bench --test goldens` rewrites the
 //! files from the current binary; review the diff before committing.
@@ -140,6 +140,27 @@ fn the_default_report_matches_its_golden_and_the_recorded_digest() {
 #[test]
 fn the_json_report_matches_its_golden() {
     check("report.json", &paper_report(&["--json", "--jobs", "2"]));
+}
+
+#[test]
+fn a_single_day_campaign_json_matches_its_golden() {
+    check(
+        "campaign_snapshot.json",
+        &paper_report(&[
+            "--only",
+            "campaign_fleet",
+            "--fleet-clients",
+            "20000",
+            "--fleet-aps",
+            "16",
+            "--fleet-hetero",
+            "--jitter-us",
+            "300",
+            "--fleet-shards",
+            "4",
+            "--json",
+        ]),
+    );
 }
 
 #[test]

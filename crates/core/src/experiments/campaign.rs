@@ -8,27 +8,25 @@
 //! each with its own master tap racing the genuine server — and aggregates
 //! infection outcomes and trace summaries across the fleet.
 //!
-//! Every per-AP simulator runs with [`TraceMode::SummaryOnly`], so a
-//! 100k-client sweep retains **no per-packet memory**: only the bounded
-//! summary counters survive each AP. APs run in parallel on scoped worker
-//! threads, and an AP that exhausts its event budget is isolated (counted in
-//! `failed_aps`) instead of aborting the sweep.
+//! Every AP races its clients through `race_clients` (the `tables` module),
+//! the one multi-client race runner, whose simulator keeps only a
+//! `SummaryOnly` trace, so a 100k-client sweep retains **no per-packet
+//! memory**: only the bounded summary counters and one win flag per client
+//! survive each AP. APs run in parallel on scoped worker threads, and an AP
+//! that exhausts its event budget is isolated (counted in `failed_aps`)
+//! instead of aborting the sweep.
 //!
 //! `RunConfig::fleet_shards` is a scheduling hint that is only echoed: the
 //! per-AP plan is global, so the artifact's numbers never depend on it. Real
 //! sharding splits the fleet into contiguous AP ranges (`distrib`).
 
 use super::multiday::DayStats;
-use super::tables::{build_race_world, delivers_parasite, request_wire, RaceTiming, RaceWorld};
+use super::tables::{race_clients, RaceTask, RaceTiming};
 use super::{parallel_tasks, ExperimentError, RunConfig, RunCtx};
 use crate::json::{Json, ToJson};
-use mp_httpsim::url::Url;
-use mp_netsim::addr::IpAddr;
-use mp_netsim::capture::TraceMode;
 use mp_netsim::dist::Dist;
 use mp_netsim::error::NetError;
 use mp_netsim::sim::SharedBudget;
-use mp_netsim::time::Duration as SimDuration;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -146,7 +144,7 @@ pub(super) fn distribute_by_weight(total: usize, weights: &[u64]) -> Vec<usize> 
 }
 
 /// Result of the campaign fleet experiment.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CampaignFleetResult {
     /// The `fleet_shards` scheduling hint, echoed (clamped to the AP count);
     /// no other field depends on it.
@@ -269,29 +267,6 @@ impl ToJson for CampaignFleetResult {
     }
 }
 
-/// One AP's share of the fleet.
-pub(super) struct ApTask {
-    pub(super) seed: u64,
-    pub(super) clients: usize,
-    /// Heterogeneous per-AP profile; `None` runs the paper's uniform
-    /// Figure 2 timing.
-    pub(super) profile: Option<ApProfile>,
-}
-
-/// Aggregate outcome of one AP simulation.
-pub(super) struct ApOutcome {
-    pub(super) infected: usize,
-    pub(super) clean: usize,
-    pub(super) events: u64,
-    pub(super) payload_bytes: u64,
-    pub(super) injected_events: u64,
-    pub(super) pending_bytes_dropped: u64,
-    /// Per-client infection outcome by local index; only filled when the
-    /// caller asked for flags (the multi-day loop maps them back to campaign
-    /// slots), empty otherwise.
-    pub(super) infected_flags: Vec<bool>,
-}
-
 /// SplitMix64 finaliser, used to derive well-mixed per-AP, per-seat and
 /// per-day seed streams from `(campaign_seed, stream ^ index)`.
 pub(super) fn mix_seed(seed: u64, index: u64) -> u64 {
@@ -307,83 +282,6 @@ pub(super) fn mix_seed(seed: u64, index: u64) -> u64 {
 /// its browsing habit across churn.
 pub(super) fn requests_unprepared_object(client_index: usize) -> bool {
     client_index % 8 == 7
-}
-
-/// Simulates one café AP: `task.clients` victims joining the shared-WiFi
-/// race world of [`build_race_world`] (the exact Figure 2 / Table II
-/// topology and timing, or the AP's heterogeneous profile), with an
-/// always-bounded `SummaryOnly` trace. `unprepared(index)` decides which
-/// clients ask for an object the master has not prepared; `record_flags`
-/// fills [`ApOutcome::infected_flags`] with the per-client outcome.
-pub(super) fn simulate_ap_with(
-    task: &ApTask,
-    config: &RunConfig,
-    shared: Option<&SharedBudget>,
-    unprepared: &(dyn Fn(usize) -> bool + Sync),
-    record_flags: bool,
-) -> Result<ApOutcome, NetError> {
-    let timing = task.profile.map(|p| p.timing()).unwrap_or(RaceTiming::PAPER);
-    let jitter_us = config.jitter_us + task.profile.map(|p| p.jitter_us).unwrap_or(0);
-    let RaceWorld {
-        mut sim,
-        wifi,
-        server,
-        request,
-    } = build_race_world(task.seed, &timing, config.event_budget, TraceMode::SummaryOnly, shared);
-    if jitter_us > 0 {
-        sim.set_medium_jitter(wifi, SimDuration::from_micros(jitter_us));
-    }
-
-    let other = request_wire(&Url::parse("http://somesite.com/weather.js").expect("static url"));
-    let mut connections = Vec::with_capacity(task.clients);
-    for index in 0..task.clients {
-        let ip = IpAddr::new(10, (index >> 8) as u8, (index & 0xff) as u8, 2);
-        let client = sim.add_host("client", ip, wifi);
-        let conn = sim.connect(client, server, 80)?;
-        let wire = if unprepared(index) { &other } else { &request };
-        sim.send_bytes(client, conn, wire.clone())?;
-        connections.push((client, conn));
-    }
-    sim.run_until_idle()?;
-
-    let mut infected = 0usize;
-    let mut clean = 0usize;
-    let mut infected_flags = Vec::new();
-    if record_flags {
-        infected_flags.reserve(connections.len());
-    }
-    for (client, conn) in connections {
-        let got_parasite = delivers_parasite(sim.host(client).received(conn));
-        if got_parasite {
-            infected += 1;
-        } else {
-            clean += 1;
-        }
-        if record_flags {
-            infected_flags.push(got_parasite);
-        }
-    }
-
-    let summary = *sim.trace().summary();
-    Ok(ApOutcome {
-        infected,
-        clean,
-        events: sim.events_processed(),
-        payload_bytes: summary.payload_bytes,
-        injected_events: summary.injected_events,
-        pending_bytes_dropped: summary.pending_bytes_dropped,
-        infected_flags,
-    })
-}
-
-/// The classic single-snapshot AP simulation: every eighth client asks for an
-/// unprepared object, no per-client flags.
-fn simulate_ap(
-    task: &ApTask,
-    config: &RunConfig,
-    shared: Option<&SharedBudget>,
-) -> Result<ApOutcome, NetError> {
-    simulate_ap_with(task, config, shared, &requests_unprepared_object, false)
 }
 
 /// Divides `total` into `parts` nearly equal slices (earlier slices take the
@@ -410,33 +308,33 @@ pub(super) fn campaign_fleet(
     let shared = shared.as_ref();
     let aps = config.fleet_aps;
     let total_clients = config.fleet_clients;
-    let tasks = plan_ap_tasks(config, config.seed, total_clients)?;
+    let tasks: Vec<RaceTask> = ap_client_counts(config)?
+        .into_iter()
+        .enumerate()
+        .map(|(ap, clients)| ap_task(config, ap, mix_seed(config.seed, ap as u64), clients))
+        .collect();
 
     let jobs = fleet_jobs(config, aps);
-    let outcomes = parallel_tasks(&tasks, jobs, |task| simulate_ap(task, config, shared));
+    let outcomes = parallel_tasks(&tasks, jobs, |task| {
+        race_clients(task, config.event_budget, shared, &requests_unprepared_object)
+    });
 
     let mut result = CampaignFleetResult {
         shards: config.fleet_shards.min(aps),
         aps,
         clients: total_clients,
-        infected_clients: 0,
-        clean_clients: 0,
-        failed_aps: 0,
-        total_events: 0,
-        payload_bytes: 0,
-        injected_events: 0,
-        pending_bytes_dropped: 0,
-        day_stats: Vec::new(),
+        ..CampaignFleetResult::default()
     };
     for outcome in outcomes {
         match outcome {
             Ok(ap) => {
-                result.infected_clients += ap.infected;
-                result.clean_clients += ap.clean;
+                let infected = ap.wins.iter().filter(|&&win| win).count();
+                result.infected_clients += infected;
+                result.clean_clients += ap.wins.len() - infected;
                 result.total_events += ap.events;
-                result.payload_bytes += ap.payload_bytes;
-                result.injected_events += ap.injected_events;
-                result.pending_bytes_dropped += ap.pending_bytes_dropped;
+                result.payload_bytes += ap.summary.payload_bytes;
+                result.injected_events += ap.summary.injected_events;
+                result.pending_bytes_dropped += ap.summary.pending_bytes_dropped;
             }
             Err(_) => result.failed_aps += 1,
         }
@@ -451,30 +349,19 @@ pub(super) fn campaign_fleet(
     Ok(result)
 }
 
-/// Plans the fleet's AP tasks: seeds (derived from `sim_seed`, which the
-/// multi-day loop varies per day), per-AP client counts (uniform, or
-/// weight-distributed when heterogeneity is on) and profiles (always drawn
-/// from the campaign seed, so an AP keeps its character across days). Shared
-/// between the single-snapshot fleet and the multi-day exposure loop.
-pub(super) fn plan_ap_tasks(
-    config: &RunConfig,
-    sim_seed: u64,
-    total_clients: usize,
-) -> Result<Vec<ApTask>, ExperimentError> {
+/// The fleet's per-AP client counts: uniform, or weight-distributed when
+/// heterogeneity is on (the weights are drawn from the campaign seed, so an
+/// AP keeps its share across days). Fails when one AP would seat more than
+/// [`MAX_CLIENTS_PER_AP`].
+pub(super) fn ap_client_counts(config: &RunConfig) -> Result<Vec<usize>, ExperimentError> {
     let aps = config.fleet_aps.max(1);
-    let profiles: Option<Vec<ApProfile>> = config
-        .fleet_hetero
-        .then(|| (0..aps).map(|index| ApProfile::for_ap(config.seed, index)).collect());
-    let counts: Vec<usize> = match &profiles {
-        Some(profiles) => distribute_by_weight(
-            total_clients,
-            &profiles.iter().map(|p| p.client_weight).collect::<Vec<u64>>(),
-        ),
-        None => {
-            let base = total_clients / aps;
-            let remainder = total_clients % aps;
-            (0..aps).map(|index| base + usize::from(index < remainder)).collect()
-        }
+    let total_clients = config.fleet_clients;
+    let counts: Vec<usize> = if config.fleet_hetero {
+        let weights: Vec<u64> =
+            (0..aps).map(|ap| ApProfile::for_ap(config.seed, ap).client_weight).collect();
+        distribute_by_weight(total_clients, &weights)
+    } else {
+        (0..aps).map(|ap| share(total_clients, aps, ap)).collect()
     };
     let largest_ap = counts.iter().copied().max().unwrap_or(0);
     if largest_ap > MAX_CLIENTS_PER_AP {
@@ -483,15 +370,21 @@ pub(super) fn plan_ap_tasks(
              one AP holds at most {MAX_CLIENTS_PER_AP} — raise fleet_aps"
         )));
     }
-    Ok(counts
-        .into_iter()
-        .enumerate()
-        .map(|(index, clients)| ApTask {
-            seed: mix_seed(sim_seed, index as u64),
-            clients,
-            profile: profiles.as_ref().map(|p| p[index]),
-        })
-        .collect())
+    Ok(counts)
+}
+
+/// AP `ap`'s race of `clients` clients under the simulation seed `seed`:
+/// the paper's Figure 2 timing, or under `fleet_hetero` the AP's profile
+/// (always drawn from the campaign seed, so an AP keeps its character
+/// across days) with its extra jitter on top of `RunConfig::jitter_us`.
+pub(super) fn ap_task(config: &RunConfig, ap: usize, seed: u64, clients: usize) -> RaceTask {
+    let profile = config.fleet_hetero.then(|| ApProfile::for_ap(config.seed, ap));
+    RaceTask {
+        seed,
+        timing: profile.map_or(RaceTiming::PAPER, |p| p.timing()),
+        jitter_us: config.jitter_us + profile.map_or(0, |p| p.jitter_us),
+        clients,
+    }
 }
 
 /// Resolves the worker-thread count for a fleet sweep of `tasks` tasks.
@@ -699,22 +592,19 @@ mod tests {
         }
     }
 
-    /// The per-seat flags of [`simulate_ap_with`], recomputed on the full
-    /// HTTP path: a freshly encoded request per client, a copied delivered
+    /// The per-client wins of [`race_clients`], recomputed on the full HTTP
+    /// path: a freshly encoded request per client, a copied delivered
     /// stream, `Response::from_wire` and `Parasite::detect` on the body text.
-    fn oracle_flags(
-        task: &ApTask,
-        config: &RunConfig,
-        unprepared: &dyn Fn(usize) -> bool,
-    ) -> Vec<bool> {
+    fn oracle_flags(task: &RaceTask, unprepared: &dyn Fn(usize) -> bool) -> Vec<bool> {
+        use super::super::tables::{build_race_world, RaceWorld};
         use crate::script::Parasite;
-        use mp_httpsim::message::{Request, Response};
-        let timing = task.profile.map(|p| p.timing()).unwrap_or(RaceTiming::PAPER);
-        let jitter_us = config.jitter_us + task.profile.map(|p| p.jitter_us).unwrap_or(0);
+        use mp_httpsim::{message::{Request, Response}, url::Url};
+        use mp_netsim::{addr::IpAddr, capture::TraceMode, time::Duration};
+        let budget = RunConfig::default().event_budget;
         let RaceWorld { mut sim, wifi, server, .. } =
-            build_race_world(task.seed, &timing, config.event_budget, TraceMode::SummaryOnly, None);
-        if jitter_us > 0 {
-            sim.set_medium_jitter(wifi, SimDuration::from_micros(jitter_us));
+            build_race_world(task.seed, &task.timing, budget, TraceMode::SummaryOnly, None);
+        if task.jitter_us > 0 {
+            sim.set_medium_jitter(wifi, Duration::from_micros(task.jitter_us));
         }
         let target = Url::parse("http://somesite.com/my.js").unwrap();
         let other = Url::parse("http://somesite.com/weather.js").unwrap();
@@ -740,39 +630,39 @@ mod tests {
             .collect()
     }
 
+    /// A master that needs 30 ms to forge a response, behind a café whose
+    /// genuine server answers over a 5 ms WAN.
+    const SLOW_MASTER: RaceTiming = RaceTiming {
+        attacker_reaction_us: 30_000,
+        wifi_latency_us: 2_000,
+        server_one_way_us: 5_000,
+    };
+
     #[test]
     fn per_seat_flags_match_the_full_http_oracle() {
-        let slow_master = ApProfile {
-            attacker_reaction_us: 30_000,
-            wifi_latency_us: 2_000,
-            wan_latency_us: 5_000,
-            jitter_us: 0,
-            client_weight: 1,
-        };
         let rotated = |_: usize| true;
         let mut outcomes = HashSet::new();
         for seed in [1u64, 42, 2021] {
-            let profiles = [
-                None,
-                Some(ApProfile::for_ap(seed, 0)),
-                Some(ApProfile::for_ap(seed, 5)),
-                Some(slow_master),
-            ];
             for jitter_us in [0u64, 250] {
-                let config = RunConfig { jitter_us, ..RunConfig::default() };
-                for profile in profiles {
-                    let task = ApTask { seed, clients: 48, profile };
-                    let days: [&(dyn Fn(usize) -> bool + Sync); 2] =
+                let uniform = RunConfig { seed, jitter_us, ..RunConfig::default() };
+                let hetero = RunConfig { fleet_hetero: true, ..uniform };
+                let tasks = [
+                    ap_task(&uniform, 0, seed, 48),
+                    ap_task(&hetero, 0, seed, 48),
+                    ap_task(&hetero, 5, seed, 48),
+                    RaceTask { seed, timing: SLOW_MASTER, jitter_us, clients: 48 },
+                ];
+                let profile = ApProfile::for_ap(seed, 5);
+                let (timing, jitter) = (profile.timing(), jitter_us + profile.jitter_us);
+                assert_eq!((tasks[2].timing, tasks[2].jitter_us), (timing, jitter));
+                for task in tasks {
+                    let days: [&dyn Fn(usize) -> bool; 2] =
                         [&requests_unprepared_object, &rotated];
                     for unprepared in days {
-                        let outcome = simulate_ap_with(&task, &config, None, unprepared, true)
+                        let outcome = race_clients(&task, uniform.event_budget, None, unprepared)
                             .expect("simulation completes");
-                        let oracle = oracle_flags(&task, &config, unprepared);
-                        assert_eq!(
-                            outcome.infected_flags, oracle,
-                            "seed {seed}, jitter {jitter_us} us, profile {profile:?}"
-                        );
-                        assert_eq!(outcome.infected, oracle.iter().filter(|&&f| f).count());
+                        let oracle = oracle_flags(&task, unprepared);
+                        assert_eq!(outcome.wins, oracle, "seed {seed}, task {task:?}");
                         outcomes.extend(oracle);
                     }
                 }
@@ -786,26 +676,17 @@ mod tests {
         // The heterogeneity point: outcomes change, not just timestamps. A
         // master that needs 30 ms to forge a response while the genuine
         // server answers over a 5 ms WAN never wins the injection race.
-        let slow_master = ApProfile {
-            attacker_reaction_us: 30_000,
-            wifi_latency_us: 2_000,
-            wan_latency_us: 5_000,
-            jitter_us: 0,
-            client_weight: 1,
-        };
-        let task = ApTask { seed: 42, clients: 16, profile: Some(slow_master) };
-        let config = RunConfig::default();
-        let outcome = simulate_ap_with(&task, &config, None, &requests_unprepared_object, true)
+        let budget = RunConfig::default().event_budget;
+        let slow = RaceTask { seed: 42, timing: SLOW_MASTER, jitter_us: 0, clients: 16 };
+        let outcome = race_clients(&slow, budget, None, &requests_unprepared_object)
             .expect("simulation completes");
-        assert_eq!(outcome.infected, 0, "the genuine response always arrives first");
-        assert_eq!(outcome.clean, 16);
-        assert!(outcome.infected_flags.iter().all(|&flag| !flag));
+        assert_eq!(outcome.wins, vec![false; 16], "the genuine response always arrives first");
 
         // The paper's timing, for contrast, wins for every prepared request.
-        let paper = ApTask { seed: 42, clients: 16, profile: None };
-        let outcome = simulate_ap_with(&paper, &config, None, &requests_unprepared_object, true)
+        let paper = RaceTask { timing: RaceTiming::PAPER, ..slow };
+        let outcome = race_clients(&paper, budget, None, &requests_unprepared_object)
             .expect("simulation completes");
-        assert_eq!(outcome.infected, 14, "every prepared request is infected");
-        assert_eq!(outcome.clean, 2);
+        let expected: Vec<bool> = (0..16).map(|index| !requests_unprepared_object(index)).collect();
+        assert_eq!(outcome.wins, expected, "every prepared request is infected");
     }
 }

@@ -28,13 +28,16 @@
 //! single-process day loop in the `multiday` module now runs a
 //! full-coverage shard through [`run_shard`]; the `paper-report
 //! shard-worker` / `distribute` modes and the service daemon's
-//! `shard_submit` run narrower ones.
+//! `shard_submit` run narrower ones. A shard day races each AP's visiting
+//! seats through `race_clients` (the `tables` module), the runner the
+//! single-snapshot fleet and the attack-surface grid share.
 
 use super::campaign::{
-    fleet_jobs, mix_seed, plan_ap_tasks, requests_unprepared_object, share, simulate_ap_with,
-    ApProfile, ApTask, CampaignFleetResult,
+    ap_client_counts, ap_task, fleet_jobs, mix_seed, requests_unprepared_object, share,
+    CampaignFleetResult,
 };
 use super::multiday::{seat_visit_probs, DayStats, DAILY_CACHE_CLEAR, DAY_TAG, TARGET_TAG};
+use super::tables::{race_clients, RaceTask};
 use super::{parallel_tasks, ExperimentError, RunConfig, RunCtx};
 use crate::json::{Json, ToJson};
 use mp_netsim::error::NetError;
@@ -174,12 +177,12 @@ impl SeatLayout {
 /// Computes the static seat layout (surfacing an overpacked fleet as the
 /// same config error the planner raises).
 fn seat_layout(config: &RunConfig) -> Result<SeatLayout, ExperimentError> {
-    let tasks = plan_ap_tasks(config, config.seed, config.fleet_clients)?;
-    let mut offsets = Vec::with_capacity(tasks.len() + 1);
+    let counts = ap_client_counts(config)?;
+    let mut offsets = Vec::with_capacity(counts.len() + 1);
     let mut start = 0usize;
-    for task in &tasks {
+    for clients in counts {
         offsets.push(start);
-        start += task.clients;
+        start += clients;
     }
     offsets.push(start);
     Ok(SeatLayout { offsets })
@@ -545,10 +548,10 @@ pub(super) fn run_shard(
     Ok(())
 }
 
-/// One AP's slice of a day's exposure sweep: the planned AP task plus the
-/// global seat indices of the clean seats it races today.
+/// One AP's slice of a day's exposure sweep: the AP's race plus the global
+/// seat indices of the clean seats it races today.
 struct DayApTask {
-    task: ApTask,
+    task: RaceTask,
     seats: Vec<u32>,
 }
 
@@ -628,14 +631,8 @@ fn run_shard_day(
             .map(|(local, _)| (seat_range.start + local) as u32)
             .collect();
         exposed += seats.len();
-        ap_days.push(DayApTask {
-            task: ApTask {
-                seed: mix_seed(day_seed, ap as u64),
-                clients: seats.len(),
-                profile: config.fleet_hetero.then(|| ApProfile::for_ap(config.seed, ap)),
-            },
-            seats,
-        });
+        let task = ap_task(config, ap, mix_seed(day_seed, ap as u64), seats.len());
+        ap_days.push(DayApTask { task, seats });
     }
 
     // 5. Exposure: every visiting clean seat browses through its hostile
@@ -650,7 +647,7 @@ fn run_shard_day(
         let unprepared = |local: usize| {
             object_rotated || requests_unprepared_object(ap_day.seats[local] as usize)
         };
-        simulate_ap_with(&ap_day.task, config, shared, &unprepared, true)
+        race_clients(&ap_day.task, config.event_budget, shared, &unprepared)
     });
 
     let mut newly_infected = 0usize;
@@ -659,15 +656,13 @@ fn run_shard_day(
     for (ap_outcome, ap_day) in outcomes.into_iter().zip(&ap_days) {
         match ap_outcome {
             Ok(ap) => {
-                newly_infected += ap.infected;
                 events += ap.events;
-                cumulative.payload_bytes += ap.payload_bytes;
-                cumulative.injected_events += ap.injected_events;
-                cumulative.pending_bytes_dropped += ap.pending_bytes_dropped;
-                for (local, &got_parasite) in ap.infected_flags.iter().enumerate() {
-                    if got_parasite {
-                        part.infected[ap_day.seats[local] as usize - part.seat_lo] = true;
-                    }
+                cumulative.payload_bytes += ap.summary.payload_bytes;
+                cumulative.injected_events += ap.summary.injected_events;
+                cumulative.pending_bytes_dropped += ap.summary.pending_bytes_dropped;
+                for (&seat, _) in ap_day.seats.iter().zip(&ap.wins).filter(|(_, &win)| win) {
+                    part.infected[seat as usize - part.seat_lo] = true;
+                    newly_infected += 1;
                 }
             }
             // A failed AP leaves its exposed seats clean; they are raced

@@ -10,7 +10,10 @@
 //! experiment maps them: a dense seeded grid sweep running hundreds of race
 //! trials per cell and emitting figure-style curves (race success vs.
 //! reaction delay, steady-state infection vs. defense adoption) with Wilson
-//! 95% intervals, as both a rendered table and a JSON series.
+//! 95% intervals, as both a rendered table and a JSON series. Each grid cell
+//! is one `race_clients` run (the `tables` module's multi-client race
+//! runner, shared with the campaign fleet): `surface_trials` victims racing
+//! the master under the cell's timing and jitter.
 //!
 //! Determinism contract: per-cell seeds come from dedicated splitmix streams
 //! ([`SURFACE_TAG`] for the race worlds, [`ADOPT_TAG`] for the adoption
@@ -23,15 +26,10 @@
 
 use super::campaign::{fleet_jobs, mix_seed};
 use super::multiday::DAILY_CACHE_CLEAR;
-use super::tables::{build_race_world, delivers_parasite, RaceTiming, RaceWorld};
+use super::tables::{race_clients, RaceTask, RaceTiming};
 use super::{parallel_tasks, ExperimentError, RunConfig, RunCtx};
 use crate::defense::{stage_survives, AttackStage, Defense};
 use crate::json::{Json, ToJson};
-use mp_netsim::addr::IpAddr;
-use mp_netsim::capture::TraceMode;
-use mp_netsim::error::NetError;
-use mp_netsim::sim::SharedBudget;
-use mp_netsim::time::Duration as SimDuration;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -379,78 +377,9 @@ impl ToJson for SurfaceResult {
 // The sweep
 // ---------------------------------------------------------------------------
 
-/// One grid cell's simulation task: a race world at a fixed (vector, delay,
-/// jitter) coordinate. The adoption axis is applied afterwards — it gates
-/// outcomes, it does not change the packet-level race.
-struct CellTask {
-    seed: u64,
-    delay_us: u64,
-    wan_us: u64,
-    jitter_us: u64,
-}
-
-/// Outcome of one cell's race world: per-trial win flags plus the event count.
-struct CellOutcome {
-    wins: Vec<bool>,
-    events: u64,
-}
-
-/// Runs one cell: `trials` victims on the shared WiFi of a fresh
-/// [`build_race_world`] under the cell's timing, each racing the master.
-fn run_cell(
-    task: &CellTask,
-    config: &RunConfig,
-    shared: Option<&SharedBudget>,
-) -> Result<CellOutcome, NetError> {
-    let timing = RaceTiming {
-        attacker_reaction_us: task.delay_us,
-        server_one_way_us: task.wan_us,
-        ..RaceTiming::PAPER
-    };
-    let RaceWorld {
-        mut sim,
-        wifi,
-        server,
-        request,
-    } = build_race_world(task.seed, &timing, config.event_budget, TraceMode::SummaryOnly, shared);
-    if task.jitter_us > 0 {
-        sim.set_medium_jitter(wifi, SimDuration::from_micros(task.jitter_us));
-    }
-
-    let mut connections = Vec::with_capacity(config.surface_trials);
-    for index in 0..config.surface_trials {
-        let ip = IpAddr::new(10, (index >> 8) as u8, (index & 0xff) as u8, 2);
-        let client = sim.add_host("client", ip, wifi);
-        let conn = sim.connect(client, server, 80)?;
-        sim.send_bytes(client, conn, request.clone())?;
-        connections.push((client, conn));
-    }
-    sim.run_until_idle()?;
-
-    let wins = connections
-        .into_iter()
-        .map(|(client, conn)| delivers_parasite(sim.host(client).received(conn)))
-        .collect();
-    Ok(CellOutcome { wins, events: sim.events_processed() })
-}
-
-/// The linearly spaced reaction-delay axis.
-fn delay_axis(config: &RunConfig) -> Vec<u64> {
-    let steps = config.surface_delay_steps;
-    let (start, end) = (config.surface_delay_start_us, config.surface_delay_end_us);
-    if steps == 1 || start == end {
-        return vec![start];
-    }
-    (0..steps)
-        .map(|i| start + (end - start) * i as u64 / (steps - 1) as u64)
-        .collect()
-}
-
-/// The linearly spaced WAN-latency axis (genuine server one-way time). The
-/// default single point is the paper's 40 ms internet path.
-fn wan_axis(config: &RunConfig) -> Vec<u64> {
-    let steps = config.surface_wan_steps;
-    let (start, end) = (config.surface_wan_start_us, config.surface_wan_end_us);
+/// `steps` linearly spaced points from `start` to `end` (the reaction-delay
+/// and WAN-latency axes); one point when `steps` is 1 or the range is empty.
+fn linear_axis(start: u64, end: u64, steps: usize) -> Vec<u64> {
     if steps == 1 || start == end {
         return vec![start];
     }
@@ -484,16 +413,27 @@ pub(super) fn attack_surface(
     ctx: &RunCtx,
 ) -> Result<SurfaceResult, ExperimentError> {
     let vectors = SurfaceVector::from_mask(config.surface_vectors);
-    let delays = delay_axis(config);
-    let wans = wan_axis(config);
+    let delays = linear_axis(
+        config.surface_delay_start_us,
+        config.surface_delay_end_us,
+        config.surface_delay_steps,
+    );
+    // The default single WAN point is the paper's 40 ms internet path.
+    let wans = linear_axis(
+        config.surface_wan_start_us,
+        config.surface_wan_end_us,
+        config.surface_wan_steps,
+    );
     let jitters = if config.jitter_us == 0 { vec![0] } else { vec![0, config.jitter_us] };
     let adoption = adoption_axis(config);
     let shared = ctx.budget_for(config);
 
     // One race world per (vector, delay, wan, jitter) cell, each under its
     // own seed stream; the full task list runs on the order-preserving pool,
-    // so jobs=1 and parallel runs produce identical artifacts.
-    let tasks: Vec<CellTask> = vectors
+    // so jobs=1 and parallel runs produce identical artifacts. The adoption
+    // axis is applied afterwards: it gates outcomes, it does not change the
+    // packet-level race.
+    let tasks: Vec<RaceTask> = vectors
         .iter()
         .enumerate()
         .flat_map(|(v, _)| {
@@ -502,18 +442,25 @@ pub(super) fn attack_surface(
             let jitters = &jitters;
             delays.iter().enumerate().flat_map(move |(d, &delay_us)| {
                 wans.iter().enumerate().flat_map(move |(w, &wan_us)| {
-                    jitters.iter().enumerate().map(move |(j, &jitter_us)| CellTask {
+                    jitters.iter().enumerate().map(move |(j, &jitter_us)| RaceTask {
                         seed: mix_seed(config.seed, SURFACE_TAG ^ cell_tag(v, d, w, j)),
-                        delay_us,
-                        wan_us,
+                        timing: RaceTiming {
+                            attacker_reaction_us: delay_us,
+                            server_one_way_us: wan_us,
+                            ..RaceTiming::PAPER
+                        },
                         jitter_us,
+                        clients: config.surface_trials,
                     })
                 })
             })
         })
         .collect();
     let jobs = fleet_jobs(config, tasks.len());
-    let outcomes = parallel_tasks(&tasks, jobs, |task| run_cell(task, config, shared.as_ref()));
+    let outcomes = parallel_tasks(&tasks, jobs, |task| {
+        race_clients(task, config.event_budget, shared.as_ref(), &|_| false)
+    });
+    let q = DAILY_CACHE_CLEAR + config.fleet_churn - DAILY_CACHE_CLEAR * config.fleet_churn;
 
     let mut total_events = 0u64;
     let mut surfaces = Vec::with_capacity(vectors.len());
@@ -554,7 +501,6 @@ pub(super) fn attack_surface(
         let per_delay_trials = (wans.len() * jitters.len() * config.surface_trials) as u64;
         let per_wan_trials = (delays.len() * jitters.len() * config.surface_trials) as u64;
         let per_adoption_trials = (cells_per_vector * config.surface_trials) as u64;
-        let q = DAILY_CACHE_CLEAR + config.fleet_churn - DAILY_CACHE_CLEAR * config.fleet_churn;
         let infection_vs_adoption: Vec<CurvePoint> = adoption
             .iter()
             .zip(&adoption_successes)
@@ -594,8 +540,7 @@ pub(super) fn attack_surface(
         jitters_us: jitters,
         adoption,
         trials: config.surface_trials,
-        daily_cure_rate: DAILY_CACHE_CLEAR + config.fleet_churn
-            - DAILY_CACHE_CLEAR * config.fleet_churn,
+        daily_cure_rate: q,
         vectors: surfaces,
         total_events,
     })

@@ -21,7 +21,7 @@ use mp_httpsim::body::{Body, ResourceKind};
 use mp_httpsim::message::{Request, Response};
 use mp_httpsim::transport::{Exchange, Internet, StaticOrigin};
 use mp_httpsim::url::{Scheme, Url};
-use mp_netsim::capture::TraceMode;
+use mp_netsim::capture::{TraceMode, TraceSummary};
 use mp_netsim::error::NetError;
 use mp_netsim::link::MediumKind;
 use mp_netsim::sim::{FixedResponder, SharedBudget, Simulator, DEFAULT_EVENT_BUDGET};
@@ -249,8 +249,8 @@ impl RaceTiming {
 /// The paper's race world before any victims are attached: a shared-WiFi
 /// access network with the master's tap on it, and the genuine server for
 /// `somesite.com/my.js` across the WAN. [`run_race_simulation`] adds the
-/// single victim of Figure 2 / Table II; the campaign fleet experiment adds
-/// a whole café of them.
+/// single victim of Figure 2 / Table II; [`race_clients`] adds a whole café
+/// of them.
 pub(super) struct RaceWorld {
     /// The simulator with media, server, responder and tap wired up.
     pub(super) sim: Simulator,
@@ -309,7 +309,7 @@ pub(super) fn build_race_world(
 
 /// The wire form of a GET for `url`, as a shareable buffer for
 /// [`Simulator::send_bytes`].
-pub(super) fn request_wire(url: &Url) -> Bytes {
+fn request_wire(url: &Url) -> Bytes {
     Bytes::from(Request::get(url.clone()).to_wire())
 }
 
@@ -321,6 +321,72 @@ pub(super) fn request_wire(url: &Url) -> Bytes {
 /// without copying the stream; a stream that does not parse is clean.
 pub(super) fn delivers_parasite(delivered: &[u8]) -> bool {
     Response::frame(delivered).is_ok_and(|frame| Parasite::is_carried_by(frame.body))
+}
+
+/// One café's injection race: `clients` victims on the shared WiFi of a
+/// [`build_race_world`] under `timing`, the medium jittered by up to
+/// `jitter_us` per packet.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(super) struct RaceTask {
+    pub(super) seed: u64,
+    pub(super) timing: RaceTiming,
+    pub(super) jitter_us: u64,
+    pub(super) clients: usize,
+}
+
+/// What a [`race_clients`] run leaves behind: whether each client got the
+/// parasite, by client index, plus the simulator's event count and trace
+/// summary.
+pub(super) struct RaceOutcome {
+    pub(super) wins: Vec<bool>,
+    pub(super) events: u64,
+    pub(super) summary: TraceSummary,
+}
+
+/// Races `task.clients` victims against the master in one simulation with
+/// an always-bounded `SummaryOnly` trace: client `index` connects from
+/// `10.(index >> 8).(index & 0xff).2` and asks for the target object, or for
+/// one the master has not prepared when `unprepared(index)` says so. The
+/// campaign fleet, its shard days and the attack-surface grid all race
+/// through here.
+///
+/// # Errors
+///
+/// Returns [`NetError::EventBudgetExhausted`] if `event_budget` or the
+/// `shared` pool runs out.
+pub(super) fn race_clients(
+    task: &RaceTask,
+    event_budget: u64,
+    shared: Option<&SharedBudget>,
+    unprepared: &dyn Fn(usize) -> bool,
+) -> Result<RaceOutcome, NetError> {
+    let RaceWorld {
+        mut sim,
+        wifi,
+        server,
+        request,
+    } = build_race_world(task.seed, &task.timing, event_budget, TraceMode::SummaryOnly, shared);
+    if task.jitter_us > 0 {
+        sim.set_medium_jitter(wifi, SimDuration::from_micros(task.jitter_us));
+    }
+
+    let other = request_wire(&Url::parse("http://somesite.com/weather.js").expect("static url"));
+    let mut connections = Vec::with_capacity(task.clients);
+    for index in 0..task.clients {
+        let ip = mp_netsim::addr::IpAddr::new(10, (index >> 8) as u8, (index & 0xff) as u8, 2);
+        let client = sim.add_host("client", ip, wifi);
+        let conn = sim.connect(client, server, 80)?;
+        let wire = if unprepared(index) { &other } else { &request };
+        sim.send_bytes(client, conn, wire.clone())?;
+        connections.push((client, conn));
+    }
+    sim.run_until_idle()?;
+
+    let wins = connections
+        .into_iter()
+        .map(|(client, conn)| delivers_parasite(sim.host(client).received(conn)))
+        .collect();
+    Ok(RaceOutcome { wins, events: sim.events_processed(), summary: *sim.trace().summary() })
 }
 
 /// Builds and runs the paper's injection race: one victim on the shared WiFi

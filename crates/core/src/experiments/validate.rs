@@ -63,6 +63,11 @@ fn within(field: &'static str, value: usize, max: usize) -> Result<(), ConfigErr
     Ok(())
 }
 
+/// A JSON number carries every integer below 2^53 exactly; one at or above
+/// it may come back rounded from a config echo, a daemon submit or a shard
+/// assignment, so no integer field may reach it.
+const JSON_EXACT_LIMIT: u64 = 1 << 53;
+
 fn ordered(start: (&'static str, u64), end: (&'static str, u64)) -> Result<(), ConfigError> {
     if start.1 > end.1 {
         let reason = format!("exceeds {}: the range [{}, {}] is inverted", end.0, start.1, end.1);
@@ -84,8 +89,30 @@ impl RunConfig {
     /// `[0, 1]` and a visit probability in `(0, 1]`; attack-surface trials
     /// and axis lengths from 1 up to what one race world and the seed-lane
     /// layout hold; surface ranges that are not inverted; and a vector mask
-    /// naming only known vectors. Costs O(1).
+    /// naming only known vectors; and no integer at or above 2^53, which
+    /// JSON cannot carry exactly. Costs O(1).
     pub fn validate(&self) -> Result<(), ConfigError> {
+        for (field, value) in [
+            ("seed", self.seed),
+            ("scale", self.scale),
+            ("sites", self.sites as u64),
+            ("crawl_sites", self.crawl_sites as u64),
+            ("event_budget", self.event_budget),
+            ("jitter_us", self.jitter_us),
+            ("fleet_clients", self.fleet_clients as u64),
+            ("fleet_aps", self.fleet_aps as u64),
+            ("fleet_shards", self.fleet_shards as u64),
+            ("fleet_jobs", self.fleet_jobs as u64),
+            ("global_event_budget", self.global_event_budget),
+            ("surface_delay_start_us", self.surface_delay_start_us),
+            ("surface_delay_end_us", self.surface_delay_end_us),
+            ("surface_wan_start_us", self.surface_wan_start_us),
+            ("surface_wan_end_us", self.surface_wan_end_us),
+        ] {
+            if value >= JSON_EXACT_LIMIT {
+                return reject(field, format!("must be below 2^53, got {value}"));
+            }
+        }
         at_least("event_budget", self.event_budget, 1)?;
         at_least("scale", self.scale, 1)?;
         at_least("sites", self.sites, 1)?;
@@ -203,6 +230,9 @@ mod tests {
             (with(|c| c.surface_delay_start_us = 200_000), "surface_delay_start_us"),
             (with(|c| c.surface_wan_start_us = 50_000), "surface_wan_start_us"),
             (with(|c| c.surface_vectors = 0b1_0000), "surface_vectors"),
+            (with(|c| c.seed = (1 << 53) + 1), "seed"),
+            (with(|c| c.fleet_clients = 1 << 53), "fleet_clients"),
+            (with(|c| c.surface_wan_end_us = u64::MAX), "surface_wan_end_us"),
         ] {
             assert_eq!(config.validate().map_err(|error| error.field), Err(field));
         }
@@ -212,6 +242,7 @@ mod tests {
             with(|c| (c.scale, c.sites, c.crawl_sites, c.days) = (1, 1, 1, 1)),
             with(|c| (c.surface_trials, c.surface_wan_steps) = (MAX_CLIENTS_PER_AP, MAX_AXIS_STEPS)),
             with(|c| (c.surface_delay_start_us, c.surface_vectors) = (160_000, 0b1111)),
+            with(|c| (c.seed, c.jitter_us) = ((1 << 53) - 1, (1 << 53) - 1)),
         ] {
             assert_eq!(config.validate(), Ok(()));
         }

@@ -64,10 +64,12 @@ impl Json {
         }
     }
 
-    /// The value as a non-negative integer, if it is a whole number.
+    /// The value as a non-negative integer, if it is a whole number below
+    /// 2^53: a parsed number at or above 2^53 may already have been rounded,
+    /// so it is no exact integer.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= 2f64.powi(53) => Some(*n as u64),
+            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n < 2f64.powi(53) => Some(*n as u64),
             _ => None,
         }
     }
@@ -503,6 +505,15 @@ mod tests {
         let parsed = Json::parse(" { \"a\" : [ 1 , \"x\\u0041\\n\" ] } ").unwrap();
         assert_eq!(parsed.get("a").unwrap().as_array().unwrap()[0].as_u64(), Some(1));
         assert_eq!(parsed.get("a").unwrap().as_array().unwrap()[1].as_str(), Some("xA\n"));
+    }
+
+    #[test]
+    fn integers_at_or_above_2_pow_53_are_not_exact() {
+        let max_exact = (1u64 << 53) - 1;
+        assert_eq!(Json::parse(&max_exact.to_string()).unwrap().as_u64(), Some(max_exact));
+        for rounded in ["9007199254740992", "9007199254740993", "1e300"] {
+            assert_eq!(Json::parse(rounded).unwrap().as_u64(), None, "{rounded}");
+        }
     }
 
     #[test]

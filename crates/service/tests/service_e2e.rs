@@ -614,6 +614,7 @@ fn hostile_lines_are_rejected_without_disturbing_other_runs() {
         (r#"{"crawl_sites":0}"#, "crawl_sites"),
         (r#"{"days":0}"#, "days"),
         (r#"{"fleet_days":4294967298}"#, "run configuration"),
+        (r#"{"seed":9007199254740993}"#, "run configuration"),
     ] {
         let line = format!("{{\"op\":\"submit\",\"experiment\":\"campaign_fleet\",\"config\":{config}}}\n");
         let reply = reply_to(line.as_bytes());
