@@ -22,6 +22,7 @@ use parasite::experiments::{
     ExperimentError, ExperimentId, FaultPlan, RunConfig, SurfaceVector, FAULT_PLAN_ENV,
 };
 use parasite::json::ToJson;
+use std::io::{ErrorKind, Write};
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Duration;
@@ -112,8 +113,6 @@ OPTIONS:
     --crawl-sites <n>     Figure 3 population size [default: 3000]
     --days <n>            Figure 3 crawl length in days [default: 100]
     --event-budget <n>    per-simulation event budget [default: 5000000]
-    --trace-mode <mode>   packet-trace recorder: full, summary or ring:<n>
-                          [default: full]
     --jitter-us <n>       max per-packet WiFi jitter for the campaign fleet,
                           in microseconds [default: 0]
     --fleet-clients <n>   campaign_fleet: total simulated clients [default: 100000]
@@ -288,12 +287,6 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
             "--crawl-sites" => config.crawl_sites = args.number()?,
             "--days" => config.days = args.number()?,
             "--event-budget" => config.event_budget = args.number()?,
-            "--trace-mode" => {
-                config.trace_mode = args
-                    .value()?
-                    .parse()
-                    .map_err(|error: mp_netsim::capture::ParseTraceModeError| error.to_string())?;
-            }
             "--jitter-us" => config.jitter_us = args.number()?,
             "--fleet-clients" => config.fleet_clients = args.number()?,
             "--fleet-aps" => config.fleet_aps = args.number()?,
@@ -488,7 +481,8 @@ fn print_campaign(
 
 /// Prints the report of every artifact in `results` (one per id, in order);
 /// an experiment that failed reports its error and the rest still print.
-/// Exits 1 when any experiment failed.
+/// Exits 1 when any experiment failed or the report cannot be written; a
+/// reader that closed the pipe early (`| head`) is no error.
 fn print_report(
     ids: &[ExperimentId],
     results: Vec<Result<Artifact, ExperimentError>>,
@@ -505,10 +499,18 @@ fn print_report(
             }
         }
     }
-    if options.json {
-        println!("{}", report_json(&options.config, &artifacts));
+    let mut stdout = std::io::stdout().lock();
+    let written = if options.json {
+        writeln!(stdout, "{}", report_json(&options.config, &artifacts))
     } else {
-        println!("{}", render_report(&artifacts));
+        writeln!(stdout, "{}", render_report(&artifacts))
+    };
+    match written.and_then(|()| stdout.flush()) {
+        Err(error) if error.kind() != ErrorKind::BrokenPipe => {
+            eprintln!("error: cannot write the report: {error}");
+            return ExitCode::FAILURE;
+        }
+        _ => {}
     }
     if failed {
         ExitCode::FAILURE

@@ -3,7 +3,7 @@
 //! an extension flag without its experiment selected used to parse fine and
 //! then do nothing, masking typos and misread sweeps.
 
-use std::process::Command;
+use std::process::{Command, Stdio};
 
 fn paper_report(args: &[&str]) -> std::process::Output {
     Command::new(env!("CARGO_BIN_EXE_paper-report"))
@@ -179,6 +179,8 @@ fn service_subcommand_usage_errors_are_pointed() {
     assert_rejected(&["submit"], "--socket");
     assert_rejected(&["status"], "--socket");
     assert_rejected(&["watch", "--socket", "/tmp/x.sock", "--bogus"], "--bogus");
+    // The retired recorder flag is an unknown argument, not a silent no-op.
+    assert_rejected(&["--trace-mode", "full"], "unknown argument \"--trace-mode\"");
     assert_rejected(
         &["submit", "--socket", "/tmp/x.sock", "--only", "fig1", "--jobs", "4"],
         "--serve-workers",
@@ -259,6 +261,39 @@ fn lint_runs_clean_on_this_workspace_and_emits_json() {
     assert!(stdout.contains("\"clean\":true"));
     assert!(stdout.contains("\"seed_tags\""));
     assert!(stdout.contains("DAY_TAG"));
+}
+
+#[test]
+fn a_report_that_cannot_be_written_exits_1_with_an_error_line() {
+    // Every write to /dev/full fails with ENOSPC.
+    let full = std::fs::OpenOptions::new().write(true).open("/dev/full").expect("open /dev/full");
+    for json in [false, true] {
+        let output = Command::new(env!("CARGO_BIN_EXE_paper-report"))
+            .args(if json { &["--only", "table1", "--json"][..] } else { &["--only", "table1"] })
+            .stdout(full.try_clone().expect("clone the handle"))
+            .output()
+            .expect("paper-report spawns");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(1), "json {json}; stderr: {stderr}");
+        assert!(stderr.starts_with("error: cannot write the report"), "stderr: {stderr}");
+        assert!(!stderr.contains("panicked"), "stderr: {stderr}");
+    }
+}
+
+#[test]
+fn a_reader_that_closes_the_pipe_early_is_no_error() {
+    // The reader goes away before the report is written, as `| head -c 50`
+    // does once it has its bytes: the write fails with a broken pipe.
+    let mut child = Command::new(env!("CARGO_BIN_EXE_paper-report"))
+        .args(["--only", "table1", "--json"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("paper-report spawns");
+    drop(child.stdout.take());
+    let output = child.wait_with_output().expect("paper-report exits");
+    assert_eq!(output.status.code(), Some(0), "stderr: {}", String::from_utf8_lossy(&output.stderr));
+    assert!(output.stderr.is_empty(), "stderr: {}", String::from_utf8_lossy(&output.stderr));
 }
 
 #[test]

@@ -42,11 +42,6 @@ pub enum FetchSource {
 }
 
 impl FetchSource {
-    /// Returns `true` if the fetch produced usable bytes.
-    pub fn is_delivered(self) -> bool {
-        !matches!(self, FetchSource::BlockedByCsp | FetchSource::BlockedBySri)
-    }
-
     /// Returns `true` if the fetch generated a request on the network
     /// (which is when the eavesdropping master gets an injection opportunity).
     pub fn touched_network(self) -> bool {
@@ -210,11 +205,6 @@ impl Browser {
     /// Read access to the HSTS store.
     pub fn hsts(&self) -> &HstsStore {
         &self.hsts
-    }
-
-    /// Mutable access to the HSTS store.
-    pub fn hsts_mut(&mut self) -> &mut HstsStore {
-        &mut self.hsts
     }
 
     /// The log of every fetch the browser has performed.

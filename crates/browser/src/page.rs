@@ -7,7 +7,6 @@
 //! (the SRI countermeasure). A small scanner extracts exactly that.
 
 use crate::dom::Dom;
-use mp_httpsim::body::ResourceKind;
 use mp_httpsim::sri::IntegrityDigest;
 use mp_httpsim::url::Url;
 
@@ -33,18 +32,6 @@ pub enum SubresourceKind {
     Frame,
     /// `<link rel="stylesheet" href=...>`.
     Stylesheet,
-}
-
-impl SubresourceKind {
-    /// The resource kind a fetch of this subresource is expected to yield.
-    pub fn expected_resource(self) -> ResourceKind {
-        match self {
-            SubresourceKind::Script => ResourceKind::JavaScript,
-            SubresourceKind::Image => ResourceKind::Image,
-            SubresourceKind::Frame => ResourceKind::Html,
-            SubresourceKind::Stylesheet => ResourceKind::Css,
-        }
-    }
 }
 
 /// A script that ended up executing in the page.

@@ -2,9 +2,10 @@
 //!
 //! The paper's recommendations are evaluated here as an ablation: each
 //! defence is modelled as a switch on the relevant substrate, and
-//! [`evaluate`] reports which stages of the attack pipeline (active
-//! injection, cache persistence, cross-domain propagation, C&C, application
-//! attacks) remain possible with that defence deployed. The headline finding
+//! [`stage_survives`] reports whether each stage of the attack pipeline
+//! (active injection, cache persistence, cross-domain propagation, C&C,
+//! application attacks) remains possible with that defence deployed;
+//! [`ablation_matrix`] tabulates it for every defence. The headline finding
 //! — CSP/SRI/HSTS help against persistence and C&C but none of them stop the
 //! *active* injection phase — falls out of the model.
 

@@ -24,6 +24,7 @@ use super::multiday::DayStats;
 use super::tables::{race_clients, RaceTask, RaceTiming};
 use super::{parallel_tasks, ExperimentError, RunConfig, RunCtx};
 use crate::json::{Json, ToJson};
+use mp_netsim::capture::TraceMode;
 use mp_netsim::dist::Dist;
 use mp_netsim::error::NetError;
 use mp_netsim::sim::SharedBudget;
@@ -332,9 +333,10 @@ pub(super) fn campaign_fleet(
                 result.infected_clients += infected;
                 result.clean_clients += ap.wins.len() - infected;
                 result.total_events += ap.events;
-                result.payload_bytes += ap.summary.payload_bytes;
-                result.injected_events += ap.summary.injected_events;
-                result.pending_bytes_dropped += ap.summary.pending_bytes_dropped;
+                let summary = ap.trace.summary();
+                result.payload_bytes += summary.payload_bytes;
+                result.injected_events += summary.injected_events;
+                result.pending_bytes_dropped += summary.pending_bytes_dropped;
             }
             Err(_) => result.failed_aps += 1,
         }
@@ -384,6 +386,7 @@ pub(super) fn ap_task(config: &RunConfig, ap: usize, seed: u64, clients: usize) 
         timing: profile.map_or(RaceTiming::PAPER, |p| p.timing()),
         jitter_us: config.jitter_us + profile.map_or(0, |p| p.jitter_us),
         clients,
+        trace: TraceMode::SummaryOnly,
     }
 }
 
@@ -599,13 +602,9 @@ mod tests {
         use super::super::tables::{build_race_world, RaceWorld};
         use crate::script::Parasite;
         use mp_httpsim::{message::{Request, Response}, url::Url};
-        use mp_netsim::{addr::IpAddr, capture::TraceMode, time::Duration};
+        use mp_netsim::addr::IpAddr;
         let budget = RunConfig::default().event_budget;
-        let RaceWorld { mut sim, wifi, server, .. } =
-            build_race_world(task.seed, &task.timing, budget, TraceMode::SummaryOnly, None);
-        if task.jitter_us > 0 {
-            sim.set_medium_jitter(wifi, Duration::from_micros(task.jitter_us));
-        }
+        let RaceWorld { mut sim, wifi, server, .. } = build_race_world(task, budget, None);
         let target = Url::parse("http://somesite.com/my.js").unwrap();
         let other = Url::parse("http://somesite.com/weather.js").unwrap();
         let connections: Vec<_> = (0..task.clients)
@@ -650,7 +649,7 @@ mod tests {
                     ap_task(&uniform, 0, seed, 48),
                     ap_task(&hetero, 0, seed, 48),
                     ap_task(&hetero, 5, seed, 48),
-                    RaceTask { seed, timing: SLOW_MASTER, jitter_us, clients: 48 },
+                    RaceTask { seed, timing: SLOW_MASTER, jitter_us, clients: 48, trace: TraceMode::SummaryOnly },
                 ];
                 let profile = ApProfile::for_ap(seed, 5);
                 let (timing, jitter) = (profile.timing(), jitter_us + profile.jitter_us);
@@ -677,7 +676,7 @@ mod tests {
         // master that needs 30 ms to forge a response while the genuine
         // server answers over a 5 ms WAN never wins the injection race.
         let budget = RunConfig::default().event_budget;
-        let slow = RaceTask { seed: 42, timing: SLOW_MASTER, jitter_us: 0, clients: 16 };
+        let slow = RaceTask { timing: SLOW_MASTER, clients: 16, ..RaceTask::paper(42, TraceMode::SummaryOnly) };
         let outcome = race_clients(&slow, budget, None, &requests_unprepared_object)
             .expect("simulation completes");
         assert_eq!(outcome.wins, vec![false; 16], "the genuine response always arrives first");

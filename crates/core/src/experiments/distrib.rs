@@ -657,9 +657,10 @@ fn run_shard_day(
         match ap_outcome {
             Ok(ap) => {
                 events += ap.events;
-                cumulative.payload_bytes += ap.summary.payload_bytes;
-                cumulative.injected_events += ap.summary.injected_events;
-                cumulative.pending_bytes_dropped += ap.summary.pending_bytes_dropped;
+                let summary = ap.trace.summary();
+                cumulative.payload_bytes += summary.payload_bytes;
+                cumulative.injected_events += summary.injected_events;
+                cumulative.pending_bytes_dropped += summary.pending_bytes_dropped;
                 for (&seat, _) in ap_day.seats.iter().zip(&ap.wins).filter(|(_, &win)| win) {
                     part.infected[seat as usize - part.seat_lo] = true;
                     newly_infected += 1;

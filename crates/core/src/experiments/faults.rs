@@ -197,11 +197,6 @@ impl FaultPlan {
         self.dir.as_deref()
     }
 
-    /// Whether any fault is armed on the assignment sequence.
-    pub fn arms_assignments(&self) -> bool {
-        !self.assignment.is_empty()
-    }
-
     /// Claims the next position in the assignment sequence and returns the
     /// fault armed there, if any. Call once per shard assignment served.
     pub fn claim_assignment(&self) -> Option<FaultKind> {

@@ -1,5 +1,6 @@
 //! Figure 1–5 and §VIII ablation runners and their result types.
 
+use super::tables::{race_clients, RaceTask};
 use super::{ExperimentError, RunConfig, RunCtx, MASTER_HOST};
 use crate::cnc::{downstream_goodput_bytes_per_sec, CncServer, Command};
 use crate::defense::{ablation_matrix, AblationRow, AttackStage};
@@ -10,6 +11,7 @@ use mp_browser::profile::BrowserProfile;
 use mp_httpsim::body::ResourceKind;
 use mp_httpsim::transport::{Internet, StaticOrigin};
 use mp_httpsim::url::Url;
+use mp_netsim::capture::TraceMode;
 use mp_webgen::{scan, Crawler, PersistencySeries, PolicyScan, Population, PopulationConfig};
 
 // ---------------------------------------------------------------------------
@@ -95,24 +97,16 @@ pub(super) fn fig1_eviction_flow(
     })
 }
 
-/// Regenerates the Figure 2 cache-infection flow from a packet-level run
-/// (the same race world Table II evaluates, read through its packet trace).
-/// The flow needs the actual events, so this experiment always records a full
-/// trace regardless of `config.trace_mode`.
+/// Regenerates the Figure 2 cache-infection flow from a packet-level run:
+/// Table II's single-victim race at `config.seed`, recorded with a full trace
+/// and read back from it.
 pub(super) fn fig2_infection_flow(
     config: &RunConfig,
     ctx: &RunCtx,
 ) -> Result<FlowTrace, ExperimentError> {
     let shared = ctx.budget_for(config);
-    let race = super::tables::run_race_simulation(
-        config.seed,
-        300,
-        40_000,
-        config.event_budget,
-        mp_netsim::capture::TraceMode::Full,
-        shared.as_ref(),
-    )?;
-    let trace = race.sim.trace();
+    let task = RaceTask::paper(config.seed, TraceMode::Full);
+    let trace = race_clients(&task, config.event_budget, shared.as_ref(), &|_| false)?.trace;
     let mut steps: Vec<String> = trace
         .with_payload()
         .map(|event| trace.describe(event))

@@ -44,14 +44,13 @@ pub use surface::{CurvePoint, SurfaceResult, SurfaceVector, VectorSurface};
 pub use validate::ConfigError;
 pub use figures::{AblationResult, Fig3Result, Fig4Result, Fig5Result, FlowTrace};
 pub use tables::{
-    injection_race_with_timing, run_injection_race, InjectionCell, RefreshMethod, RemovalCell,
-    Table1Result, Table2Result, Table3Result, Table4Result, Table4Row, Table5Result,
+    InjectionCell, RefreshMethod, RemovalCell, Table1Result, Table2Result, Table3Result,
+    Table4Result, Table4Row, Table5Result,
 };
 
 use crate::infect::Infector;
 use crate::json::{Json, ToJson};
 use crate::script::Parasite;
-use mp_netsim::capture::TraceMode;
 use mp_netsim::error::NetError;
 use mp_netsim::sim::SharedBudget;
 use std::fmt;
@@ -265,11 +264,6 @@ pub struct RunConfig {
     /// Event budget per packet-level simulation (see
     /// [`mp_netsim::sim::Simulator::with_event_budget`]).
     pub event_budget: u64,
-    /// Trace recorder mode for packet-level simulations: `Full` retains every
-    /// transmission (the classic behaviour, required by the Figure 2 flow),
-    /// `Ring(n)` bounds memory to the most recent *n*, `SummaryOnly` keeps
-    /// counters only.
-    pub trace_mode: TraceMode,
     /// Maximum per-packet WiFi jitter in microseconds for the campaign fleet
     /// sweep (drawn from the seeded RNG; zero disables jitter).
     pub jitter_us: u64,
@@ -356,7 +350,6 @@ impl Default for RunConfig {
             crawl_sites: 3_000,
             days: 100,
             event_budget: mp_netsim::sim::DEFAULT_EVENT_BUDGET,
-            trace_mode: TraceMode::Full,
             jitter_us: 0,
             fleet_clients: 100_000,
             fleet_aps: 128,
@@ -381,48 +374,60 @@ impl Default for RunConfig {
 }
 
 impl RunConfig {
-    /// Reads a config back from its [`ToJson`] representation. Missing keys
-    /// fall back to the defaults; wrongly-typed keys, and integers that do
-    /// not fit their field, are an error. Decoding does not validate: see
-    /// [`RunConfig::validate`].
-    pub fn from_json(json: &Json) -> Option<RunConfig> {
+    /// Reads a config back from its [`ToJson`] representation, an object
+    /// whose keys are field names. Missing keys fall back to the defaults;
+    /// an unknown key, a wrongly-typed one, or an integer that does not fit
+    /// its field is an error naming the key. Decoding does not validate:
+    /// see [`RunConfig::validate`].
+    pub fn from_json(json: &Json) -> Result<RunConfig, String> {
+        let Json::Obj(pairs) = json else {
+            return Err("not a JSON object".to_string());
+        };
         let defaults = RunConfig::default();
-        // Every key is its field's name.
-        macro_rules! field {
-            ($name:ident, $get:expr) => {
-                match json.get(stringify!($name)) {
-                    Some(value) => ($get)(value)?,
-                    None => defaults.$name,
+        // The struct literal names every field once, so `KEYS` is exactly
+        // the set of fields.
+        macro_rules! decode {
+            ($($name:ident: $get:expr,)*) => {{
+                const KEYS: &[&str] = &[$(stringify!($name)),*];
+                if let Some((key, _)) = pairs.iter().find(|(key, _)| !KEYS.contains(&key.as_str())) {
+                    return Err(format!("unknown key {key:?}"));
                 }
-            };
+                RunConfig {
+                    $($name: match json.get(stringify!($name)) {
+                        Some(value) => ($get)(value).ok_or_else(|| {
+                            format!("key {:?} has the wrong type or does not fit", stringify!($name))
+                        })?,
+                        None => defaults.$name,
+                    },)*
+                }
+            }};
         }
-        Some(RunConfig {
-            seed: field!(seed, Json::as_int),
-            scale: field!(scale, Json::as_int),
-            sites: field!(sites, Json::as_int),
-            crawl_sites: field!(crawl_sites, Json::as_int),
-            days: field!(days, Json::as_int),
-            event_budget: field!(event_budget, Json::as_int),
-            trace_mode: field!(trace_mode, |v: &Json| v.as_str().and_then(|s| s.parse().ok())),
-            jitter_us: field!(jitter_us, Json::as_int),
-            fleet_clients: field!(fleet_clients, Json::as_int),
-            fleet_aps: field!(fleet_aps, Json::as_int),
-            fleet_shards: field!(fleet_shards, Json::as_int),
-            fleet_jobs: field!(fleet_jobs, Json::as_int),
-            fleet_days: field!(fleet_days, Json::as_int),
-            fleet_churn: field!(fleet_churn, Json::as_f64),
-            fleet_hetero: field!(fleet_hetero, Json::as_bool),
-            fleet_visit_prob: field!(fleet_visit_prob, Json::as_f64),
-            global_event_budget: field!(global_event_budget, Json::as_int),
-            surface_trials: field!(surface_trials, Json::as_int),
-            surface_delay_start_us: field!(surface_delay_start_us, Json::as_int),
-            surface_delay_end_us: field!(surface_delay_end_us, Json::as_int),
-            surface_delay_steps: field!(surface_delay_steps, Json::as_int),
-            surface_adoption_steps: field!(surface_adoption_steps, Json::as_int),
-            surface_wan_start_us: field!(surface_wan_start_us, Json::as_int),
-            surface_wan_end_us: field!(surface_wan_end_us, Json::as_int),
-            surface_wan_steps: field!(surface_wan_steps, Json::as_int),
-            surface_vectors: field!(surface_vectors, Json::as_int),
+        Ok(decode! {
+            seed: Json::as_int,
+            scale: Json::as_int,
+            sites: Json::as_int,
+            crawl_sites: Json::as_int,
+            days: Json::as_int,
+            event_budget: Json::as_int,
+            jitter_us: Json::as_int,
+            fleet_clients: Json::as_int,
+            fleet_aps: Json::as_int,
+            fleet_shards: Json::as_int,
+            fleet_jobs: Json::as_int,
+            fleet_days: Json::as_int,
+            fleet_churn: Json::as_f64,
+            fleet_hetero: Json::as_bool,
+            fleet_visit_prob: Json::as_f64,
+            global_event_budget: Json::as_int,
+            surface_trials: Json::as_int,
+            surface_delay_start_us: Json::as_int,
+            surface_delay_end_us: Json::as_int,
+            surface_delay_steps: Json::as_int,
+            surface_adoption_steps: Json::as_int,
+            surface_wan_start_us: Json::as_int,
+            surface_wan_end_us: Json::as_int,
+            surface_wan_steps: Json::as_int,
+            surface_vectors: Json::as_int,
         })
     }
 }
@@ -436,7 +441,6 @@ impl ToJson for RunConfig {
             ("crawl_sites", self.crawl_sites.to_json()),
             ("days", self.days.to_json()),
             ("event_budget", self.event_budget.to_json()),
-            ("trace_mode", self.trace_mode.to_string().to_json()),
             ("jitter_us", self.jitter_us.to_json()),
             ("fleet_clients", self.fleet_clients.to_json()),
             ("fleet_aps", self.fleet_aps.to_json()),
@@ -1085,7 +1089,6 @@ mod tests {
             crawl_sites: 45,
             days: 6,
             event_budget: 10_000_000,
-            trace_mode: TraceMode::Ring(512),
             jitter_us: 250,
             fleet_clients: 9_000,
             fleet_aps: 16,
@@ -1108,7 +1111,7 @@ mod tests {
         };
         let json = config.to_json();
         let parsed = Json::parse(&json.to_string()).expect("well-formed JSON");
-        assert_eq!(RunConfig::from_json(&parsed), Some(config));
+        assert_eq!(RunConfig::from_json(&parsed), Ok(config));
         // The extension keys appear only when they differ from the defaults,
         // so classic configs keep their exact JSON form.
         let classic = RunConfig::default().to_json().to_string();
@@ -1131,20 +1134,27 @@ mod tests {
             assert!(!classic.contains(absent), "classic config JSON must omit {absent}");
         }
         // Missing keys fall back to defaults.
-        assert_eq!(RunConfig::from_json(&Json::obj([])), Some(RunConfig::default()));
-        // Wrongly-typed keys are an error.
+        assert_eq!(RunConfig::from_json(&Json::obj([])), Ok(RunConfig::default()));
+        // Wrongly-typed keys are an error naming the key.
         assert_eq!(
             RunConfig::from_json(&Json::obj([("seed", Json::Str("not a number".into()))])),
+            Err("key \"seed\" has the wrong type or does not fit".to_string())
+        );
+        // So are keys that are not fields: a misspelt field must not run
+        // with its default, and the retired recorder-mode key is no field.
+        assert_eq!(
+            RunConfig::from_json(&Json::obj([("trace_mode", Json::Str("sometimes".into()))])).ok(),
             None
         );
         assert_eq!(
-            RunConfig::from_json(&Json::obj([("trace_mode", Json::Str("sometimes".into()))])),
-            None
+            RunConfig::from_json(&Json::obj([("fleet_days", 2u64.to_json()), ("fleet_clientz", 10u64.to_json())])),
+            Err("unknown key \"fleet_clientz\"".to_string())
         );
+        assert!(RunConfig::from_json(&Json::Arr(Vec::new())).is_err());
         // So are integers their field cannot hold: 2^32 + 2 days must not
         // decode as a 2-day campaign.
         for (key, value) in [("fleet_days", (1u64 << 32) + 2), ("days", 1 << 32), ("surface_vectors", 256)] {
-            assert_eq!(RunConfig::from_json(&Json::obj([(key, value.to_json())])), None, "{key}");
+            assert!(RunConfig::from_json(&Json::obj([(key, value.to_json())])).is_err(), "{key}");
         }
     }
 
@@ -1245,8 +1255,21 @@ mod tests {
 
     #[test]
     fn injection_race_is_deterministic_per_seed() {
-        assert!(run_injection_race(1));
-        assert!(run_injection_race(2));
+        // Table II's one-victim race at the paper's timing: the master wins
+        // under every seed, and a seed replays to the same event count.
+        use mp_netsim::capture::TraceMode;
+        use tables::{race_clients, RaceTask};
+        let budget = RunConfig::default().event_budget;
+        for seed in [1, 2] {
+            let race = || {
+                let task = RaceTask::paper(seed, TraceMode::SummaryOnly);
+                let outcome = race_clients(&task, budget, None, &|_| false).expect("race completes");
+                (outcome.wins, outcome.events, *outcome.trace.summary())
+            };
+            let first = race();
+            assert_eq!(first.0, vec![true], "seed {seed}");
+            assert_eq!(race(), first, "seed {seed}");
+        }
     }
 
     #[test]

@@ -30,6 +30,7 @@ use super::tables::{race_clients, RaceTask, RaceTiming};
 use super::{parallel_tasks, ExperimentError, RunConfig, RunCtx};
 use crate::defense::{stage_survives, AttackStage, Defense};
 use crate::json::{Json, ToJson};
+use mp_netsim::capture::TraceMode;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -451,6 +452,7 @@ pub(super) fn attack_surface(
                         },
                         jitter_us,
                         clients: config.surface_trials,
+                        trace: TraceMode::SummaryOnly,
                     })
                 })
             })

@@ -21,10 +21,10 @@ use mp_httpsim::body::{Body, ResourceKind};
 use mp_httpsim::message::{Request, Response};
 use mp_httpsim::transport::{Exchange, Internet, StaticOrigin};
 use mp_httpsim::url::{Scheme, Url};
-use mp_netsim::capture::{TraceMode, TraceSummary};
+use mp_netsim::capture::{Trace, TraceMode};
 use mp_netsim::error::NetError;
 use mp_netsim::link::MediumKind;
-use mp_netsim::sim::{FixedResponder, SharedBudget, Simulator, DEFAULT_EVENT_BUDGET};
+use mp_netsim::sim::{FixedResponder, SharedBudget, Simulator};
 use mp_netsim::time::Duration as SimDuration;
 use mp_webcache::{table4_entries, SharedCache};
 
@@ -210,18 +210,6 @@ impl ToJson for Table2Result {
     }
 }
 
-/// A completed packet-level injection race, kept around so callers can
-/// inspect what the victim received ([`injection_race`]) or the full packet
-/// trace (the Figure 2 flow).
-pub(super) struct RaceRun {
-    /// The simulator after `run_until_idle`.
-    pub(super) sim: Simulator,
-    /// The victim host.
-    pub(super) victim: mp_netsim::endpoint::HostId,
-    /// The victim's connection to the genuine server.
-    pub(super) conn: mp_netsim::endpoint::ConnId,
-}
-
 /// Link/attacker timing for one race world. The paper's Figure 2 numbers are
 /// [`RaceTiming::PAPER`]; the heterogeneous campaign draws per-AP variants
 /// from seeded distributions (see `ApProfile` in the campaign module).
@@ -248,9 +236,8 @@ impl RaceTiming {
 
 /// The paper's race world before any victims are attached: a shared-WiFi
 /// access network with the master's tap on it, and the genuine server for
-/// `somesite.com/my.js` across the WAN. [`run_race_simulation`] adds the
-/// single victim of Figure 2 / Table II; [`race_clients`] adds a whole café
-/// of them.
+/// `somesite.com/my.js` across the WAN. [`race_clients`] attaches the
+/// victims: one for Table II and Figure 2, a whole café for the fleet.
 pub(super) struct RaceWorld {
     /// The simulator with media, server, responder and tap wired up.
     pub(super) sim: Simulator,
@@ -263,17 +250,16 @@ pub(super) struct RaceWorld {
     pub(super) request: Bytes,
 }
 
-/// Builds the race world under the given [`RaceTiming`], with at most
-/// `event_budget` simulator events, the given trace recorder mode, and an
-/// optional cross-simulator [`SharedBudget`] every processed event also
-/// debits.
+/// Builds the race world of `task` (its seed, timing, jitter and trace
+/// recorder mode; victims are attached by the caller), with at most
+/// `event_budget` simulator events and an optional cross-simulator
+/// [`SharedBudget`] every processed event also debits.
 pub(super) fn build_race_world(
-    seed: u64,
-    timing: &RaceTiming,
+    task: &RaceTask,
     event_budget: u64,
-    trace_mode: TraceMode,
     shared: Option<&SharedBudget>,
 ) -> RaceWorld {
+    let timing = &task.timing;
     let master = Master::new(MASTER_HOST);
     let target = Url::parse("http://somesite.com/my.js").expect("static url");
     let genuine = Response::ok(Body::text(ResourceKind::JavaScript, "function genuine(){}"))
@@ -283,13 +269,16 @@ pub(super) fn build_race_world(
         SimDuration::from_micros(timing.attacker_reaction_us),
     );
 
-    let mut sim = Simulator::new(seed)
+    let mut sim = Simulator::new(task.seed)
         .with_event_budget(event_budget)
-        .with_trace_mode(trace_mode);
+        .with_trace_mode(task.trace);
     if let Some(shared) = shared {
         sim.set_shared_budget(shared.clone());
     }
     let wifi = sim.add_medium(MediumKind::SharedWireless, timing.wifi_latency_us);
+    if task.jitter_us > 0 {
+        sim.set_medium_jitter(wifi, SimDuration::from_micros(task.jitter_us));
+    }
     let wan = sim.add_medium(MediumKind::WideArea, timing.server_one_way_us);
     let server = sim.add_host("server", mp_netsim::addr::IpAddr::new(203, 0, 113, 10), wan);
     sim.listen(server, 80);
@@ -325,30 +314,38 @@ pub(super) fn delivers_parasite(delivered: &[u8]) -> bool {
 
 /// One café's injection race: `clients` victims on the shared WiFi of a
 /// [`build_race_world`] under `timing`, the medium jittered by up to
-/// `jitter_us` per packet.
+/// `jitter_us` per packet, recorded in `trace` mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(super) struct RaceTask {
     pub(super) seed: u64,
     pub(super) timing: RaceTiming,
     pub(super) jitter_us: u64,
     pub(super) clients: usize,
+    pub(super) trace: TraceMode,
+}
+
+impl RaceTask {
+    /// The paper's single-victim race of Table II and Figure 2 at `seed`.
+    pub(super) fn paper(seed: u64, trace: TraceMode) -> RaceTask {
+        RaceTask { seed, timing: RaceTiming::PAPER, jitter_us: 0, clients: 1, trace }
+    }
 }
 
 /// What a [`race_clients`] run leaves behind: whether each client got the
-/// parasite, by client index, plus the simulator's event count and trace
-/// summary.
+/// parasite, by client index, plus the simulator's event count and its
+/// trace (events retained per the task's mode, counters always).
 pub(super) struct RaceOutcome {
     pub(super) wins: Vec<bool>,
     pub(super) events: u64,
-    pub(super) summary: TraceSummary,
+    pub(super) trace: Trace,
 }
 
-/// Races `task.clients` victims against the master in one simulation with
-/// an always-bounded `SummaryOnly` trace: client `index` connects from
-/// `10.(index >> 8).(index & 0xff).2` and asks for the target object, or for
-/// one the master has not prepared when `unprepared(index)` says so. The
-/// campaign fleet, its shard days and the attack-surface grid all race
-/// through here.
+/// Races `task.clients` victims against the master in one simulation:
+/// victim `index` connects from `10.(index >> 8).(index & 0xff).2` and asks
+/// for the target object, or for one the master has not prepared when
+/// `unprepared(index)` says so. Every race runs through here: Table II and
+/// Figure 2 (one victim), the campaign fleet, its shard days and the
+/// attack-surface grid.
 ///
 /// # Errors
 ///
@@ -365,16 +362,13 @@ pub(super) fn race_clients(
         wifi,
         server,
         request,
-    } = build_race_world(task.seed, &task.timing, event_budget, TraceMode::SummaryOnly, shared);
-    if task.jitter_us > 0 {
-        sim.set_medium_jitter(wifi, SimDuration::from_micros(task.jitter_us));
-    }
+    } = build_race_world(task, event_budget, shared);
 
     let other = request_wire(&Url::parse("http://somesite.com/weather.js").expect("static url"));
     let mut connections = Vec::with_capacity(task.clients);
     for index in 0..task.clients {
         let ip = mp_netsim::addr::IpAddr::new(10, (index >> 8) as u8, (index & 0xff) as u8, 2);
-        let client = sim.add_host("client", ip, wifi);
+        let client = sim.add_host("victim", ip, wifi);
         let conn = sim.connect(client, server, 80)?;
         let wire = if unprepared(index) { &other } else { &request };
         sim.send_bytes(client, conn, wire.clone())?;
@@ -386,72 +380,7 @@ pub(super) fn race_clients(
         .into_iter()
         .map(|(client, conn)| delivers_parasite(sim.host(client).received(conn)))
         .collect();
-    Ok(RaceOutcome { wins, events: sim.events_processed(), summary: *sim.trace().summary() })
-}
-
-/// Builds and runs the paper's injection race: one victim on the shared WiFi
-/// of [`build_race_world`] requesting the target object.
-///
-/// # Errors
-///
-/// Returns [`NetError::EventBudgetExhausted`] if the budget runs out.
-pub(super) fn run_race_simulation(
-    seed: u64,
-    attacker_reaction_us: u64,
-    server_one_way_us: u64,
-    event_budget: u64,
-    trace_mode: TraceMode,
-    shared: Option<&SharedBudget>,
-) -> Result<RaceRun, NetError> {
-    let timing = RaceTiming {
-        attacker_reaction_us,
-        server_one_way_us,
-        ..RaceTiming::PAPER
-    };
-    let RaceWorld {
-        mut sim,
-        wifi,
-        server,
-        request,
-    } = build_race_world(seed, &timing, event_budget, trace_mode, shared);
-    let victim = sim.add_host("victim", mp_netsim::addr::IpAddr::new(10, 0, 0, 2), wifi);
-    let conn = sim.connect(victim, server, 80).expect("hosts exist");
-    sim.send_bytes(victim, conn, request).expect("connection exists");
-    sim.run_until_idle()?;
-
-    Ok(RaceRun { sim, victim, conn })
-}
-
-/// One packet-level injection race; returns `true` if the victim ends up
-/// with the parasite.
-fn injection_race(
-    seed: u64,
-    attacker_reaction_us: u64,
-    server_one_way_us: u64,
-    event_budget: u64,
-    trace_mode: TraceMode,
-    shared: Option<&SharedBudget>,
-) -> Result<bool, NetError> {
-    let race = run_race_simulation(seed, attacker_reaction_us, server_one_way_us, event_budget, trace_mode, shared)?;
-    Ok(delivers_parasite(race.sim.host(race.victim).received(race.conn)))
-}
-
-/// Runs one packet-level injection race with the paper's standard timing
-/// (0.3 ms attacker reaction, 40 ms one-way WAN) and reports whether the
-/// victim ended up with the parasite.
-pub fn run_injection_race(seed: u64) -> bool {
-    injection_race(seed, 300, 40_000, DEFAULT_EVENT_BUDGET, TraceMode::SummaryOnly, None)
-        .expect("the standard race stays far within the default event budget")
-}
-
-/// Parametric variant of the injection race: the attacker reacts after
-/// `attacker_reaction_us` and the genuine server sits `server_one_way_us`
-/// away (one-way WAN latency). Returns `true` if the victim ends up with the
-/// parasite. Used by the race-crossover ablation: the attack only works while
-/// the spoofed response beats the genuine one to the victim.
-pub fn injection_race_with_timing(attacker_reaction_us: u64, server_one_way_us: u64) -> bool {
-    injection_race(1234, attacker_reaction_us, server_one_way_us, DEFAULT_EVENT_BUDGET, TraceMode::SummaryOnly, None)
-        .expect("the parametric race stays far within the default event budget")
+    Ok(RaceOutcome { wins, events: sim.events_processed(), trace: sim.take_trace() })
 }
 
 /// Runs the Table II OS × browser injection matrix.
@@ -473,7 +402,8 @@ pub(super) fn table2_injection_matrix(
             // TCP injection does not depend on the browser or OS (both follow
             // the TCP specification); run the race to confirm it.
             let seed = config.seed.wrapping_add((os_index * 16 + browser_index) as u64 + 1);
-            if injection_race(seed, 300, 40_000, config.event_budget, config.trace_mode, shared.as_ref())? {
+            let task = RaceTask::paper(seed, TraceMode::SummaryOnly);
+            if race_clients(&task, config.event_budget, shared.as_ref(), &|_| false)?.wins[0] {
                 cells.push(InjectionCell::Success);
             } else {
                 cells.push(InjectionCell::Failure);
@@ -944,7 +874,7 @@ mod classify_props {
     //! `Parasite::detect` on the body text, and `Parasite::is_carried_by` must
     //! equal `Parasite::detect` on the lossy text.
 
-    use super::{build_race_world, delivers_parasite, request_wire, RaceTiming, RaceWorld};
+    use super::{build_race_world, delivers_parasite, request_wire, RaceTask, RaceTiming, RaceWorld};
     use crate::script::{Parasite, PARASITE_MARKER};
     use mp_httpsim::message::Response;
     use mp_httpsim::url::Url;
@@ -972,9 +902,10 @@ mod classify_props {
     fn delivered_streams() -> &'static [Vec<u8>; 3] {
         static STREAMS: OnceLock<[Vec<u8>; 3]> = OnceLock::new();
         STREAMS.get_or_init(|| {
-            let race = |timing: &RaceTiming, url: Option<&str>| {
+            let race = |timing: RaceTiming, url: Option<&str>| {
+                let task = RaceTask { timing, ..RaceTask::paper(7, TraceMode::SummaryOnly) };
                 let RaceWorld { mut sim, wifi, server, request } =
-                    build_race_world(7, timing, DEFAULT_EVENT_BUDGET, TraceMode::SummaryOnly, None);
+                    build_race_world(&task, DEFAULT_EVENT_BUDGET, None);
                 let wire =
                     url.map(|url| request_wire(&Url::parse(url).unwrap())).unwrap_or(request);
                 let victim = sim.add_host("victim", IpAddr::new(10, 0, 0, 2), wifi);
@@ -989,9 +920,9 @@ mod classify_props {
                 ..RaceTiming::PAPER
             };
             [
-                race(&RaceTiming::PAPER, None),
-                race(&slow_master, None),
-                race(&RaceTiming::PAPER, Some("http://somesite.com/weather.js")),
+                race(RaceTiming::PAPER, None),
+                race(slow_master, None),
+                race(RaceTiming::PAPER, Some("http://somesite.com/weather.js")),
             ]
         })
     }

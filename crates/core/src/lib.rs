@@ -21,11 +21,11 @@
 //! * [`master`] — the attacker tying those pieces together,
 //! * [`attacks`] — the Table V application attacks (§VII),
 //! * [`defense`] — the §VIII countermeasures and their ablation,
-//! * [`experiments`] — one [`Experiment`](experiments::Experiment) per table
-//!   and figure of the evaluation, with a [`Registry`](experiments::Registry)
-//!   and a parallel batch runner ([`experiments::run_many`]),
+//! * [`experiments`] — one [`Experiment`] per table and figure of the
+//!   evaluation, with a [`Registry`] and a parallel batch runner
+//!   ([`experiments::run_many`]),
 //! * [`json`] — the minimal JSON model backing the machine-readable
-//!   [`Artifact`](experiments::Artifact) output.
+//!   [`Artifact`] output.
 //!
 //! ## Quickstart
 //!

@@ -15,7 +15,6 @@
 
 use crate::infect::Infector;
 use crate::injection::InjectingExchange;
-use crate::script::Parasite;
 use mp_browser::browser::Browser;
 use mp_browser::dom::Dom;
 use mp_httpsim::transport::Exchange;
@@ -40,22 +39,6 @@ impl PropagationReport {
     pub fn infected_count(&self) -> usize {
         self.infected_domains.len()
     }
-}
-
-/// Checks whether any cached object of `host` in the browser carries the
-/// given campaign's parasite (HTTP cache or Cache API).
-pub fn domain_infected(browser: &Browser, host: &str, infector: &Infector) -> bool {
-    // Cache API entries.
-    for origin in browser.cache_api().origins() {
-        if origin.contains(host) {
-            return true;
-        }
-    }
-    // HTTP cache: look at per-host entries by probing known URLs is not
-    // possible generically, so callers track candidate URLs; here we fall
-    // back to the fetch log of executed scripts.
-    let _ = infector;
-    false
 }
 
 /// Propagation via iframes: the parasite inserts one iframe per target domain
@@ -166,21 +149,6 @@ pub fn default_iframe_targets() -> Vec<Url> {
         Url::parse("http://mail.example/").expect("static url"),
         Url::parse("http://social.example/").expect("static url"),
     ]
-}
-
-/// Convenience: scan a page-load for parasite execution and return the
-/// infected script URLs.
-pub fn infected_scripts(load: &mp_browser::browser::PageLoad, parasite: &Parasite) -> Vec<Url> {
-    load.page
-        .scripts
-        .iter()
-        .filter(|s| {
-            Parasite::detect(&s.body)
-                .map(|p| p.campaign == parasite.campaign)
-                .unwrap_or(false)
-        })
-        .filter_map(|s| s.url.clone())
-        .collect()
 }
 
 #[cfg(test)]

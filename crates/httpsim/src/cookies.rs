@@ -172,12 +172,6 @@ impl CookieJar {
         self.cookies.clear();
     }
 
-    /// Removes cookies for one domain only.
-    pub fn clear_domain(&mut self, domain: &str) {
-        let domain = domain.to_ascii_lowercase();
-        self.cookies.retain(|c| c.domain != domain);
-    }
-
     /// Drops expired cookies.
     pub fn evict_expired(&mut self, now: u64) {
         self.cookies.retain(|c| !c.is_expired(now));

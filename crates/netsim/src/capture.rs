@@ -17,7 +17,6 @@ use crate::time::Instant;
 use crate::fasthash::FxHashMap;
 use std::collections::VecDeque;
 use std::fmt;
-use std::str::FromStr;
 
 /// Index into a [`Trace`]'s interned name table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -34,57 +33,6 @@ pub enum TraceMode {
     Ring(usize),
     /// Keep no events at all, only the running [`TraceSummary`] counters.
     SummaryOnly,
-}
-
-impl fmt::Display for TraceMode {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            TraceMode::Full => f.write_str("full"),
-            TraceMode::Ring(n) => write!(f, "ring:{n}"),
-            TraceMode::SummaryOnly => f.write_str("summary"),
-        }
-    }
-}
-
-/// Error returned when parsing an unknown trace mode.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParseTraceModeError {
-    /// The string that did not match any mode.
-    pub input: String,
-}
-
-impl fmt::Display for ParseTraceModeError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "unknown trace mode {:?} (expected \"full\", \"summary\" or \"ring:<n>\")",
-            self.input
-        )
-    }
-}
-
-impl std::error::Error for ParseTraceModeError {}
-
-impl FromStr for TraceMode {
-    type Err = ParseTraceModeError;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let needle = s.trim().to_ascii_lowercase();
-        match needle.as_str() {
-            "full" => Ok(TraceMode::Full),
-            "summary" | "summary_only" | "summary-only" => Ok(TraceMode::SummaryOnly),
-            other => {
-                if let Some(n) = other.strip_prefix("ring:") {
-                    if let Ok(n) = n.parse::<usize>() {
-                        if n > 0 {
-                            return Ok(TraceMode::Ring(n));
-                        }
-                    }
-                }
-                Err(ParseTraceModeError { input: s.to_string() })
-            }
-        }
-    }
 }
 
 /// Running counters a [`Trace`] maintains in every mode, so bounded recorders
@@ -566,16 +514,6 @@ mod tests {
         trace.note_dropped_pending(2, 77);
         assert_eq!(trace.summary().pending_chunks_dropped, 2);
         assert_eq!(trace.summary().pending_bytes_dropped, 77);
-    }
-
-    #[test]
-    fn trace_mode_round_trips_through_strings() {
-        for mode in [TraceMode::Full, TraceMode::SummaryOnly, TraceMode::Ring(1024)] {
-            assert_eq!(mode.to_string().parse::<TraceMode>(), Ok(mode));
-        }
-        assert_eq!("SUMMARY".parse::<TraceMode>(), Ok(TraceMode::SummaryOnly));
-        assert!("ring:0".parse::<TraceMode>().is_err());
-        assert!("sometimes".parse::<TraceMode>().is_err());
     }
 
     #[test]

@@ -313,11 +313,6 @@ impl Host {
         self.conn(conn).map(|c| c.remote())
     }
 
-    /// Returns the local endpoint of a connection.
-    pub fn connection_local(&self, conn: ConnId) -> Option<SocketAddr> {
-        self.conn(conn).map(|c| c.local())
-    }
-
     /// Returns all application bytes received on a connection so far.
     pub fn received(&self, conn: ConnId) -> &[u8] {
         self.conn(conn).map(|c| c.received()).unwrap_or(&[])

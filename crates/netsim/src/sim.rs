@@ -3,7 +3,7 @@
 //! The hot path is built for throughput: hosts and media live in dense
 //! `Vec`-backed slabs indexed directly by [`HostId`] / [`MediumId`] (no tree
 //! or hash lookup per event), queued events are compact keys in a calendar
-//! queue backed by a recycling payload pool (see [`crate::queue`]), and one
+//! queue backed by a recycling payload pool (see the `queue` module), and one
 //! set of simulator-owned scratch buffers is reused across deliveries.
 //!
 //! The event loop allocates nothing per event; it allocates only when one of
@@ -278,17 +278,10 @@ impl Simulator {
         self.event_budget
     }
 
-    /// Attaches a [`SharedBudget`] (builder form): every processed event also
-    /// debits the shared pool, and an empty pool stops the run with the typed
+    /// Attaches a [`SharedBudget`]: every processed event also debits the
+    /// shared pool, and an empty pool stops the run with the typed
     /// [`NetError::EventBudgetExhausted`] — before the in-flight event is
     /// popped, so refilling the pool resumes the run losslessly.
-    #[must_use]
-    pub fn with_shared_budget(mut self, budget: SharedBudget) -> Self {
-        self.set_shared_budget(budget);
-        self
-    }
-
-    /// Attaches a [`SharedBudget`] on an existing simulator.
     pub fn set_shared_budget(&mut self, budget: SharedBudget) {
         self.shared_budget = Some(budget);
     }

@@ -343,17 +343,6 @@ impl TcpConnection {
         self.rcv_nxt
     }
 
-    /// Advertised receive window.
-    pub fn recv_window(&self) -> u32 {
-        self.rcv_wnd
-    }
-
-    /// Overrides the maximum segment size (for experiments).
-    pub fn set_mss(&mut self, mss: usize) {
-        assert!(mss > 0, "MSS must be positive");
-        self.mss = mss;
-    }
-
     /// Returns `true` once the three-way handshake has completed.
     pub fn is_established(&self) -> bool {
         matches!(

@@ -217,6 +217,12 @@ impl Request {
                 .and_then(Json::as_u64)
                 .ok_or_else(|| format!("{op:?} requires a numeric \"run\" field"))
         };
+        let config_of = |json: &Json| match json.get("config") {
+            Some(value) => RunConfig::from_json(value)
+                .map(Box::new)
+                .map_err(|error| format!("\"config\" is not a run configuration object: {error}")),
+            None => Ok(Box::default()),
+        };
         match op {
             "submit" => {
                 let experiment = json
@@ -225,11 +231,7 @@ impl Request {
                     .ok_or_else(|| "submit requires an \"experiment\" id".to_string())?
                     .parse::<ExperimentId>()
                     .map_err(|error| error.to_string())?;
-                let config = match json.get("config") {
-                    Some(value) => RunConfig::from_json(value)
-                        .ok_or_else(|| "\"config\" is not a run configuration object".to_string())?,
-                    None => RunConfig::default(),
-                };
+                let config = config_of(json)?;
                 let checkpoint = match json.get("checkpoint") {
                     Some(value) => Some(PathBuf::from(value.as_str().ok_or_else(|| {
                         "\"checkpoint\" must be a path string".to_string()
@@ -237,25 +239,21 @@ impl Request {
                     None => None,
                 };
                 let watch = json.get("watch").and_then(Json::as_bool).unwrap_or(false);
-                Ok(Request::Submit { experiment, config: Box::new(config), checkpoint, watch })
+                Ok(Request::Submit { experiment, config, checkpoint, watch })
             }
             "status" => Ok(Request::Status { run: json.get("run").and_then(Json::as_u64) }),
             "watch" => Ok(Request::Watch { run: run_of(json)? }),
             "cancel" => Ok(Request::Cancel { run: run_of(json)? }),
             "shutdown" => Ok(Request::Shutdown),
             "shard_submit" => {
-                let config = match json.get("config") {
-                    Some(value) => RunConfig::from_json(value)
-                        .ok_or_else(|| "\"config\" is not a run configuration object".to_string())?,
-                    None => RunConfig::default(),
-                };
+                let config = config_of(json)?;
                 let range_field = |key: &str| {
                     json.get(key)
                         .and_then(Json::as_int)
                         .ok_or_else(|| format!("shard_submit requires a numeric {key:?} field"))
                 };
                 Ok(Request::ShardSubmit {
-                    config: Box::new(config),
+                    config,
                     first_ap: range_field("first_ap")?,
                     aps: range_field("aps")?,
                 })

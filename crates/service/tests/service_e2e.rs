@@ -601,6 +601,7 @@ fn hostile_lines_are_rejected_without_disturbing_other_runs() {
         (r#"{"fleet_clients":2000,"fleet_aps":0,"fleet_days":3}"#, "fleet_aps"),
         (r#"{"fleet_clients":2000,"fleet_aps":4,"fleet_days":3,"fleet_visit_prob":0}"#, "fleet_visit_prob"),
         (r#"{"fleet_clients":2000,"fleet_aps":4,"fleet_days":4294967298}"#, "run configuration"),
+        (r#"{"fleet_aps":64,"fleet_days":2,"fleet_clientz":10}"#, "fleet_clientz"),
     ] {
         let line = format!("{{\"op\":\"shard_submit\",\"config\":{config},\"first_ap\":0,\"aps\":1}}\n");
         let reply = reply_to(line.as_bytes());

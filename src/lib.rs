@@ -19,7 +19,7 @@
 //! * [`apps`] (`mp-apps`) — simulated victim applications,
 //! * [`parasite`] — the attack itself: infection, eviction, injection,
 //!   persistence, propagation, C&C, defenses and the paper's experiments,
-//! * [`bench`] (`mp-bench`) — the paper-report harness,
+//! * [`mod@bench`] (`mp-bench`) — the paper-report harness,
 //! * [`service`] (`mp-service`) — the campaign service daemon: long-running
 //!   campaign runs served over a newline-JSON unix/TCP socket.
 //!

@@ -1,9 +1,7 @@
-//! Integration coverage for the bounded simulator hot path: trace recorder
-//! modes are observable through the public experiment API, the campaign
+//! Integration coverage for the bounded simulator hot path: the campaign
 //! fleet scales without retaining per-packet memory, and starved scenarios
 //! fail as per-artifact errors instead of sinking their batch.
 
-use master_parasite::netsim::capture::TraceMode;
 use master_parasite::netsim::error::NetError;
 use parasite::experiments::{
     try_run_many, ExperimentError, ExperimentId, Registry, RunConfig,
@@ -16,35 +14,6 @@ fn quick_config() -> RunConfig {
         days: 20,
         ..RunConfig::default()
     }
-}
-
-#[test]
-fn table2_is_identical_under_every_trace_mode() {
-    // The injection matrix only reads delivered bytes, so bounding (or
-    // dropping) the packet trace must not change the result.
-    let experiment = Registry::get(ExperimentId::Table2);
-    let render = |mode: TraceMode| {
-        experiment
-            .run(&RunConfig {
-                trace_mode: mode,
-                ..quick_config()
-            })
-            .render_text()
-    };
-    let full = render(TraceMode::Full);
-    assert_eq!(full, render(TraceMode::Ring(64)));
-    assert_eq!(full, render(TraceMode::SummaryOnly));
-}
-
-#[test]
-fn fig2_flow_survives_a_summary_only_config() {
-    // The Figure 2 flow needs real events, so it pins a full trace no matter
-    // what the sweep-wide recorder mode says.
-    let artifact = Registry::get(ExperimentId::Fig2).run(&RunConfig {
-        trace_mode: TraceMode::SummaryOnly,
-        ..quick_config()
-    });
-    assert!(artifact.render_text().contains("[ATTACK]"));
 }
 
 #[test]

@@ -8,7 +8,6 @@ use mp_httpsim::message::Response;
 use mp_httpsim::url::Url;
 use bytes::Bytes;
 use mp_netsim::addr::{IpAddr, SocketAddr};
-use mp_netsim::capture::TraceMode;
 use mp_netsim::packet::{Segment, TcpFlags};
 use mp_netsim::seq::SeqNum;
 use mp_netsim::tcp::{Reassembler, TcpConnection};
@@ -236,8 +235,6 @@ proptest! {
         crawl_sites in 0usize..1_000_000,
         days in 0u32..10_000,
         event_budget in 1u64..100_000_000,
-        trace_mode_pick in 0u8..3,
-        ring in 1usize..1_000_000,
         jitter_us in 0u64..1_000_000,
         fleet_clients in 0usize..1_000_000,
         fleet_aps in 1usize..10_000,
@@ -259,17 +256,12 @@ proptest! {
         surface_vectors in 0u8..16,
     ) {
         let fleet_hetero = fleet_hetero_pick == 1;
-        let trace_mode = match trace_mode_pick {
-            0 => TraceMode::Full,
-            1 => TraceMode::SummaryOnly,
-            _ => TraceMode::Ring(ring),
-        };
         // Dyadic fractions in [0, 1] that are exact in both f64 and JSON.
         let fleet_churn = fleet_churn_millis as f64 / 1_024.0;
         let fleet_visit_prob = fleet_visit_prob_millis as f64 / 1_024.0;
         let config = RunConfig {
             seed, scale, sites, crawl_sites, days, event_budget,
-            trace_mode, jitter_us, fleet_clients, fleet_aps, fleet_shards, fleet_jobs,
+            jitter_us, fleet_clients, fleet_aps, fleet_shards, fleet_jobs,
             fleet_days, fleet_churn, fleet_hetero, fleet_visit_prob, global_event_budget,
             surface_trials, surface_delay_start_us, surface_delay_end_us,
             surface_delay_steps, surface_wan_start_us, surface_wan_end_us,
@@ -277,6 +269,6 @@ proptest! {
         };
         let text = config.to_json().to_string();
         let parsed = Json::parse(&text).expect("config JSON parses");
-        prop_assert_eq!(RunConfig::from_json(&parsed), Some(config));
+        prop_assert_eq!(RunConfig::from_json(&parsed), Ok(config));
     }
 }
