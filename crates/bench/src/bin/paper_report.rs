@@ -36,7 +36,7 @@ USAGE:
     paper-report <SUBCOMMAND> --socket <path> [OPTIONS]
 
 SUBCOMMANDS (distributed mode, newline-JSON protocol; see PROTOCOL.md):
-    distribute            split one multi-day campaign_fleet run into
+    distribute            split one campaign_fleet run into
                           contiguous AP-range shards, execute them on
                           --workers shard-worker processes (fresh local
                           re-executions of this binary, or any --worker-cmd
@@ -44,7 +44,7 @@ SUBCOMMANDS (distributed mode, newline-JSON protocol; see PROTOCOL.md):
                           outcomes and print the report — byte-identical to
                           the single-process batch run, including after a
                           worker dies and its range is retried. Requires
-                          exactly --only campaign_fleet and --fleet-days >= 2
+                          exactly --only campaign_fleet
     shard-worker          serve shard_submit requests from stdin, one
                           shard_result or error line per request, until EOF
                           (spawned by distribute; rarely run by hand)
@@ -58,8 +58,8 @@ SUBCOMMANDS (service mode, newline-JSON protocol; see PROTOCOL.md):
                           running daemon; --watch streams its days
     status                list the daemon's runs (or one with --run <n>)
     watch                 replay and follow one run's day stream (--run <n>)
-    cancel                cooperatively cancel a run (--run <n>); a multi-day
-                          campaign stops at the next day boundary, leaving a
+    cancel                cooperatively cancel a run (--run <n>); a campaign
+                          stops at the next day boundary, leaving a
                           resumable checkpoint
     shutdown              cancel everything and stop the daemon
 
@@ -117,33 +117,30 @@ OPTIONS:
                           in microseconds [default: 0]
     --fleet-clients <n>   campaign_fleet: total simulated clients [default: 100000]
     --fleet-aps <n>       campaign_fleet: number of cafe APs [default: 128]
-    --fleet-shards <n>    campaign_fleet: shard-count scheduling hint, echoed
-                          as \"shards\"; no other number in the artifact
-                          depends on it (distribute --workers is what splits
-                          a campaign across processes) [default: 1]
     --fleet-jobs <n>      campaign_fleet: worker threads for the per-AP sims
                           (0 = auto-size to the machine) [default: 0]
-    --fleet-days <n>      campaign_fleet: simulated days; above 1 the fleet
-                          runs the multi-day churn loop (arrivals/departures,
-                          cache clears, Figure 3 target-object rotation, with
-                          infections carried forward) [default: 1]
+    --fleet-days <n>      campaign_fleet: simulated days of the churn loop
+                          (arrivals/departures, cache clears, Figure 3
+                          target-object rotation, with infections carried
+                          forward); a one-day campaign is its day 1
+                          [default: 1]
     --fleet-churn <f>     campaign_fleet: daily client-turnover fraction in
-                          [0, 1] for the multi-day loop [default: 0]
+                          [0, 1] [default: 0]
     --fleet-hetero        campaign_fleet: draw per-AP latency/jitter/attacker
                           reaction and client weights from seeded
                           distributions instead of the uniform paper timing
     --fleet-visit-prob <f>
                           campaign_fleet: mean daily probability that a seat
-                          visits its cafe during a multi-day campaign, in
-                          (0, 1]; per-seat probabilities are drawn from a
-                          seeded triangular distribution around it. 1 keeps
-                          the classic everyone-visits model [default: 1]
+                          visits its cafe, in (0, 1]; per-seat probabilities
+                          are drawn from a seeded triangular distribution
+                          around it. 1 is the everyone-visits model
+                          [default: 1]
     --fleet-checkpoint <path>
                           write a resumable JSON checkpoint after every
                           completed campaign day; if <path> exists the
                           campaign resumes from it (byte-identical to an
                           uninterrupted run). Requires exactly
-                          --only campaign_fleet and --fleet-days >= 2
+                          --only campaign_fleet
     --global-event-budget <n>
                           one event pool shared by every simulator of the run
                           (all APs, shards and days); 0 disables [default: 0]
@@ -182,10 +179,9 @@ struct Options {
 }
 
 /// Flags that configure only the campaign_fleet experiment.
-const FLEET_FLAGS: [&str; 6] = [
+const FLEET_FLAGS: [&str; 5] = [
     "--fleet-clients",
     "--fleet-aps",
-    "--fleet-shards",
     "--fleet-days",
     "--fleet-hetero",
     "--fleet-visit-prob",
@@ -290,7 +286,6 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
             "--jitter-us" => config.jitter_us = args.number()?,
             "--fleet-clients" => config.fleet_clients = args.number()?,
             "--fleet-aps" => config.fleet_aps = args.number()?,
-            "--fleet-shards" => config.fleet_shards = args.number()?,
             "--fleet-jobs" => config.fleet_jobs = args.number()?,
             "--fleet-days" => config.fleet_days = args.number()?,
             "--fleet-churn" => config.fleet_churn = args.fraction()?,
@@ -320,13 +315,15 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
             }
             "--json" => json = true,
             "--list" => {
-                for id in ExperimentId::EXTENDED {
-                    println!("{:<14} {}", id.to_string(), id.title());
-                }
+                let list: String = ExperimentId::EXTENDED
+                    .iter()
+                    .map(|id| format!("{:<14} {}\n", id.to_string(), id.title()))
+                    .collect();
+                write_stdout(&list, "the experiment list");
                 return Ok(None);
             }
             "-h" | "--help" => {
-                print!("{USAGE}");
+                write_stdout(USAGE, "the usage");
                 return Ok(None);
             }
             "--socket" | "--tcp" | "--serve-workers" | "--serve-queue-limit" => {
@@ -384,21 +381,6 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
             "{flag} configures the attack_surface experiment, which is not \
              selected; add --only attack_surface"
         ));
-    }
-    if given.contains(&"--fleet-churn") && !surface && !config.multi_day() {
-        return Err(
-            "--fleet-churn only affects a multi-day campaign; set \
-             --fleet-days to 2 or more (or select attack_surface, whose \
-             steady-state curve uses the churn rate)"
-                .to_string(),
-        );
-    }
-    if given.contains(&"--fleet-visit-prob") && !config.multi_day() {
-        return Err(
-            "--fleet-visit-prob only affects a multi-day campaign; set \
-             --fleet-days to 2 or more"
-                .to_string(),
-        );
     }
     // A checkpointed campaign is a dedicated operation: it runs instead of
     // the selected ids, so it must be the only one.
@@ -499,23 +481,30 @@ fn print_report(
             }
         }
     }
-    let mut stdout = std::io::stdout().lock();
-    let written = if options.json {
-        writeln!(stdout, "{}", report_json(&options.config, &artifacts))
+    let report = if options.json {
+        report_json(&options.config, &artifacts).to_string()
     } else {
-        writeln!(stdout, "{}", render_report(&artifacts))
+        render_report(&artifacts)
     };
-    match written.and_then(|()| stdout.flush()) {
-        Err(error) if error.kind() != ErrorKind::BrokenPipe => {
-            eprintln!("error: cannot write the report: {error}");
-            return ExitCode::FAILURE;
-        }
-        _ => {}
-    }
+    write_stdout(&(report + "\n"), "the report");
     if failed {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS
+    }
+}
+
+/// Writes `text` to stdout and flushes it: the one output path of every
+/// subcommand. A reader that closed the pipe early (`| head`) is no error;
+/// any other write error ends the process with an `error:` line naming
+/// `what` could not be written, and exit status 1.
+fn write_stdout(text: &str, what: &str) {
+    let mut stdout = std::io::stdout().lock();
+    if let Err(error) = stdout.write_all(text.as_bytes()).and_then(|()| stdout.flush()) {
+        if error.kind() != ErrorKind::BrokenPipe {
+            eprintln!("error: cannot write {what}: {error}");
+            std::process::exit(1);
+        }
     }
 }
 
@@ -775,58 +764,65 @@ mod service {
 
     /// Prints one daemon response: its JSON line, or a line of text.
     fn print_response(response: &Response, json: bool) {
-        if json {
-            println!("{}", response.to_json());
-            return;
-        }
-        match response {
-            Response::Accepted { run, experiment } => println!("run {run} accepted ({experiment})"),
-            Response::Status { runs } if runs.is_empty() => println!("no runs"),
-            Response::Status { runs } => {
-                println!("{:<6} {:<16} {:<8} {:>5}  outcome", "run", "experiment", "state", "days");
-                for row in runs {
-                    println!(
-                        "{:<6} {:<16} {:<8} {:>5}  {}",
-                        row.run,
-                        row.experiment.as_str(),
-                        row.state.as_str(),
-                        row.days,
-                        row.outcome.as_deref().unwrap_or("-")
-                    );
+        let text = if json {
+            response.to_json().to_string()
+        } else {
+            match response {
+                Response::Accepted { run, experiment } => {
+                    format!("run {run} accepted ({experiment})")
                 }
+                Response::Status { runs } if runs.is_empty() => "no runs".to_string(),
+                Response::Status { runs } => {
+                    let mut table = format!(
+                        "{:<6} {:<16} {:<8} {:>5}  outcome",
+                        "run", "experiment", "state", "days"
+                    );
+                    for row in runs {
+                        table.push_str(&format!(
+                            "\n{:<6} {:<16} {:<8} {:>5}  {}",
+                            row.run,
+                            row.experiment.as_str(),
+                            row.state.as_str(),
+                            row.days,
+                            row.outcome.as_deref().unwrap_or("-")
+                        ));
+                    }
+                    table
+                }
+                Response::Cancelling { run } => format!(
+                    "run {run} cancelling (stops at its next day boundary; any \
+                     checkpoint stays resumable)"
+                ),
+                Response::ShuttingDown { active_runs } => {
+                    format!("daemon shutting down ({active_runs} active run(s) cancelled)")
+                }
+                Response::Day { stats, .. } => format!(
+                    "day {:>3}: exposed {:>6}  newly infected {:>6}  infected {:>7}  \
+                     clean {:>7}  events {}",
+                    stats.day,
+                    stats.exposed,
+                    stats.newly_infected,
+                    stats.infected,
+                    stats.clean,
+                    stats.events
+                ),
+                Response::Done { run, outcome: RunOutcome::Ok { .. } } => {
+                    format!("run {run} done: ok")
+                }
+                Response::Done { run, outcome: RunOutcome::Cancelled { days_completed } } => {
+                    format!("run {run} cancelled after {days_completed} completed day(s)")
+                }
+                Response::Done { run, outcome: RunOutcome::Failed { message } } => {
+                    format!("run {run} failed: {message}")
+                }
+                other => other.to_json().to_string(),
             }
-            Response::Cancelling { run } => println!(
-                "run {run} cancelling (stops at its next day boundary; any \
-                 checkpoint stays resumable)"
-            ),
-            Response::ShuttingDown { active_runs } => {
-                println!("daemon shutting down ({active_runs} active run(s) cancelled)")
-            }
-            Response::Day { stats, .. } => println!(
-                "day {:>3}: exposed {:>6}  newly infected {:>6}  infected {:>7}  \
-                 clean {:>7}  events {}",
-                stats.day,
-                stats.exposed,
-                stats.newly_infected,
-                stats.infected,
-                stats.clean,
-                stats.events
-            ),
-            Response::Done { run, outcome: RunOutcome::Ok { .. } } => {
-                println!("run {run} done: ok")
-            }
-            Response::Done { run, outcome: RunOutcome::Cancelled { days_completed } } => {
-                println!("run {run} cancelled after {days_completed} completed day(s)")
-            }
-            Response::Done { run, outcome: RunOutcome::Failed { message } } => {
-                println!("run {run} failed: {message}")
-            }
-            other => println!("{}", other.to_json()),
-        }
+        };
+        write_stdout(&(text + "\n"), "the response");
     }
 }
 
-/// The `distribute` coordinator: splits one multi-day campaign into AP-range
+/// The `distribute` coordinator: splits one campaign into AP-range
 /// shards, runs each on a fresh `shard-worker` process (or `--worker-cmd`)
 /// through [`Coordinator`], merges the outcomes and prints the report. The
 /// coordinator-only flags are scheduling knobs and never reach the
@@ -962,7 +958,7 @@ fn lint(args: &[String]) -> ExitCode {
                 Err(_) => return usage_error(LINT_USAGE, "--root requires a directory argument"),
             },
             "-h" | "--help" => {
-                print!("{LINT_USAGE}");
+                write_stdout(LINT_USAGE, "the usage");
                 return ExitCode::SUCCESS;
             }
             other => return usage_error(LINT_USAGE, &format!("unknown lint flag {other:?}")),
@@ -976,11 +972,12 @@ fn lint(args: &[String]) -> ExitCode {
     };
     match mp_lint::run_workspace(&root) {
         Ok(report) => {
-            if json {
-                println!("{}", report.to_json());
+            let text = if json {
+                format!("{}\n", report.to_json())
             } else {
-                print!("{}", report.render_text(fix_hints));
-            }
+                report.render_text(fix_hints)
+            };
+            write_stdout(&text, "the lint report");
             if report.clean() {
                 ExitCode::SUCCESS
             } else {

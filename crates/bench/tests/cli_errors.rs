@@ -34,7 +34,6 @@ fn inert_fleet_flags_without_campaign_fleet_are_rejected() {
     assert_rejected(&["--fleet-hetero"], "--fleet-hetero");
     assert_rejected(&["--fleet-clients", "1000"], "--only campaign_fleet");
     assert_rejected(&["--fleet-days", "5", "--only", "fig2"], "--fleet-days");
-    assert_rejected(&["--fleet-shards", "4", "--only", "attack_surface"], "--fleet-shards");
 }
 
 #[test]
@@ -50,17 +49,10 @@ fn inert_surface_flags_without_attack_surface_are_rejected() {
 
 #[test]
 fn inert_churn_and_checkpoint_combos_are_rejected() {
-    // --fleet-churn on a single-snapshot campaign does nothing.
-    assert_rejected(
-        &["--fleet-churn", "0.2", "--only", "campaign_fleet"],
-        "--fleet-days",
-    );
-    // --fleet-checkpoint without the multi-day loop (and without the
-    // campaign selected at all) is refused, not ignored.
-    assert_rejected(
-        &["--fleet-checkpoint", "x.json", "--only", "campaign_fleet"],
-        "--fleet-days",
-    );
+    // --fleet-churn without a campaign or a surface does nothing.
+    assert_rejected(&["--fleet-churn", "0.2", "--only", "fig2"], "campaign_fleet / attack_surface");
+    // --fleet-checkpoint without the campaign selected is refused, not
+    // ignored.
     assert_rejected(&["--fleet-checkpoint", "x.json"], "--only campaign_fleet");
     // Shared flags need at least one consuming experiment.
     assert_rejected(&["--jitter-us", "200"], "campaign_fleet / attack_surface");
@@ -118,16 +110,12 @@ fn zero_population_sizes_and_crawl_lengths_are_rejected() {
 }
 
 #[test]
-fn visit_probability_needs_a_multiday_campaign() {
+fn visit_probability_needs_a_campaign() {
     // Outside [0, 1] (and exactly 0, which would freeze the campaign).
     let fleet = ["--only", "campaign_fleet", "--fleet-days", "5"];
     assert_rejected(&[&fleet[..], &["--fleet-visit-prob", "1.5"]].concat(), "(0, 1]");
     assert_rejected(&[&fleet[..], &["--fleet-visit-prob", "0"]].concat(), "(0, 1]");
-    // Inert without the multi-day loop, or without the campaign at all.
-    assert_rejected(
-        &["--only", "campaign_fleet", "--fleet-visit-prob", "0.5"],
-        "--fleet-days",
-    );
+    // Inert without the campaign.
     assert_rejected(&["--fleet-visit-prob", "0.5"], "--only campaign_fleet");
 }
 
@@ -278,6 +266,48 @@ fn a_report_that_cannot_be_written_exits_1_with_an_error_line() {
         assert!(stderr.starts_with("error: cannot write the report"), "stderr: {stderr}");
         assert!(!stderr.contains("panicked"), "stderr: {stderr}");
     }
+    // The listing, the usage and the lint report take the same path.
+    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+    for args in [&["--list"][..], &["--help"], &["lint", "--root", root]] {
+        let output = Command::new(env!("CARGO_BIN_EXE_paper-report"))
+            .args(args)
+            .stdout(full.try_clone().expect("clone the handle"))
+            .output()
+            .expect("paper-report spawns");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(1), "args {args:?}; stderr: {stderr}");
+        assert!(stderr.starts_with("error: cannot write"), "args {args:?}; stderr: {stderr}");
+        assert!(!stderr.contains("panicked"), "args {args:?}; stderr: {stderr}");
+    }
+}
+
+#[test]
+fn a_one_day_checkpointed_campaign_reruns_to_the_same_bytes() {
+    // A one-day campaign is day 1 of the churn loop, so it checkpoints; the
+    // rerun resumes from the finished checkpoint without running a day.
+    let dir = std::env::temp_dir().join(format!("mp-cli-one-day-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let checkpoint = dir.join("campaign.ckpt.json");
+    let args = [
+        "--only",
+        "campaign_fleet",
+        "--fleet-clients",
+        "400",
+        "--fleet-aps",
+        "4",
+        "--json",
+        "--fleet-checkpoint",
+        checkpoint.to_str().expect("utf-8 temp path"),
+    ];
+    let first = paper_report(&args);
+    assert_eq!(first.status.code(), Some(0), "stderr: {}", String::from_utf8_lossy(&first.stderr));
+    let written = std::fs::read_to_string(&checkpoint).expect("the campaign wrote its checkpoint");
+    assert!(written.contains("\"completed_days\":1"), "checkpoint: {written}");
+    let rerun = paper_report(&args);
+    assert_eq!(rerun.status.code(), Some(0), "stderr: {}", String::from_utf8_lossy(&rerun.stderr));
+    assert_eq!(rerun.stdout, first.stdout, "the rerun returns the same bytes");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

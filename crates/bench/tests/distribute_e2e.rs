@@ -110,28 +110,34 @@ fn temp_dir(tag: &str) -> std::path::PathBuf {
 
 #[test]
 fn distribute_matches_the_batch_report_byte_for_byte() {
-    let batch_json = stdout_of(&paper_report(&[CAMPAIGN.as_slice(), &["--json"]].concat()));
-    let distributed_json = stdout_of(&paper_report(
-        &[&["distribute", "--workers", "3"], CAMPAIGN.as_slice(), &["--json"]].concat(),
-    ));
-    assert_eq!(
-        distributed_json, batch_json,
-        "three workers must merge to the single-process JSON report"
-    );
+    // A one-day campaign is day 1 of the same shard loop.
+    let days = CAMPAIGN.iter().position(|&arg| arg == "--fleet-days").expect("a day count") + 1;
+    let mut one_day = CAMPAIGN;
+    one_day[days] = "1";
+    for campaign in [CAMPAIGN, one_day] {
+        let batch_json = stdout_of(&paper_report(&[campaign.as_slice(), &["--json"]].concat()));
+        let distributed_json = stdout_of(&paper_report(
+            &[&["distribute", "--workers", "3"], campaign.as_slice(), &["--json"]].concat(),
+        ));
+        assert_eq!(
+            distributed_json, batch_json,
+            "three workers must merge to the single-process JSON report"
+        );
 
-    // The human-readable rendering goes through the same merged artifact.
-    let batch_text = stdout_of(&paper_report(&CAMPAIGN));
-    let distributed_text = stdout_of(&paper_report(
-        &[&["distribute", "--workers", "3"], CAMPAIGN.as_slice()].concat(),
-    ));
-    assert_eq!(distributed_text, batch_text);
+        // The human-readable rendering goes through the same merged artifact.
+        let batch_text = stdout_of(&paper_report(&campaign));
+        let distributed_text = stdout_of(&paper_report(
+            &[&["distribute", "--workers", "3"], campaign.as_slice()].concat(),
+        ));
+        assert_eq!(distributed_text, batch_text);
 
-    // More workers than APs: the split caps at one AP per shard and the
-    // report is still identical.
-    let many = stdout_of(&paper_report(
-        &[&["distribute", "--workers", "9"], CAMPAIGN.as_slice(), &["--json"]].concat(),
-    ));
-    assert_eq!(many, batch_json);
+        // More workers than APs: the split caps at one AP per shard and the
+        // report is still identical.
+        let many = stdout_of(&paper_report(
+            &[&["distribute", "--workers", "9"], campaign.as_slice(), &["--json"]].concat(),
+        ));
+        assert_eq!(many, batch_json);
+    }
 }
 
 #[test]
@@ -386,9 +392,10 @@ fn shard_worker_speaks_the_newline_json_protocol() {
             fleet_days, global_event_budget
         )
     };
-    // One valid assignment (APs [1, 3) of the 4-AP campaign), two
-    // assignments whose merged result would depend on the sharding, then
-    // two malformed lines; the worker must answer all five and exit on EOF.
+    // One valid assignment (APs [1, 3) of the 4-AP campaign), one whose
+    // merged result would depend on the sharding, a valid one-day
+    // assignment, then two malformed lines; the worker must answer all five
+    // and exit on EOF.
     let input = [
         assignment(3, 0),
         assignment(3, 100_000),
@@ -419,7 +426,11 @@ fn shard_worker_speaks_the_newline_json_protocol() {
         );
     };
     bad_request(replies[1], "global_event_budget");
-    bad_request(replies[2], "fleet_days");
+    assert!(
+        replies[2].contains("\"type\":\"shard_result\"") && replies[2].contains("\"run\":3"),
+        "a one-day campaign is day 1 of the same shard loop, got: {}",
+        replies[2]
+    );
     bad_request(replies[3], "unknown op");
     bad_request(replies[4], "not valid JSON");
 }
@@ -489,10 +500,10 @@ fn distribute_rejects_undistributable_configurations() {
             "args {args:?}: stderr {stderr:?} does not mention {expected:?}"
         );
     };
-    // distribute is a dedicated multi-day campaign_fleet operation.
+    // distribute is a dedicated campaign_fleet operation.
     assert_rejected(&["distribute", "--workers", "3"], "--only campaign_fleet");
     assert_rejected(
-        &["distribute", "--workers", "3", "--only", "campaign_fleet"],
+        &["distribute", "--workers", "3", "--only", "campaign_fleet", "--fleet-days", "0"],
         "--fleet-days",
     );
     assert_rejected(

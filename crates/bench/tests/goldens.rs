@@ -156,8 +156,6 @@ fn a_single_day_campaign_json_matches_its_golden() {
             "--fleet-hetero",
             "--jitter-us",
             "300",
-            "--fleet-shards",
-            "4",
             "--json",
         ]),
     );

@@ -8,26 +8,24 @@
 //! each with its own master tap racing the genuine server — and aggregates
 //! infection outcomes and trace summaries across the fleet.
 //!
+//! The campaign runs day by day through the shard day loop (the `multiday`
+//! and `distrib` modules); a one-day campaign is day 1 of that churn model.
 //! Every AP races its clients through `race_clients` (the `tables` module),
 //! the one multi-client race runner, whose simulator keeps only a
 //! `SummaryOnly` trace, so a 100k-client sweep retains **no per-packet
 //! memory**: only the bounded summary counters and one win flag per client
 //! survive each AP. APs run in parallel on scoped worker threads, and an AP
 //! that exhausts its event budget is isolated (counted in `failed_aps`)
-//! instead of aborting the sweep.
-//!
-//! `RunConfig::fleet_shards` is a scheduling hint that is only echoed: the
-//! per-AP plan is global, so the artifact's numbers never depend on it. Real
-//! sharding splits the fleet into contiguous AP ranges (`distrib`).
+//! instead of aborting the sweep. This module holds what every day shares:
+//! the per-AP heterogeneity profiles, the client-to-AP plan, the per-AP race
+//! task, the seed-stream derivation and the result type.
 
 use super::multiday::DayStats;
-use super::tables::{race_clients, RaceTask, RaceTiming};
-use super::{parallel_tasks, ExperimentError, RunConfig, RunCtx};
+use super::tables::{RaceTask, RaceTiming};
+use super::{ExperimentError, RunConfig};
 use crate::json::{Json, ToJson};
 use mp_netsim::capture::TraceMode;
 use mp_netsim::dist::Dist;
-use mp_netsim::error::NetError;
-use mp_netsim::sim::SharedBudget;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -37,8 +35,8 @@ pub(super) const MAX_CLIENTS_PER_AP: usize = 65_536;
 
 /// Seed-stream tag for per-AP heterogeneity profiles: profiles are drawn from
 /// `mix_seed(campaign_seed, PROFILE_TAG ^ ap_index)`, a stream disjoint from
-/// the per-AP simulation seeds (`mix_seed(seed, index)`), so heterogeneity
-/// never perturbs the race RNG itself.
+/// the per-day AP simulation seeds, so heterogeneity never perturbs the race
+/// RNG itself.
 pub(super) const PROFILE_TAG: u64 = 0x00f1_7e00_ab5e_ed00;
 
 // ---------------------------------------------------------------------------
@@ -145,11 +143,8 @@ pub(super) fn distribute_by_weight(total: usize, weights: &[u64]) -> Vec<usize> 
 }
 
 /// Result of the campaign fleet experiment.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CampaignFleetResult {
-    /// The `fleet_shards` scheduling hint, echoed (clamped to the AP count);
-    /// no other field depends on it.
-    pub shards: usize,
     /// Access points simulated.
     pub aps: usize,
     /// Total simulated clients across the fleet.
@@ -157,10 +152,10 @@ pub struct CampaignFleetResult {
     /// Clients that ended up executing the parasite.
     pub infected_clients: usize,
     /// Clients that kept the genuine object (they requested an object the
-    /// master had not prepared).
+    /// master had not prepared, lost the race, or were never raced).
     pub clean_clients: usize,
-    /// APs whose simulation failed (event budget exhausted); their clients
-    /// count as neither infected nor clean.
+    /// AP simulations that failed (event budget exhausted), summed over the
+    /// days; the seats a failed AP raced stay clean.
     pub failed_aps: usize,
     /// Simulator events processed across the whole fleet.
     pub total_events: u64,
@@ -170,9 +165,7 @@ pub struct CampaignFleetResult {
     pub injected_events: u64,
     /// Pre-handshake send buffers evicted fleet-wide (failed connections).
     pub pending_bytes_dropped: u64,
-    /// Day-by-day statistics of a multi-day churn campaign
-    /// ([`RunConfig::fleet_days`] > 1); empty for the classic single-snapshot
-    /// sweep, so the classic artifact stays byte-identical.
+    /// Day-by-day statistics, one entry per [`RunConfig::fleet_days`].
     pub day_stats: Vec<DayStats>,
 }
 
@@ -186,40 +179,10 @@ impl CampaignFleetResult {
         }
     }
 
-    /// Renders the campaign summary (plus the Figure 3-style day table for
-    /// multi-day churn campaigns).
+    /// Renders the campaign summary and the Figure 3-style day table.
     pub fn render(&self) -> String {
-        let mut out = self.render_summary();
-        if !self.day_stats.is_empty() {
-            out.push_str("\nday-by-day churn dynamics (Figure 3 model)\n");
-            out.push_str(
-                "day | arrivals | cleared | rotated | exposed | newly infected | infected | rate %\n",
-            );
-            for day in &self.day_stats {
-                out.push_str(&format!(
-                    "{:>3} | {:>8} | {:>7} | {:>7} | {:>7} | {:>14} | {:>8} | {:>6.1}\n",
-                    day.day,
-                    day.arrivals,
-                    day.cache_clears + day.rotation_cured,
-                    if day.object_rotated { "yes" } else { "no" },
-                    day.exposed,
-                    day.newly_infected,
-                    day.infected,
-                    if self.clients == 0 {
-                        0.0
-                    } else {
-                        day.infected as f64 / self.clients as f64 * 100.0
-                    },
-                ));
-            }
-        }
-        out
-    }
-
-    fn render_summary(&self) -> String {
-        format!(
+        let mut out = format!(
             "Campaign - population-scale cafe-AP fleet sweep\n\
-             shard hint:               {:>10}\n\
              access points:            {:>10}\n\
              simulated clients:        {:>10}\n\
              infected clients:         {:>10}  ({:.1} %)\n\
@@ -229,7 +192,6 @@ impl CampaignFleetResult {
              payload bytes:            {:>10}\n\
              injected responses:       {:>10}\n\
              pending bytes dropped:    {:>10}\n",
-            self.shards,
             self.aps,
             self.clients,
             self.infected_clients,
@@ -240,14 +202,35 @@ impl CampaignFleetResult {
             self.payload_bytes,
             self.injected_events,
             self.pending_bytes_dropped,
-        )
+        );
+        out.push_str("\nday-by-day churn dynamics (Figure 3 model)\n");
+        out.push_str(
+            "day | arrivals | cleared | rotated | exposed | newly infected | infected | rate %\n",
+        );
+        for day in &self.day_stats {
+            out.push_str(&format!(
+                "{:>3} | {:>8} | {:>7} | {:>7} | {:>7} | {:>14} | {:>8} | {:>6.1}\n",
+                day.day,
+                day.arrivals,
+                day.cache_clears + day.rotation_cured,
+                if day.object_rotated { "yes" } else { "no" },
+                day.exposed,
+                day.newly_infected,
+                day.infected,
+                if self.clients == 0 {
+                    0.0
+                } else {
+                    day.infected as f64 / self.clients as f64 * 100.0
+                },
+            ));
+        }
+        out
     }
 }
 
 impl ToJson for CampaignFleetResult {
     fn to_json(&self) -> Json {
-        let mut pairs = vec![
-            ("shards", self.shards.to_json()),
+        Json::obj([
             ("aps", self.aps.to_json()),
             ("clients", self.clients.to_json()),
             ("infected_clients", self.infected_clients.to_json()),
@@ -258,13 +241,8 @@ impl ToJson for CampaignFleetResult {
             ("payload_bytes", self.payload_bytes.to_json()),
             ("injected_events", self.injected_events.to_json()),
             ("pending_bytes_dropped", self.pending_bytes_dropped.to_json()),
-        ];
-        // Only multi-day campaigns carry a day table; the classic artifact's
-        // JSON stays byte-identical.
-        if !self.day_stats.is_empty() {
-            pairs.push(("days", self.day_stats.to_json()));
-        }
-        Json::obj(pairs)
+            ("days", self.day_stats.to_json()),
+        ])
     }
 }
 
@@ -277,10 +255,9 @@ pub(super) fn mix_seed(seed: u64, index: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Every eighth client asks for an object the master has *not* prepared, so
-/// the fleet exercises both the winning race and the passthrough path. The
-/// multi-day loop applies the same trait per campaign *slot*, so a seat keeps
-/// its browsing habit across churn.
+/// Every eighth seat (by global seat index) asks for an object the master
+/// has *not* prepared, so the fleet exercises both the winning race and the
+/// passthrough path; a seat keeps this browsing habit across churn.
 pub(super) fn requests_unprepared_object(client_index: usize) -> bool {
     client_index % 8 == 7
 }
@@ -289,66 +266,6 @@ pub(super) fn requests_unprepared_object(client_index: usize) -> bool {
 /// remainder). The shard planner (`distrib`) splits AP ranges with it.
 pub(super) fn share(total: usize, parts: usize, index: usize) -> usize {
     total / parts + usize::from(index < total % parts)
-}
-
-/// Runs the campaign fleet. `fleet_days > 1` enters the multi-day churn loop
-/// (see the `multiday` module); otherwise `config.fleet_clients` clients are
-/// spread over `config.fleet_aps` independent AP simulations executed on
-/// scoped worker threads and aggregated deterministically in AP order.
-/// `fleet_shards` is a scheduling hint here, as everywhere else: the per-AP
-/// plan is global, so every number in the artifact is independent of it and
-/// only the reported `shards` field echoes the request.
-pub(super) fn campaign_fleet(
-    config: &RunConfig,
-    ctx: &RunCtx,
-) -> Result<CampaignFleetResult, ExperimentError> {
-    if config.multi_day() {
-        return super::multiday::run_multiday(config, ctx, None);
-    }
-    let shared = ctx.budget_for(config);
-    let shared = shared.as_ref();
-    let aps = config.fleet_aps;
-    let total_clients = config.fleet_clients;
-    let tasks: Vec<RaceTask> = ap_client_counts(config)?
-        .into_iter()
-        .enumerate()
-        .map(|(ap, clients)| ap_task(config, ap, mix_seed(config.seed, ap as u64), clients))
-        .collect();
-
-    let jobs = fleet_jobs(config, aps);
-    let outcomes = parallel_tasks(&tasks, jobs, |task| {
-        race_clients(task, config.event_budget, shared, &requests_unprepared_object)
-    });
-
-    let mut result = CampaignFleetResult {
-        shards: config.fleet_shards.min(aps),
-        aps,
-        clients: total_clients,
-        ..CampaignFleetResult::default()
-    };
-    for outcome in outcomes {
-        match outcome {
-            Ok(ap) => {
-                let infected = ap.wins.iter().filter(|&&win| win).count();
-                result.infected_clients += infected;
-                result.clean_clients += ap.wins.len() - infected;
-                result.total_events += ap.events;
-                let summary = ap.trace.summary();
-                result.payload_bytes += summary.payload_bytes;
-                result.injected_events += summary.injected_events;
-                result.pending_bytes_dropped += summary.pending_bytes_dropped;
-            }
-            Err(_) => result.failed_aps += 1,
-        }
-    }
-    // A fleet where every single AP failed is a configuration error worth
-    // surfacing as such, not an all-zero artifact.
-    if result.failed_aps == aps {
-        return Err(ExperimentError::Net(NetError::EventBudgetExhausted {
-            budget: shared.map(SharedBudget::total).unwrap_or(config.event_budget),
-        }));
-    }
-    Ok(result)
 }
 
 /// The fleet's per-AP client counts: uniform, or weight-distributed when
@@ -402,6 +319,7 @@ pub(super) fn fleet_jobs(config: &RunConfig, tasks: usize) -> usize {
 
 #[cfg(test)]
 mod tests {
+    use super::super::tables::race_clients;
     use super::super::{ExperimentId, Registry};
     use super::*;
     use std::collections::HashSet;
@@ -469,97 +387,34 @@ mod tests {
     }
 
     #[test]
-    fn sharded_and_unsharded_fleets_agree_on_the_logical_population() {
-        // Same logical population, different shard hint: the infection
-        // complement and the workload counters must agree, because every
-        // hint runs the same global per-AP plan.
-        let config = RunConfig {
-            seed: 11,
-            fleet_clients: 1_024,
-            fleet_aps: 8,
-            fleet_jobs: 1,
-            ..RunConfig::default()
-        };
-        let unsharded = Registry::get(ExperimentId::CampaignFleet).run(&config);
-        let unsharded = unsharded.data.as_campaign_fleet().expect("campaign artifact");
-        for shards in [2usize, 4, 8] {
-            let sharded = Registry::get(ExperimentId::CampaignFleet)
-                .run(&RunConfig { fleet_shards: shards, ..config });
-            let sharded = sharded.data.as_campaign_fleet().expect("campaign artifact");
-            assert_eq!(sharded.shards, shards);
-            assert_eq!(sharded.aps, unsharded.aps);
-            assert_eq!(sharded.clients, unsharded.clients);
-            assert_eq!(sharded.infected_clients, unsharded.infected_clients);
-            assert_eq!(sharded.clean_clients, unsharded.clean_clients);
-            assert_eq!(sharded.failed_aps, 0);
-            assert_eq!(sharded.total_events, unsharded.total_events);
-            assert_eq!(sharded.payload_bytes, unsharded.payload_bytes);
-            assert_eq!(sharded.injected_events, unsharded.injected_events);
-        }
-    }
-
-    #[test]
     fn heterogeneous_fleet_is_byte_identical_across_shard_counts() {
-        // Profiles and weights are pinned to global AP indices, so sharding
-        // a heterogeneous fleet is a scheduling hint: everything but the
-        // reported shard count must match the unsharded run exactly.
+        // Profiles, weights and seat streams are pinned to global AP
+        // indices, so a jittered heterogeneous one-day fleet split into AP
+        // ranges merges back into the unsharded artifact, whatever the
+        // split. Jitter flips individual races, so a seed that depended on
+        // the split would show in the counts.
+        use super::super::distrib::{run_campaign_shard, ShardPlan};
+        use super::super::RunCtx;
         let config = RunConfig {
             seed: 11,
             fleet_clients: 1_024,
             fleet_aps: 8,
             fleet_hetero: true,
+            jitter_us: 100_000,
             fleet_jobs: 1,
             ..RunConfig::default()
         };
         let unsharded = Registry::get(ExperimentId::CampaignFleet).run(&config);
         let unsharded = unsharded.data.as_campaign_fleet().expect("campaign artifact");
-        let sharded = Registry::get(ExperimentId::CampaignFleet)
-            .run(&RunConfig { fleet_shards: 4, ..config });
-        let sharded = sharded.data.as_campaign_fleet().expect("campaign artifact");
-        assert_eq!(sharded.shards, 4);
-        assert_eq!(
-            CampaignFleetResult { shards: 1, ..sharded.clone() },
-            *unsharded,
-            "same global plan regardless of shard count"
-        );
-    }
-
-    #[test]
-    fn fleet_shards_is_only_a_scheduling_hint() {
-        // The per-AP plan is global: seeds, client counts and heterogeneity
-        // profiles are pinned to global AP indices under the campaign seed,
-        // so the shard hint may change nothing but its own echo — with or
-        // without heterogeneity, even under seeded jitter (the jitter-free
-        // cases are the two tests above). Jitter beyond the ~80 ms race
-        // margin flips individual races, so any seed that depended on the
-        // hint would show in the counts.
-        for fleet_hetero in [false, true] {
-            for jitter_us in [250u64, 100_000] {
-                let config = RunConfig {
-                    seed: 11,
-                    fleet_clients: 1_024,
-                    fleet_aps: 8,
-                    fleet_hetero,
-                    jitter_us,
-                    fleet_jobs: 1,
-                    ..RunConfig::default()
-                };
-                let run = |fleet_shards: usize| {
-                    let artifact = Registry::get(ExperimentId::CampaignFleet)
-                        .run(&RunConfig { fleet_shards, ..config });
-                    artifact.data.as_campaign_fleet().expect("campaign artifact").clone()
-                };
-                let reference = run(1).to_json().to_string();
-                for fleet_shards in [2usize, 4, 8] {
-                    let hinted = run(fleet_shards);
-                    assert_eq!(hinted.shards, fleet_shards, "the hint is echoed");
-                    assert_eq!(
-                        CampaignFleetResult { shards: 1, ..hinted }.to_json().to_string(),
-                        reference,
-                        "hetero {fleet_hetero}, jitter {jitter_us} us, {fleet_shards} shards"
-                    );
-                }
-            }
+        for workers in [2usize, 4, 8] {
+            let merged = ShardPlan::split(&config, workers)
+                .into_iter()
+                .map(|plan| run_campaign_shard(&config, plan, &RunCtx::default()).expect("shard runs"))
+                .reduce(|a, b| a.merge(b).expect("disjoint shards merge"))
+                .expect("at least one shard")
+                .into_fleet_result(&config)
+                .expect("full coverage converts");
+            assert_eq!(merged.to_json().to_string(), unsharded.to_json().to_string(), "{workers} shards");
         }
     }
 

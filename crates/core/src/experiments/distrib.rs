@@ -1,7 +1,7 @@
 //! Shards as first-class work units: distributed campaign execution with
 //! mergeable partial checkpoints.
 //!
-//! The multi-day campaign trajectory is a pure function of the campaign
+//! The campaign trajectory is a pure function of the campaign
 //! configuration: every RNG stream is splitmix-derived from
 //! `(campaign_seed, tag)`, per-AP heterogeneity profiles are pinned to
 //! *global* AP indices, and each AP owns a statically pinned contiguous
@@ -20,7 +20,7 @@
 //! standard [`CampaignFleetResult`] artifact — byte-identical to the
 //! single-process run by construction, which is the acceptance bar for
 //! distribution (worker count is a pure scheduling hint, like
-//! `fleet_jobs`/`fleet_shards`).
+//! `fleet_jobs`).
 //!
 //! The same type is the checkpoint codec: a whole-campaign checkpoint is
 //! simply a full-coverage `ShardOutcome` serialised to JSON, and a partial
@@ -29,8 +29,8 @@
 //! full-coverage shard through [`run_shard`]; the `paper-report
 //! shard-worker` / `distribute` modes and the service daemon's
 //! `shard_submit` run narrower ones. A shard day races each AP's visiting
-//! seats through `race_clients` (the `tables` module), the runner the
-//! single-snapshot fleet and the attack-surface grid share.
+//! seats through `race_clients` (the `tables` module), the runner it shares
+//! with the attack-surface grid.
 
 use super::campaign::{
     ap_client_counts, ap_task, fleet_jobs, mix_seed, requests_unprepared_object, share,
@@ -400,7 +400,6 @@ impl ShardOutcome {
             .map(|part| part.infected.iter().filter(|&&seat| seat).count())
             .sum();
         Ok(CampaignFleetResult {
-            shards: config.fleet_shards.max(1).min(aps),
             aps,
             clients: config.fleet_clients,
             infected_clients,
@@ -719,11 +718,11 @@ fn run_shard_day(
 
 /// The configuration fields a checkpoint pins. Anything that changes the
 /// campaign's deterministic trajectory must appear here — and *nothing*
-/// else: pure scheduling hints (`fleet_jobs`, `fleet_shards`, worker
-/// counts and shard assignments) and fields other experiments own
-/// (`scale`, `sites`, the surface axes, …) are deliberately excluded, so a
-/// campaign can resume under different `--jobs`/`--fleet-shards`/
-/// `--workers` and still produce byte-identical output (pinned by
+/// else: pure scheduling hints (`fleet_jobs`, worker counts and shard
+/// assignments) and fields other experiments own (`scale`, `sites`, the
+/// surface axes, …) are deliberately excluded, so a campaign can resume
+/// under different `--fleet-jobs`/`--workers` and still produce
+/// byte-identical output (pinned by
 /// `resume_accepts_different_scheduling_hints` and the worker-count
 /// regression test).
 pub(super) fn config_fingerprint(config: &RunConfig) -> Json {
@@ -1287,33 +1286,35 @@ mod tests {
 
     #[test]
     fn distributed_split_merges_to_the_single_process_artifact() {
-        let config = small_config();
-        let reference = Registry::get(ExperimentId::CampaignFleet).run(&config);
-        let reference = reference.data.as_campaign_fleet().expect("campaign artifact");
-        for workers in [2usize, 3, 4] {
-            let plans = ShardPlan::split(&config, workers);
-            assert_eq!(plans.iter().map(|p| p.aps).sum::<usize>(), 4);
-            let partials: Vec<ShardOutcome> = plans
-                .iter()
-                .map(|&plan| {
-                    let outcome = run_campaign_shard(&config, plan, &RunCtx::default())
-                        .expect("shard runs");
-                    // Round-trip through the wire form, as a worker would.
-                    let wire = outcome.to_checkpoint_json(&config).to_string();
-                    let parsed = Json::parse(&wire).expect("wire form parses");
-                    ShardOutcome::from_checkpoint_json(&parsed, &config)
-                        .expect("wire form decodes")
-                })
-                .collect();
-            let merged = fold_merge(&partials)
-                .into_fleet_result(&config)
-                .expect("full coverage converts");
-            assert_eq!(&merged, reference, "{workers} workers");
-            assert_eq!(
-                merged.to_json().to_string(),
-                reference.to_json().to_string(),
-                "byte-identical under {workers} workers"
-            );
+        // A one-day campaign is day 1 of the same shard loop.
+        for config in &[small_config(), RunConfig { fleet_days: 1, ..small_config() }] {
+            let reference = Registry::get(ExperimentId::CampaignFleet).run(config);
+            let reference = reference.data.as_campaign_fleet().expect("campaign artifact");
+            for workers in [2usize, 3, 4] {
+                let plans = ShardPlan::split(config, workers);
+                assert_eq!(plans.iter().map(|p| p.aps).sum::<usize>(), 4);
+                let partials: Vec<ShardOutcome> = plans
+                    .iter()
+                    .map(|&plan| {
+                        let outcome = run_campaign_shard(config, plan, &RunCtx::default())
+                            .expect("shard runs");
+                        // Round-trip through the wire form, as a worker would.
+                        let wire = outcome.to_checkpoint_json(config).to_string();
+                        let parsed = Json::parse(&wire).expect("wire form parses");
+                        ShardOutcome::from_checkpoint_json(&parsed, config)
+                            .expect("wire form decodes")
+                    })
+                    .collect();
+                let merged = fold_merge(&partials)
+                    .into_fleet_result(config)
+                    .expect("full coverage converts");
+                assert_eq!(&merged, reference, "{workers} workers");
+                assert_eq!(
+                    merged.to_json().to_string(),
+                    reference.to_json().to_string(),
+                    "byte-identical under {workers} workers"
+                );
+            }
         }
     }
 
@@ -1324,8 +1325,7 @@ mod tests {
         let config = small_config();
         let fingerprint = config_fingerprint(&config).to_string();
         assert!(!fingerprint.contains("fleet_jobs"));
-        assert!(!fingerprint.contains("fleet_shards"));
-        let hinted = RunConfig { fleet_jobs: 8, fleet_shards: 16, ..config };
+        let hinted = RunConfig { fleet_jobs: 8, ..config };
         assert_eq!(config_fingerprint(&hinted), config_fingerprint(&config));
 
         // A checkpoint assembled from a 4-worker run's merged partials
@@ -1355,14 +1355,13 @@ mod tests {
 
         for hints in [
             RunConfig { fleet_jobs: 1, ..config },
-            RunConfig { fleet_jobs: 4, fleet_shards: 8, ..config },
+            RunConfig { fleet_jobs: 4, ..config },
         ] {
             let resumed = super::super::multiday::run_campaign_with_checkpoint(&hints, &path)
                 .expect("resumed run");
-            let normalized = CampaignFleetResult { shards: reference.shards, ..resumed };
-            assert_eq!(normalized, reference, "resume under different worker hints");
+            assert_eq!(resumed, reference, "resume under different worker hints");
             assert_eq!(
-                normalized.to_json().to_string(),
+                resumed.to_json().to_string(),
                 reference.to_json().to_string(),
                 "down to the JSON wire form"
             );

@@ -272,38 +272,30 @@ pub struct RunConfig {
     /// Number of café access points the fleet's clients are spread over (one
     /// packet-level simulation per AP).
     pub fleet_aps: usize,
-    /// Shard count hint for the campaign fleet. A scheduling hint only: the
-    /// per-AP plan is global, so the artifact's numbers never depend on it,
-    /// and the result echoes it (capped at `fleet_aps`) as `shards`.
-    /// `distribute --workers` is what actually splits a campaign into
-    /// contiguous AP-range shards.
-    pub fleet_shards: usize,
     /// Worker threads for the fleet's per-AP simulations; `0` (the default)
     /// auto-sizes to the machine. Set to `1` to keep a campaign run
     /// single-threaded, e.g. when it is itself one task of a parallel sweep.
     pub fleet_jobs: usize,
-    /// Simulated days the campaign fleet runs for. `1` (the default) is the
-    /// classic single-snapshot sweep; above that the fleet enters the
-    /// multi-day churn loop: clients arrive, depart and clear caches daily,
-    /// target objects rotate per the Figure 3 churn model, and infections are
-    /// carried forward day over day.
+    /// Simulated days the campaign fleet runs for, at least 1: each day
+    /// clients arrive, depart and clear caches, the target object may rotate
+    /// per the Figure 3 churn model, clean clients are raced, and infections
+    /// are carried forward to the next day.
     pub fleet_days: u32,
-    /// Daily client-turnover fraction for the multi-day campaign: each day,
-    /// this share of every AP's clients departs and is replaced by fresh
-    /// (clean) arrivals. `0` disables population churn.
+    /// Daily client-turnover fraction for the campaign: each day, this
+    /// share of every AP's clients departs and is replaced by fresh (clean)
+    /// arrivals. `0` disables population churn.
     pub fleet_churn: f64,
     /// Draw per-AP heterogeneity (WiFi/WAN latency, jitter, attacker reaction
     /// and client weights) from seeded distributions instead of the paper's
-    /// uniform Figure 2 timing. Off by default so the classic fleet artifact
-    /// stays byte-identical.
+    /// uniform Figure 2 timing.
     pub fleet_hetero: bool,
-    /// Mean daily-visit probability for the multi-day campaign's seats. At
-    /// `1.0` (the default) every clean seat browses through the hostile AP
-    /// every day — the classic behaviour, byte-identical trajectories. Below
-    /// `1.0`, each seat draws a personal visit probability once per campaign
-    /// from a seeded [`mp_netsim::dist::Dist`] stream (disjoint from the
-    /// churn/heterogeneity streams, so it composes with `fleet_hetero`), and
-    /// each day a clean seat is exposed only if its daily visit draw lands.
+    /// Mean daily-visit probability for the campaign's seats. At `1.0` (the
+    /// default) every clean seat browses through the hostile AP every day.
+    /// Below `1.0`, each seat draws a personal visit probability once per
+    /// campaign from a seeded [`mp_netsim::dist::Dist`] stream (disjoint from
+    /// the churn/heterogeneity streams, so it composes with `fleet_hetero`),
+    /// and each day a clean seat is exposed only if its daily visit draw
+    /// lands.
     pub fleet_visit_prob: f64,
     /// Global event budget shared across *every* simulator of a run (all APs,
     /// shards and days of a campaign; all packet-level experiments of a
@@ -353,7 +345,6 @@ impl Default for RunConfig {
             jitter_us: 0,
             fleet_clients: 100_000,
             fleet_aps: 128,
-            fleet_shards: 1,
             fleet_jobs: 0,
             fleet_days: 1,
             fleet_churn: 0.0,
@@ -412,7 +403,6 @@ impl RunConfig {
             jitter_us: Json::as_int,
             fleet_clients: Json::as_int,
             fleet_aps: Json::as_int,
-            fleet_shards: Json::as_int,
             fleet_jobs: Json::as_int,
             fleet_days: Json::as_int,
             fleet_churn: Json::as_f64,
@@ -444,12 +434,11 @@ impl ToJson for RunConfig {
             ("jitter_us", self.jitter_us.to_json()),
             ("fleet_clients", self.fleet_clients.to_json()),
             ("fleet_aps", self.fleet_aps.to_json()),
-            ("fleet_shards", self.fleet_shards.to_json()),
             ("fleet_jobs", self.fleet_jobs.to_json()),
         ];
-        // Multi-day / heterogeneity / global-budget extensions are emitted
-        // only when set, so classic single-snapshot reports keep their exact
-        // JSON form ([`RunConfig::from_json`] defaults the absent keys).
+        // The campaign, global-budget and surface extensions are emitted only
+        // when set, so reports that do not use them keep their exact JSON
+        // form ([`RunConfig::from_json`] defaults the absent keys).
         let defaults = RunConfig::default();
         if self.fleet_days != defaults.fleet_days {
             pairs.push(("fleet_days", self.fleet_days.to_json()));
@@ -918,7 +907,7 @@ experiments! {
     /// §VIII — the defence ablation.
     AblationDefenses, Ablation, Ablation, figures::ablation_defenses;
     /// Extension — the population-scale café-AP campaign sweep.
-    CampaignFleetSweep, CampaignFleet, CampaignFleet, campaign::campaign_fleet;
+    CampaignFleetSweep, CampaignFleet, CampaignFleet, multiday::campaign_fleet;
     /// Extension — the attack-surface probability sweep.
     AttackSurfaceSweep, AttackSurface, AttackSurface, surface::attack_surface;
 }
@@ -1092,7 +1081,6 @@ mod tests {
             jitter_us: 250,
             fleet_clients: 9_000,
             fleet_aps: 16,
-            fleet_shards: 2,
             fleet_jobs: 3,
             fleet_days: 7,
             fleet_churn: 0.25,
@@ -1339,10 +1327,11 @@ mod tests {
         assert_eq!(result.clients, 400);
         assert_eq!(result.aps, 8);
         assert_eq!(result.failed_aps, 0);
-        // Every eighth client of an AP requests an unprepared object and
-        // stays clean: 6 of each AP's 50 clients.
-        assert_eq!(result.clean_clients, 48);
-        assert_eq!(result.infected_clients, 352);
+        // Every eighth seat of the fleet requests an unprepared object and
+        // stays clean: 50 of its 400 seats.
+        assert_eq!(result.clean_clients, 50);
+        assert_eq!(result.infected_clients, 350);
+        assert_eq!(result.day_stats.len(), 1);
         assert_eq!(result.infected_clients + result.clean_clients, result.clients);
         assert!(result.total_events > 0);
         assert!(result.injected_events >= result.infected_clients as u64);
@@ -1353,46 +1342,13 @@ mod tests {
     }
 
     #[test]
-    fn sharded_campaign_fleet_merges_and_stays_deterministic() {
-        let config = RunConfig {
-            fleet_clients: 1_000,
-            fleet_aps: 8,
-            fleet_shards: 4,
-            jitter_us: 150,
-            ..quick_config()
-        };
-        let artifact = run(ExperimentId::CampaignFleet, &config);
-        let result = artifact.data.as_campaign_fleet().expect("campaign artifact");
-        assert_eq!(result.shards, 4);
-        assert_eq!(result.aps, 8);
-        assert_eq!(result.clients, 1_000);
-        assert_eq!(result.infected_clients + result.clean_clients, 1_000);
-        assert_eq!(result.failed_aps, 0);
-        assert!(artifact.render_text().contains("shard hint"));
-        // Deterministic: same config, same artifact.
-        assert_eq!(artifact, run(ExperimentId::CampaignFleet, &config));
-        // A different shard hint changes only its own echo.
-        let other = run(
-            ExperimentId::CampaignFleet,
-            &RunConfig { fleet_shards: 2, ..config },
-        );
-        let other = other.data.as_campaign_fleet().expect("campaign artifact");
-        assert_eq!(other.shards, 2);
-        assert_eq!(CampaignFleetResult { shards: 4, ..other.clone() }, *result);
-    }
-
-    #[test]
     fn shard_count_is_clamped_to_the_ap_count() {
-        let config = RunConfig {
-            fleet_clients: 200,
-            fleet_aps: 2,
-            fleet_shards: 16,
-            ..quick_config()
-        };
-        let artifact = run(ExperimentId::CampaignFleet, &config);
-        let result = artifact.data.as_campaign_fleet().expect("campaign artifact");
-        assert_eq!(result.shards, 2, "one AP per shard at minimum");
-        assert_eq!(result.infected_clients + result.clean_clients, 200);
+        let config = RunConfig { fleet_clients: 200, fleet_aps: 2, ..quick_config() };
+        assert_eq!(
+            ShardPlan::split(&config, 16),
+            [ShardPlan { first_ap: 0, aps: 1 }, ShardPlan { first_ap: 1, aps: 1 }],
+            "one AP per shard at minimum"
+        );
     }
 
     #[test]
@@ -1412,18 +1368,19 @@ mod tests {
 
     #[test]
     fn overpacked_sharded_fleet_surfaces_the_shard_config_error() {
-        // A shard hint must not mask the underlying error class: the global
-        // plan fails the per-AP capacity check with the same Config error
-        // whatever the hint, never a synthesized budget failure.
+        // Every shard plans the whole fleet's seat layout, so a shard fails
+        // the per-AP capacity check with the same Config error as the
+        // unsharded run, never a synthesized budget failure.
         let config = RunConfig {
             fleet_clients: 1_000_000,
             fleet_aps: 4,
-            fleet_shards: 2,
             ..quick_config()
         };
-        match Registry::get(ExperimentId::CampaignFleet).try_run(&config) {
-            Err(ExperimentError::Config(message)) => assert!(message.contains("fleet_aps")),
-            other => panic!("expected the shard's config error, got {other:?}"),
+        for plan in ShardPlan::split(&config, 2) {
+            match run_campaign_shard(&config, plan, &RunCtx::default()) {
+                Err(ExperimentError::Config(message)) => assert!(message.contains("fleet_aps")),
+                other => panic!("expected the shard's config error, got {other:?}"),
+            }
         }
     }
 

@@ -1,9 +1,9 @@
-//! Multi-day persistent campaigns: the Figure 3 churn model applied to the
+//! Persistent campaigns: the Figure 3 churn model applied to the
 //! population-scale café-AP fleet.
 //!
 //! The paper's core claim is *persistence* — a parasite that survives across
-//! browsing sessions and days. The classic `campaign_fleet` experiment is a
-//! single homogeneous snapshot; this module runs it longitudinally:
+//! browsing sessions and days. The `campaign_fleet` experiment therefore runs
+//! day by day, for `fleet_days` days (a one-day campaign is day 1):
 //!
 //! * **Seats, not sessions.** The campaign tracks `fleet_clients` *seats*.
 //!   Each simulated day a `fleet_churn` fraction of every seat's occupants
@@ -18,13 +18,13 @@
 //!   the new name — the rise-and-fall dynamics of Figure 3).
 //! * **Daily exposure.** Every seat whose cache is clean browses through the
 //!   hostile café AP again and goes through the packet-level injection race
-//!   (the same per-AP simulations the snapshot fleet runs, optionally under
-//!   per-AP heterogeneity profiles). Infected seats carry their parasite
-//!   forward without touching the network — persistence costs no packets.
+//!   (one simulation per AP, optionally under per-AP heterogeneity
+//!   profiles). Infected seats carry their parasite forward without touching
+//!   the network — persistence costs no packets.
 //! * **Checkpoint/resume.** Day state is a pure function of the campaign
 //!   seed and the previous day's state (per-day RNG streams are *derived*,
 //!   never carried), so a compact JSON checkpoint written after each day
-//!   allows a killed N-day campaign to resume and produce a byte-identical
+//!   allows a killed campaign to resume and produce a byte-identical
 //!   final artifact.
 //!
 //! The day loop itself lives in the `distrib` module as the full-coverage
@@ -148,12 +148,19 @@ impl DayStats {
 // The (single-process) campaign loop
 // ---------------------------------------------------------------------------
 
-/// Runs a multi-day churn campaign, optionally checkpointing after every
-/// completed day. Called, with `config` already validated, from the
-/// registry runner (`fleet_days > 1`, no checkpoint) and from
-/// [`run_campaign_with_checkpoint_ctx`]. This is the
-/// full-coverage special case of the shard engine: one [`ShardPlan`]
-/// spanning every AP, run to the configured horizon in this process.
+/// Runs the campaign fleet for `fleet_days` days: the registry runner.
+pub(super) fn campaign_fleet(
+    config: &RunConfig,
+    ctx: &RunCtx,
+) -> Result<CampaignFleetResult, ExperimentError> {
+    run_multiday(config, ctx, None)
+}
+
+/// Runs a churn campaign, optionally checkpointing after every completed
+/// day. Called, with `config` already validated, from [`campaign_fleet`]
+/// and from [`run_campaign_with_checkpoint_ctx`]. This is the full-coverage
+/// special case of the shard engine: one [`ShardPlan`] spanning every AP,
+/// run to the configured horizon in this process.
 pub(super) fn run_multiday(
     config: &RunConfig,
     ctx: &RunCtx,
@@ -201,18 +208,14 @@ pub(super) fn seat_visit_probs(config: &RunConfig) -> Option<Vec<f64>> {
 // Checkpointed entry points
 // ---------------------------------------------------------------------------
 
-/// Runs a multi-day campaign with per-day checkpointing: after every
-/// completed day the full campaign state is written to `checkpoint`
-/// (atomically: temp file + rename), and a run finding an existing
-/// checkpoint resumes from it — killing an N-day campaign after day *k* and
-/// rerunning with the same configuration yields a byte-identical final
-/// artifact.
+/// Runs a campaign with per-day checkpointing: after every completed day
+/// the full campaign state is written to `checkpoint` (atomically: temp
+/// file + rename), and a run finding an existing checkpoint resumes from it
+/// — killing an N-day campaign after day *k* and rerunning with the same
+/// configuration yields a byte-identical final artifact.
 ///
-/// This entry point always runs the churn model, so it rejects a
-/// configuration that fails [`RunConfig::validate_checkpointed`] — notably
-/// `fleet_days < 2` (one churn day is not the classic single-snapshot sweep:
-/// it draws from the per-day seed streams and the target object may rotate)
-/// — with [`ExperimentError::Config`] before any work starts.
+/// A configuration that fails [`RunConfig::validate_checkpointed`] is
+/// rejected with [`ExperimentError::Config`] before any work starts.
 ///
 /// The checkpoint is a compact hand-rolled JSON document (`parasite::json`):
 /// the campaign configuration fingerprint, the completed-day count, the
@@ -269,7 +272,11 @@ mod tests {
     /// Runs the full-coverage shard to `days` completed days — the state a
     /// kill after day `days` would have left checkpointed.
     fn snapshot_after(config: &RunConfig, days: u32) -> ShardOutcome {
-        let plan = ShardPlan::full(config);
+        snapshot_of(config, ShardPlan::full(config), days)
+    }
+
+    /// Runs shard `plan` to `days` completed days.
+    fn snapshot_of(config: &RunConfig, plan: ShardPlan, days: u32) -> ShardOutcome {
         let mut outcome = ShardOutcome::fresh(config, plan).expect("fresh state");
         run_shard(config, plan, &RunCtx::default(), &mut outcome, None, days)
             .expect("days run");
@@ -316,20 +323,16 @@ mod tests {
         let first = Registry::get(ExperimentId::CampaignFleet).run(&config);
         let second = Registry::get(ExperimentId::CampaignFleet).run(&config);
         assert_eq!(first, second);
-        // Per-AP seat slices and RNG streams make fleet_shards a scheduling
-        // hint for the multi-day loop: every number in the artifact is
-        // identical across shard counts (only the reported `shards` field
-        // echoes the request).
-        let sharded = Registry::get(ExperimentId::CampaignFleet)
-            .run(&RunConfig { fleet_shards: 4, ..config });
-        let (a, b) = (
-            first.data.as_campaign_fleet().expect("campaign artifact"),
-            sharded.data.as_campaign_fleet().expect("campaign artifact"),
-        );
-        assert_eq!(b.shards, 4);
-        assert_eq!(a.day_stats, b.day_stats);
-        assert_eq!(a.infected_clients, b.infected_clients);
-        assert_eq!(a.total_events, b.total_events);
+        // Per-AP seat slices and RNG streams make every AP range its own
+        // unit of work: one-AP shards merge to the identical artifact.
+        let sharded = ShardPlan::split(&config, 4)
+            .into_iter()
+            .map(|plan| snapshot_of(&config, plan, config.fleet_days))
+            .reduce(|a, b| a.merge(b).expect("disjoint shards merge"))
+            .expect("four shards")
+            .into_fleet_result(&config)
+            .expect("full coverage converts");
+        assert_eq!(first.data.as_campaign_fleet(), Some(&sharded));
     }
 
     #[test]
@@ -427,10 +430,9 @@ mod tests {
 
     #[test]
     fn resume_accepts_different_scheduling_hints() {
-        // fleet_jobs and fleet_shards are pure scheduling hints — the
-        // fingerprint must not pin them, so a checkpoint written under
-        // `--jobs 1` resumes under a thread pool and different shard counts
-        // with byte-identical output.
+        // fleet_jobs is a pure scheduling hint — the fingerprint must not
+        // pin it, so a checkpoint written under `--fleet-jobs 1` resumes
+        // under a thread pool with byte-identical output.
         let dir = std::env::temp_dir().join(format!(
             "mp-checkpoint-test-{}-hints",
             std::process::id()
@@ -446,15 +448,12 @@ mod tests {
         write_checkpoint(&path, &config, &snapshot_after(&config, 2))
             .expect("snapshot written");
 
-        // ...and resume under different jobs/shards. Only the echoed
-        // `shards` field may differ from the reference.
-        let hinted = RunConfig { fleet_jobs: 4, fleet_shards: 2, ..config };
+        // ...and resume under a thread pool.
+        let hinted = RunConfig { fleet_jobs: 4, ..config };
         let resumed = run_campaign_with_checkpoint(&hinted, &path).expect("hinted resume");
-        assert_eq!(resumed.shards, 2);
-        let normalized = CampaignFleetResult { shards: reference.shards, ..resumed };
-        assert_eq!(normalized, reference, "scheduling hints must not change the trajectory");
+        assert_eq!(resumed, reference, "scheduling hints must not change the trajectory");
         assert_eq!(
-            normalized.to_json().to_string(),
+            resumed.to_json().to_string(),
             reference.to_json().to_string(),
             "down to the JSON wire form"
         );

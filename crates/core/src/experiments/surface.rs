@@ -19,8 +19,8 @@
 //! ([`SURFACE_TAG`] for the race worlds, [`ADOPT_TAG`] for the adoption
 //! draws), cells run on the same order-preserving thread pool as the fleet
 //! sweep, and the defended-trial draws never depend on the adoption fraction
-//! itself — so the artifact is byte-identical across `fleet_jobs` /
-//! `fleet_shards` values and the adoption curve is monotone non-increasing
+//! itself — so the artifact is byte-identical across `fleet_jobs` values
+//! and the adoption curve is monotone non-increasing
 //! *by construction* (common random numbers: raising adoption only grows the
 //! defended set).
 
@@ -637,7 +637,6 @@ mod tests {
         for variant in [
             RunConfig { fleet_jobs: 4, ..config },
             RunConfig { fleet_jobs: 0, ..config },
-            RunConfig { fleet_shards: 8, ..config },
         ] {
             let other = Registry::get(ExperimentId::AttackSurface).run(&variant);
             assert_eq!(sequential.data, other.data);

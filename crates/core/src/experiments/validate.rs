@@ -77,15 +77,9 @@ fn ordered(start: (&'static str, u64), end: (&'static str, u64)) -> Result<(), C
 }
 
 impl RunConfig {
-    /// Whether the campaign fleet runs the multi-day churn loop
-    /// (`fleet_days` above 1) rather than the single-snapshot sweep.
-    pub fn multi_day(&self) -> bool {
-        self.fleet_days > 1
-    }
-
     /// Checks that every field is in range: positive event budget, Table I
     /// cache-size divisor, Figure 5 and Figure 3 population sizes, Figure 3
-    /// crawl length, and fleet AP, shard and day counts; a churn fraction in
+    /// crawl length, and fleet AP and day counts; a churn fraction in
     /// `[0, 1]` and a visit probability in `(0, 1]`; attack-surface trials
     /// and axis lengths from 1 up to what one race world and the seed-lane
     /// layout hold; surface ranges that are not inverted; and a vector mask
@@ -101,7 +95,6 @@ impl RunConfig {
             ("jitter_us", self.jitter_us),
             ("fleet_clients", self.fleet_clients as u64),
             ("fleet_aps", self.fleet_aps as u64),
-            ("fleet_shards", self.fleet_shards as u64),
             ("fleet_jobs", self.fleet_jobs as u64),
             ("global_event_budget", self.global_event_budget),
             ("surface_delay_start_us", self.surface_delay_start_us),
@@ -119,7 +112,6 @@ impl RunConfig {
         at_least("crawl_sites", self.crawl_sites, 1)?;
         at_least("days", self.days, 1)?;
         at_least("fleet_aps", self.fleet_aps, 1)?;
-        at_least("fleet_shards", self.fleet_shards, 1)?;
         at_least("fleet_days", self.fleet_days, 1)?;
         if !(0.0..=1.0).contains(&self.fleet_churn) {
             let reason = format!("must be a fraction in [0, 1], got {}", self.fleet_churn);
@@ -149,25 +141,22 @@ impl RunConfig {
         Ok(())
     }
 
-    /// [`RunConfig::validate`] plus the checkpoint rule: a checkpointed run
-    /// is a multi-day `campaign_fleet` (the checkpoint entry point always
-    /// runs the churn model, which a single-snapshot run must not silently
-    /// switch onto).
+    /// [`RunConfig::validate`] plus the checkpoint rule: only a
+    /// `campaign_fleet` run has days to checkpoint.
     pub fn validate_checkpointed(&self, experiment: ExperimentId) -> Result<(), ConfigError> {
         self.validate()?;
         if experiment != ExperimentId::CampaignFleet {
             let reason = format!("must be campaign_fleet for a checkpointed run, not {experiment}");
             return reject("experiment", reason);
         }
-        self.multi_day_for("a checkpointed run")
+        Ok(())
     }
 
-    /// [`RunConfig::validate`] plus the shard rule: a sharded run is a
-    /// multi-day campaign without a `global_event_budget`, whose pool shared
-    /// across shards would make the merged result depend on scheduling.
+    /// [`RunConfig::validate`] plus the shard rule: a sharded run has no
+    /// `global_event_budget`, whose pool shared across shards would make the
+    /// merged result depend on scheduling.
     pub fn validate_sharded(&self) -> Result<(), ConfigError> {
         self.validate()?;
-        self.multi_day_for("a sharded run")?;
         if self.global_event_budget > 0 {
             return reject(
                 "global_event_budget",
@@ -175,14 +164,6 @@ impl RunConfig {
                  make the merged result depend on worker scheduling"
                     .to_string(),
             );
-        }
-        Ok(())
-    }
-
-    fn multi_day_for(&self, mode: &str) -> Result<(), ConfigError> {
-        if !self.multi_day() {
-            let reason = format!("must be at least 2 for {mode}, got {}", self.fleet_days);
-            return reject("fleet_days", reason);
         }
         Ok(())
     }
@@ -201,10 +182,12 @@ mod tests {
 
     #[test]
     fn the_default_config_is_valid_in_every_mode_it_can_run() {
-        assert_eq!(RunConfig::default().validate(), Ok(()));
-        let multi_day = with(|c| c.fleet_days = 2);
-        assert_eq!(multi_day.validate_checkpointed(ExperimentId::CampaignFleet), Ok(()));
-        assert_eq!(multi_day.validate_sharded(), Ok(()));
+        // A one-day campaign is day 1 of the churn loop: it checkpoints and
+        // shards like any longer one.
+        let config = RunConfig::default();
+        assert_eq!(config.validate(), Ok(()));
+        assert_eq!(config.validate_checkpointed(ExperimentId::CampaignFleet), Ok(()));
+        assert_eq!(config.validate_sharded(), Ok(()));
     }
 
     #[test]
@@ -216,7 +199,6 @@ mod tests {
             (with(|c| c.crawl_sites = 0), "crawl_sites"),
             (with(|c| c.days = 0), "days"),
             (with(|c| c.fleet_aps = 0), "fleet_aps"),
-            (with(|c| c.fleet_shards = 0), "fleet_shards"),
             (with(|c| c.fleet_days = 0), "fleet_days"),
             (with(|c| c.fleet_churn = 1.5), "fleet_churn"),
             (with(|c| c.fleet_churn = f64::NAN), "fleet_churn"),
@@ -249,25 +231,18 @@ mod tests {
     }
 
     #[test]
-    fn the_mode_rules_reject_single_day_and_pooled_runs() {
-        let single_day = RunConfig::default();
+    fn the_mode_rules_reject_pooled_runs_and_other_experiments() {
+        let config = RunConfig::default();
         assert_eq!(
-            single_day.validate_checkpointed(ExperimentId::CampaignFleet).unwrap_err().to_string(),
-            "fleet_days must be at least 2 for a checkpointed run, got 1"
-        );
-        assert_eq!(single_day.validate_sharded().unwrap_err().field, "fleet_days");
-
-        let multi_day = with(|c| c.fleet_days = 3);
-        assert_eq!(
-            multi_day.validate_checkpointed(ExperimentId::Fig4).unwrap_err().to_string(),
+            config.validate_checkpointed(ExperimentId::Fig4).unwrap_err().to_string(),
             "experiment must be campaign_fleet for a checkpointed run, not fig4"
         );
-        let pooled = RunConfig { global_event_budget: 10, ..multi_day };
+        let pooled = RunConfig { global_event_budget: 10, ..config };
         assert_eq!(pooled.validate_sharded().unwrap_err().field, "global_event_budget");
         assert_eq!(pooled.validate_checkpointed(ExperimentId::CampaignFleet), Ok(()));
 
         // The mode rules include the range rules.
-        let broken = RunConfig { event_budget: 0, ..multi_day };
+        let broken = RunConfig { event_budget: 0, ..config };
         assert_eq!(broken.validate_sharded().unwrap_err().field, "event_budget");
         let error = broken.validate_checkpointed(ExperimentId::CampaignFleet).unwrap_err();
         assert_eq!(

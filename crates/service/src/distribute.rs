@@ -539,7 +539,7 @@ mod tests {
         let config = small_config();
         let attempts = Attempts::default();
         let rejection = Response::Error {
-            message: "fleet_days must be at least 2".to_string(),
+            message: "fleet_aps must be at least 1, got 0".to_string(),
             code: Some(codes::BAD_REQUEST.to_string()),
         };
         let error = coordinator(&config, 1, 5)
@@ -549,7 +549,7 @@ mod tests {
             })
             .expect_err("a rejection fails the run")
             .to_string();
-        assert!(error.contains("was rejected by its worker: fleet_days"), "{error}");
+        assert!(error.contains("was rejected by its worker: fleet_aps"), "{error}");
         assert_eq!(attempts.plans().len(), 1, "the run stops at the first rejection");
     }
 

@@ -126,7 +126,7 @@ pub enum Request {
         /// The full run configuration (serialised with the same
         /// omit-if-default codec the report JSON uses).
         config: Box<RunConfig>,
-        /// Optional multi-day campaign checkpoint path *on the daemon's
+        /// Optional campaign checkpoint path *on the daemon's
         /// filesystem*: written after every completed day, resumed from when
         /// it already exists — the cancel/resubmit contract.
         checkpoint: Option<PathBuf>,
@@ -144,7 +144,7 @@ pub enum Request {
         /// The run id to watch.
         run: u64,
     },
-    /// Request cooperative cancellation: a multi-day campaign stops at the
+    /// Request cooperative cancellation: a campaign stops at the
     /// next day boundary, leaving its checkpoint resumable.
     Cancel {
         /// The run id to cancel.
@@ -153,13 +153,13 @@ pub enum Request {
     /// Cancel every run, drain the queue, and exit the daemon.
     Shutdown,
     /// Execute one campaign shard synchronously on this connection: the
-    /// daemon runs APs `[first_ap, first_ap + aps)` of a multi-day
-    /// `campaign_fleet` described by `config` and replies with a single
+    /// daemon runs APs `[first_ap, first_ap + aps)` of the `campaign_fleet`
+    /// described by `config` (any `fleet_days` from 1) and replies with a single
     /// `shard_result` message carrying the partial-checkpoint document.
     /// Mergeable with sibling shards via the core checkpoint `merge()`.
     ShardSubmit {
-        /// The full run configuration (worker count and shard hints in it
-        /// are scheduling-only and never affect the outcome).
+        /// The full run configuration (its `fleet_jobs` is scheduling-only
+        /// and never affects the outcome).
         config: Box<RunConfig>,
         /// First access point of the shard's contiguous AP range.
         first_ap: usize,
@@ -232,16 +232,14 @@ impl Request {
                     .parse::<ExperimentId>()
                     .map_err(|error| error.to_string())?;
                 let config = config_of(json)?;
-                let checkpoint = match json.get("checkpoint") {
-                    Some(value) => Some(PathBuf::from(value.as_str().ok_or_else(|| {
-                        "\"checkpoint\" must be a path string".to_string()
-                    })?)),
-                    None => None,
-                };
-                let watch = json.get("watch").and_then(Json::as_bool).unwrap_or(false);
+                let checkpoint =
+                    optional(json, "checkpoint", Json::as_str, "a path string")?.map(PathBuf::from);
+                let watch = optional(json, "watch", Json::as_bool, "a boolean")?.unwrap_or(false);
                 Ok(Request::Submit { experiment, config, checkpoint, watch })
             }
-            "status" => Ok(Request::Status { run: json.get("run").and_then(Json::as_u64) }),
+            "status" => {
+                Ok(Request::Status { run: optional(json, "run", Json::as_u64, "a numeric run id")? })
+            }
             "watch" => Ok(Request::Watch { run: run_of(json)? }),
             "cancel" => Ok(Request::Cancel { run: run_of(json)? }),
             "shutdown" => Ok(Request::Shutdown),
@@ -268,6 +266,20 @@ impl Request {
             .map_err(|error| format!("request line is not valid JSON: {error}"))?;
         Request::from_json(&json)
     }
+}
+
+/// An optional request field: absent is `None`; present but not what `get`
+/// reads is an error naming the field and the `expected` type, never a
+/// silent default.
+fn optional<'a, T>(
+    json: &'a Json,
+    key: &str,
+    get: impl Fn(&'a Json) -> Option<T>,
+    expected: &str,
+) -> Result<Option<T>, String> {
+    json.get(key)
+        .map(|value| get(value).ok_or_else(|| format!("{key:?} must be {expected}")))
+        .transpose()
 }
 
 /// Where a run currently sits in the daemon's scheduler.
@@ -758,6 +770,17 @@ mod tests {
         assert!(Request::parse_line("{\"op\": \"shard_submit\", \"first_ap\": 0}")
             .unwrap_err()
             .contains("aps"));
+        // A present optional field of the wrong type is no silent default.
+        assert_eq!(
+            Request::parse_line("{\"op\": \"status\", \"run\": \"7\"}"),
+            Err("\"run\" must be a numeric run id".to_string())
+        );
+        assert_eq!(
+            Request::parse_line(
+                "{\"op\": \"submit\", \"experiment\": \"table3\", \"watch\": \"yes\"}"
+            ),
+            Err("\"watch\" must be a boolean".to_string())
+        );
         assert!(Response::parse_line("{\"type\": \"shard_result\", \"run\": 1}")
             .unwrap_err()
             .contains("outcome"));

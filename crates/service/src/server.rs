@@ -20,7 +20,7 @@
 //! [`Daemon::start`] time, if any.
 //!
 //! Distributed campaigns: a `shard_submit` request executes one contiguous
-//! AP range of a multi-day campaign **synchronously on its connection
+//! AP range of a campaign **synchronously on its connection
 //! thread** (bypassing the worker queue and the daemon-wide budget pool)
 //! through [`serve_shard`], the path the `shard-worker` process shares, and
 //! replies with the shard's mergeable partial-checkpoint document — so a

@@ -301,15 +301,16 @@ fn shard_submissions_merge_to_the_batch_artifact() {
         },
     );
     assert!(message.contains("global_event_budget"), "got: {message}");
-    let message = error_for(
-        &mut client,
-        &Request::ShardSubmit {
-            config: Box::new(RunConfig { fleet_days: 1, ..config }),
-            first_ap: 0,
-            aps: 1,
-        },
-    );
-    assert!(message.contains("fleet_days"), "got: {message}");
+    // A one-day campaign is day 1 of the same shard loop: its shard runs.
+    let one_day = Request::ShardSubmit {
+        config: Box::new(RunConfig { fleet_days: 1, ..config }),
+        first_ap: 0,
+        aps: 1,
+    };
+    match client.request(&one_day).expect("shard response") {
+        Response::ShardResult { .. } => {}
+        other => panic!("expected shard_result, got {other:?}"),
+    }
 
     // The shard runs appear in the scheduler table as done/ok.
     match client.request(&Request::Status { run: None }).expect("status") {
@@ -426,8 +427,8 @@ fn protocol_violations_get_pointed_error_responses() {
     let (message, code) = error_for(&mut client, &Request::Status { run: Some(7) });
     assert!(message.contains("unknown run 7"));
     assert_eq!(code, "bad_request");
-    // Checkpoints are a multi-day campaign_fleet contract, mirrored from the
-    // CLI's batch mode.
+    // Checkpoints are a campaign_fleet contract, and a checkpointed config
+    // is validated like any other, mirrored from the CLI's batch mode.
     let (message, code) = error_for(
         &mut client,
         &Request::Submit {
@@ -443,12 +444,12 @@ fn protocol_violations_get_pointed_error_responses() {
         &mut client,
         &Request::Submit {
             experiment: ExperimentId::CampaignFleet,
-            config: Box::new(RunConfig::default()),
+            config: Box::new(RunConfig { fleet_days: 0, ..RunConfig::default() }),
             checkpoint: Some(dir.join("nope.ckpt.json")),
             watch: false,
         },
     );
-    assert!(message.contains("fleet_days"), "got: {message}");
+    assert!(message.contains("fleet_days must be at least 1"), "got: {message}");
     assert_eq!(code, "bad_request");
 
     // A non-JSON line gets an error response instead of killing the

@@ -105,7 +105,6 @@ fn exhausted_global_budget_is_a_typed_error() {
     let campaign = RunConfig {
         fleet_clients: 400,
         fleet_aps: 4,
-        fleet_shards: 2,
         fleet_jobs: 1,
         global_event_budget: 10,
         ..quick_config()

@@ -108,7 +108,6 @@ fn run_many_parallel_matches_jobs_one_for_flows_and_fleet() {
         RunConfig {
             fleet_clients: 800,
             fleet_aps: 8,
-            fleet_shards: 4,
             jitter_us: 250,
             fleet_jobs: 1,
             ..RunConfig::default()
@@ -132,8 +131,7 @@ fn run_many_parallel_matches_jobs_one_for_flows_and_fleet() {
 fn attack_surface_is_byte_identical_across_jobs_shards_and_batch_runners() {
     // The surface sweep's determinism contract, end to end: the same grid
     // produces byte-for-byte identical artifacts whether the cells run
-    // sequentially, on a thread pool, under a (no-op) shard hint, or inside
-    // a parallel run_many batch.
+    // sequentially, on a thread pool, or inside a parallel run_many batch.
     let base = RunConfig {
         surface_trials: 24,
         surface_delay_steps: 4,
@@ -146,7 +144,6 @@ fn attack_surface_is_byte_identical_across_jobs_shards_and_batch_runners() {
     for variant in [
         RunConfig { fleet_jobs: 4, ..base },
         RunConfig { fleet_jobs: 0, ..base },
-        RunConfig { fleet_shards: 8, ..base },
     ] {
         let parallel = run_many(&ids, &[variant], 4);
         assert_eq!(sequential[0].data, parallel[0].data);

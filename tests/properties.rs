@@ -238,7 +238,6 @@ proptest! {
         jitter_us in 0u64..1_000_000,
         fleet_clients in 0usize..1_000_000,
         fleet_aps in 1usize..10_000,
-        fleet_shards in 1usize..64,
         fleet_jobs in 0usize..64,
         fleet_days in 1u32..400,
         fleet_churn_millis in 0u64..1_000,
@@ -261,7 +260,7 @@ proptest! {
         let fleet_visit_prob = fleet_visit_prob_millis as f64 / 1_024.0;
         let config = RunConfig {
             seed, scale, sites, crawl_sites, days, event_budget,
-            jitter_us, fleet_clients, fleet_aps, fleet_shards, fleet_jobs,
+            jitter_us, fleet_clients, fleet_aps, fleet_jobs,
             fleet_days, fleet_churn, fleet_hetero, fleet_visit_prob, global_event_budget,
             surface_trials, surface_delay_start_us, surface_delay_end_us,
             surface_delay_steps, surface_wan_start_us, surface_wan_end_us,

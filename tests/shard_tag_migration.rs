@@ -1,32 +1,28 @@
-//! Regression pins for shard-hint independence.
+//! Regression pins against goldens captured from the release binary before
+//! the fleet's seed streams were last re-keyed (the captures ran with a
+//! since-deleted shard-count option, whose echo is dropped from them):
 //!
-//! `--fleet-shards` is a scheduling hint: a campaign fleet runs one global
-//! per-AP plan whatever the hint, and the artifact only echoes it. These
-//! tests pin that contract against goldens captured from the release binary
-//! before the fleet's seed streams were last re-keyed (when single-day
-//! fleets still ran per-shard seed sweeps):
-//!
-//! 1. a single-day fleet run with a shard hint is byte-identical to the
-//!    golden (at jitter 0 the race is decided by deterministic timing);
-//! 2. the multi-day campaign with the same hint is byte-identical to its
-//!    golden;
+//! 1. a one-day fleet gives the golden's summary (at jitter 0 the race is
+//!    decided by deterministic timing, so the per-day seed streams change
+//!    nothing) and its one day is day 1 of the 3-day golden;
+//! 2. the multi-day campaign is byte-identical to its golden;
 //! 3. a checkpoint written by that older binary still resumes, because the
 //!    config fingerprint never included shard scheduling, and the resumed
 //!    report is byte-identical to the golden.
 
 use parasite::experiments::{run_campaign_with_checkpoint, ExperimentId, Registry, RunConfig};
-use parasite::json::ToJson;
+use parasite::json::{Json, ToJson};
 
 /// `paper-report --json --only campaign_fleet --fleet-clients 2048
-/// --fleet-aps 8 --fleet-shards 4`, artifact `data` object, pre-migration.
-const GOLDEN_SHARDED_DATA: &str = "{\"shards\":4,\"aps\":8,\"clients\":2048,\
+/// --fleet-aps 8`, artifact `data` object, pre-migration.
+const GOLDEN_SHARDED_DATA: &str = "{\"aps\":8,\"clients\":2048,\
 \"infected_clients\":1792,\"clean_clients\":256,\"failed_aps\":0,\
 \"infection_rate\":0.875,\"total_events\":17920,\"payload_bytes\":921344,\
 \"injected_events\":1792,\"pending_bytes_dropped\":0}";
 
 /// The same capture for the 3-day churn campaign (`--fleet-days 3
-/// --fleet-churn 0.2 --fleet-shards 4`), pre-migration.
-const GOLDEN_MULTIDAY_DATA: &str = "{\"shards\":4,\"aps\":8,\"clients\":2048,\
+/// --fleet-churn 0.2`), pre-migration.
+const GOLDEN_MULTIDAY_DATA: &str = "{\"aps\":8,\"clients\":2048,\
 \"infected_clients\":1792,\"clean_clients\":256,\"failed_aps\":0,\
 \"infection_rate\":0.875,\"total_events\":28470,\"payload_bytes\":1389942,\
 \"injected_events\":2566,\"pending_bytes_dropped\":0,\"days\":[\
@@ -51,7 +47,6 @@ fn fleet_config() -> RunConfig {
     RunConfig {
         fleet_clients: 2048,
         fleet_aps: 8,
-        fleet_shards: 4,
         ..RunConfig::default()
     }
 }
@@ -60,8 +55,20 @@ fn fleet_config() -> RunConfig {
 fn sharded_sweep_is_byte_identical_to_the_pre_migration_golden() {
     let artifact = Registry::get(ExperimentId::CampaignFleet)
         .try_run(&fleet_config())
-        .expect("the sharded sweep runs");
-    assert_eq!(artifact.data.to_json().to_string(), GOLDEN_SHARDED_DATA);
+        .expect("the one-day fleet runs");
+    let json = artifact.data.to_json().to_string();
+    let (summary, days) = json.split_once(",\"days\":").expect("the day series");
+    assert_eq!(format!("{summary}}}"), GOLDEN_SHARDED_DATA);
+    // Its one day is day 1 of the 3-day golden, but for the churn that
+    // golden runs (no one departs here).
+    let golden = Json::parse(GOLDEN_MULTIDAY_DATA).expect("golden JSON");
+    let golden_day = &golden.get("days").and_then(Json::as_array).expect("golden days")[0];
+    let days = Json::parse(days.strip_suffix('}').expect("closing brace")).expect("day JSON");
+    let [day] = days.as_array().expect("day array") else { panic!("one day, got {days}") };
+    for key in ["day", "object_rotated", "exposed", "newly_infected", "infected", "clean", "events"] {
+        assert_eq!(day.get(key), golden_day.get(key), "{key}");
+    }
+    assert_eq!(day.get("departures").and_then(Json::as_u64), Some(0));
 }
 
 #[test]
