@@ -312,6 +312,35 @@ pub(super) fn delivers_parasite(delivered: &[u8]) -> bool {
     Response::frame(delivered).is_ok_and(|frame| Parasite::is_carried_by(frame.body))
 }
 
+/// How many distinct delivered streams [`classify_streams`] remembers. One
+/// race world delivers about three: the forgery, the genuine reply, and the
+/// two spliced together under jitter.
+const VERDICT_CACHE: usize = 4;
+
+/// [`delivers_parasite`] of every stream in `streams`, in order, framing and
+/// scanning each distinct stream once: the verdicts of the last
+/// [`VERDICT_CACHE`] distinct streams are kept, matched by full byte
+/// equality, and replaced oldest first. All of a café's victims fetch the
+/// same object from one server and one master, so thousands of streams
+/// share a handful of byte strings.
+fn classify_streams<'a>(streams: impl IntoIterator<Item = &'a [u8]>) -> Vec<bool> {
+    let mut cache: [Option<(&[u8], bool)>; VERDICT_CACHE] = [None; VERDICT_CACHE];
+    let mut oldest = 0;
+    streams
+        .into_iter()
+        .map(|stream| {
+            let hit = cache.iter().flatten().find(|(seen, _)| *seen == stream);
+            if let Some(&(_, verdict)) = hit {
+                return verdict;
+            }
+            let verdict = delivers_parasite(stream);
+            cache[oldest] = Some((stream, verdict));
+            oldest = (oldest + 1) % VERDICT_CACHE;
+            verdict
+        })
+        .collect()
+}
+
 /// One café's injection race: `clients` victims on the shared WiFi of a
 /// [`build_race_world`] under `timing`, the medium jittered by up to
 /// `jitter_us` per packet, recorded in `trace` mode.
@@ -376,10 +405,8 @@ pub(super) fn race_clients(
     }
     sim.run_until_idle()?;
 
-    let wins = connections
-        .into_iter()
-        .map(|(client, conn)| delivers_parasite(sim.host(client).received(conn)))
-        .collect();
+    let wins =
+        classify_streams(connections.iter().map(|&(client, conn)| sim.host(client).received(conn)));
     Ok(RaceOutcome { wins, events: sim.events_processed(), trace: sim.take_trace() })
 }
 
@@ -874,7 +901,10 @@ mod classify_props {
     //! `Parasite::detect` on the body text, and `Parasite::is_carried_by` must
     //! equal `Parasite::detect` on the lossy text.
 
-    use super::{build_race_world, delivers_parasite, request_wire, RaceTask, RaceTiming, RaceWorld};
+    use super::{
+        build_race_world, classify_streams, delivers_parasite, request_wire, RaceTask, RaceTiming,
+        RaceWorld, VERDICT_CACHE,
+    };
     use crate::script::{Parasite, PARASITE_MARKER};
     use mp_httpsim::message::Response;
     use mp_httpsim::url::Url;
@@ -937,6 +967,37 @@ mod classify_props {
         // body: only Content-Length framing keeps it clean.
         assert!(Parasite::is_carried_by(lost));
         assert!(Response::from_wire(lost).unwrap().body.len() < lost.len() / 2);
+    }
+
+    #[test]
+    fn the_verdict_cache_agrees_with_the_classifier_on_every_stream() {
+        let [won, lost, passthrough] = delivered_streams();
+        // The won stream with one marker byte changed: same length, clean.
+        let mut defused = won.clone();
+        let marker = PARASITE_MARKER.as_bytes();
+        let at = won.windows(marker.len()).position(|w| w == marker).expect("marker");
+        defused[at] ^= 0x20;
+        assert_eq!(defused.len(), won.len());
+        assert!(delivers_parasite(won) && !delivers_parasite(&defused));
+        let distinct: Vec<&[u8]> = vec![
+            won,
+            &defused,
+            lost,
+            passthrough,
+            &[],
+            &won[..won.len() / 2],
+            &lost[..lost.len() - 1],
+        ];
+        assert!(distinct.len() > VERDICT_CACHE);
+        // Every stream again, as an equal copy in its own buffer, then the
+        // ones evicted longest ago interleaved with the latest.
+        let copies: Vec<Vec<u8>> = distinct.iter().map(|stream| stream.to_vec()).collect();
+        let mut streams = distinct.clone();
+        streams.extend(copies.iter().map(Vec::as_slice));
+        streams.extend([0, 6, 1, 5, 2, 4, 3, 0, 0, 1, 4, 4].map(|index| distinct[index]));
+        let expected: Vec<bool> = streams.iter().map(|stream| delivers_parasite(stream)).collect();
+        assert_eq!(classify_streams(streams.iter().copied()), expected);
+        assert_eq!(classify_streams(std::iter::empty()), Vec::<bool>::new());
     }
 
     /// Byte offset of the blank line that ends the head.

@@ -1,10 +1,13 @@
 //! The discrete-event simulator tying hosts, media and attacker taps together.
 //!
 //! The hot path is built for throughput: hosts and media live in dense
-//! `Vec`-backed slabs indexed directly by [`HostId`] / [`MediumId`] (no tree
-//! or hash lookup per event), queued events are compact keys in a calendar
-//! queue backed by a recycling payload pool (see the `queue` module), and one
-//! set of simulator-owned scratch buffers is reused across deliveries.
+//! `Vec`-backed slabs indexed directly by [`HostId`] / [`MediumId`], queued
+//! events are compact keys in a calendar queue backed by a recycling payload
+//! pool (see the `queue` module), and one set of simulator-owned scratch
+//! buffers is reused across deliveries. Two hash lookups remain per packet:
+//! `transmit` finds the destination host by its address in `ip_index`, and a
+//! host with more than eight connections (a race world's server)
+//! demultiplexes through its table; both tables use [`crate::fasthash`].
 //!
 //! The event loop allocates nothing per event; it allocates only when one of
 //! its own buffers grows. Payload-less segments (SYN, ACK, RST) carry an
@@ -119,8 +122,10 @@ struct TapEntry {
 }
 
 /// One host's slab entry: the host itself plus the per-host state the event
-/// loop consults on every delivery, kept inline so `step()` performs zero
-/// hash or tree lookups.
+/// loop consults on every delivery, kept inline so `step()` reads it by
+/// index. (`step()` still hashes: `transmit` looks up `dst_ip` in
+/// `ip_index` for every packet, and the server demultiplexes through a
+/// table.)
 struct HostSlot {
     host: Host,
     /// Interned trace name.

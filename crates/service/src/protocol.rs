@@ -268,7 +268,7 @@ impl Request {
     }
 }
 
-/// An optional request field: absent is `None`; present but not what `get`
+/// An optional message field: absent is `None`; present but not what `get`
 /// reads is an error naming the field and the `expected` type, never a
 /// silent default.
 fn optional<'a, T>(
@@ -599,7 +599,8 @@ impl Response {
                 )?,
             }),
             "shutting_down" => Ok(Response::ShuttingDown {
-                active_runs: json.get("active_runs").and_then(Json::as_u64).unwrap_or(0),
+                active_runs: optional(json, "active_runs", Json::as_u64, "a run count")?
+                    .unwrap_or(0),
             }),
             "shard_result" => Ok(Response::ShardResult {
                 run: run_of(json)?,
@@ -609,12 +610,10 @@ impl Response {
                     .ok_or_else(|| "shard_result response is missing \"outcome\"".to_string())?,
             }),
             "error" => Ok(Response::Error {
-                message: json
-                    .get("message")
-                    .and_then(Json::as_str)
+                message: optional(json, "message", Json::as_str, "a string")?
                     .unwrap_or("unspecified error")
                     .to_string(),
-                code: json.get("code").and_then(Json::as_str).map(str::to_string),
+                code: optional(json, "code", Json::as_str, "a string")?.map(str::to_string),
             }),
             other => Err(format!("unknown response type {other:?}")),
         }
@@ -780,6 +779,27 @@ mod tests {
                 "{\"op\": \"submit\", \"experiment\": \"table3\", \"watch\": \"yes\"}"
             ),
             Err("\"watch\" must be a boolean".to_string())
+        );
+        assert_eq!(
+            Response::parse_line("{\"type\":\"shutting_down\",\"active_runs\":\"3\"}"),
+            Err("\"active_runs\" must be a run count".to_string())
+        );
+        assert_eq!(
+            Response::parse_line("{\"type\":\"error\",\"message\":7,\"code\":5}"),
+            Err("\"message\" must be a string".to_string())
+        );
+        assert_eq!(
+            Response::parse_line("{\"type\":\"error\",\"message\":\"boom\",\"code\":5}"),
+            Err("\"code\" must be a string".to_string())
+        );
+        // Absent fields keep their defaults.
+        assert_eq!(
+            Response::parse_line("{\"type\":\"shutting_down\"}"),
+            Ok(Response::ShuttingDown { active_runs: 0 })
+        );
+        assert_eq!(
+            Response::parse_line("{\"type\":\"error\"}"),
+            Ok(Response::Error { message: "unspecified error".to_string(), code: None })
         );
         assert!(Response::parse_line("{\"type\": \"shard_result\", \"run\": 1}")
             .unwrap_err()

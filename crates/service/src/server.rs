@@ -95,7 +95,44 @@ impl ServeOptions {
 struct RunProgress {
     state: RunState,
     days: Vec<DayStats>,
-    outcome: Option<RunOutcome>,
+    outcome: Option<Finished>,
+}
+
+/// How a finished run ended, as its progress record keeps it for as long as
+/// the daemon lives. A completed submission keeps its typed [`Artifact`]
+/// (under a kilobyte for a campaign) rather than the JSON tree of its `done`
+/// line (over four kilobytes); the tree is built each time a `done` line is
+/// written.
+/// Either form clones as a reference count, so a watcher takes it under the
+/// progress lock without copying.
+#[derive(Debug, Clone)]
+enum Finished {
+    /// A submitted run's artifact.
+    Artifact(Arc<Artifact>),
+    /// Any other outcome as it is sent: a shard's partial checkpoint, a
+    /// cancellation or a failure.
+    Sent(Arc<RunOutcome>),
+}
+
+impl Finished {
+    fn sent(outcome: RunOutcome) -> Finished {
+        Finished::Sent(Arc::new(outcome))
+    }
+
+    fn kind(&self) -> &'static str {
+        match self {
+            Finished::Artifact(_) => "ok",
+            Finished::Sent(outcome) => outcome.kind(),
+        }
+    }
+
+    /// The outcome object of the run's `done` line.
+    fn to_outcome(&self) -> RunOutcome {
+        match self {
+            Finished::Artifact(artifact) => RunOutcome::Ok { artifact: artifact.to_json() },
+            Finished::Sent(outcome) => RunOutcome::clone(outcome),
+        }
+    }
 }
 
 /// One submitted run: immutable submission data plus mutable progress.
@@ -614,7 +651,7 @@ fn shard_submit(shared: &Arc<Shared>, config: RunConfig, plan: ShardPlan) -> Str
     set_running(&entry);
     let ctx = run_ctx(&entry, None);
     let reply = serve_shard(entry.id, &entry.config, plan, &ctx, FaultPlan::global());
-    finish(&entry, reply.outcome);
+    finish(&entry, Finished::sent(reply.outcome));
     reply.line
 }
 
@@ -666,7 +703,7 @@ fn stream_run(shared: &Arc<Shared>, connection: &mut Connection, run: u64) -> io
         }
         cursor += fresh.len();
         if let Some(outcome) = outcome {
-            return connection.write_line(&Response::Done { run, outcome });
+            return connection.write_line(&Response::Done { run, outcome: outcome.to_outcome() });
         }
     }
 }
@@ -724,7 +761,7 @@ fn execute(shared: &Arc<Shared>, entry: &Arc<RunEntry>) {
     // A run cancelled while still queued never executes: resolve it
     // deterministically with zero completed days.
     if entry.cancel.is_cancelled() {
-        finish(entry, RunOutcome::Cancelled { days_completed: 0 });
+        finish(entry, Finished::sent(RunOutcome::Cancelled { days_completed: 0 }));
         return;
     }
     set_running(entry);
@@ -750,19 +787,19 @@ fn execute(shared: &Arc<Shared>, entry: &Arc<RunEntry>) {
     }));
 
     let outcome = match result {
-        Ok(Ok(artifact)) => RunOutcome::Ok { artifact: artifact.to_json() },
+        Ok(Ok(artifact)) => Finished::Artifact(Arc::new(artifact)),
         Ok(Err(ExperimentError::Cancelled { completed_days })) => {
-            RunOutcome::Cancelled { days_completed: completed_days }
+            Finished::sent(RunOutcome::Cancelled { days_completed: completed_days })
         }
-        Ok(Err(error)) => RunOutcome::Failed { message: error.to_string() },
-        Err(panic) => {
-            RunOutcome::Failed { message: format!("run panicked: {}", panic_message(panic)) }
-        }
+        Ok(Err(error)) => Finished::sent(RunOutcome::Failed { message: error.to_string() }),
+        Err(panic) => Finished::sent(RunOutcome::Failed {
+            message: format!("run panicked: {}", panic_message(panic)),
+        }),
     };
     finish(entry, outcome);
 }
 
-fn finish(entry: &Arc<RunEntry>, outcome: RunOutcome) {
+fn finish(entry: &Arc<RunEntry>, outcome: Finished) {
     let mut progress = entry.progress.lock().unwrap();
     progress.state = RunState::Done;
     progress.outcome = Some(outcome);
