@@ -95,7 +95,8 @@ impl CryptoExchangeApp {
 
     /// Builds the wallet page DOM: balance, deposit address (readable by the
     /// parasite) and the withdrawal form.
-    pub fn wallet_dom(&self, session: &str) -> Option<(Dom, ElementId)> {
+    #[cfg(test)]
+    fn wallet_dom(&self, session: &str) -> Option<(Dom, ElementId)> {
         let user = self.sessions.get(session)?;
         let mut dom = Dom::new(Url::from_parts(Scheme::Https, self.host.clone(), "/wallet"));
         dom.add_markup_element(
@@ -116,7 +117,8 @@ impl CryptoExchangeApp {
 
     /// Submits the withdrawal form; the server executes whatever destination
     /// address it receives.
-    pub fn submit_withdrawal(&mut self, session: &str, submission: &FormSubmission) -> bool {
+    #[cfg(test)]
+    fn submit_withdrawal(&mut self, session: &str, submission: &FormSubmission) -> bool {
         let Some(user) = self.sessions.get(session).cloned() else {
             return false;
         };
@@ -149,7 +151,8 @@ impl CryptoExchangeApp {
     }
 
     /// Balance of a user.
-    pub fn balance(&self, user: &str) -> u64 {
+    #[cfg(test)]
+    fn balance(&self, user: &str) -> u64 {
         self.balances.get(user).copied().unwrap_or(0)
     }
 }

@@ -16,14 +16,14 @@
 //! * [`banking`] — online banking with OTP 2FA and the out-of-band
 //!   confirmation defence (§VIII),
 //! * [`webmail`] — web mail with inbox text, contacts and send capability,
-//! * [`social`] — social network / chat with harvestable contacts,
+//! * [`SocialApp`] — social network / chat with harvestable contacts,
 //! * [`exchange`] — crypto exchange with withdrawal-address flow.
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod banking;
 pub mod exchange;
-pub mod social;
+mod social;
 pub mod webmail;
 
 pub use banking::{Account, BankingApp, ExecutedTransfer, PendingTransfer, TransferOutcome};

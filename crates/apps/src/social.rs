@@ -96,7 +96,8 @@ impl SocialApp {
     }
 
     /// Builds the chat page DOM: visible message history plus the contact list.
-    pub fn chat_dom(&self, session: &str) -> Option<Dom> {
+    #[cfg(test)]
+    fn chat_dom(&self, session: &str) -> Option<Dom> {
         let user = self.sessions.get(session)?;
         let mut dom = Dom::new(Url::from_parts(Scheme::Https, self.host.clone(), "/chat"));
         for message in self.messages.iter().filter(|m| &m.to == user || &m.from == user) {
@@ -113,7 +114,8 @@ impl SocialApp {
     }
 
     /// Sends a chat message from the logged-in user.
-    pub fn send_message(&mut self, session: &str, to: &str, text: &str) -> bool {
+    #[cfg(test)]
+    fn send_message(&mut self, session: &str, to: &str, text: &str) -> bool {
         let Some(from) = self.sessions.get(session).cloned() else {
             return false;
         };
@@ -126,7 +128,8 @@ impl SocialApp {
     }
 
     /// Friends of the logged-in user.
-    pub fn friends_of(&self, session: &str) -> Vec<String> {
+    #[cfg(test)]
+    fn friends_of(&self, session: &str) -> Vec<String> {
         self.sessions
             .get(session)
             .and_then(|u| self.friends.get(u))

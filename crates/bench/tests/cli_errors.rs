@@ -77,6 +77,16 @@ fn malformed_surface_axes_are_rejected() {
 }
 
 #[test]
+fn a_fleet_jobs_above_the_thread_cap_is_rejected_before_any_run() {
+    // One config line must not ask for a million OS threads; validation
+    // rejects it before a campaign starts.
+    assert_rejected(
+        &["--only", "campaign_fleet", "--fleet-jobs", "1000000"],
+        "--fleet-jobs: fleet_jobs must be at most 1024, got 1000000",
+    );
+}
+
+#[test]
 fn a_zero_scale_is_rejected_not_clamped() {
     // Table I divides its cache sizes by --scale: 0 is no divisor.
     assert_rejected(&["--scale", "0"], "--scale: scale must be at least 1, got 0");

@@ -87,11 +87,6 @@ impl PageLoad {
     pub fn record_for(&self, url: &Url) -> Option<&FetchRecord> {
         self.records.iter().find(|r| &r.url == url)
     }
-
-    /// Number of fetches that hit the network.
-    pub fn network_fetches(&self) -> usize {
-        self.records.iter().filter(|r| r.source.touched_network()).count()
-    }
 }
 
 /// A simulated browser instance.
@@ -252,12 +247,6 @@ impl Browser {
     /// Fetches a single resource through the full pipeline.
     pub fn fetch(&mut self, url: &Url, top_level_site: &str) -> FetchResult {
         self.fetch_inner(url, top_level_site, false)
-    }
-
-    /// Fetches a resource bypassing the HTTP cache (the Ctrl-F5 path). The
-    /// Cache API is *not* bypassed, which is the point of Table III.
-    pub fn fetch_bypassing_cache(&mut self, url: &Url, top_level_site: &str) -> FetchResult {
-        self.fetch_inner(url, top_level_site, true)
     }
 
     fn fetch_inner(&mut self, url: &Url, top_level_site: &str, bypass_http_cache: bool) -> FetchResult {
@@ -519,7 +508,6 @@ mod tests {
         assert!(load.records.iter().all(|r| r.source == FetchSource::Network));
         assert_eq!(load.page.scripts.len(), 1);
         assert!(load.page.scripts[0].body.contains("genuine"));
-        assert_eq!(load.network_fetches(), 3);
     }
 
     #[test]
@@ -528,7 +516,6 @@ mod tests {
         b.visit(&url("http://somesite.com/index.html"));
         let second = b.visit(&url("http://somesite.com/index.html"));
         assert!(second.records.iter().all(|r| r.source == FetchSource::HttpCache));
-        assert_eq!(second.network_fetches(), 0);
         assert!(second.page.scripts[0].from_cache);
     }
 
@@ -568,8 +555,8 @@ mod tests {
 
         // Ctrl-F5 and clear-cache do not help (Table III)...
         b.clear_http_cache();
-        let again = b.fetch_bypassing_cache(&target, "somesite.com");
-        assert_eq!(again.source, FetchSource::CacheApi);
+        let again = b.hard_reload(&target);
+        assert_eq!(again.records[0].source, FetchSource::CacheApi);
 
         // ...only clearing cookies / site data removes it.
         b.clear_cookies_and_site_data();

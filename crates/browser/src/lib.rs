@@ -15,8 +15,6 @@
 //! * [`storage`] — per-origin `localStorage`,
 //! * [`dom`] — a minimal DOM with forms, submit-event logging and
 //!   script-inserted element attribution,
-//! * [`sop`] — Same-Origin Policy checks and the cross-origin image
-//!   dimension leak the C&C channel uses,
 //! * [`page`] — HTML subresource extraction and the [`page::Page`] model,
 //! * [`browser`] — the [`browser::Browser`] tying everything together behind
 //!   a fetch pipeline over an [`mp_httpsim::transport::Exchange`].
@@ -29,7 +27,6 @@ pub mod cache_api;
 pub mod dom;
 pub mod page;
 pub mod profile;
-pub mod sop;
 pub mod storage;
 
 pub use browser::{Browser, FetchRecord, FetchResult, FetchSource, PageLoad};

@@ -45,10 +45,10 @@ pub struct LoadedScript {
     pub from_cache: bool,
 }
 
+#[cfg(test)]
 impl LoadedScript {
-    /// Returns `true` if the script body contains `marker` — how experiments
-    /// detect that a parasite payload executed.
-    pub fn contains_marker(&self, marker: &str) -> bool {
+    /// Returns `true` if the script body contains `marker`.
+    fn contains_marker(&self, marker: &str) -> bool {
         self.body.contains(marker)
     }
 }
@@ -81,7 +81,8 @@ impl Page {
     }
 
     /// Returns `true` if any executed script contains `marker`.
-    pub fn executed_marker(&self, marker: &str) -> bool {
+    #[cfg(test)]
+    fn executed_marker(&self, marker: &str) -> bool {
         self.scripts.iter().any(|s| s.contains_marker(marker))
     }
 }

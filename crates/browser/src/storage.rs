@@ -28,12 +28,14 @@ impl OriginStorage {
     }
 
     /// Reads a key for an origin (`localStorage.getItem`).
-    pub fn get_item(&self, origin: &str, key: &str) -> Option<&str> {
+    #[cfg(test)]
+    fn get_item(&self, origin: &str, key: &str) -> Option<&str> {
         self.data.get(origin)?.get(key).map(String::as_str)
     }
 
     /// Removes a key.
-    pub fn remove_item(&mut self, origin: &str, key: &str) {
+    #[cfg(test)]
+    fn remove_item(&mut self, origin: &str, key: &str) {
         if let Some(entries) = self.data.get_mut(origin) {
             entries.remove(key);
         }
@@ -46,11 +48,6 @@ impl OriginStorage {
             .get(origin)
             .map(|entries| entries.iter().map(|(k, v)| (k.clone(), v.clone())).collect())
             .unwrap_or_default()
-    }
-
-    /// Number of keys stored for an origin.
-    pub fn len_for(&self, origin: &str) -> usize {
-        self.data.get(origin).map(BTreeMap::len).unwrap_or(0)
     }
 
     /// Clears one origin's storage.
@@ -95,7 +92,7 @@ mod tests {
         let dump = storage.dump_origin("https://a.example");
         assert_eq!(dump.len(), 2);
         assert!(dump.iter().all(|(k, _)| k.starts_with('k')));
-        assert_eq!(storage.len_for("https://b.example"), 1);
+        assert_eq!(storage.dump_origin("https://b.example").len(), 1);
     }
 
     #[test]
@@ -104,8 +101,8 @@ mod tests {
         storage.set_item("https://a.example", "k", "v");
         storage.set_item("https://b.example", "k", "v");
         storage.clear_origin("https://a.example");
-        assert_eq!(storage.len_for("https://a.example"), 0);
-        assert_eq!(storage.len_for("https://b.example"), 1);
+        assert_eq!(storage.dump_origin("https://a.example").len(), 0);
+        assert_eq!(storage.dump_origin("https://b.example").len(), 1);
         storage.clear_all();
         assert!(storage.is_empty());
     }

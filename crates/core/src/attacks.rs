@@ -7,10 +7,7 @@
 //! (exfiltrated credentials, executed rogue transfers, sent phishing, ...).
 
 use crate::cnc::{encode_upstream, CncServer};
-use crate::script::ParasiteModule;
 use mp_apps::banking::{BankingApp, TransferOutcome};
-use mp_apps::exchange::CryptoExchangeApp;
-use mp_apps::social::SocialApp;
 use mp_apps::webmail::WebMailApp;
 use mp_browser::browser::Browser;
 use mp_browser::dom::Dom;
@@ -232,42 +229,6 @@ pub fn manipulate_bank_transfer(
     report
 }
 
-/// Manipulate a crypto-exchange withdrawal address (the exchange variant of
-/// transaction manipulation).
-pub fn manipulate_withdrawal(
-    exchange: &mut CryptoExchangeApp,
-    session: &str,
-    user_intended_address: &str,
-    attacker_address: &str,
-    amount: &str,
-) -> AttackReport {
-    let mut report = AttackReport::new(
-        "Transaction Manipulation (crypto exchange)",
-        SecurityProperty::Integrity,
-        &exchange.host.clone(),
-    );
-    let Some((mut dom, form)) = exchange.wallet_dom(session) else {
-        report.evidence.push("no authenticated session".into());
-        return report;
-    };
-    let destination = dom.by_name("destination").expect("withdraw form").id;
-    let amount_field = dom.by_name("amount").expect("withdraw form").id;
-    dom.set_attr(destination, "value", user_intended_address);
-    dom.set_attr(amount_field, "value", amount);
-    dom.set_attr(destination, "value", attacker_address);
-    let submission = dom.submit_form(form).expect("form exists");
-    if exchange.submit_withdrawal(session, &submission) {
-        report.succeeded = exchange
-            .withdrawals()
-            .iter()
-            .any(|w| w.destination == attacker_address);
-        report
-            .evidence
-            .push(format!("withdrawal redirected to {attacker_address}"));
-    }
-    report
-}
-
 /// Send personalised phishing from the victim's own web-mail account
 /// (Table V "Send Phishing"). Requires the application tab to be open.
 pub fn send_phishing_via_webmail(mail: &mut WebMailApp, session: &str, tab_open: bool) -> AttackReport {
@@ -295,25 +256,6 @@ pub fn send_phishing_via_webmail(mail: &mut WebMailApp, session: &str, tab_open:
     }
     report.succeeded = sent > 0 && sent == contacts.len();
     report.evidence.push(format!("{sent} personalised phishing mails sent"));
-    report
-}
-
-/// Send phishing through the victim's chat contacts (WhatsApp-Web style).
-pub fn send_phishing_via_chat(social: &mut SocialApp, session: &str, tab_open: bool) -> AttackReport {
-    let mut report = AttackReport::new("Send Phishing (chat)", SecurityProperty::Integrity, &social.host.clone());
-    report.requirements_met = tab_open;
-    if !tab_open {
-        return report;
-    }
-    let friends = social.friends_of(session);
-    let mut sent = 0;
-    for friend in &friends {
-        if social.send_message(session, friend, "check out this link: http://login-verify.attacker.example") {
-            sent += 1;
-        }
-    }
-    report.succeeded = sent == friends.len() && sent > 0;
-    report.evidence.push(format!("{sent} phishing messages sent"));
     report
 }
 
@@ -410,28 +352,6 @@ pub fn low_level_exploit(name: &str, platform_vulnerable: bool) -> AttackReport 
         "payload delivered; platform mitigations blocked exploitation".to_string()
     });
     report
-}
-
-/// Returns the module that implements a given Table V attack name, for
-/// mapping command-and-control instructions onto modules.
-pub fn module_for_attack(name: &str) -> Option<ParasiteModule> {
-    match name {
-        "Steal Login Data" | "Fake Login Overlay" => Some(ParasiteModule::ExtractLoginData),
-        "Browser Data" => Some(ParasiteModule::ReadBrowserData),
-        "Personal Browser Data" => Some(ParasiteModule::ExtractProtectedData),
-        "Website Data" => Some(ParasiteModule::ReadDomData),
-        "Side Channels" => Some(ParasiteModule::SideChannels),
-        "Transaction Manipulation / 2FA Bypass" | "Transaction Manipulation (crypto exchange)" => {
-            Some(ParasiteModule::ManipulateTransactions)
-        }
-        "Send Phishing (webmail)" | "Send Phishing (chat)" => Some(ParasiteModule::Phishing),
-        "Steal Computation Resources" => Some(ParasiteModule::StealComputation),
-        "Click Jacking" => Some(ParasiteModule::AdInjection),
-        "Ad Injection" => Some(ParasiteModule::AdInjection),
-        "DDoS" | "DDoS Internal Systems" => Some(ParasiteModule::Ddos),
-        "Attack Insecure Routers and internal IoT Devices" => Some(ParasiteModule::InternalNetworkRecon),
-        _ => None,
-    }
 }
 
 #[cfg(test)]
@@ -577,53 +497,6 @@ mod tests {
         let report = fake_login_overlay(&mut dom);
         assert!(report.succeeded);
         assert!(dom.script_inserted().len() >= 3);
-        assert_eq!(module_for_attack("Steal Login Data"), Some(ParasiteModule::ExtractLoginData));
-        assert_eq!(module_for_attack("DDoS"), Some(ParasiteModule::Ddos));
-        assert_eq!(module_for_attack("not a row"), None);
-    }
-
-    #[test]
-    fn withdrawal_manipulation_hits_the_exchange() {
-        let mut exchange = CryptoExchangeApp::default();
-        let (mut dom, form) = exchange.login_dom();
-        let account = dom.by_name("account").unwrap().id;
-        let password = dom.by_name("password").unwrap().id;
-        dom.set_attr(account, "value", "alice");
-        dom.set_attr(password, "value", "to-the-moon");
-        let session = exchange.login(&dom.submit_form(form).unwrap()).unwrap();
-        let report = manipulate_withdrawal(
-            &mut exchange,
-            &session,
-            "bc1qlegitimatefriend00000000000000000",
-            "bc1qattacker0000000000000000000000000",
-            "250000",
-        );
-        assert!(report.succeeded);
-        assert_eq!(exchange.withdrawals()[0].destination, "bc1qattacker0000000000000000000000000");
-    }
-
-    #[test]
-    fn chat_phishing_requires_an_open_tab_and_reaches_all_friends() {
-        let mut social = SocialApp::default();
-        let (mut dom, form) = social.login_dom();
-        let handle = dom.by_name("handle").unwrap().id;
-        let password = dom.by_name("password").unwrap().id;
-        dom.set_attr(handle, "value", "alice");
-        dom.set_attr(password, "value", "social-pass");
-        let session = social.login(&dom.submit_form(form).unwrap()).unwrap();
-
-        let baseline = social.messages().len();
-        let blocked = send_phishing_via_chat(&mut social, &session, false);
-        assert!(!blocked.succeeded && !blocked.requirements_met);
-        assert_eq!(social.messages().len(), baseline, "closed tab must send nothing");
-
-        let friends = social.friends_of(&session);
-        assert!(!friends.is_empty());
-        let report = send_phishing_via_chat(&mut social, &session, true);
-        assert!(report.succeeded, "{report:?}");
-        let sent = &social.messages()[baseline..];
-        assert_eq!(sent.len(), friends.len());
-        assert!(sent.iter().all(|m| m.text.contains("attacker.example")));
     }
 
     #[test]
@@ -664,8 +537,7 @@ mod tests {
     }
 
     /// Uniform invariants every attack module must uphold: a success implies
-    /// its requirements were met, a success carries evidence, and every
-    /// report name maps onto a parasite module.
+    /// its requirements were met, and a success carries evidence.
     #[test]
     fn every_report_upholds_the_success_and_mapping_invariants() {
         let mut server = cnc();
@@ -706,13 +578,6 @@ mod tests {
                     report.name
                 );
                 assert!(!report.evidence.is_empty(), "{}: success without evidence", report.name);
-            }
-            if report.name != "Rowhammer" {
-                assert!(
-                    module_for_attack(&report.name).is_some(),
-                    "{}: no parasite module mapped",
-                    report.name
-                );
             }
         }
     }

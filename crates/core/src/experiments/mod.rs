@@ -6,9 +6,9 @@
 //! `try_run(&RunConfig)` produces an [`Artifact`] carrying the structured
 //! result plus uniform text ([`Artifact::render_text`]) and JSON
 //! ([`Artifact::to_json`]) output, or a typed [`ExperimentError`] (e.g. an
-//! exhausted event budget). [`Registry::all`] enumerates the paper's eleven
-//! experiments, [`Registry::extended`] adds the population-scale
-//! [`ExperimentId::CampaignFleet`] sweep, and [`run_many`] /
+//! exhausted event budget). [`ExperimentId::ALL`] lists the paper's eleven
+//! experiments, [`ExperimentId::EXTENDED`] adds the population-scale
+//! [`ExperimentId::CampaignFleet`] and attack-surface sweeps, and [`run_many`] /
 //! [`try_run_many`] execute id × config sweeps on a thread pool —
 //! `try_run_many` isolates each task, so one failing scenario reports its
 //! error without aborting its siblings.
@@ -273,8 +273,9 @@ pub struct RunConfig {
     /// packet-level simulation per AP).
     pub fleet_aps: usize,
     /// Worker threads for the fleet's per-AP simulations; `0` (the default)
-    /// auto-sizes to the machine. Set to `1` to keep a campaign run
-    /// single-threaded, e.g. when it is itself one task of a parallel sweep.
+    /// auto-sizes to the machine; at most 1,024. Set to `1` to keep a
+    /// campaign run single-threaded, e.g. when it is itself one task of a
+    /// parallel sweep.
     pub fleet_jobs: usize,
     /// Simulated days the campaign fleet runs for, at least 1: each day
     /// clients arrive, depart and clear caches, the target object may rotate
@@ -876,10 +877,7 @@ macro_rules! experiments {
     };
 }
 
-/// The set of all eleven experiments.
-///
-/// `Registry::get(id)` returns a single experiment; [`Registry::all`] the
-/// whole set, in the paper's order.
+/// The set of registered experiments: `Registry::get(id)` returns one.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Registry;
 
@@ -910,18 +908,6 @@ experiments! {
     CampaignFleetSweep, CampaignFleet, CampaignFleet, multiday::campaign_fleet;
     /// Extension — the attack-surface probability sweep.
     AttackSurfaceSweep, AttackSurface, AttackSurface, surface::attack_surface;
-}
-
-impl Registry {
-    /// The paper's eleven experiments, in the paper's order.
-    pub fn all() -> Vec<Box<dyn Experiment>> {
-        ExperimentId::ALL.into_iter().map(Registry::get).collect()
-    }
-
-    /// Every registered experiment: the paper's eleven plus the extensions.
-    pub fn extended() -> Vec<Box<dyn Experiment>> {
-        ExperimentId::EXTENDED.into_iter().map(Registry::get).collect()
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1061,7 +1047,7 @@ mod tests {
 
     #[test]
     fn registry_covers_all_eleven_experiments() {
-        let all = Registry::all();
+        let all = ExperimentId::ALL.map(Registry::get);
         assert_eq!(all.len(), 11);
         for (experiment, id) in all.iter().zip(ExperimentId::ALL) {
             assert_eq!(experiment.id(), id);
@@ -1303,13 +1289,13 @@ mod tests {
 
     #[test]
     fn extended_registry_adds_the_campaign_fleet() {
-        let extended = Registry::extended();
+        let extended = ExperimentId::EXTENDED.map(Registry::get);
         assert_eq!(extended.len(), 13);
         assert_eq!(extended.last().unwrap().id(), ExperimentId::AttackSurface);
         assert_eq!("campaign_fleet".parse::<ExperimentId>(), Ok(ExperimentId::CampaignFleet));
         assert_eq!("attack_surface".parse::<ExperimentId>(), Ok(ExperimentId::AttackSurface));
         // The paper set stays exactly eleven so the classic report is stable.
-        assert_eq!(Registry::all().len(), 11);
+        assert_eq!(ExperimentId::ALL.len(), 11);
         assert!(!ExperimentId::ALL.contains(&ExperimentId::CampaignFleet));
         assert!(!ExperimentId::ALL.contains(&ExperimentId::AttackSurface));
     }

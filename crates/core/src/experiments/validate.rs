@@ -68,6 +68,12 @@ fn within(field: &'static str, value: usize, max: usize) -> Result<(), ConfigErr
 /// assignment, so no integer field may reach it.
 const JSON_EXACT_LIMIT: u64 = 1 << 53;
 
+/// The most worker threads a run may ask for: far more than any machine's
+/// cores, far fewer than the operating system's thread limit. A campaign
+/// starts `min(fleet_jobs, tasks)` threads and a task is one AP, so without
+/// this bound one config line could ask for a million threads.
+const MAX_FLEET_JOBS: usize = 1024;
+
 fn ordered(start: (&'static str, u64), end: (&'static str, u64)) -> Result<(), ConfigError> {
     if start.1 > end.1 {
         let reason = format!("exceeds {}: the range [{}, {}] is inverted", end.0, start.1, end.1);
@@ -79,7 +85,8 @@ fn ordered(start: (&'static str, u64), end: (&'static str, u64)) -> Result<(), C
 impl RunConfig {
     /// Checks that every field is in range: positive event budget, Table I
     /// cache-size divisor, Figure 5 and Figure 3 population sizes, Figure 3
-    /// crawl length, and fleet AP and day counts; a churn fraction in
+    /// crawl length, and fleet AP and day counts; at most 1,024 worker
+    /// threads (`fleet_jobs`, 0 = one per core); a churn fraction in
     /// `[0, 1]` and a visit probability in `(0, 1]`; attack-surface trials
     /// and axis lengths from 1 up to what one race world and the seed-lane
     /// layout hold; surface ranges that are not inverted; and a vector mask
@@ -113,6 +120,10 @@ impl RunConfig {
         at_least("days", self.days, 1)?;
         at_least("fleet_aps", self.fleet_aps, 1)?;
         at_least("fleet_days", self.fleet_days, 1)?;
+        if self.fleet_jobs > MAX_FLEET_JOBS {
+            let reason = format!("must be at most {MAX_FLEET_JOBS}, got {}", self.fleet_jobs);
+            return reject("fleet_jobs", reason);
+        }
         if !(0.0..=1.0).contains(&self.fleet_churn) {
             let reason = format!("must be a fraction in [0, 1], got {}", self.fleet_churn);
             return reject("fleet_churn", reason);
@@ -200,6 +211,8 @@ mod tests {
             (with(|c| c.days = 0), "days"),
             (with(|c| c.fleet_aps = 0), "fleet_aps"),
             (with(|c| c.fleet_days = 0), "fleet_days"),
+            (with(|c| c.fleet_jobs = MAX_FLEET_JOBS + 1), "fleet_jobs"),
+            (with(|c| c.fleet_jobs = 1_000_000), "fleet_jobs"),
             (with(|c| c.fleet_churn = 1.5), "fleet_churn"),
             (with(|c| c.fleet_churn = f64::NAN), "fleet_churn"),
             (with(|c| c.fleet_visit_prob = 0.0), "fleet_visit_prob"),
@@ -225,6 +238,7 @@ mod tests {
             with(|c| (c.surface_trials, c.surface_wan_steps) = (MAX_CLIENTS_PER_AP, MAX_AXIS_STEPS)),
             with(|c| (c.surface_delay_start_us, c.surface_vectors) = (160_000, 0b1111)),
             with(|c| (c.seed, c.jitter_us) = ((1 << 53) - 1, (1 << 53) - 1)),
+            with(|c| c.fleet_jobs = MAX_FLEET_JOBS),
         ] {
             assert_eq!(config.validate(), Ok(()));
         }

@@ -211,7 +211,8 @@ impl<U> InjectingExchange<U> {
 
     /// Activates or deactivates the attacker (victim joins / leaves the
     /// hostile network).
-    pub fn set_active(&mut self, active: bool) {
+    #[cfg(test)]
+    fn set_active(&mut self, active: bool) {
         self.active = active;
     }
 

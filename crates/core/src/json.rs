@@ -461,18 +461,49 @@ impl Parser<'_> {
         }
     }
 
+    /// Parses a number by the RFC 8259 grammar,
+    /// `-? (0 | [1-9][0-9]*) (.[0-9]+)? ([eE][+-]?[0-9]+)?`. A value beyond
+    /// `f64` range is rejected: it would parse to an infinity, which the
+    /// writer can only emit as `null`.
     fn number(&mut self) -> Result<Json, JsonError> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
-        while matches!(self.peek(), Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')) {
+        let int = self.pos;
+        let int_digits = self.digits();
+        let mut malformed = int_digits == 0 || (int_digits > 1 && self.bytes[int] == b'0');
+        if self.peek() == Some(b'.') {
             self.pos += 1;
+            malformed |= self.digits() == 0;
+        }
+        if matches!(self.peek(), Some(b'e' | b'E')) {
+            self.pos += 1;
+            if matches!(self.peek(), Some(b'+' | b'-')) {
+                self.pos += 1;
+            }
+            malformed |= self.digits() == 0;
+        }
+        if malformed {
+            return Err(self.error("malformed number"));
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii digits");
-        text.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| self.error("malformed number"))
+        match text.parse::<f64>() {
+            Ok(value) if value.is_finite() => Ok(Json::Num(value)),
+            _ => {
+                let message = format!("number {text} is out of range");
+                Err(JsonError { offset: start, message })
+            }
+        }
+    }
+
+    /// Skips a run of ASCII digits, returning how many there were.
+    fn digits(&mut self) -> usize {
+        let start = self.pos;
+        while matches!(self.peek(), Some(b'0'..=b'9')) {
+            self.pos += 1;
+        }
+        self.pos - start
     }
 }
 
@@ -513,6 +544,25 @@ mod tests {
         assert_eq!(Json::parse(&max_exact.to_string()).unwrap().as_u64(), Some(max_exact));
         for rounded in ["9007199254740992", "9007199254740993", "1e300"] {
             assert_eq!(Json::parse(rounded).unwrap().as_u64(), None, "{rounded}");
+        }
+    }
+
+    #[test]
+    fn numbers_follow_the_rfc_8259_grammar() {
+        for good in ["0", "-0", "12", "-3.25", "1e5", "1E+5", "2.5e-3", "1e-400", "[0,-1.5]"] {
+            assert!(Json::parse(good).is_ok(), "{good}");
+        }
+        for bad in ["01", "-01", "1.", "1.e5", ".5", "-", "+1", "1e", "1e+", "--1", "0x1", "[01]"] {
+            assert!(Json::parse(bad).is_err(), "{bad}");
+        }
+    }
+
+    #[test]
+    fn numbers_beyond_f64_range_are_rejected_not_read_as_infinity() {
+        for (text, offset) in [("1e400", 0), ("-1e400", 0), ("[1e400]", 1)] {
+            let error = Json::parse(text).unwrap_err();
+            assert_eq!(error.offset, offset, "{text}");
+            assert!(error.message.contains("out of range"), "{error}");
         }
     }
 

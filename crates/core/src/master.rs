@@ -6,7 +6,7 @@
 //! an [`InjectingExchange`] for HTTP-level scenarios and a [`MasterTap`] for
 //! packet-level scenarios.
 
-use crate::cnc::{CncServer, Command};
+use crate::cnc::CncServer;
 use crate::infect::{InfectionConfig, Infector};
 use crate::injection::{InjectingExchange, MasterTap, SharedInjectionStats};
 use crate::script::Parasite;
@@ -102,16 +102,12 @@ impl Master {
     pub fn bots(&self) -> &[Bot] {
         &self.bots
     }
-
-    /// Queues a command for all bots.
-    pub fn issue_command(&mut self, command: Command) {
-        self.cnc.queue_command(command);
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cnc::Command;
     use mp_httpsim::body::{Body, ResourceKind};
     use mp_httpsim::message::{Request, Response};
     use mp_httpsim::transport::StaticOrigin;
@@ -145,7 +141,7 @@ mod tests {
         master.register_bot("campaign-0", "top1.com");
         master.register_bot("campaign-0", "bank.example");
         assert_eq!(master.bots().len(), 2);
-        master.issue_command(Command::ExfiltrateAll);
+        master.cnc.queue_command(Command::ExfiltrateAll);
         assert_eq!(master.cnc.pending_commands(), 1);
     }
 }

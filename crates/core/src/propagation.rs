@@ -140,17 +140,6 @@ pub fn propagate_via_shared_cache<U: Exchange + 'static>(
     (a_infected, b_infected)
 }
 
-/// Builds the list of propagation targets the paper's demo uses: popular
-/// domains the victim has *not* visited during the attack (online banking,
-/// web mail), to be loaded via iframes.
-pub fn default_iframe_targets() -> Vec<Url> {
-    vec![
-        Url::parse("http://bank.example/").expect("static url"),
-        Url::parse("http://mail.example/").expect("static url"),
-        Url::parse("http://social.example/").expect("static url"),
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -159,6 +148,14 @@ mod tests {
     use mp_httpsim::body::ResourceKind;
     use mp_httpsim::transport::{Internet, StaticOrigin};
     use mp_webcache::{table4_entries, SharedCache};
+
+    /// The propagation targets of the paper's demo: popular domains the
+    /// victim has *not* visited during the attack, loaded via iframes.
+    fn default_iframe_targets() -> Vec<Url> {
+        ["http://bank.example/", "http://mail.example/", "http://social.example/"]
+            .map(|target| Url::parse(target).unwrap())
+            .to_vec()
+    }
 
     fn site(host: &str, extra_script: Option<&str>) -> StaticOrigin {
         let mut origin = StaticOrigin::new(host);

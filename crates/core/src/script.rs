@@ -134,11 +134,6 @@ impl Parasite {
         }
     }
 
-    /// Returns `true` if the parasite carries `module`.
-    pub fn has_module(&self, module: ParasiteModule) -> bool {
-        self.modules.contains(&module)
-    }
-
     /// Serialises the payload as the JavaScript snippet appended to infected
     /// objects. Variable and function names are chosen so they do not collide
     /// with the host application (paper §VI-A).
@@ -251,8 +246,8 @@ mod tests {
             "c2.example",
             vec![ParasiteModule::StealComputation, ParasiteModule::Ddos],
         );
-        assert!(parasite.has_module(ParasiteModule::Ddos));
-        assert!(!parasite.has_module(ParasiteModule::Phishing));
+        assert!(parasite.modules.contains(&ParasiteModule::Ddos));
+        assert!(!parasite.modules.contains(&ParasiteModule::Phishing));
         let recovered = Parasite::detect(&parasite.payload_snippet()).unwrap();
         assert_eq!(recovered.modules, parasite.modules);
     }

@@ -42,7 +42,8 @@ impl ResourceKind {
     }
 
     /// Returns the kind implied by a URL path extension.
-    pub fn from_path(path: &str) -> Self {
+    #[cfg(test)]
+    fn from_path(path: &str) -> Self {
         let ext = path.rsplit('.').next().unwrap_or("").to_ascii_lowercase();
         match ext.as_str() {
             "html" | "htm" => ResourceKind::Html,
@@ -68,7 +69,8 @@ impl ResourceKind {
 
     /// Returns `true` if the resource is executable script or markup that can
     /// host a parasite.
-    pub fn is_infectable(self) -> bool {
+    #[cfg(test)]
+    fn is_infectable(self) -> bool {
         matches!(self, ResourceKind::Html | ResourceKind::JavaScript)
     }
 }

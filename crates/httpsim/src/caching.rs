@@ -116,13 +116,6 @@ pub enum Freshness {
     Uncacheable,
 }
 
-impl Freshness {
-    /// Returns `true` if the stored copy may be used without revalidation.
-    pub fn is_fresh(self) -> bool {
-        matches!(self, Freshness::Fresh { .. })
-    }
-}
-
 /// Validators carried by a stored response.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Validators {
@@ -371,8 +364,8 @@ mod tests {
         let policy = CachePolicy::private_cache();
         let response = Response::ok(Body::text(ResourceKind::JavaScript, "x"));
         assert_eq!(policy.freshness_lifetime(&response), 300);
-        assert!(policy.freshness(&response, 10).is_fresh());
-        assert!(!policy.freshness(&response, 1000).is_fresh());
+        assert!(matches!(policy.freshness(&response, 10), Freshness::Fresh { .. }));
+        assert!(!matches!(policy.freshness(&response, 1000), Freshness::Fresh { .. }));
     }
 
     #[test]

@@ -172,11 +172,6 @@ impl CookieJar {
         self.cookies.clear();
     }
 
-    /// Drops expired cookies.
-    pub fn evict_expired(&mut self, now: u64) {
-        self.cookies.retain(|c| !c.is_expired(now));
-    }
-
     /// Iterates over all cookies.
     pub fn iter(&self) -> impl Iterator<Item = &Cookie> {
         self.cookies.iter()
@@ -233,8 +228,6 @@ mod tests {
         jar.set_from_header("cart=1; Max-Age=100", &u, 1000);
         assert!(jar.header_for(&u, 1050).is_some());
         assert!(jar.header_for(&u, 1101).is_none());
-        jar.evict_expired(1101);
-        assert!(jar.is_empty());
     }
 
     #[test]

@@ -24,13 +24,6 @@ pub enum CspVersion {
     XWebkitCsp,
 }
 
-impl CspVersion {
-    /// Returns `true` for the deprecated prefixed header names.
-    pub fn is_deprecated(self) -> bool {
-        !matches!(self, CspVersion::Standard)
-    }
-}
-
 impl fmt::Display for CspVersion {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let name = match self {
@@ -257,8 +250,6 @@ mod tests {
         headers.set(names::X_WEBKIT_CSP, "default-src 'self'");
         let csp = ContentSecurityPolicy::from_headers(&headers).unwrap();
         assert_eq!(csp.version, CspVersion::XWebkitCsp);
-        assert!(csp.version.is_deprecated());
-        assert!(!CspVersion::Standard.is_deprecated());
     }
 
     #[test]

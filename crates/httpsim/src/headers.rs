@@ -16,8 +16,6 @@ pub mod names {
     pub const IF_NONE_MATCH: &str = "if-none-match";
     /// `If-Modified-Since`.
     pub const IF_MODIFIED_SINCE: &str = "if-modified-since";
-    /// `Age`.
-    pub const AGE: &str = "age";
     /// `Date`.
     pub const DATE: &str = "date";
     /// `Host`.
@@ -40,14 +38,6 @@ pub mod names {
     pub const X_WEBKIT_CSP: &str = "x-webkit-csp";
     /// `X-Frame-Options`.
     pub const X_FRAME_OPTIONS: &str = "x-frame-options";
-    /// `Vary`.
-    pub const VARY: &str = "vary";
-    /// `User-Agent`.
-    pub const USER_AGENT: &str = "user-agent";
-    /// `Referer`.
-    pub const REFERER: &str = "referer";
-    /// `Location`.
-    pub const LOCATION: &str = "location";
     /// `Pragma`.
     pub const PRAGMA: &str = "pragma";
 }

@@ -94,11 +94,6 @@ impl HstsStore {
         }
     }
 
-    /// Number of dynamic entries currently stored.
-    pub fn dynamic_len(&self) -> usize {
-        self.dynamic.len()
-    }
-
     /// Records a policy received from `host` at time `now` (seconds).
     ///
     /// Important nuance the attack depends on: HSTS headers are only honoured
@@ -151,15 +146,10 @@ impl HstsStore {
         false
     }
 
-    /// Returns `true` if an active network attacker can strip `host` down to
-    /// plain HTTP at `now` (no preload entry and no unexpired dynamic entry).
-    pub fn strippable(&self, host: &str, now: u64) -> bool {
-        !self.must_upgrade(host, now)
-    }
-
     /// Clears dynamic entries (what "clear browsing data" does); preload
     /// entries survive because they ship with the browser binary.
-    pub fn clear_dynamic(&mut self) {
+    #[cfg(test)]
+    fn clear_dynamic(&mut self) {
         self.dynamic.clear();
     }
 }
@@ -183,10 +173,9 @@ mod tests {
         let mut store = HstsStore::new();
         let policy = HstsPolicy { max_age: 1000, include_subdomains: false, preload: false };
         store.observe("bank.example", policy, 0, false);
-        assert!(store.strippable("bank.example", 10), "HSTS over HTTP must be ignored");
+        assert!(!store.must_upgrade("bank.example", 10), "HSTS over HTTP must be ignored");
         store.observe("bank.example", policy, 0, true);
-        assert!(!store.strippable("bank.example", 10));
-        assert_eq!(store.dynamic_len(), 1);
+        assert!(store.must_upgrade("bank.example", 10));
     }
 
     #[test]
@@ -196,7 +185,6 @@ mod tests {
         store.observe("shop.example", policy, 1000, true);
         assert!(store.must_upgrade("shop.example", 1050));
         assert!(!store.must_upgrade("shop.example", 1101));
-        assert!(store.strippable("shop.example", 1101));
     }
 
     #[test]
@@ -204,7 +192,7 @@ mod tests {
         let store = HstsStore::with_preload(vec!["paypal.example".to_string()]);
         assert!(store.must_upgrade("paypal.example", 0));
         assert!(store.must_upgrade("www.paypal.example", u64::MAX / 2));
-        assert!(store.strippable("other.example", 0));
+        assert!(!store.must_upgrade("other.example", 0));
     }
 
     #[test]
@@ -231,7 +219,7 @@ mod tests {
         let mut store = HstsStore::new();
         store.observe("a.example", HstsPolicy { max_age: 1000, include_subdomains: false, preload: false }, 0, true);
         store.observe("a.example", HstsPolicy { max_age: 0, include_subdomains: false, preload: false }, 5, true);
-        assert!(store.strippable("a.example", 6));
+        assert!(!store.must_upgrade("a.example", 6));
     }
 
     #[test]
@@ -240,6 +228,6 @@ mod tests {
         store.observe("mail.example", HstsPolicy { max_age: 99999, include_subdomains: false, preload: false }, 0, true);
         store.clear_dynamic();
         assert!(store.must_upgrade("bank.example", 0));
-        assert!(store.strippable("mail.example", 0));
+        assert!(!store.must_upgrade("mail.example", 0));
     }
 }

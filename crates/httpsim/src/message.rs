@@ -62,21 +62,12 @@ impl StatusCode {
     pub const NOT_MODIFIED: StatusCode = StatusCode(304);
     /// 301 Moved Permanently.
     pub const MOVED_PERMANENTLY: StatusCode = StatusCode(301);
-    /// 302 Found.
-    pub const FOUND: StatusCode = StatusCode(302);
     /// 404 Not Found.
     pub const NOT_FOUND: StatusCode = StatusCode(404);
-    /// 500 Internal Server Error.
-    pub const INTERNAL_SERVER_ERROR: StatusCode = StatusCode(500);
 
     /// Returns `true` for 2xx codes.
     pub fn is_success(self) -> bool {
         (200..300).contains(&self.0)
-    }
-
-    /// Returns `true` for 3xx codes.
-    pub fn is_redirect(self) -> bool {
-        (300..400).contains(&self.0)
     }
 
     /// The standard reason phrase.
@@ -124,19 +115,6 @@ impl Request {
             url,
             headers,
             body: Body::empty(),
-        }
-    }
-
-    /// Creates a POST request with a body.
-    pub fn post(url: Url, body: Body) -> Self {
-        let mut headers = HeaderMap::new();
-        headers.set(names::HOST, url.host.clone());
-        headers.set(names::CONTENT_LENGTH, body.len().to_string());
-        Request {
-            method: Method::Post,
-            url,
-            headers,
-            body,
         }
     }
 
@@ -424,9 +402,10 @@ mod tests {
     #[test]
     fn post_request_carries_body_and_length() {
         let url = Url::parse("https://mail.example/send").unwrap();
-        let body = Body::text(ResourceKind::Other, "to=alice&subject=hi");
-        let request = Request::post(url, body);
-        assert_eq!(request.headers.get("content-length"), Some("19"));
+        let mut request = Request::get(url);
+        request.method = Method::Post;
+        request.body = Body::text(ResourceKind::Other, "to=alice&subject=hi");
+        request.headers.set(names::CONTENT_LENGTH, request.body.len().to_string());
         let parsed = Request::from_wire(&request.to_wire(), Scheme::Https).unwrap();
         assert_eq!(parsed.body.as_text(), "to=alice&subject=hi");
         assert_eq!(parsed.method, Method::Post);
@@ -467,8 +446,6 @@ mod tests {
     #[test]
     fn status_code_classification() {
         assert!(StatusCode::OK.is_success());
-        assert!(!StatusCode::OK.is_redirect());
-        assert!(StatusCode::FOUND.is_redirect());
         assert!(!StatusCode::NOT_MODIFIED.is_success());
         assert_eq!(StatusCode::NOT_MODIFIED.to_string(), "304 Not Modified");
     }

@@ -35,11 +35,6 @@ impl TlsVersion {
     pub fn is_vulnerable(self) -> bool {
         matches!(self, TlsVersion::None | TlsVersion::Ssl2 | TlsVersion::Ssl3)
     }
-
-    /// Returns `true` if the site offers any TLS/SSL at all.
-    pub fn offers_encryption(self) -> bool {
-        self != TlsVersion::None
-    }
 }
 
 impl fmt::Display for TlsVersion {
@@ -138,8 +133,6 @@ mod tests {
         assert!(TlsVersion::Ssl3.is_vulnerable());
         assert!(!TlsVersion::Tls12.is_vulnerable());
         assert!(!TlsVersion::Tls13.is_vulnerable());
-        assert!(!TlsVersion::None.offers_encryption());
-        assert!(TlsVersion::Ssl2.offers_encryption());
     }
 
     #[test]

@@ -7,6 +7,9 @@
 //! comment/string-aware tokenizer ([`tokens`], same byte-cursor idiom as
 //! `parasite::json`, no `syn`, zero new deps) plus a rule engine
 //! ([`rules`]) that walks every `crates/*/src` and root `src`/`tests` file.
+//! `dead-pub` also reads every other file that can use a library item:
+//! `crates/*/tests`, `crates/*/benches`, `examples` and `perfbench/src`
+//! (never `vendor/` or the rule fixtures under `crates/lint/tests/fixtures`).
 //!
 //! The rule catalogue:
 //!
@@ -18,6 +21,7 @@
 //! | `thread-spawn`     | `thread::spawn` outside the sanctioned pools         |
 //! | `panic-discipline` | bare `unwrap`/`panic!` where typed errors are law    |
 //! | `doc-sync`         | protocol codes in PROTOCOL.md, CLI flags in README   |
+//! | `dead-pub`         | `pub` library items only their own tests use         |
 //!
 //! Suppression: `// mp-lint: allow(<rule>)` on the flagged line or the line
 //! above. The extracted seed-tag registry is emitted in the JSON report and
@@ -123,8 +127,10 @@ impl ToJson for LintReport {
 }
 
 /// Lints the workspace rooted at `root` (the directory holding the root
-/// `Cargo.toml` and `crates/`). Scans `crates/*/src`, root `src` and root
-/// `tests`, then runs the workspace-level registry and doc-sync checks.
+/// `Cargo.toml` and `crates/`). Runs the per-file rules over `crates/*/src`,
+/// root `src` and root `tests`, then the workspace-level registry, doc-sync
+/// and dead-pub checks; dead-pub also counts uses in `crates/*/tests`,
+/// `crates/*/benches`, `examples` and `perfbench/src`.
 pub fn run_workspace(root: &Path) -> Result<LintReport, String> {
     if !root.join("Cargo.toml").is_file() || !root.join("crates").is_dir() {
         return Err(format!(
@@ -133,9 +139,13 @@ pub fn run_workspace(root: &Path) -> Result<LintReport, String> {
         ));
     }
 
-    let mut files: Vec<(String, PathBuf)> = Vec::new();
+    let mut linted: Vec<(String, PathBuf)> = Vec::new();
+    let mut users_only: Vec<(String, PathBuf)> = Vec::new();
     for top in ["src", "tests"] {
-        collect_rs_files(root, &root.join(top), &mut files)?;
+        collect_rs_files(root, &root.join(top), &mut linted)?;
+    }
+    for top in ["examples", "perfbench/src"] {
+        collect_rs_files(root, &root.join(top), &mut users_only)?;
     }
     let crates_dir = root.join("crates");
     let mut members: Vec<PathBuf> = std::fs::read_dir(&crates_dir)
@@ -145,18 +155,23 @@ pub fn run_workspace(root: &Path) -> Result<LintReport, String> {
         .collect();
     members.sort();
     for member in members {
-        collect_rs_files(root, &member.join("src"), &mut files)?;
+        collect_rs_files(root, &member.join("src"), &mut linted)?;
+        for sub in ["tests", "benches"] {
+            collect_rs_files(root, &member.join(sub), &mut users_only)?;
+        }
     }
-    files.sort();
+    // The rule fixtures are deliberately broken code, not workspace users.
+    users_only.retain(|(rel, _)| !rel.starts_with("crates/lint/tests/fixtures/"));
+    linted.sort();
+    users_only.sort();
 
     let mut diagnostics = Vec::new();
     let mut registry = Vec::new();
     let mut codes = Vec::new();
     let mut flags = Vec::new();
-    for (rel, path) in &files {
-        let bytes = std::fs::read(path).map_err(|e| format!("{}: {e}", path.display()))?;
-        let src = String::from_utf8_lossy(&bytes);
-        let file = tokens::tokenize(&src);
+    let mut sources = Vec::new();
+    for (rel, path) in &linted {
+        let file = read_tokens(path)?;
         diagnostics.extend(rules::lint_file(rel, &file));
         registry.extend(rules::collect_tags(rel, &file));
         if rel.ends_with("service/src/protocol.rs") {
@@ -165,7 +180,12 @@ pub fn run_workspace(root: &Path) -> Result<LintReport, String> {
         if rel.ends_with("paper_report.rs") {
             flags.extend(rules::collect_cli_flags(rel, &file));
         }
+        sources.push((rel.clone(), file));
     }
+    for (rel, path) in users_only {
+        sources.push((rel, read_tokens(&path)?));
+    }
+    diagnostics.extend(rules::check_dead_pub(&sources));
 
     diagnostics.extend(rules::check_tags(&registry));
     for (items, doc_name, what) in [
@@ -186,7 +206,12 @@ pub fn run_workspace(root: &Path) -> Result<LintReport, String> {
     diagnostics.sort_by(|a, b| {
         (a.file.as_str(), a.line, a.rule).cmp(&(b.file.as_str(), b.line, b.rule))
     });
-    Ok(LintReport { files_scanned: files.len(), diagnostics, registry })
+    Ok(LintReport { files_scanned: sources.len(), diagnostics, registry })
+}
+
+fn read_tokens(path: &Path) -> Result<tokens::SourceFile, String> {
+    let bytes = std::fs::read(path).map_err(|e| format!("{}: {e}", path.display()))?;
+    Ok(tokens::tokenize(&String::from_utf8_lossy(&bytes)))
 }
 
 /// Recursively collects `.rs` files under `dir` (sorted traversal so the

@@ -9,6 +9,7 @@
 //! panic-discipline).
 
 use crate::tokens::{SourceFile, Tok, TokKind};
+use std::collections::{BTreeMap, BTreeSet};
 
 pub const SEED_TAG: &str = "seed-tag";
 pub const NONDET_ITER: &str = "nondet-iter";
@@ -16,16 +17,7 @@ pub const WALLCLOCK: &str = "wallclock";
 pub const THREAD_SPAWN: &str = "thread-spawn";
 pub const PANIC_DISCIPLINE: &str = "panic-discipline";
 pub const DOC_SYNC: &str = "doc-sync";
-
-/// Every rule the engine knows, in catalogue order.
-pub const ALL_RULES: [&str; 6] = [
-    SEED_TAG,
-    NONDET_ITER,
-    WALLCLOCK,
-    THREAD_SPAWN,
-    PANIC_DISCIPLINE,
-    DOC_SYNC,
-];
+pub const DEAD_PUB: &str = "dead-pub";
 
 /// One lint finding.
 #[derive(Debug, Clone, PartialEq)]
@@ -70,6 +62,10 @@ pub fn fix_hint(rule: &str) -> &'static str {
              `.lock().unwrap()`"
         }
         DOC_SYNC => "add the missing entry to the named document (PROTOCOL.md / README.md)",
+        DEAD_PUB => {
+            "delete the item and any test whose only subject it is; if it is the \
+             instrument of a test that stays, move it under `#[cfg(test)]`"
+        }
         _ => "no hint for this rule",
     }
 }
@@ -620,4 +616,244 @@ pub fn check_docs(items: &[DocItem], doc: &str, doc_name: &str, what: &str) -> V
             message: format!("{what} `{}` is not documented in {doc_name}", item.value),
         })
         .collect()
+}
+
+// ---------------------------------------------------------------------------
+// dead-pub: public items nothing but their own tests use
+// ---------------------------------------------------------------------------
+
+/// Keywords whose next identifier is the name of a definition, not a use.
+const ITEM_KEYWORDS: [&str; 8] =
+    ["fn", "struct", "enum", "const", "static", "type", "trait", "mod"];
+
+/// True when `path` is a library crate's source, where `dead-pub` looks for
+/// definitions: `crates/*/src` and root `src`, binaries excluded.
+fn library_source(path: &str) -> bool {
+    let in_src = path.starts_with("src/")
+        || (path.starts_with("crates/") && path.split('/').nth(2) == Some("src"));
+    in_src && !path.contains("/bin/") && !path.ends_with("/main.rs")
+}
+
+/// A bare-`pub` item definition (`pub(crate)` and friends are not API).
+struct PubItem<'a> {
+    kind: &'a str,
+    name: &'a str,
+    line: u32,
+}
+
+/// One file's bare-`pub` items and the identifiers it names in code, with
+/// their lines. A definition's own name and the paths of a `pub use`
+/// re-export are not uses; an inline capture (`{name}`) in a string inside a
+/// macro call (a format string) is.
+fn scan_names(file: &SourceFile) -> (Vec<PubItem<'_>>, Vec<(&str, u32)>) {
+    let toks = &file.toks;
+    let mut items = Vec::new();
+    let mut uses = Vec::new();
+    // Bracket depth, and the depths at which macro invocations opened.
+    let mut depth = 0usize;
+    let mut macro_depths: Vec<usize> = Vec::new();
+    let mut i = 0;
+    while i < toks.len() {
+        let line = toks[i].line;
+        match &toks[i].kind {
+            TokKind::Punct(b'(' | b'[' | b'{') => {
+                depth += 1;
+                if i >= 2 && punct(toks.get(i - 1), b'!') && ident(toks.get(i - 2)).is_some() {
+                    macro_depths.push(depth);
+                }
+            }
+            TokKind::Punct(b')' | b']' | b'}') => {
+                if macro_depths.last() == Some(&depth) {
+                    macro_depths.pop();
+                }
+                depth = depth.saturating_sub(1);
+            }
+            TokKind::Str(text) if !macro_depths.is_empty() => {
+                uses.extend(format_captures(text).map(|name| (name, line)));
+            }
+            TokKind::Ident(word) if word == "pub" => {
+                // `pub(crate)` and friends are not API; a `pub use`
+                // re-export names nothing.
+                let restricted = punct(toks.get(i + 1), b'(');
+                let mut j = i + 1;
+                while restricted && j < toks.len() && !punct(toks.get(j - 1), b')') {
+                    j += 1;
+                }
+                if ident(toks.get(j)) == Some("use") {
+                    while j < toks.len() && !punct(toks.get(j), b';') {
+                        j += 1;
+                    }
+                    i = j + 1;
+                    continue;
+                }
+                // A fn's qualifiers: `const`, `unsafe`, `async`, `extern "C"`.
+                while matches!(ident(toks.get(j)), Some("unsafe" | "async" | "extern"))
+                    || matches!(toks.get(j), Some(Tok { kind: TokKind::Str(_), .. }))
+                    || (ident(toks.get(j)) == Some("const")
+                        && matches!(ident(toks.get(j + 1)), Some("fn" | "unsafe" | "async")))
+                {
+                    j += 1;
+                }
+                let kind = ident(toks.get(j)).filter(|kind| ITEM_KEYWORDS.contains(kind));
+                let at = if ident(toks.get(j + 1)) == Some("mut") { j + 2 } else { j + 1 };
+                if let (false, Some(kind), Some(name)) = (restricted, kind, ident(toks.get(at))) {
+                    items.push(PubItem { kind, name, line: toks[at].line });
+                }
+            }
+            TokKind::Ident(word) => {
+                let mut before = i.checked_sub(1).and_then(|at| ident(toks.get(at)));
+                if before == Some("mut") && i >= 2 && ident(toks.get(i - 2)) == Some("static") {
+                    before = Some("static");
+                }
+                if !before.is_some_and(|b| ITEM_KEYWORDS.contains(&b)) {
+                    uses.push((word.as_str(), line));
+                }
+            }
+            _ => {}
+        }
+        i += 1;
+    }
+    (items, uses)
+}
+
+/// The identifiers a format string captures inline: `name` in `{name}` and
+/// `{name:?}`, not positional `{0}` or escaped `{{`.
+fn format_captures(text: &str) -> impl Iterator<Item = &str> {
+    let bytes = text.as_bytes();
+    let mut at = 0;
+    std::iter::from_fn(move || {
+        while at < bytes.len() {
+            if bytes[at] != b'{' {
+                at += 1;
+                continue;
+            }
+            if bytes.get(at + 1) == Some(&b'{') {
+                at += 2;
+                continue;
+            }
+            let start = at + 1;
+            let mut end = start;
+            while end < bytes.len() && (bytes[end].is_ascii_alphanumeric() || bytes[end] == b'_') {
+                end += 1;
+            }
+            at = end;
+            let named = end > start && !bytes[start].is_ascii_digit();
+            if named && matches!(bytes.get(end), Some(b'}' | b':')) {
+                return Some(&text[start..end]);
+            }
+        }
+        None
+    })
+}
+
+/// The `dead-pub` rule over a set of `(repo-relative path, tokens)` files:
+/// flags a bare-`pub` item of a library crate's source that no other file
+/// names in code and that its own file names only inside `#[cfg(test)]`
+/// regions. Every file given counts as a user; only library sources define.
+pub fn check_dead_pub(files: &[(String, SourceFile)]) -> Vec<Diagnostic> {
+    let mut named_in: BTreeMap<&str, BTreeSet<usize>> = BTreeMap::new();
+    let mut named_outside_tests: BTreeSet<(usize, &str)> = BTreeSet::new();
+    let mut defined = Vec::new();
+    for (at, (path, file)) in files.iter().enumerate() {
+        let regions = test_regions(file);
+        let in_test = |line: u32| regions.iter().any(|(lo, hi)| (*lo..=*hi).contains(&line));
+        let (items, uses) = scan_names(file);
+        for (name, line) in uses {
+            named_in.entry(name).or_default().insert(at);
+            if !in_test(line) {
+                named_outside_tests.insert((at, name));
+            }
+        }
+        if library_source(path) {
+            defined.extend(
+                items
+                    .into_iter()
+                    .filter(|item| !in_test(item.line) && !file.allows_rule(item.line, DEAD_PUB))
+                    .map(|item| (at, item)),
+            );
+        }
+    }
+    defined
+        .into_iter()
+        .filter(|(at, item)| {
+            let elsewhere = named_in
+                .get(item.name)
+                .is_some_and(|users| users.iter().any(|user| user != at));
+            !elsewhere && !named_outside_tests.contains(&(*at, item.name))
+        })
+        .map(|(at, item)| Diagnostic {
+            rule: DEAD_PUB,
+            file: files[at].0.clone(),
+            line: item.line,
+            message: format!(
+                "`pub {} {}` has no user: no other workspace file names it, and this \
+                 file names it only in `#[cfg(test)]` code",
+                item.kind, item.name
+            ),
+        })
+        .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::tokens::tokenize;
+
+    const LIB: &str = "crates/demo/src/lib.rs";
+    const HELPER: &str = "pub fn helper() {}\n";
+
+    /// The lines of `LIB` that dead-pub flags when `LIB` holds `lib` and
+    /// each `(path, source)` of `others` sits beside it.
+    fn dead(lib: &str, others: &[(&str, &str)]) -> Vec<u32> {
+        let files: Vec<(String, SourceFile)> = std::iter::once((LIB, lib))
+            .chain(others.iter().copied())
+            .map(|(path, src)| (path.to_string(), tokenize(src)))
+            .collect();
+        check_dead_pub(&files).iter().map(|d| d.line).collect()
+    }
+
+    #[test]
+    fn a_name_in_another_files_comment_or_string_is_no_use() {
+        let prose = "// helper does it\nfn f() -> &'static str { \"helper\" }\n";
+        assert_eq!(dead(HELPER, &[("src/lib.rs", prose)]), [1]);
+        assert_eq!(dead(HELPER, &[("src/lib.rs", "fn f() { demo::helper() }")]), []);
+    }
+
+    #[test]
+    fn a_pub_use_re_export_is_no_use_but_an_import_is() {
+        let reexports = "pub use demo::helper;\npub(crate) use demo::{helper as h};\n";
+        assert_eq!(dead(HELPER, &[("src/lib.rs", reexports)]), [1]);
+        assert_eq!(dead(HELPER, &[("src/lib.rs", "use demo::helper;")]), []);
+    }
+
+    #[test]
+    fn a_use_only_in_its_own_files_tests_is_no_use_but_another_files_test_is() {
+        let own = "pub fn helper() {}\n#[cfg(test)]\nmod tests {\n    fn t() { helper() }\n}\n";
+        assert_eq!(dead(own, &[]), [1]);
+        let other = "#[cfg(test)]\nmod tests {\n    fn t() { demo::helper() }\n}\n";
+        assert_eq!(dead(own, &[("crates/other/src/lib.rs", other)]), []);
+    }
+
+    #[test]
+    fn test_items_and_restricted_visibility_are_never_flagged() {
+        let src = "pub(crate) fn a() {}\npub(super) fn b() {}\npub(in crate::x) fn c() {}\n\
+                   #[cfg(test)]\nmod tests {\n    pub fn d() {}\n    pub struct E;\n}\n";
+        assert_eq!(dead(src, &[]), []);
+    }
+
+    #[test]
+    fn binaries_and_non_library_files_define_nothing() {
+        for path in ["crates/demo/src/bin/tool.rs", "crates/demo/src/main.rs", "examples/demo.rs"] {
+            let files = [(path.to_string(), tokenize(HELPER))];
+            assert!(check_dead_pub(&files).is_empty(), "{path}");
+        }
+    }
+
+    #[test]
+    fn every_item_kind_is_checked_and_format_captures_are_uses() {
+        let src = "pub const fn f() {}\npub unsafe fn g() {}\npub extern \"C\" fn h() {}\n\
+                   pub enum E {}\npub type T = u8;\npub trait Tr {}\npub static mut S: u8 = 0;\n\
+                   pub const SHOWN: u8 = 1;\nfn show() -> String { format!(\"{SHOWN:?}{{x}}\") }";
+        assert_eq!(dead(src, &[]), [1, 2, 3, 4, 5, 6, 7]);
+    }
 }

@@ -8,13 +8,14 @@ use std::path::PathBuf;
 
 /// Every rule's fixture stem. Positive and allowed variants live at
 /// `fixtures/<stem>_positive.rs` and `fixtures/<stem>_allowed.rs`.
-const FIXTURES: [&str; 6] = [
+const FIXTURES: [&str; 7] = [
     "nondet_iter",
     "wallclock",
     "thread_spawn",
     "panic",
     "seed_tag",
     "doc_sync",
+    "dead_pub",
 ];
 
 fn fixture_dir() -> PathBuf {
@@ -40,6 +41,8 @@ fn diagnostics_for(stem: &str, src: &str) -> Vec<rules::Diagnostic> {
         }
         "panic" => rules::lint_file("crates/core/src/fixture.rs", &file),
         "seed_tag" => rules::check_tags(&rules::collect_tags("crates/core/src/fixture.rs", &file)),
+        // The fixture is the only file, so nothing outside it names anything.
+        "dead_pub" => rules::check_dead_pub(&[("crates/core/src/fixture.rs".to_string(), file)]),
         "doc_sync" => {
             let mut diags = rules::check_docs(
                 &rules::collect_error_codes("crates/service/src/protocol.rs", &file),

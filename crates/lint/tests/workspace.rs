@@ -41,3 +41,38 @@ fn static_registry_agrees_with_the_runtime_registry() {
         "statically-extracted seed tags diverge from parasite::experiments::SEED_TAG_REGISTRY"
     );
 }
+
+/// How many dead-pub findings a scratch workspace gets whose library item
+/// `helper` is named only by the file at `user`.
+fn dead_pub_with_user(user: &str) -> usize {
+    let root = std::env::temp_dir().join(format!("mp-lint-dead-pub-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    for (rel, text) in [
+        ("Cargo.toml", ""),
+        ("crates/demo/src/lib.rs", "pub fn helper() {}\n"),
+        (user, "fn main() {\n    demo::helper();\n}\n"),
+    ] {
+        let path = root.join(rel);
+        std::fs::create_dir_all(path.parent().expect("a file has a parent")).expect("mkdir");
+        std::fs::write(path, text).expect("scratch file is writable");
+    }
+    let report = mp_lint::run_workspace(&root).expect("lint pass runs");
+    std::fs::remove_dir_all(&root).expect("scratch dir is removable");
+    report.diagnostics.iter().filter(|d| d.rule == mp_lint::rules::DEAD_PUB).count()
+}
+
+#[test]
+fn dead_pub_counts_users_in_every_indexed_directory() {
+    for user in [
+        "perfbench/src/main.rs",
+        "examples/demo.rs",
+        "crates/demo/tests/it.rs",
+        "crates/demo/benches/b.rs",
+        "tests/it.rs",
+        "crates/demo/src/bin/tool.rs",
+    ] {
+        assert_eq!(dead_pub_with_user(user), 0, "{user} uses the item");
+    }
+    // The rule fixtures are neither definitions nor uses.
+    assert_eq!(dead_pub_with_user("crates/lint/tests/fixtures/x.rs"), 1);
+}

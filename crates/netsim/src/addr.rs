@@ -36,7 +36,8 @@ impl IpAddr {
     }
 
     /// Returns `true` if the address lies in the RFC 1918 private ranges.
-    pub fn is_private(self) -> bool {
+    #[cfg(test)]
+    fn is_private(self) -> bool {
         let [a, b, _, _] = self.0;
         a == 10 || (a == 172 && (16..=31).contains(&b)) || (a == 192 && b == 168)
     }
@@ -123,7 +124,8 @@ impl FourTuple {
 
     /// Returns the tuple with source and destination swapped, i.e. the tuple
     /// that identifies traffic flowing in the opposite direction.
-    pub const fn reversed(self) -> Self {
+    #[cfg(test)]
+    const fn reversed(self) -> Self {
         FourTuple {
             src: self.dst,
             dst: self.src,

@@ -172,9 +172,8 @@ impl Injector {
     }
 
     /// Builds a spoofed RST that would tear down the observed connection.
-    /// Used by the countermeasure/ablation experiments to model a hostile
-    /// network operator, not by the parasite attack itself.
-    pub fn forge_reset(&self, observed: &Packet) -> Injection {
+    #[cfg(test)]
+    fn forge_reset(&self, observed: &Packet) -> Injection {
         let tuple = observed.four_tuple();
         let segment = Segment::control(
             tuple.dst.port,

@@ -8,7 +8,6 @@
 //! from its seed. The samples feed [`crate::sim::Simulator::add_medium`] and
 //! [`crate::sim::Simulator::set_medium_jitter`].
 
-use crate::time::Duration;
 use rand::Rng;
 
 /// An integer-valued sampling distribution (values are microseconds when used
@@ -82,11 +81,6 @@ impl Dist {
                 sample.round().clamp(lo as f64, hi as f64) as u64
             }
         }
-    }
-
-    /// Draws one sample as a [`Duration`] in microseconds.
-    pub fn sample_micros<R: Rng>(&self, rng: &mut R) -> Duration {
-        Duration::from_micros(self.sample(rng))
     }
 
     /// The smallest value the distribution can produce.
@@ -204,6 +198,5 @@ mod tests {
         assert_eq!((u.min(), u.max()), (2, 9));
         let t = Dist::Triangular { lo: 1, mode: 4, hi: 8 };
         assert_eq!((t.min(), t.max()), (1, 8));
-        assert!(t.sample_micros(&mut StdRng::seed_from_u64(1)).as_micros() >= 1);
     }
 }

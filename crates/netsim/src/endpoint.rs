@@ -344,16 +344,9 @@ impl Host {
 
     /// Delivers a packet to this host, advancing the owning connection's state
     /// machine (creating a server-side connection for SYNs to listening ports).
-    pub fn deliver(&mut self, packet: &Packet) -> DeliveryResult {
-        let mut result = DeliveryResult::default();
-        self.deliver_into(packet, &mut result);
-        result
-    }
-
-    /// [`Host::deliver`] into a caller-owned result, so the simulator's event
-    /// loop reuses one `DeliveryResult` (and its buffers) for every event
-    /// instead of allocating two vectors per delivery. `result` is cleared
-    /// first.
+    /// The result is caller-owned, so the simulator's event loop reuses one
+    /// `DeliveryResult` (and its buffers) for every event instead of
+    /// allocating two vectors per delivery. `result` is cleared first.
     pub fn deliver_into(&mut self, packet: &Packet, result: &mut DeliveryResult) {
         result.clear();
         let remote = SocketAddr::new(packet.src_ip, packet.segment.src_port);
@@ -418,7 +411,9 @@ mod tests {
     /// Delivers a segment from `from` to `to`, returning the responses.
     fn ship(from: &Host, to: &mut Host, seg: Segment) -> DeliveryResult {
         let pkt = Packet::new(from.ip(), to.ip(), seg);
-        to.deliver(&pkt)
+        let mut result = DeliveryResult::default();
+        to.deliver_into(&pkt, &mut result);
+        result
     }
 
     fn establish(client: &mut Host, server: &mut Host) -> ConnId {

@@ -230,7 +230,8 @@ impl Packet {
     }
 
     /// Total simulated wire size in bytes (IPv4 + TCP headers + payload).
-    pub fn wire_len(&self) -> usize {
+    #[cfg(test)]
+    fn wire_len(&self) -> usize {
         20 + 20 + self.segment.payload.len()
     }
 }

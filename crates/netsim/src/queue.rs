@@ -131,14 +131,6 @@ impl Bucket {
         }
     }
 
-    fn peek(&mut self) -> Option<&EventKey> {
-        if self.keys.is_empty() {
-            return None;
-        }
-        self.ensure_sorted();
-        self.keys.get(self.head)
-    }
-
     fn pop(&mut self) -> Option<EventKey> {
         if self.keys.is_empty() {
             return None;
@@ -250,21 +242,6 @@ impl CalendarQueue {
         Some(key)
     }
 
-    /// The minimum queued delivery time, without removing anything. Takes
-    /// `&mut self` because discovering a bucket prepares (sorts) it for
-    /// draining.
-    pub(crate) fn peek_at(&mut self) -> Option<Instant> {
-        if self.wheel_len > 0 {
-            for offset in 0..SLOTS as u64 {
-                let ring = ((self.cursor + offset) & (SLOTS as u64 - 1)) as usize;
-                if let Some(key) = self.wheel[ring].peek() {
-                    return Some(key.at);
-                }
-            }
-        }
-        self.overflow.peek().map(|Reverse(key)| key.at)
-    }
-
     /// Advances the cursor to `bucket` and migrates overflow events that the
     /// enlarged horizon now covers into the wheel.
     fn advance_to(&mut self, bucket: u64) {
@@ -316,7 +293,6 @@ mod tests {
             queue.push(k);
         }
         assert_eq!(queue.len(), 5);
-        assert_eq!(queue.peek_at(), Some(Instant::from_micros(0)));
         assert_pops_sorted(queue, keys);
     }
 

@@ -45,15 +45,15 @@ pub const DEFAULT_EVENT_BUDGET: u64 = 5_000_000;
 ///
 /// When the pool is empty, [`Simulator::step`] reports the same typed
 /// [`NetError::EventBudgetExhausted`] as the per-simulator budget — *before*
-/// popping the in-flight event — so a caller that [`SharedBudget::refill`]s
-/// the pool can resume every attached simulator without losing a packet, and
-/// a fleet shard can no longer burn the whole machine silently.
+/// popping the in-flight event — so a caller that attaches a fresh pool can
+/// resume the simulator without losing a packet, and a fleet shard can no
+/// longer burn the whole machine silently.
 #[derive(Debug, Clone)]
 pub struct SharedBudget {
     /// Events left in the pool.
     remaining: std::sync::Arc<std::sync::atomic::AtomicU64>,
-    /// Total ever granted (initial budget plus refills), for error messages.
-    total: std::sync::Arc<std::sync::atomic::AtomicU64>,
+    /// The pool's initial size, for error messages.
+    total: u64,
 }
 
 impl SharedBudget {
@@ -66,7 +66,7 @@ impl SharedBudget {
         assert!(budget > 0, "shared event budget must be positive");
         SharedBudget {
             remaining: std::sync::Arc::new(std::sync::atomic::AtomicU64::new(budget)),
-            total: std::sync::Arc::new(std::sync::atomic::AtomicU64::new(budget)),
+            total: budget,
         }
     }
 
@@ -75,22 +75,14 @@ impl SharedBudget {
         self.remaining.load(std::sync::atomic::Ordering::Relaxed)
     }
 
-    /// Total events ever granted (initial budget plus refills).
+    /// The pool's initial size.
     pub fn total(&self) -> u64 {
-        self.total.load(std::sync::atomic::Ordering::Relaxed)
+        self.total
     }
 
     /// Returns `true` once the pool has been drained to zero.
     pub fn exhausted(&self) -> bool {
         self.remaining() == 0
-    }
-
-    /// Adds `additional` events to the pool. Simulators that stopped with
-    /// [`NetError::EventBudgetExhausted`] resume exactly where they left off
-    /// on their next [`Simulator::step`].
-    pub fn refill(&self, additional: u64) {
-        self.total.fetch_add(additional, std::sync::atomic::Ordering::Relaxed);
-        self.remaining.fetch_add(additional, std::sync::atomic::Ordering::Relaxed);
     }
 
     /// Debits one event; `false` (and no debit) when the pool is empty.
@@ -152,6 +144,7 @@ impl PendingSends {
         self.first.is_none() && self.rest.is_empty()
     }
 
+    #[cfg(test)]
     fn len(&self) -> usize {
         usize::from(self.first.is_some()) + self.rest.len()
     }
@@ -286,7 +279,7 @@ impl Simulator {
     /// Attaches a [`SharedBudget`]: every processed event also debits the
     /// shared pool, and an empty pool stops the run with the typed
     /// [`NetError::EventBudgetExhausted`] — before the in-flight event is
-    /// popped, so refilling the pool resumes the run losslessly.
+    /// popped, so attaching a fresh pool resumes the run losslessly.
     pub fn set_shared_budget(&mut self, budget: SharedBudget) {
         self.shared_budget = Some(budget);
     }
@@ -560,7 +553,8 @@ impl Simulator {
     /// Number of pre-handshake sends currently buffered. Buffers are flushed
     /// on establishment and evicted (with a note in the trace summary) when
     /// their connection closes or resets first.
-    pub fn pending_send_buffers(&self) -> usize {
+    #[cfg(test)]
+    fn pending_send_buffers(&self) -> usize {
         self.hosts.iter().map(|slot| slot.pending.len()).sum()
     }
 
@@ -739,7 +733,7 @@ impl Simulator {
             return Ok(false);
         }
         // Budget checks before the pop: the in-flight event stays queued, so a
-        // caller that raises (or refills) the budget can resume without losing
+        // caller that raises (or replaces) the budget can resume without losing
         // packets.
         if self.events_processed >= self.event_budget {
             return Err(NetError::EventBudgetExhausted {
@@ -884,41 +878,10 @@ impl Simulator {
         while self.step()? {}
         Ok(())
     }
-
-    /// Runs the simulation until the clock reaches `deadline` or the queue
-    /// drains, whichever comes first.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetError::EventBudgetExhausted`] if the event budget runs out
-    /// first.
-    pub fn run_until(&mut self, deadline: Instant) -> Result<(), NetError> {
-        while let Some(at) = self.queue.peek_at() {
-            if at > deadline {
-                break;
-            }
-            self.step()?;
-        }
-        if self.clock.now() < deadline {
-            self.clock.advance_to(deadline);
-        }
-        Ok(())
-    }
-
-    /// Runs the simulation for an additional `duration` of simulated time.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetError::EventBudgetExhausted`] if the event budget runs out
-    /// first.
-    pub fn run_for(&mut self, duration: Duration) -> Result<(), NetError> {
-        let deadline = self.clock.now() + duration;
-        self.run_until(deadline)
-    }
 }
 
 /// A convenience service that answers every request chunk with a fixed byte
-/// string. Used by tests and by the cache-eviction junk-object server.
+/// string: the race world's genuine server, and a stand-in in tests.
 ///
 /// The response is held as [`Bytes`]: every reply shares the one buffer with
 /// the segments on the wire, the packet trace and the receiver.
@@ -1124,13 +1087,6 @@ mod tests {
     }
 
     #[test]
-    fn run_for_advances_clock_even_without_events() {
-        let (mut sim, _, _, _, _) = basic_world();
-        sim.run_for(Duration::from_millis(5)).unwrap();
-        assert_eq!(sim.now().as_micros(), 5_000);
-    }
-
-    #[test]
     fn trace_records_flow_in_order() {
         let (mut sim, client, server, _, _) = basic_world();
         sim.set_service(
@@ -1298,14 +1254,16 @@ mod tests {
         assert!(shared.exhausted());
         assert_eq!(sim.events_processed(), 3);
 
-        // Refill and resume: the interrupted run replays to a byte-identical
-        // trace, because the budget check fires before the pop.
-        shared.refill(10_000);
+        // Refill with a fresh pool and resume: the interrupted run replays to
+        // a byte-identical trace, because the budget check fires before the
+        // pop.
+        let refill = SharedBudget::new(10_000);
+        sim.set_shared_budget(refill.clone());
         sim.run_until_idle().unwrap();
         assert_eq!(sim.trace().render(), reference.0);
         assert_eq!(*sim.trace().summary(), reference.1);
         assert_eq!(sim.events_processed(), reference.2);
-        assert_eq!(shared.total(), 10_003);
+        assert_eq!(refill.remaining(), 10_000 - (reference.2 - 3));
     }
 
     #[test]

@@ -332,14 +332,16 @@ impl TcpConnection {
     }
 
     /// Next sequence number this endpoint will use for new data.
-    pub fn send_next(&self) -> SeqNum {
+    #[cfg(test)]
+    fn send_next(&self) -> SeqNum {
         self.snd_nxt
     }
 
     /// Next sequence number expected from the peer. An eavesdropper who has
     /// seen the client's request knows this value for the server direction,
     /// which is all it needs to spoof an acceptable response.
-    pub fn recv_next(&self) -> SeqNum {
+    #[cfg(test)]
+    fn recv_next(&self) -> SeqNum {
         self.rcv_nxt
     }
 

@@ -27,11 +27,6 @@ impl Instant {
     pub const fn as_micros(self) -> u64 {
         self.0
     }
-
-    /// Returns the duration elapsed since `earlier`, saturating at zero.
-    pub fn saturating_since(self, earlier: Instant) -> Duration {
-        Duration(self.0.saturating_sub(earlier.0))
-    }
 }
 
 impl Duration {
@@ -183,7 +178,6 @@ mod tests {
         let early = Instant::from_micros(5);
         let late = Instant::from_micros(10);
         assert_eq!((early - late).as_micros(), 0);
-        assert_eq!(early.saturating_since(late), Duration::ZERO);
     }
 
     #[test]

@@ -753,6 +753,11 @@ mod tests {
     #[test]
     fn malformed_wire_lines_are_rejected_with_pointed_messages() {
         assert!(Request::parse_line("not json").unwrap_err().contains("not valid JSON"));
+        // A number JSON does not allow, or one too large for an f64, is no
+        // silent infinity.
+        assert!(Request::parse_line("{\"op\": \"status\", \"run\": 1e400}")
+            .unwrap_err()
+            .contains("out of range"));
         assert!(Request::parse_line("{}").unwrap_err().contains("\"op\""));
         assert!(Request::parse_line("{\"op\": \"fly\"}").unwrap_err().contains("unknown op"));
         assert!(Request::parse_line("{\"op\": \"cancel\"}").unwrap_err().contains("\"run\""));

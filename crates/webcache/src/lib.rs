@@ -19,7 +19,4 @@ pub mod shared;
 pub mod taxonomy;
 
 pub use shared::{SharedCache, SharedCacheStats};
-pub use taxonomy::{
-    summarise, table4_entries, CacheClass, CacheInstance, CacheLocation, CachingSupport,
-    TaxonomySummary,
-};
+pub use taxonomy::{table4_entries, CacheClass, CacheInstance, CacheLocation, CachingSupport};

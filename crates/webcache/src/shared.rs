@@ -110,7 +110,8 @@ impl<U: mp_httpsim::transport::Exchange> SharedCache<U> {
 
     /// Directly plants a poisoned entry (used to model an infected object that
     /// already traversed the cache before the experiment starts).
-    pub fn poison(&mut self, url: &Url, response: Response) {
+    #[cfg(test)]
+    fn poison(&mut self, url: &Url, response: Response) {
         self.store.insert(url.cache_key(), (response, self.now_secs));
         self.stats.stored += 1;
     }

@@ -94,11 +94,6 @@ impl CachingSupport {
         !matches!(self, CachingSupport::NotSupported)
     }
 
-    /// Returns `true` if caching happens with no operator action.
-    pub fn by_default(self) -> bool {
-        matches!(self, CachingSupport::Default)
-    }
-
     /// The symbol used in the paper's table.
     pub fn symbol(self) -> &'static str {
         match self {
@@ -143,16 +138,6 @@ impl CacheInstance {
             http,
             https,
             comment: comment.map(str::to_string),
-        }
-    }
-
-    /// Returns `true` if the parasite can persist in this cache for traffic of
-    /// the given scheme (i.e. the cache can store such traffic at all).
-    pub fn infectable_over(&self, https: bool) -> bool {
-        if https {
-            self.https.possible()
-        } else {
-            self.http.possible()
         }
     }
 
@@ -231,29 +216,6 @@ pub fn table4_entries() -> Vec<CacheInstance> {
     ]
 }
 
-/// Summary statistics over the taxonomy, used by the Table IV experiment.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TaxonomySummary {
-    /// Total rows.
-    pub total: usize,
-    /// Rows where plain-HTTP caching is at least possible.
-    pub http_infectable: usize,
-    /// Rows where HTTPS caching is at least possible.
-    pub https_infectable: usize,
-    /// Rows that are shared between clients.
-    pub shared: usize,
-}
-
-/// Computes summary statistics for a set of cache instances.
-pub fn summarise(entries: &[CacheInstance]) -> TaxonomySummary {
-    TaxonomySummary {
-        total: entries.len(),
-        http_infectable: entries.iter().filter(|e| e.infectable_over(false)).count(),
-        https_infectable: entries.iter().filter(|e| e.infectable_over(true)).count(),
-        shared: entries.iter().filter(|e| e.shared_between_clients()).count(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -273,34 +235,36 @@ mod tests {
         let entries = table4_entries();
         let squid = entries.iter().find(|e| e.name == "Squid").unwrap();
         assert_eq!(squid.class, CacheClass::TransparentProxy);
-        assert!(squid.http.by_default());
+        assert_eq!(squid.http, CachingSupport::Default);
         assert_eq!(squid.https, CachingSupport::Optional);
 
         let cdn = entries.iter().find(|e| e.name == "CDNs").unwrap();
-        assert!(cdn.http.by_default() && cdn.https.by_default());
+        assert_eq!((cdn.http, cdn.https), (CachingSupport::Default, CachingSupport::Default));
         assert!(cdn.shared_between_clients());
     }
 
     #[test]
     fn https_is_harder_than_http_across_the_board() {
-        let summary = summarise(&table4_entries());
-        assert_eq!(summary.total, 23);
-        assert!(summary.http_infectable > summary.https_infectable);
+        let entries = table4_entries();
+        let count = |keep: fn(&CacheInstance) -> bool| entries.iter().filter(|e| keep(e)).count();
+        let http_infectable = count(|e| e.http.possible());
+        assert_eq!(entries.len(), 23);
+        assert!(http_infectable > count(|e| e.https.possible()));
         // Every single class can cache plain HTTP in some configuration.
-        assert_eq!(summary.http_infectable, summary.total);
+        assert_eq!(http_infectable, entries.len());
         // Most rows are shared infrastructure (only the two browser caches are not).
-        assert_eq!(summary.shared, summary.total - 2);
+        assert_eq!(count(CacheInstance::shared_between_clients), entries.len() - 2);
     }
 
     #[test]
     fn not_supported_cells_block_infection() {
         let entries = table4_entries();
         let bluecoat = entries.iter().find(|e| e.name == "Blue Coat ProxySG").unwrap();
-        assert!(bluecoat.infectable_over(false));
-        assert!(!bluecoat.infectable_over(true));
+        assert!(bluecoat.http.possible());
+        assert!(!bluecoat.https.possible());
         let lte = entries.iter().find(|e| e.name == "LTE Network").unwrap();
-        assert!(lte.infectable_over(false), "undocumented still counts as architecturally possible");
-        assert!(!lte.infectable_over(true));
+        assert!(lte.http.possible(), "undocumented still counts as architecturally possible");
+        assert!(!lte.https.possible());
     }
 
     #[test]

@@ -45,13 +45,15 @@ impl StabilityClass {
     }
 
     /// Probability that the object survives `days` days without a rename.
-    pub fn name_survival(self, days: u32) -> f64 {
+    #[cfg(test)]
+    fn name_survival(self, days: u32) -> f64 {
         (1.0 - self.daily_rename_probability()).powi(days as i32)
     }
 
     /// Probability that the object survives `days` days without any change
     /// (neither rename nor content change).
-    pub fn hash_survival(self, days: u32) -> f64 {
+    #[cfg(test)]
+    fn hash_survival(self, days: u32) -> f64 {
         let p_keep = (1.0 - self.daily_rename_probability())
             * (1.0 - self.daily_content_change_probability());
         p_keep.powi(days as i32)

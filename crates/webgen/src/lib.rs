@@ -12,17 +12,17 @@
 //! * [`population`] — site generation (TLS deployment, HSTS, CSP, analytics
 //!   usage, JavaScript objects) and materialisation as servable origins,
 //! * [`churn`] — per-object rename / content-change processes,
-//! * [`crawler`] — the 100-day daily crawl and Figure 3 persistency series,
+//! * [`Crawler`] — the 100-day daily crawl and Figure 3 persistency series,
 //! * [`policy`] — the HTTPS/SSL, HSTS and CSP scans (Figure 5).
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod churn;
-pub mod crawler;
+mod crawler;
 pub mod policy;
 pub mod population;
 
 pub use churn::{ChurningObject, StabilityClass};
 pub use crawler::{Crawler, PersistencyPoint, PersistencySeries};
 pub use policy::{scan, CspStats, HstsStats, PolicyScan, TlsStats};
-pub use population::{Population, PopulationConfig, Website, ANALYTICS_HOST, ANALYTICS_PATH};
+pub use population::{Population, PopulationConfig, Website};

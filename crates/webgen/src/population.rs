@@ -10,15 +10,10 @@
 //! crawler and scanner would.
 
 use crate::churn::{ChurningObject, StabilityClass};
-use mp_httpsim::body::ResourceKind;
 use mp_httpsim::csp::CspVersion;
-use mp_httpsim::headers::names;
 use mp_httpsim::hsts::HstsPolicy;
-use mp_httpsim::message::Response;
 use mp_httpsim::tls::{TlsDeployment, TlsVersion};
-use mp_httpsim::transport::StaticOrigin;
-use mp_httpsim::url::{Scheme, Url};
-use mp_httpsim::Body;
+use mp_httpsim::url::Scheme;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -93,12 +88,6 @@ impl PopulationConfig {
     }
 }
 
-/// The shared analytics host used by 63 % of sites (the paper's shared-file
-/// propagation vector, §VI-B1).
-pub const ANALYTICS_HOST: &str = "analytics.shared-metrics.example";
-/// Path of the shared analytics script.
-pub const ANALYTICS_PATH: &str = "/ga.js";
-
 /// One generated website.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Website {
@@ -130,86 +119,11 @@ impl Website {
         }
     }
 
-    /// The site's landing-page URL.
-    pub fn index_url(&self) -> Url {
-        Url::from_parts(self.scheme(), self.host.clone(), "/index.html")
-    }
-
-    /// URL of one of the site's objects (by its current path).
-    pub fn object_url(&self, object: &ChurningObject) -> Url {
-        Url::from_parts(self.scheme(), self.host.clone(), object.current_path.clone())
-    }
-
-    /// Returns `true` if the site has at least one JavaScript object.
-    pub fn has_js(&self) -> bool {
-        !self.objects.is_empty()
-    }
-
-    /// The most stable object — the attacker's preferred infection target
-    /// (§VI-A "selecting persistent scripts").
-    pub fn best_persistent_object(&self) -> Option<&ChurningObject> {
-        self.objects.iter().min_by_key(|o| {
-            // Rank permanent first, then slow churn, then fast churn.
-            match o.class {
-                StabilityClass::Permanent => (0, o.scheduled_rename_day.unwrap_or(u32::MAX)),
-                StabilityClass::SlowChurn => (1, o.scheduled_rename_day.unwrap_or(u32::MAX)),
-                StabilityClass::FastChurn => (2, 0),
-            }
-        })
-    }
-
     /// Advances all of the site's objects by one day.
     pub fn advance_day(&mut self, rng: &mut StdRng) {
         for object in &mut self.objects {
             object.advance_day(rng);
         }
-    }
-
-    /// The HTML of the site's landing page, referencing every current object
-    /// (and the shared analytics script when used).
-    pub fn index_html(&self) -> String {
-        let mut html = String::from("<html><head>\n");
-        for object in &self.objects {
-            html.push_str(&format!("  <script src=\"{}\"></script>\n", object.current_path));
-        }
-        if self.uses_google_analytics {
-            html.push_str(&format!(
-                "  <script src=\"http://{ANALYTICS_HOST}{ANALYTICS_PATH}\"></script>\n"
-            ));
-        }
-        html.push_str("</head><body><h1>");
-        html.push_str(&self.host);
-        html.push_str("</h1></body></html>\n");
-        html
-    }
-
-    /// Materialises the site as a static origin server (landing page plus all
-    /// current objects), so browsers in the simulation can actually visit it.
-    pub fn to_origin(&self) -> StaticOrigin {
-        let mut origin = StaticOrigin::new(self.host.clone());
-        let mut index = Response::ok(Body::text(ResourceKind::Html, self.index_html()))
-            .with_cache_control("no-cache");
-        if let Some(policy) = &self.hsts {
-            index = index.with_header(names::STRICT_TRANSPORT_SECURITY, &policy.to_header_value());
-        }
-        if let Some((version, value)) = &self.csp {
-            let header = match version {
-                CspVersion::Standard => names::CONTENT_SECURITY_POLICY,
-                CspVersion::XContentSecurityPolicy => names::X_CONTENT_SECURITY_POLICY,
-                CspVersion::XWebkitCsp => names::X_WEBKIT_CSP,
-            };
-            index = index.with_header(header, value);
-        }
-        origin.put("/index.html", index);
-        for object in &self.objects {
-            origin.put_text(
-                &object.current_path,
-                ResourceKind::JavaScript,
-                &format!("/* {} */ function lib_{}() {{ return {}; }}", self.host, object.renames, object.current_hash),
-                "public, max-age=604800",
-            );
-        }
-        origin
     }
 }
 
@@ -348,20 +262,99 @@ impl Population {
     pub fn is_empty(&self) -> bool {
         self.sites.is_empty()
     }
-
-    /// Hosts in the browser preload list (for building browsers).
-    pub fn preloaded_hosts(&self) -> Vec<String> {
-        self.sites
-            .iter()
-            .filter(|s| s.hsts_preloaded)
-            .map(|s| s.host.clone())
-            .collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mp_httpsim::body::{Body, ResourceKind};
+    use mp_httpsim::headers::names;
+    use mp_httpsim::message::Response;
+    use mp_httpsim::transport::StaticOrigin;
+    use mp_httpsim::url::Url;
+
+    /// The shared analytics host used by 63 % of sites (the paper's shared-file
+    /// propagation vector, §VI-B1).
+    const ANALYTICS_HOST: &str = "analytics.shared-metrics.example";
+    /// Path of the shared analytics script.
+    const ANALYTICS_PATH: &str = "/ga.js";
+
+    impl Website {
+        /// The site's landing-page URL.
+        fn index_url(&self) -> Url {
+            Url::from_parts(self.scheme(), self.host.clone(), "/index.html")
+        }
+
+        /// URL of one of the site's objects (by its current path).
+        fn object_url(&self, object: &ChurningObject) -> Url {
+            Url::from_parts(self.scheme(), self.host.clone(), object.current_path.clone())
+        }
+
+        /// Returns `true` if the site has at least one JavaScript object.
+        fn has_js(&self) -> bool {
+            !self.objects.is_empty()
+        }
+
+        /// The most stable object — the attacker's preferred infection target
+        /// (§VI-A "selecting persistent scripts").
+        fn best_persistent_object(&self) -> Option<&ChurningObject> {
+            self.objects.iter().min_by_key(|o| {
+                // Rank permanent first, then slow churn, then fast churn.
+                match o.class {
+                    StabilityClass::Permanent => (0, o.scheduled_rename_day.unwrap_or(u32::MAX)),
+                    StabilityClass::SlowChurn => (1, o.scheduled_rename_day.unwrap_or(u32::MAX)),
+                    StabilityClass::FastChurn => (2, 0),
+                }
+            })
+        }
+
+        /// The HTML of the site's landing page, referencing every current object
+        /// (and the shared analytics script when used).
+        fn index_html(&self) -> String {
+            let mut html = String::from("<html><head>\n");
+            for object in &self.objects {
+                html.push_str(&format!("  <script src=\"{}\"></script>\n", object.current_path));
+            }
+            if self.uses_google_analytics {
+                html.push_str(&format!(
+                    "  <script src=\"http://{ANALYTICS_HOST}{ANALYTICS_PATH}\"></script>\n"
+                ));
+            }
+            html.push_str("</head><body><h1>");
+            html.push_str(&self.host);
+            html.push_str("</h1></body></html>\n");
+            html
+        }
+
+        /// Materialises the site as a static origin server (landing page plus all
+        /// current objects).
+        fn to_origin(&self) -> StaticOrigin {
+            let mut origin = StaticOrigin::new(self.host.clone());
+            let mut index = Response::ok(Body::text(ResourceKind::Html, self.index_html()))
+                .with_cache_control("no-cache");
+            if let Some(policy) = &self.hsts {
+                index = index.with_header(names::STRICT_TRANSPORT_SECURITY, &policy.to_header_value());
+            }
+            if let Some((version, value)) = &self.csp {
+                let header = match version {
+                    CspVersion::Standard => names::CONTENT_SECURITY_POLICY,
+                    CspVersion::XContentSecurityPolicy => names::X_CONTENT_SECURITY_POLICY,
+                    CspVersion::XWebkitCsp => names::X_WEBKIT_CSP,
+                };
+                index = index.with_header(header, value);
+            }
+            origin.put("/index.html", index);
+            for object in &self.objects {
+                origin.put_text(
+                    &object.current_path,
+                    ResourceKind::JavaScript,
+                    &format!("/* {} */ function lib_{}() {{ return {}; }}", self.host, object.renames, object.current_hash),
+                    "public, max-age=604800",
+                );
+            }
+            origin
+        }
+    }
 
     fn population(size: usize) -> Population {
         Population::generate(PopulationConfig::small(size, 7))
@@ -442,6 +435,6 @@ mod tests {
                 assert!(site.tls.version != TlsVersion::None, "{} has HSTS without TLS", site.host);
             }
         }
-        assert!(!pop.preloaded_hosts().is_empty());
+        assert!(pop.sites.iter().any(|s| s.hsts_preloaded));
     }
 }

@@ -11,7 +11,7 @@
 //! * [`netsim`] (`mp-netsim`) — deterministic packet-level network simulator,
 //! * [`httpsim`] (`mp-httpsim`) — HTTP messages, caching semantics, security
 //!   policies,
-//! * [`browser`] (`mp-browser`) — browser cache, Cache API, storage, DOM, SOP,
+//! * [`browser`] (`mp-browser`) — browser cache, Cache API, storage, DOM,
 //! * [`webcache`] (`mp-webcache`) — the Table IV cache taxonomy and shared
 //!   caches,
 //! * [`webgen`] (`mp-webgen`) — synthetic web population and measurement
