@@ -138,7 +138,8 @@ impl BankingApp {
     }
 
     /// URL of the persistent banking script — the parasite's infection target.
-    pub fn script_url(&self) -> Url {
+    #[cfg(test)]
+    fn script_url(&self) -> Url {
         Url::from_parts(Scheme::Https, self.host.clone(), "/static/banking.js")
     }
 
@@ -337,10 +338,6 @@ impl Exchange for BankingApp {
             .with_etag("\"banking-v17\""),
             _ => Response::not_found(),
         }
-    }
-
-    fn name(&self) -> &str {
-        &self.host
     }
 }
 

@@ -10,23 +10,17 @@
 //!   infects, and
 //! * a DOM-level state machine ([`mp_browser::dom::Dom`] builders plus
 //!   server-side handlers) modelling what the victim sees and does: login
-//!   forms, account/balance views, transfer and withdrawal forms, OTP
-//!   confirmation, inboxes and chats.
+//!   forms, account/balance views, transfer forms, OTP confirmation and
+//!   inboxes.
 //!
 //! * [`banking`] — online banking with OTP 2FA and the out-of-band
 //!   confirmation defence (§VIII),
-//! * [`webmail`] — web mail with inbox text, contacts and send capability,
-//! * [`SocialApp`] — social network / chat with harvestable contacts,
-//! * [`exchange`] — crypto exchange with withdrawal-address flow.
+//! * [`webmail`] — web mail with inbox text, contacts and send capability.
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod banking;
-pub mod exchange;
-mod social;
 pub mod webmail;
 
 pub use banking::{Account, BankingApp, ExecutedTransfer, PendingTransfer, TransferOutcome};
-pub use exchange::{CryptoExchangeApp, Withdrawal};
-pub use social::{ChatMessage, SocialApp};
 pub use webmail::{Email, Mailbox, WebMailApp};

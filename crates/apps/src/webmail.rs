@@ -99,7 +99,8 @@ impl WebMailApp {
     }
 
     /// URL of the persistent mail script (infection target).
-    pub fn script_url(&self) -> Url {
+    #[cfg(test)]
+    fn script_url(&self) -> Url {
         Url::from_parts(Scheme::Https, self.host.clone(), "/static/mail.js")
     }
 
@@ -200,10 +201,6 @@ impl Exchange for WebMailApp {
             .with_etag("\"mail-v4\""),
             _ => Response::not_found(),
         }
-    }
-
-    fn name(&self) -> &str {
-        &self.host
     }
 }
 

@@ -20,6 +20,7 @@ use mp_service::{
 use parasite::experiments::{
     run_campaign_with_checkpoint, Artifact, ArtifactData, CampaignFleetResult, ConfigError,
     ExperimentError, ExperimentId, FaultPlan, RunConfig, SurfaceVector, FAULT_PLAN_ENV,
+    MAX_FLEET_JOBS,
 };
 use parasite::json::ToJson;
 use std::io::{ErrorKind, Write};
@@ -73,7 +74,8 @@ SERVICE OPTIONS:
     --socket <path>       unix socket the daemon binds / clients dial
     --tcp <addr>          TCP address (serve: extra listener; clients: dial
                           this instead of the unix socket)
-    --serve-workers <n>   serve: concurrent runs executed at once [default: 2]
+    --serve-workers <n>   serve: concurrent runs executed at once, at most
+                          1024 [default: 2]
     --serve-queue-limit <n>
                           serve: bound the submission queue; a submit past
                           the bound is rejected with a typed queue_full
@@ -83,7 +85,8 @@ SERVICE OPTIONS:
     --watch               submit: stay connected and stream day/done lines
 
 DISTRIBUTE OPTIONS:
-    --workers <n>         shard-worker processes to execute on [default: 2]
+    --workers <n>         shard-worker processes to execute on, at most 1024
+                          [default: 2]
     --worker-cmd <cmd>    launch each worker via `sh -c <cmd>` instead of
                           re-executing this binary, e.g.
                           \"ssh host paper-report shard-worker\"
@@ -221,6 +224,18 @@ impl<'a> Cursor<'a> {
 
     fn number<T: TryFrom<u64>>(&mut self) -> Result<T, String> {
         parse_number(self.value()?, self.flag)
+    }
+
+    /// A count of threads or worker processes: at least 1 and at most the
+    /// `fleet_jobs` cap.
+    fn thread_count(&mut self) -> Result<usize, String> {
+        match self.number()? {
+            0 => Err(format!("{} must be at least 1", self.flag)),
+            count if count > MAX_FLEET_JOBS => {
+                Err(format!("{} must be at most {MAX_FLEET_JOBS}, got {count}", self.flag))
+            }
+            count => Ok(count),
+        }
     }
 
     fn fraction(&mut self) -> Result<f64, String> {
@@ -556,10 +571,7 @@ mod service {
                 "--run" => parsed.run = Some(args.number()?),
                 "--watch" => parsed.watch = true,
                 "--json" => parsed.json = true,
-                "--serve-workers" => match args.number()? {
-                    0 => return Err("--serve-workers must be at least 1".to_string()),
-                    workers => parsed.workers = Some(workers),
-                },
+                "--serve-workers" => parsed.workers = Some(args.thread_count()?),
                 "--serve-queue-limit" => parsed.queue_limit = args.number()?,
                 // serve accepts one batch flag: the daemon-wide pool for
                 // submissions that do not bring their own.
@@ -839,10 +851,7 @@ fn distribute(args: &[String]) -> ExitCode {
     let parsed = (|| {
         while let Some(flag) = cursor.next_flag() {
             match flag {
-                "--workers" => match cursor.number()? {
-                    0 => return Err("--workers must be at least 1".to_string()),
-                    value => workers = value,
-                },
+                "--workers" => workers = cursor.thread_count()?,
                 "--worker-cmd" => worker_cmd = Some(cursor.value()?),
                 "--journal" => journal = Some(PathBuf::from(cursor.value()?)),
                 "--shard-timeout" => {

@@ -87,6 +87,21 @@ fn a_fleet_jobs_above_the_thread_cap_is_rejected_before_any_run() {
 }
 
 #[test]
+fn thread_counts_above_the_cap_are_rejected_before_any_thread_starts() {
+    // Each value would start that many daemon threads or worker processes.
+    // The socket's directory does not exist and fig1 cannot be distributed,
+    // so even a parser that let the value through starts nothing.
+    assert_rejected(
+        &["serve", "--socket", "/nonexistent-mp-dir/mp.sock", "--serve-workers", "1025"],
+        "--serve-workers must be at most 1024, got 1025",
+    );
+    assert_rejected(
+        &["distribute", "--workers", "1025", "--only", "fig1"],
+        "--workers must be at most 1024, got 1025",
+    );
+}
+
+#[test]
 fn a_zero_scale_is_rejected_not_clamped() {
     // Table I divides its cache sizes by --scale: 0 is no divisor.
     assert_rejected(&["--scale", "0"], "--scale: scale must be at least 1, got 0");

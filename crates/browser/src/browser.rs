@@ -202,11 +202,6 @@ impl Browser {
         &self.hsts
     }
 
-    /// The log of every fetch the browser has performed.
-    pub fn fetch_log(&self) -> &[FetchRecord] {
-        &self.fetch_log
-    }
-
     /// Replaces the transport — the victim switching from the attacker's WiFi
     /// to a different (clean) network.
     pub fn change_network(&mut self, transport: Box<dyn Exchange>) {

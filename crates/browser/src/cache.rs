@@ -166,11 +166,6 @@ impl HttpCache {
         self.entries.values().map(|e| e.size_bytes).sum()
     }
 
-    /// Peak bytes ever held.
-    pub fn peak_bytes(&self) -> u64 {
-        self.peak_bytes
-    }
-
     /// Number of entries currently stored.
     pub fn len(&self) -> usize {
         self.entries.len()
@@ -184,19 +179,6 @@ impl HttpCache {
     /// Number of entries evicted so far.
     pub fn evicted_entries(&self) -> u64 {
         self.evicted_entries
-    }
-
-    /// Entries grouped by host.
-    #[cfg(test)]
-    fn entries_per_host(&self) -> std::collections::HashMap<String, usize> {
-        let mut counts = std::collections::HashMap::new();
-        for key in self.entries.keys() {
-            let url_part = key.rsplit('|').next().unwrap_or(key);
-            if let Ok(url) = Url::parse(url_part) {
-                *counts.entry(url.host).or_default() += 1;
-            }
-        }
-        counts
     }
 
     /// Memory pressure indicator for the IE failure mode: ratio of peak bytes
@@ -359,16 +341,5 @@ mod tests {
         cache.clear();
         assert!(cache.is_empty());
         assert_eq!(cache.used_bytes(), 0);
-    }
-
-    #[test]
-    fn entries_per_host_accounts_by_domain() {
-        let mut cache = HttpCache::new(BrowserProfile::chrome());
-        cache.store(&url("http://a.example/1.js"), "a.example", response("x", "max-age=1000"), 0);
-        cache.store(&url("http://a.example/2.js"), "a.example", response("x", "max-age=1000"), 0);
-        cache.store(&url("http://b.example/1.js"), "b.example", response("x", "max-age=1000"), 0);
-        let counts = cache.entries_per_host();
-        assert_eq!(counts.get("a.example"), Some(&2));
-        assert_eq!(counts.get("b.example"), Some(&1));
     }
 }

@@ -60,15 +60,6 @@ impl CacheApiStorage {
         None
     }
 
-    /// Returns `true` if any origin has this URL stored.
-    #[cfg(test)]
-    fn contains_anywhere(&self, url: &Url) -> bool {
-        let key = url.cache_key();
-        self.stores
-            .values()
-            .any(|caches| caches.values().any(|c| c.contains_key(&key)))
-    }
-
     /// Number of stored responses across all origins.
     pub fn len(&self) -> usize {
         self.stores
@@ -81,11 +72,6 @@ impl CacheApiStorage {
     /// Returns `true` if nothing is stored.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Deletes every cache belonging to `origin` (per-site "clear site data").
-    pub fn clear_origin(&mut self, origin: &str) {
-        self.stores.remove(origin);
     }
 
     /// Deletes everything — this is what happens when the user clears
@@ -142,19 +128,7 @@ mod tests {
         let mut storage = CacheApiStorage::new(true);
         storage.put("http://a.example", "c", &url("http://a.example/x.js"), parasite_response());
         storage.put("http://b.example", "c", &url("http://b.example/y.js"), parasite_response());
-        storage.clear_origin("http://a.example");
-        assert!(storage.get("http://a.example", &url("http://a.example/x.js")).is_none());
-        assert!(storage.get("http://b.example", &url("http://b.example/y.js")).is_some());
         storage.clear_all();
         assert!(storage.is_empty());
-    }
-
-    #[test]
-    fn contains_anywhere_spans_origins() {
-        let mut storage = CacheApiStorage::new(true);
-        let shared = url("http://analytics.example/ga.js");
-        storage.put("http://news.example", "c", &shared, parasite_response());
-        assert!(storage.contains_anywhere(&shared));
-        assert!(!storage.contains_anywhere(&url("http://analytics.example/other.js")));
     }
 }

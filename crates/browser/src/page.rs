@@ -45,14 +45,6 @@ pub struct LoadedScript {
     pub from_cache: bool,
 }
 
-#[cfg(test)]
-impl LoadedScript {
-    /// Returns `true` if the script body contains `marker`.
-    fn contains_marker(&self, marker: &str) -> bool {
-        self.body.contains(marker)
-    }
-}
-
 /// The result of loading one document and its subresources.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Page {
@@ -78,12 +70,6 @@ impl Page {
             scripts: Vec::new(),
             frames: Vec::new(),
         }
-    }
-
-    /// Returns `true` if any executed script contains `marker`.
-    #[cfg(test)]
-    fn executed_marker(&self, marker: &str) -> bool {
-        self.scripts.iter().any(|s| s.contains_marker(marker))
     }
 }
 
@@ -305,17 +291,5 @@ mod tests {
         let refs = extract_subresources(html, &base());
         assert_eq!(refs.len(), 1);
         assert_eq!(refs[0].url.path, "/s.css");
-    }
-
-    #[test]
-    fn page_marker_detection() {
-        let mut page = Page::new(base());
-        page.scripts.push(LoadedScript {
-            url: Some(Url::parse("http://somesite.com/my.js").unwrap()),
-            body: "original();/*PARASITE*/connectCnc();".into(),
-            from_cache: true,
-        });
-        assert!(page.executed_marker("PARASITE"));
-        assert!(!page.executed_marker("NOT_THERE"));
     }
 }

@@ -33,14 +33,6 @@ impl OriginStorage {
         self.data.get(origin)?.get(key).map(String::as_str)
     }
 
-    /// Removes a key.
-    #[cfg(test)]
-    fn remove_item(&mut self, origin: &str, key: &str) {
-        if let Some(entries) = self.data.get_mut(origin) {
-            entries.remove(key);
-        }
-    }
-
     /// Returns every key/value pair of an origin — what a script running on
     /// that origin (for example a parasite) can dump wholesale.
     pub fn dump_origin(&self, origin: &str) -> Vec<(String, String)> {
@@ -48,11 +40,6 @@ impl OriginStorage {
             .get(origin)
             .map(|entries| entries.iter().map(|(k, v)| (k.clone(), v.clone())).collect())
             .unwrap_or_default()
-    }
-
-    /// Clears one origin's storage.
-    pub fn clear_origin(&mut self, origin: &str) {
-        self.data.remove(origin);
     }
 
     /// Clears everything (clear site data).
@@ -79,8 +66,6 @@ mod tests {
             Some("DE89 3704 0044 0532 0130 00")
         );
         assert_eq!(storage.get_item("https://mail.example", "last_account"), None);
-        storage.remove_item("https://bank.example", "last_account");
-        assert_eq!(storage.get_item("https://bank.example", "last_account"), None);
     }
 
     #[test]
@@ -100,9 +85,6 @@ mod tests {
         let mut storage = OriginStorage::new();
         storage.set_item("https://a.example", "k", "v");
         storage.set_item("https://b.example", "k", "v");
-        storage.clear_origin("https://a.example");
-        assert_eq!(storage.dump_origin("https://a.example").len(), 0);
-        assert_eq!(storage.dump_origin("https://b.example").len(), 1);
         storage.clear_all();
         assert!(storage.is_empty());
     }

@@ -273,10 +273,6 @@ impl Exchange for CncServer {
         }
         Response::not_found()
     }
-
-    fn name(&self) -> &str {
-        &self.host
-    }
 }
 
 /// Estimated downstream goodput of the image channel in bytes per second.

@@ -41,7 +41,7 @@ pub use multiday::{
     run_campaign_with_checkpoint, run_campaign_with_checkpoint_ctx, DayStats,
 };
 pub use surface::{CurvePoint, SurfaceResult, SurfaceVector, VectorSurface};
-pub use validate::ConfigError;
+pub use validate::{ConfigError, MAX_FLEET_JOBS};
 pub use figures::{AblationResult, Fig3Result, Fig4Result, Fig5Result, FlowTrace};
 pub use tables::{
     InjectionCell, RefreshMethod, RemovalCell, Table1Result, Table2Result, Table3Result,

@@ -706,8 +706,9 @@ fn shared_cache_infection(instance: mp_webcache::CacheInstance, https: bool) -> 
     // Victim A (on the hostile path) pulls the object through the cache.
     let _ = cache.exchange(&Request::get(target.clone()));
     // The attacker goes away; victim B fetches through the same cache.
-    let second = cache.exchange(&Request::get(target.clone()));
-    infector.is_infected(&second.body.as_text()) && cache.peek(&target).is_some()
+    cache.upstream_mut().set_active(false);
+    let second = cache.exchange(&Request::get(target));
+    infector.is_infected(&second.body.as_text())
 }
 
 /// Runs the Table IV experiment over every taxonomy row.

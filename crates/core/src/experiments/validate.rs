@@ -71,8 +71,9 @@ const JSON_EXACT_LIMIT: u64 = 1 << 53;
 /// The most worker threads a run may ask for: far more than any machine's
 /// cores, far fewer than the operating system's thread limit. A campaign
 /// starts `min(fleet_jobs, tasks)` threads and a task is one AP, so without
-/// this bound one config line could ask for a million threads.
-const MAX_FLEET_JOBS: usize = 1024;
+/// this bound one config line could ask for a million threads. The
+/// daemon's `--serve-workers` and `distribute --workers` share the cap.
+pub const MAX_FLEET_JOBS: usize = 1024;
 
 fn ordered(start: (&'static str, u64), end: (&'static str, u64)) -> Result<(), ConfigError> {
     if start.1 > end.1 {

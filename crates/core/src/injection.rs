@@ -128,10 +128,6 @@ impl Tap for MasterTap {
         drop(stats);
         self.injector.forge_response_bytes(packet, infected.clone(), out);
     }
-
-    fn name(&self) -> &str {
-        "master"
-    }
 }
 
 /// How the attacker decides whether it can inject into a connection at all.
@@ -211,8 +207,7 @@ impl<U> InjectingExchange<U> {
 
     /// Activates or deactivates the attacker (victim joins / leaves the
     /// hostile network).
-    #[cfg(test)]
-    fn set_active(&mut self, active: bool) {
+    pub fn set_active(&mut self, active: bool) {
         self.active = active;
     }
 
@@ -246,10 +241,6 @@ impl<U: Exchange> Exchange for InjectingExchange<U> {
             self.stats.responses_injected += 1;
         }
         infected
-    }
-
-    fn name(&self) -> &str {
-        "injecting-path"
     }
 }
 

@@ -111,6 +111,11 @@ mod tests {
     use mp_httpsim::body::{Body, ResourceKind};
     use mp_httpsim::message::{Request, Response};
     use mp_httpsim::transport::StaticOrigin;
+    use mp_netsim::addr::IpAddr;
+    use mp_netsim::attacker::Tap;
+    use mp_netsim::packet::{Packet, Segment};
+    use mp_netsim::seq::SeqNum;
+    use mp_netsim::time::Instant;
 
     #[test]
     fn master_builds_an_injecting_exchange_for_its_targets() {
@@ -129,9 +134,15 @@ mod tests {
         let master = Master::new("master.attacker.example");
         let url = Url::parse("http://somesite.com/my.js").unwrap();
         let genuine = Response::ok(Body::text(ResourceKind::JavaScript, "f()"));
-        let (tap, stats) = master.packet_tap(&[(url, genuine)], Duration::from_micros(300));
-        assert_eq!(mp_netsim::attacker::Tap::name(&tap), "master");
+        let request = Request::get(url.clone()).to_wire();
+        let (mut tap, stats) = master.packet_tap(&[(url, genuine)], Duration::from_micros(300));
         assert_eq!(stats.lock().unwrap().responses_injected, 0);
+        let segment = Segment::data(51000, 80, SeqNum::new(1), SeqNum::new(1), request);
+        let observed = Packet::new(IpAddr::new(10, 0, 0, 2), IpAddr::new(203, 0, 113, 10), segment);
+        let mut injections = Vec::new();
+        tap.observe(&observed, Instant::ZERO, &mut injections);
+        assert!(!injections.is_empty());
+        assert_eq!(stats.lock().unwrap().responses_injected, 1);
     }
 
     #[test]

@@ -117,9 +117,6 @@ pub fn propagate_via_shared_cache<U: Exchange + 'static>(
         fn exchange(&mut self, request: &mp_httpsim::message::Request) -> mp_httpsim::message::Response {
             self.0.lock().unwrap().exchange(request)
         }
-        fn name(&self) -> &str {
-            "shared-cache-handle"
-        }
     }
 
     let cache = Arc::new(Mutex::new(shared_cache));
@@ -132,6 +129,7 @@ pub fn propagate_via_shared_cache<U: Exchange + 'static>(
     // reaches victim B now can only come from the shared cache or the origin.
     // (The injecting exchange sits *behind* the cache, so flipping it off
     // models the attacker disappearing while the poisoned entry remains.)
+    cache.lock().unwrap().upstream_mut().set_active(false);
     // Victim B now browses through the same cache.
     let mut victim_b = Browser::new(victim_b_profile, Box::new(SharedHandle(Arc::clone(&cache))));
     let load_b = victim_b.visit(page);
@@ -256,6 +254,33 @@ mod tests {
         );
         assert!(a, "victim on the hostile path is infected");
         assert!(b, "victim behind the same shared cache is infected too");
+    }
+
+    #[test]
+    fn a_cache_that_stores_nothing_propagates_nothing() {
+        // The master keeps the origin's `no-store`, so the cache keeps no
+        // copy, infected or clean.
+        let mut infector = infector();
+        infector.config.pin_cache_headers = false;
+        let mut origin = StaticOrigin::new("news.example");
+        let html = r#"<html><head><script src="/app.js"></script></head><body>news</body></html>"#;
+        origin.put_text("/index.html", ResourceKind::Html, html, "no-store");
+        origin.put_text("/app.js", ResourceKind::JavaScript, "function app(){}", "no-store");
+        let mut injecting = InjectingExchange::new(origin, infector.clone());
+        injecting.infect_all(true);
+        let squid = table4_entries().into_iter().find(|e| e.name == "Squid").unwrap();
+        let cache = SharedCache::new(squid, injecting, false);
+
+        let page = Url::parse("http://news.example/index.html").unwrap();
+        let (a, b) = propagate_via_shared_cache(
+            cache,
+            BrowserProfile::chrome(),
+            BrowserProfile::firefox(),
+            &page,
+            &infector,
+        );
+        assert!(a, "victim on the hostile path is infected");
+        assert!(!b, "with nothing cached and the attacker gone, victim B stays clean");
     }
 
     #[test]

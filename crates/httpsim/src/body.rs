@@ -41,20 +41,6 @@ impl ResourceKind {
         }
     }
 
-    /// Returns the kind implied by a URL path extension.
-    #[cfg(test)]
-    fn from_path(path: &str) -> Self {
-        let ext = path.rsplit('.').next().unwrap_or("").to_ascii_lowercase();
-        match ext.as_str() {
-            "html" | "htm" => ResourceKind::Html,
-            "js" | "mjs" => ResourceKind::JavaScript,
-            "css" => ResourceKind::Css,
-            "svg" => ResourceKind::Svg,
-            "png" | "jpg" | "jpeg" | "gif" | "webp" | "ico" => ResourceKind::Image,
-            _ => ResourceKind::Other,
-        }
-    }
-
     /// Canonical `Content-Type` value for this kind.
     pub fn content_type(self) -> &'static str {
         match self {
@@ -65,13 +51,6 @@ impl ResourceKind {
             ResourceKind::Svg => "image/svg+xml",
             ResourceKind::Other => "application/octet-stream",
         }
-    }
-
-    /// Returns `true` if the resource is executable script or markup that can
-    /// host a parasite.
-    #[cfg(test)]
-    fn is_infectable(self) -> bool {
-        matches!(self, ResourceKind::Html | ResourceKind::JavaScript)
     }
 }
 
@@ -170,24 +149,6 @@ mod tests {
         assert_eq!(ResourceKind::from_content_type("image/svg+xml"), ResourceKind::Svg);
         assert_eq!(ResourceKind::from_content_type("image/png"), ResourceKind::Image);
         assert_eq!(ResourceKind::from_content_type("font/woff2"), ResourceKind::Other);
-    }
-
-    #[test]
-    fn path_detection() {
-        assert_eq!(ResourceKind::from_path("/static/js/app.js"), ResourceKind::JavaScript);
-        assert_eq!(ResourceKind::from_path("/index.html"), ResourceKind::Html);
-        assert_eq!(ResourceKind::from_path("/logo.svg"), ResourceKind::Svg);
-        assert_eq!(ResourceKind::from_path("/photo.JPEG"), ResourceKind::Image);
-        assert_eq!(ResourceKind::from_path("/download"), ResourceKind::Other);
-    }
-
-    #[test]
-    fn only_script_and_markup_are_infectable() {
-        assert!(ResourceKind::JavaScript.is_infectable());
-        assert!(ResourceKind::Html.is_infectable());
-        assert!(!ResourceKind::Css.is_infectable());
-        assert!(!ResourceKind::Image.is_infectable());
-        assert!(!ResourceKind::Svg.is_infectable());
     }
 
     #[test]

@@ -145,13 +145,6 @@ impl HstsStore {
         }
         false
     }
-
-    /// Clears dynamic entries (what "clear browsing data" does); preload
-    /// entries survive because they ship with the browser binary.
-    #[cfg(test)]
-    fn clear_dynamic(&mut self) {
-        self.dynamic.clear();
-    }
 }
 
 #[cfg(test)]
@@ -220,14 +213,5 @@ mod tests {
         store.observe("a.example", HstsPolicy { max_age: 1000, include_subdomains: false, preload: false }, 0, true);
         store.observe("a.example", HstsPolicy { max_age: 0, include_subdomains: false, preload: false }, 5, true);
         assert!(!store.must_upgrade("a.example", 6));
-    }
-
-    #[test]
-    fn clearing_dynamic_state_keeps_preload() {
-        let mut store = HstsStore::with_preload(vec!["bank.example".to_string()]);
-        store.observe("mail.example", HstsPolicy { max_age: 99999, include_subdomains: false, preload: false }, 0, true);
-        store.clear_dynamic();
-        assert!(store.must_upgrade("bank.example", 0));
-        assert!(!store.must_upgrade("mail.example", 0));
     }
 }

@@ -16,19 +16,11 @@ use std::collections::BTreeMap;
 pub trait Exchange: Send {
     /// Performs one request/response exchange.
     fn exchange(&mut self, request: &Request) -> Response;
-
-    /// Human-readable name for traces and experiment reports.
-    fn name(&self) -> &str {
-        "exchange"
-    }
 }
 
 impl<T: Exchange + ?Sized> Exchange for Box<T> {
     fn exchange(&mut self, request: &Request) -> Response {
         (**self).exchange(request)
-    }
-    fn name(&self) -> &str {
-        (**self).name()
     }
 }
 
@@ -80,11 +72,6 @@ impl StaticOrigin {
     pub fn get_mut(&mut self, path: &str) -> Option<&mut Response> {
         self.objects.get_mut(&normalise_path(path.to_string()))
     }
-
-    /// Lists all object paths on this origin.
-    pub fn paths(&self) -> Vec<String> {
-        self.objects.keys().cloned().collect()
-    }
 }
 
 fn normalise_path(mut path: String) -> String {
@@ -112,10 +99,6 @@ impl Exchange for StaticOrigin {
             }
             None => Response::not_found(),
         }
-    }
-
-    fn name(&self) -> &str {
-        &self.host
     }
 }
 
@@ -167,10 +150,6 @@ impl Exchange for Internet {
             Some(exchange) => exchange.exchange(request),
             None => Response::not_found(),
         }
-    }
-
-    fn name(&self) -> &str {
-        "internet"
     }
 }
 

@@ -111,6 +111,25 @@ fn is_path_sep(toks: &[Tok], at: usize) -> bool {
     punct(toks.get(at), b':') && punct(toks.get(at + 1), b':')
 }
 
+/// The index of the `}` that closes the `{` at `open` (the token count when
+/// the file ends first).
+fn matching_brace(toks: &[Tok], open: usize) -> usize {
+    let mut depth = 0usize;
+    for (at, tok) in toks.iter().enumerate().skip(open) {
+        match tok.kind {
+            TokKind::Punct(b'{') => depth += 1,
+            TokKind::Punct(b'}') => {
+                depth -= 1;
+                if depth == 0 {
+                    return at;
+                }
+            }
+            _ => {}
+        }
+    }
+    toks.len()
+}
+
 /// `#[cfg(test)]` line ranges: from the attribute to the matching close
 /// brace of the item that follows it.
 fn test_regions(file: &SourceFile) -> Vec<(u32, u32)> {
@@ -137,18 +156,7 @@ fn test_regions(file: &SourceFile) -> Vec<(u32, u32)> {
             j += 1;
         }
         if punct(toks.get(j), b'{') {
-            let mut depth = 0usize;
-            while j < toks.len() {
-                if punct(toks.get(j), b'{') {
-                    depth += 1;
-                } else if punct(toks.get(j), b'}') {
-                    depth -= 1;
-                    if depth == 0 {
-                        break;
-                    }
-                }
-                j += 1;
-            }
+            j = matching_brace(toks, j);
             let end_line = toks.get(j).map_or(u32::MAX, |t| t.line);
             regions.push((start_line, end_line));
         }
@@ -626,6 +634,9 @@ pub fn check_docs(items: &[DocItem], doc: &str, doc_name: &str, what: &str) -> V
 const ITEM_KEYWORDS: [&str; 8] =
     ["fn", "struct", "enum", "const", "static", "type", "trait", "mod"];
 
+/// Item kinds whose own `impl` blocks do not use them.
+const TYPE_KINDS: [&str; 4] = ["struct", "enum", "trait", "type"];
+
 /// True when `path` is a library crate's source, where `dead-pub` looks for
 /// definitions: `crates/*/src` and root `src`, binaries excluded.
 fn library_source(path: &str) -> bool {
@@ -641,12 +652,91 @@ struct PubItem<'a> {
     line: u32,
 }
 
-/// One file's bare-`pub` items and the identifiers it names in code, with
-/// their lines. A definition's own name and the paths of a `pub use`
-/// re-export are not uses; an inline capture (`{name}`) in a string inside a
-/// macro call (a format string) is.
-fn scan_names(file: &SourceFile) -> (Vec<PubItem<'_>>, Vec<(&str, u32)>) {
+/// One identifier named in code.
+struct Use<'a> {
+    name: &'a str,
+    line: u32,
+    /// Inside the header or body of an `impl` block whose self type is
+    /// `name` (`impl T`, `impl Trait for T`).
+    in_own_impl: bool,
+}
+
+/// The index just past the `<…>` group that opens at `at` (an arrow's `>`
+/// closes nothing), or `at` when no group opens there.
+fn skip_angles(toks: &[Tok], mut at: usize) -> usize {
+    let mut angle = 0usize;
+    while at < toks.len() {
+        if punct(toks.get(at), b'<') {
+            angle += 1;
+        } else if punct(toks.get(at), b'>') && !punct(toks.get(at - 1), b'-') {
+            angle = angle.saturating_sub(1);
+        }
+        if angle == 0 {
+            break;
+        }
+        at += 1;
+    }
+    if punct(toks.get(at), b'>') { at + 1 } else { at }
+}
+
+/// The `impl` blocks of a token stream: each block's token range, header
+/// through closing brace, and the last path segment of its self type
+/// (`Box` for `impl<T> Tr for Box<T>`). An `impl` in type position
+/// (`-> impl Iterator`, `x: impl Tap`) opens no block.
+fn impl_blocks(toks: &[Tok]) -> Vec<(std::ops::Range<usize>, &str)> {
+    let mut blocks = Vec::new();
+    for start in 0..toks.len() {
+        let item_start = start == 0
+            || [b'}', b';', b']', b'{'].iter().any(|&b| punct(toks.get(start - 1), b))
+            || matches!(ident(toks.get(start - 1)), Some("unsafe" | "default"));
+        if ident(toks.get(start)) != Some("impl") || !item_start {
+            continue;
+        }
+        // The self type follows `for` when the block implements a trait.
+        let mut at = skip_angles(toks, start + 1);
+        let mut self_at = at;
+        while at < toks.len() && !punct(toks.get(at), b'{') && ident(toks.get(at)) != Some("where") {
+            if punct(toks.get(at), b'<') {
+                at = skip_angles(toks, at);
+                continue;
+            }
+            if ident(toks.get(at)) == Some("for") {
+                self_at = at + 1;
+            }
+            at += 1;
+        }
+        while punct(toks.get(self_at), b'&') || matches!(ident(toks.get(self_at)), Some("mut" | "dyn")) {
+            self_at += 1;
+        }
+        let mut name = None;
+        while let Some(segment) = ident(toks.get(self_at)) {
+            name = Some(segment);
+            if !is_path_sep(toks, self_at + 1) {
+                break;
+            }
+            self_at += 3;
+        }
+        // The body: the first brace after the header, to its match.
+        while at < toks.len() && !punct(toks.get(at), b'{') {
+            at += 1;
+        }
+        let at = matching_brace(toks, at);
+        if let Some(name) = name {
+            blocks.push((start..at + 1, name));
+        }
+    }
+    blocks
+}
+
+/// One file's bare-`pub` items and the identifiers it names in code. A
+/// definition's own name and the paths of a `pub use` re-export are not
+/// uses; an inline capture (`{name}`) in a string inside a macro call (a
+/// format string) is.
+fn scan_names(file: &SourceFile) -> (Vec<PubItem<'_>>, Vec<Use<'_>>) {
     let toks = &file.toks;
+    let impls = impl_blocks(toks);
+    let in_own_impl =
+        |at: usize, name: &str| impls.iter().any(|(span, of)| *of == name && span.contains(&at));
     let mut items = Vec::new();
     let mut uses = Vec::new();
     // Bracket depth, and the depths at which macro invocations opened.
@@ -669,7 +759,11 @@ fn scan_names(file: &SourceFile) -> (Vec<PubItem<'_>>, Vec<(&str, u32)>) {
                 depth = depth.saturating_sub(1);
             }
             TokKind::Str(text) if !macro_depths.is_empty() => {
-                uses.extend(format_captures(text).map(|name| (name, line)));
+                uses.extend(format_captures(text).map(|name| Use {
+                    name,
+                    line,
+                    in_own_impl: in_own_impl(i, name),
+                }));
             }
             TokKind::Ident(word) if word == "pub" => {
                 // `pub(crate)` and friends are not API; a `pub use`
@@ -706,7 +800,7 @@ fn scan_names(file: &SourceFile) -> (Vec<PubItem<'_>>, Vec<(&str, u32)>) {
                     before = Some("static");
                 }
                 if !before.is_some_and(|b| ITEM_KEYWORDS.contains(&b)) {
-                    uses.push((word.as_str(), line));
+                    uses.push(Use { name: word, line, in_own_impl: in_own_impl(i, word) });
                 }
             }
             _ => {}
@@ -749,19 +843,22 @@ fn format_captures(text: &str) -> impl Iterator<Item = &str> {
 /// The `dead-pub` rule over a set of `(repo-relative path, tokens)` files:
 /// flags a bare-`pub` item of a library crate's source that no other file
 /// names in code and that its own file names only inside `#[cfg(test)]`
-/// regions. Every file given counts as a user; only library sources define.
+/// regions. A type (struct, enum, trait, alias) named by its own file only
+/// inside its own `impl` blocks is unused too. Every file given counts as a
+/// user; only library sources define.
 pub fn check_dead_pub(files: &[(String, SourceFile)]) -> Vec<Diagnostic> {
     let mut named_in: BTreeMap<&str, BTreeSet<usize>> = BTreeMap::new();
-    let mut named_outside_tests: BTreeSet<(usize, &str)> = BTreeSet::new();
+    // `(file, name, inside the name's own impl blocks)`, test code excluded.
+    let mut named_outside_tests: BTreeSet<(usize, &str, bool)> = BTreeSet::new();
     let mut defined = Vec::new();
     for (at, (path, file)) in files.iter().enumerate() {
         let regions = test_regions(file);
         let in_test = |line: u32| regions.iter().any(|(lo, hi)| (*lo..=*hi).contains(&line));
         let (items, uses) = scan_names(file);
-        for (name, line) in uses {
+        for Use { name, line, in_own_impl } in uses {
             named_in.entry(name).or_default().insert(at);
             if !in_test(line) {
-                named_outside_tests.insert((at, name));
+                named_outside_tests.insert((at, name, in_own_impl));
             }
         }
         if library_source(path) {
@@ -779,7 +876,10 @@ pub fn check_dead_pub(files: &[(String, SourceFile)]) -> Vec<Diagnostic> {
             let elsewhere = named_in
                 .get(item.name)
                 .is_some_and(|users| users.iter().any(|user| user != at));
-            !elsewhere && !named_outside_tests.contains(&(*at, item.name))
+            let named_here =
+                |in_own_impl| named_outside_tests.contains(&(*at, item.name, in_own_impl));
+            let type_item = TYPE_KINDS.contains(&item.kind);
+            !(elsewhere || named_here(false) || (!type_item && named_here(true)))
         })
         .map(|(at, item)| Diagnostic {
             rule: DEAD_PUB,
@@ -787,8 +887,10 @@ pub fn check_dead_pub(files: &[(String, SourceFile)]) -> Vec<Diagnostic> {
             line: item.line,
             message: format!(
                 "`pub {} {}` has no user: no other workspace file names it, and this \
-                 file names it only in `#[cfg(test)]` code",
-                item.kind, item.name
+                 file names it only in `#[cfg(test)]` code{}",
+                item.kind,
+                item.name,
+                if TYPE_KINDS.contains(&item.kind) { " and its own `impl` blocks" } else { "" }
             ),
         })
         .collect()
@@ -847,6 +949,35 @@ mod tests {
             let files = [(path.to_string(), tokenize(HELPER))];
             assert!(check_dead_pub(&files).is_empty(), "{path}");
         }
+    }
+
+    #[test]
+    fn a_types_own_impls_are_no_use_but_another_files_impl_is() {
+        let own = "pub struct Sniffer;\nimpl Sniffer {\n    fn new() -> Sniffer { Sniffer }\n}\n\
+                   impl<'a> Tr<'a> for &'a mut demo::Sniffer where Sniffer: Copy {}\n";
+        assert_eq!(dead(own, &[]), [1]);
+        let other = "impl Tap for demo::Sniffer {}\n";
+        assert_eq!(dead(own, &[("crates/other/src/lib.rs", other)]), []);
+    }
+
+    #[test]
+    fn a_trait_named_in_impl_trait_for_a_type_is_used() {
+        let src = "pub trait Tap {}\npub struct Sniffer;\nimpl Tap for Sniffer {}\n";
+        assert_eq!(dead(src, &[]), [2]);
+    }
+
+    #[test]
+    fn a_method_called_only_by_a_sibling_method_is_used() {
+        let src = "pub struct S;\nimpl S {\n    pub fn helper(&self) {}\n    \
+                   pub fn run(&self) { self.helper() }\n}\n";
+        assert_eq!(dead(src, &[]), [1, 4]);
+        assert_eq!(dead(src, &[("src/lib.rs", "fn main() { demo::S.run() }")]), []);
+    }
+
+    #[test]
+    fn an_impl_in_type_position_opens_no_impl_block() {
+        let src = "pub trait Tap {}\npub fn watch(_: impl Tap) -> impl Tap { T }\n";
+        assert_eq!(dead(src, &[]), [2]);
     }
 
     #[test]

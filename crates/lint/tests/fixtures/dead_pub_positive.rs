@@ -12,6 +12,28 @@ pub mod orphan {}
 
 pub static mut COUNTER: u32 = 0;
 
+// A type named only by its own `impl` blocks: the inherent one, a trait impl
+// and `Self` constructors are no use. The trait is used by its impl.
+pub trait Observer {
+    fn observe(&mut self, byte: u8);
+}
+
+pub struct Sniffer {
+    log: Vec<u8>,
+}
+
+impl Sniffer {
+    pub fn new() -> Self {
+        Self { log: Vec::new() }
+    }
+}
+
+impl Observer for Sniffer {
+    fn observe(&mut self, byte: u8) {
+        self.log.push(byte);
+    }
+}
+
 // Not flagged: used in code here (a format capture counts), or not API.
 pub const GREETING: &str = "hi";
 pub(crate) fn restricted() -> String {

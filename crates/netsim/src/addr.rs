@@ -34,13 +34,6 @@ impl IpAddr {
     pub const fn from_u32(value: u32) -> Self {
         IpAddr(value.to_be_bytes())
     }
-
-    /// Returns `true` if the address lies in the RFC 1918 private ranges.
-    #[cfg(test)]
-    fn is_private(self) -> bool {
-        let [a, b, _, _] = self.0;
-        a == 10 || (a == 172 && (16..=31).contains(&b)) || (a == 192 && b == 168)
-    }
 }
 
 impl fmt::Display for IpAddr {
@@ -121,16 +114,6 @@ impl FourTuple {
     pub const fn new(src: SocketAddr, dst: SocketAddr) -> Self {
         FourTuple { src, dst }
     }
-
-    /// Returns the tuple with source and destination swapped, i.e. the tuple
-    /// that identifies traffic flowing in the opposite direction.
-    #[cfg(test)]
-    const fn reversed(self) -> Self {
-        FourTuple {
-            src: self.dst,
-            dst: self.src,
-        }
-    }
 }
 
 impl fmt::Display for FourTuple {
@@ -162,25 +145,5 @@ mod tests {
     fn u32_round_trip() {
         let addr = IpAddr::new(93, 184, 216, 34);
         assert_eq!(IpAddr::from_u32(addr.to_u32()), addr);
-    }
-
-    #[test]
-    fn private_range_detection() {
-        assert!(IpAddr::new(10, 1, 2, 3).is_private());
-        assert!(IpAddr::new(172, 16, 0, 1).is_private());
-        assert!(IpAddr::new(172, 31, 255, 1).is_private());
-        assert!(IpAddr::new(192, 168, 0, 1).is_private());
-        assert!(!IpAddr::new(172, 32, 0, 1).is_private());
-        assert!(!IpAddr::new(8, 8, 8, 8).is_private());
-    }
-
-    #[test]
-    fn four_tuple_reversal_is_involutive() {
-        let tuple = FourTuple::new(
-            SocketAddr::new(IpAddr::new(10, 0, 0, 2), 51000),
-            SocketAddr::new(IpAddr::new(93, 184, 216, 34), 80),
-        );
-        assert_eq!(tuple.reversed().reversed(), tuple);
-        assert_eq!(tuple.reversed().src.port, 80);
     }
 }

@@ -15,9 +15,11 @@
 //! * hosts with a socket-like API ([`endpoint`]),
 //! * a discrete-event simulator that delivers packets in timestamp order
 //!   ([`sim`]),
-//! * the *master* attacker: an [`attacker::Eavesdropper`] that observes
-//!   client segments and an [`attacker::Injector`] that crafts spoofed
-//!   server segments and races them against the genuine response.
+//! * the attacker's interface ([`attacker`]): a [`attacker::Tap`] on a
+//!   shared medium observes every client segment, and an
+//!   [`attacker::Injector`] crafts the spoofed server segments it races
+//!   against the genuine response. The master itself is the `parasite`
+//!   crate's `MasterTap`.
 //!
 //! Everything is deterministic: there is no wall-clock time and all
 //! randomness is injected by the caller through seeded RNGs.

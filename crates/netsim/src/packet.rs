@@ -228,12 +228,6 @@ impl Packet {
             SocketAddr::new(self.dst_ip, self.segment.dst_port),
         )
     }
-
-    /// Total simulated wire size in bytes (IPv4 + TCP headers + payload).
-    #[cfg(test)]
-    fn wire_len(&self) -> usize {
-        20 + 20 + self.segment.payload.len()
-    }
 }
 
 impl fmt::Display for Packet {
@@ -300,12 +294,5 @@ mod tests {
         let line = pkt.to_string();
         assert!(line.contains("SYN+ACK"));
         assert!(line.contains("(spoofed)"));
-    }
-
-    #[test]
-    fn wire_len_includes_headers() {
-        let seg = Segment::data(80, 51000, SeqNum::new(1), SeqNum::new(1), vec![0u8; 100]);
-        let pkt = Packet::new(IpAddr::new(1, 2, 3, 4), IpAddr::new(5, 6, 7, 8), seg);
-        assert_eq!(pkt.wire_len(), 140);
     }
 }

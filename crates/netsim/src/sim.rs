@@ -914,8 +914,21 @@ impl Service for FixedResponder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::attacker::{Injector, ResponseInjector};
+    use crate::attacker::Injector;
     use crate::link::MediumKind;
+
+    /// A tap that answers every observed `GET /my.js` with a spoofed
+    /// `parasite();` response.
+    struct MyJsTap(Injector);
+
+    impl Tap for MyJsTap {
+        fn observe(&mut self, packet: &Packet, _now: Instant, out: &mut Vec<Injection>) {
+            if packet.segment.payload.starts_with(b"GET /my.js") {
+                let response = Bytes::from_static(b"HTTP/1.1 200 OK\r\n\r\nparasite();");
+                self.0.forge_response_bytes(packet, response, out);
+            }
+        }
+    }
 
     fn basic_world() -> (Simulator, HostId, HostId, MediumId, MediumId) {
         let mut sim = Simulator::new(7);
@@ -959,12 +972,7 @@ mod tests {
                 Duration::from_micros(500),
             )),
         );
-        let tap = ResponseInjector::new(
-            "master",
-            Injector::default(),
-            |payload| payload.starts_with(b"GET /my.js"),
-            |_req| b"HTTP/1.1 200 OK\r\n\r\nparasite();".to_vec(),
-        );
+        let tap = MyJsTap(Injector::default());
         sim.add_tap(wifi, Box::new(tap));
 
         let conn = sim.connect(client, server, 80).unwrap();
@@ -995,12 +1003,7 @@ mod tests {
                 Duration::from_micros(500),
             )),
         );
-        let tap = ResponseInjector::new(
-            "master",
-            Injector::default(),
-            |payload| payload.starts_with(b"GET /my.js"),
-            |_req| b"HTTP/1.1 200 OK\r\n\r\nparasite();".to_vec(),
-        );
+        let tap = MyJsTap(Injector::default());
         sim.add_tap(lan, Box::new(tap));
 
         let conn = sim.connect(client, server, 80).unwrap();

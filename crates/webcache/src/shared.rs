@@ -10,7 +10,7 @@
 use crate::taxonomy::CacheInstance;
 use mp_httpsim::caching::{CachePolicy, Freshness};
 use mp_httpsim::message::{Request, Response, StatusCode};
-use mp_httpsim::url::{Scheme, Url};
+use mp_httpsim::url::Scheme;
 use std::collections::BTreeMap;
 
 /// Statistics a shared cache keeps about its own behaviour.
@@ -89,14 +89,15 @@ impl<U: mp_httpsim::transport::Exchange> SharedCache<U> {
         self.store.is_empty()
     }
 
+    /// The path behind the cache, for an experiment that changes it between
+    /// clients (the attacker leaving the network).
+    pub fn upstream_mut(&mut self) -> &mut U {
+        &mut self.upstream
+    }
+
     /// Advances the cache clock.
     pub fn advance_time(&mut self, secs: u64) {
         self.now_secs += secs;
-    }
-
-    /// Returns the stored response for `url`, if present (for experiments).
-    pub fn peek(&self, url: &Url) -> Option<&Response> {
-        self.store.get(&url.cache_key()).map(|(r, _)| r)
     }
 
     /// Returns `true` if this cache will handle (and potentially store)
@@ -111,7 +112,7 @@ impl<U: mp_httpsim::transport::Exchange> SharedCache<U> {
     /// Directly plants a poisoned entry (used to model an infected object that
     /// already traversed the cache before the experiment starts).
     #[cfg(test)]
-    fn poison(&mut self, url: &Url, response: Response) {
+    fn poison(&mut self, url: &mp_httpsim::url::Url, response: Response) {
         self.store.insert(url.cache_key(), (response, self.now_secs));
         self.stats.stored += 1;
     }
@@ -146,10 +147,6 @@ impl<U: mp_httpsim::transport::Exchange> mp_httpsim::transport::Exchange for Sha
         }
         response
     }
-
-    fn name(&self) -> &str {
-        &self.instance.name
-    }
 }
 
 #[cfg(test)]
@@ -158,6 +155,7 @@ mod tests {
     use crate::taxonomy::table4_entries;
     use mp_httpsim::body::{Body, ResourceKind};
     use mp_httpsim::transport::{Exchange, StaticOrigin};
+    use mp_httpsim::url::Url;
 
     fn url(s: &str) -> Url {
         Url::parse(s).unwrap()

@@ -13,7 +13,6 @@ use crate::churn::{ChurningObject, StabilityClass};
 use mp_httpsim::csp::CspVersion;
 use mp_httpsim::hsts::HstsPolicy;
 use mp_httpsim::tls::{TlsDeployment, TlsVersion};
-use mp_httpsim::url::Scheme;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -110,15 +109,6 @@ pub struct Website {
 }
 
 impl Website {
-    /// The scheme the site is normally browsed over.
-    pub fn scheme(&self) -> Scheme {
-        if self.tls.version == TlsVersion::None {
-            Scheme::Http
-        } else {
-            Scheme::Https
-        }
-    }
-
     /// Advances all of the site's objects by one day.
     pub fn advance_day(&mut self, rng: &mut StdRng) {
         for object in &mut self.objects {
@@ -267,92 +257,11 @@ impl Population {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mp_httpsim::body::{Body, ResourceKind};
-    use mp_httpsim::headers::names;
-    use mp_httpsim::message::Response;
-    use mp_httpsim::transport::StaticOrigin;
-    use mp_httpsim::url::Url;
-
-    /// The shared analytics host used by 63 % of sites (the paper's shared-file
-    /// propagation vector, §VI-B1).
-    const ANALYTICS_HOST: &str = "analytics.shared-metrics.example";
-    /// Path of the shared analytics script.
-    const ANALYTICS_PATH: &str = "/ga.js";
 
     impl Website {
-        /// The site's landing-page URL.
-        fn index_url(&self) -> Url {
-            Url::from_parts(self.scheme(), self.host.clone(), "/index.html")
-        }
-
-        /// URL of one of the site's objects (by its current path).
-        fn object_url(&self, object: &ChurningObject) -> Url {
-            Url::from_parts(self.scheme(), self.host.clone(), object.current_path.clone())
-        }
-
         /// Returns `true` if the site has at least one JavaScript object.
         fn has_js(&self) -> bool {
             !self.objects.is_empty()
-        }
-
-        /// The most stable object — the attacker's preferred infection target
-        /// (§VI-A "selecting persistent scripts").
-        fn best_persistent_object(&self) -> Option<&ChurningObject> {
-            self.objects.iter().min_by_key(|o| {
-                // Rank permanent first, then slow churn, then fast churn.
-                match o.class {
-                    StabilityClass::Permanent => (0, o.scheduled_rename_day.unwrap_or(u32::MAX)),
-                    StabilityClass::SlowChurn => (1, o.scheduled_rename_day.unwrap_or(u32::MAX)),
-                    StabilityClass::FastChurn => (2, 0),
-                }
-            })
-        }
-
-        /// The HTML of the site's landing page, referencing every current object
-        /// (and the shared analytics script when used).
-        fn index_html(&self) -> String {
-            let mut html = String::from("<html><head>\n");
-            for object in &self.objects {
-                html.push_str(&format!("  <script src=\"{}\"></script>\n", object.current_path));
-            }
-            if self.uses_google_analytics {
-                html.push_str(&format!(
-                    "  <script src=\"http://{ANALYTICS_HOST}{ANALYTICS_PATH}\"></script>\n"
-                ));
-            }
-            html.push_str("</head><body><h1>");
-            html.push_str(&self.host);
-            html.push_str("</h1></body></html>\n");
-            html
-        }
-
-        /// Materialises the site as a static origin server (landing page plus all
-        /// current objects).
-        fn to_origin(&self) -> StaticOrigin {
-            let mut origin = StaticOrigin::new(self.host.clone());
-            let mut index = Response::ok(Body::text(ResourceKind::Html, self.index_html()))
-                .with_cache_control("no-cache");
-            if let Some(policy) = &self.hsts {
-                index = index.with_header(names::STRICT_TRANSPORT_SECURITY, &policy.to_header_value());
-            }
-            if let Some((version, value)) = &self.csp {
-                let header = match version {
-                    CspVersion::Standard => names::CONTENT_SECURITY_POLICY,
-                    CspVersion::XContentSecurityPolicy => names::X_CONTENT_SECURITY_POLICY,
-                    CspVersion::XWebkitCsp => names::X_WEBKIT_CSP,
-                };
-                index = index.with_header(header, value);
-            }
-            origin.put("/index.html", index);
-            for object in &self.objects {
-                origin.put_text(
-                    &object.current_path,
-                    ResourceKind::JavaScript,
-                    &format!("/* {} */ function lib_{}() {{ return {}; }}", self.host, object.renames, object.current_hash),
-                    "public, max-age=604800",
-                );
-            }
-            origin
         }
     }
 
@@ -381,50 +290,6 @@ mod tests {
         assert!((ga - 0.63).abs() < 0.05, "google analytics {ga}");
         let csp = pop.sites.iter().filter(|s| s.csp.is_some()).count() as f64 / n;
         assert!((csp - 0.047).abs() < 0.03, "csp adoption {csp}");
-    }
-
-    #[test]
-    fn best_persistent_object_prefers_permanent_scripts() {
-        let pop = population(500);
-        let site_with_permanent = pop
-            .sites
-            .iter()
-            .find(|s| s.objects.iter().any(|o| o.class == StabilityClass::Permanent && o.scheduled_rename_day.is_none()))
-            .expect("some site has a permanent object");
-        let best = site_with_permanent.best_persistent_object().unwrap();
-        assert_eq!(best.class, StabilityClass::Permanent);
-    }
-
-    #[test]
-    fn site_materialises_to_a_working_origin() {
-        let pop = population(50);
-        let site = pop.sites.iter().find(|s| s.has_js()).unwrap();
-        let mut origin = site.to_origin();
-        let index = mp_httpsim::transport::Exchange::exchange(
-            &mut origin,
-            &mp_httpsim::message::Request::get(site.index_url()),
-        );
-        assert!(index.status.is_success());
-        let html = index.body.as_text();
-        assert!(html.contains("<script src=\"/static/js/main.js\""));
-        // The referenced object is actually served.
-        let object = site.best_persistent_object().unwrap();
-        let response = mp_httpsim::transport::Exchange::exchange(
-            &mut origin,
-            &mp_httpsim::message::Request::get(site.object_url(object)),
-        );
-        assert!(response.status.is_success());
-        assert_eq!(response.body.kind, ResourceKind::JavaScript);
-    }
-
-    #[test]
-    fn analytics_reference_appears_when_used() {
-        let pop = population(100);
-        let user = pop.sites.iter().find(|s| s.uses_google_analytics).unwrap();
-        assert!(user.index_html().contains(ANALYTICS_HOST));
-        if let Some(nonuser) = pop.sites.iter().find(|s| !s.uses_google_analytics) {
-            assert!(!nonuser.index_html().contains(ANALYTICS_HOST));
-        }
     }
 
     #[test]

@@ -315,64 +315,6 @@ impl std::fmt::Debug for Scenario {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use parasite::defense::{stage_survives, AttackStage, Defense};
-
-    impl Scenario {
-        /// The browser-level counterpart of the packet-level `attack_surface`
-        /// experiment's adoption axis (`parasite::experiments`): the
-        /// [`Scenario::fleet_sweep`] fleet visits `page` once, then each
-        /// `adoption` point deploys `defense` on that share of the clients. A
-        /// defended client stays clean when the defense blocks the
-        /// active-injection stage; a defense that does not block it — the
-        /// paper's strict-CSP headline — leaves every point of the curve at the
-        /// undefended infection count. Per-client adoption coordinates are drawn
-        /// independently of the adoption fraction (common random numbers), so
-        /// the infected count is monotone non-increasing in adoption by
-        /// construction.
-        fn adoption_sweep(
-            &self,
-            page: &Url,
-            clients: usize,
-            defense: Defense,
-            adoption: &[f64],
-        ) -> Vec<(f64, FleetReport)> {
-            use std::hash::{Hash, Hasher};
-            let undefended = |index: usize| {
-                // A deterministic coordinate in [0, 1) per client, independent of
-                // the every-eighth exposure pattern of the fleet sweep.
-                let mut hasher = mp_netsim::fasthash::FxHasher::default();
-                (index as u64).hash(&mut hasher);
-                hasher.finish() as f64 / (u64::MAX as f64 + 1.0)
-            };
-            // The expensive part — the browser visits — runs once; the defense
-            // matrix then gates the recorded outcomes per adoption point.
-            let infector = self.infector();
-            let raw: Vec<bool> = (0..clients)
-                .map(|index| {
-                    let exposed = index % 8 != 7;
-                    let master = if exposed { self.master.as_ref() } else { None };
-                    let mut browser = self.builder.victim_browser(master);
-                    let load = browser.visit(page);
-                    infector
-                        .as_ref()
-                        .map(|infector| load.page.scripts.iter().any(|s| infector.is_infected(&s.body)))
-                        .unwrap_or(false)
-                })
-                .collect();
-            let blocked = !stage_survives(defense, AttackStage::ActiveInjection);
-            adoption
-                .iter()
-                .map(|&a| {
-                    let infected = raw
-                        .iter()
-                        .enumerate()
-                        .filter(|&(index, &got)| got && !(blocked && undefended(index) < a))
-                        .count();
-                    (a, FleetReport { clients, infected, clean: clients - infected })
-                })
-                .collect()
-        }
-    }
 
     fn infected_scenario() -> Scenario {
         ScenarioBuilder::new()
@@ -434,30 +376,6 @@ mod tests {
         let report = clean.fleet_sweep(&page, 5);
         assert_eq!(report.infected, 0);
         assert_eq!(report.clean, 5);
-    }
-
-    #[test]
-    fn adoption_sweep_shrinks_with_blocking_defenses_and_not_with_csp() {
-        let scenario = infected_scenario();
-        let page = Url::parse("http://somesite.com/index.html").unwrap();
-        let adoption = [0.0, 0.5, 1.0];
-
-        // HSTS preloading blocks active injection: the curve starts at the
-        // fleet_sweep count, never rises, and full adoption clears the fleet.
-        let hsts = scenario.adoption_sweep(&page, 16, Defense::HstsPreload, &adoption);
-        assert_eq!(hsts[0].1.infected, 14);
-        for pair in hsts.windows(2) {
-            assert!(pair[1].1.infected <= pair[0].1.infected);
-        }
-        assert_eq!(hsts.last().unwrap().1.infected, 0);
-
-        // A strict CSP does not block active injection — the paper's
-        // headline — so the curve is flat at every adoption level.
-        let csp = scenario.adoption_sweep(&page, 16, Defense::StrictCsp, &adoption);
-        for (a, report) in &csp {
-            assert_eq!(report.infected, 14, "CSP curve must stay flat at adoption {a}");
-            assert_eq!(report.clients, 16);
-        }
     }
 
     #[test]

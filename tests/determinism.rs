@@ -7,8 +7,10 @@
 //! after run — with and without medium jitter — and a `run_many` sweep
 //! produces the same artifacts at `--jobs 1` as on a thread pool.
 
+use master_parasite::httpsim::body::{Body, ResourceKind};
+use master_parasite::httpsim::message::{Request, Response};
+use master_parasite::httpsim::url::Url;
 use master_parasite::netsim::addr::IpAddr;
-use master_parasite::netsim::attacker::{Injector, ResponseInjector};
 use master_parasite::netsim::capture::{TraceMode, TraceSummary};
 use master_parasite::netsim::error::NetError;
 use master_parasite::netsim::link::MediumKind;
@@ -16,6 +18,7 @@ use master_parasite::netsim::sim::{FixedResponder, Simulator};
 use master_parasite::netsim::time::Duration;
 use parasite::experiments::{run_many, ExperimentId, RunConfig};
 use parasite::json::ToJson;
+use parasite::master::Master;
 
 /// The representative scenario: a café access point (shared WiFi) with the
 /// master's tap on it, the genuine server across the WAN, and a handful of
@@ -31,33 +34,29 @@ fn cafe_world(seed: u64, jitter_us: u64, mode: TraceMode) -> Simulator {
     }
     let server = sim.add_host("server", IpAddr::new(203, 0, 113, 10), wan);
     sim.listen(server, 80);
+    let genuine = Response::ok(Body::text(ResourceKind::JavaScript, "genuine-script();"));
     sim.set_service(
         server,
-        Box::new(FixedResponder::new(
-            &b"HTTP/1.1 200 OK\r\n\r\ngenuine-script();"[..],
-            Duration::from_micros(500),
-        )),
+        Box::new(FixedResponder::new(genuine.to_wire(), Duration::from_micros(500))),
     );
-    let tap = ResponseInjector::new(
-        "master",
-        Injector::default(),
-        |payload| payload.starts_with(b"GET /my.js"),
-        |_req| b"HTTP/1.1 200 OK\r\n\r\nparasite();".to_vec(),
-    );
+    let prepared = url("/my.js");
+    let (tap, _stats) = Master::new("master.attacker.example")
+        .packet_tap(&[(prepared, genuine)], Duration::from_micros(300));
     sim.add_tap(wifi, Box::new(tap));
 
     for index in 0..8u8 {
         let name = format!("victim{index}");
         let client = sim.add_host(&name, IpAddr::new(10, 0, 0, 10 + index), wifi);
         let conn = sim.connect(client, server, 80).expect("hosts exist");
-        let request: &[u8] = if index % 3 == 0 {
-            b"GET /weather.js HTTP/1.1\r\nHost: somesite.com\r\n\r\n"
-        } else {
-            b"GET /my.js HTTP/1.1\r\nHost: somesite.com\r\n\r\n"
-        };
-        sim.send(client, conn, request).expect("connection exists");
+        let path = if index % 3 == 0 { "/weather.js" } else { "/my.js" };
+        sim.send(client, conn, &Request::get(url(path)).to_wire())
+            .expect("connection exists");
     }
     sim
+}
+
+fn url(path: &str) -> Url {
+    Url::parse(&format!("http://somesite.com{path}")).expect("static url")
 }
 
 /// Runs the café scenario to completion under a full trace and returns the
