@@ -12,15 +12,15 @@
 //!     --only campaign_fleet --fleet-days 5          # multi-process campaign
 //! ```
 
-use mp_bench::{render_report, report_json, try_run_selected};
+use mp_bench::{render_report, report_json};
 use mp_service::{
     serve_shard_lines, Client, Coordinator, Daemon, Endpoint, Request, Response, RunOutcome,
     ServeOptions, WorkerProcess,
 };
 use parasite::experiments::{
-    run_campaign_with_checkpoint, Artifact, ArtifactData, CampaignFleetResult, ConfigError,
-    ExperimentError, ExperimentId, FaultPlan, RunConfig, SurfaceVector, FAULT_PLAN_ENV,
-    MAX_FLEET_JOBS,
+    run_campaign_with_checkpoint, try_run_many, Artifact, ArtifactData, CampaignFleetResult,
+    ConfigError, ExperimentError, ExperimentId, FaultPlan, RunConfig, SurfaceVector,
+    FAULT_PLAN_ENV, MAX_FLEET_JOBS,
 };
 use parasite::json::ToJson;
 use std::io::{ErrorKind, Write};
@@ -459,7 +459,8 @@ fn batch(args: &[String]) -> ExitCode {
         let result = run_campaign_with_checkpoint(&options.config, path);
         return print_campaign(result, &options);
     }
-    let results = try_run_selected(&options.ids, &options.config, options.jobs);
+    let results =
+        try_run_many(&options.ids, std::slice::from_ref(&options.config), options.jobs);
     print_report(&options.ids, results, &options)
 }
 

@@ -2,11 +2,10 @@
 //!
 //! Benchmark and experiment harness for the *Master and Parasite Attack*
 //! reproduction, built on the [`parasite::experiments`] registry. The
-//! Criterion benches under `benches/` regenerate every table and figure of
-//! the paper (printing the paper-shaped rows once, then measuring the hot
-//! path), and the `paper-report` binary prints the full set of artefacts in
-//! one run — as text or as machine-readable JSON, sequentially or on a
-//! thread pool:
+//! `paper-report` binary prints the full set of the paper's tables and
+//! figures in one run — as text or as machine-readable JSON, sequentially or
+//! on a thread pool — and the one bench target, `packet_flood`, measures the
+//! simulator's hot path per trace recorder mode:
 //!
 //! ```text
 //! cargo run -p mp-bench --bin paper-report
@@ -17,29 +16,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use parasite::experiments::{run_many, try_run_many, Artifact, ExperimentError, ExperimentId, RunConfig};
+use parasite::experiments::{run_many, Artifact, ExperimentId, RunConfig};
 use parasite::json::{Json, ToJson};
 
-/// Runs the given experiments under one configuration on `jobs` worker
+/// Runs all eleven experiments under one configuration on `jobs` worker
 /// threads, in the paper's order.
-pub fn run_selected(ids: &[ExperimentId], config: &RunConfig, jobs: usize) -> Vec<Artifact> {
-    run_many(ids, std::slice::from_ref(config), jobs)
-}
-
-/// [`run_selected`] with per-experiment error isolation: a scenario that
-/// exhausts its event budget reports an [`ExperimentError`] in its own slot
-/// while the other experiments complete.
-pub fn try_run_selected(
-    ids: &[ExperimentId],
-    config: &RunConfig,
-    jobs: usize,
-) -> Vec<Result<Artifact, ExperimentError>> {
-    try_run_many(ids, std::slice::from_ref(config), jobs)
-}
-
-/// Runs all eleven experiments under one configuration.
 pub fn run_all(config: &RunConfig, jobs: usize) -> Vec<Artifact> {
-    run_selected(&ExperimentId::ALL, config, jobs)
+    run_many(&ExperimentId::ALL, std::slice::from_ref(config), jobs)
 }
 
 /// Renders artifacts into the classic text report: every table and figure of
@@ -61,27 +44,9 @@ pub fn report_json(config: &RunConfig, artifacts: &[Artifact]) -> Json {
     ])
 }
 
-/// Renders every table and figure of the paper into one report string with
-/// the default configuration (the classic `paper-report` output).
-pub fn full_report() -> String {
-    render_report(&run_all(&RunConfig::default(), 1))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn full_report_mentions_every_artifact() {
-        let report = super::full_report();
-        for needle in [
-            "Table I", "Table II", "Table III", "Table IV", "Table V",
-            "Figure 1", "Figure 2", "Figure 3", "Figure 4", "Figure 5",
-            "ablation",
-        ] {
-            assert!(report.contains(needle), "report is missing {needle}");
-        }
-    }
 
     #[test]
     fn report_json_wraps_config_and_artifacts() {
@@ -91,7 +56,8 @@ mod tests {
             days: 10,
             ..RunConfig::default()
         };
-        let artifacts = run_selected(&[ExperimentId::Fig4, ExperimentId::Ablation], &config, 2);
+        let ids = [ExperimentId::Fig4, ExperimentId::Ablation];
+        let artifacts = run_many(&ids, std::slice::from_ref(&config), 2);
         let json = report_json(&config, &artifacts);
         let parsed = Json::parse(&json.to_string()).expect("report JSON parses");
         assert_eq!(

@@ -3,7 +3,7 @@
 //! batch runner must produce exactly the sequential results.
 
 use mp_bench::{render_report, report_json, run_all};
-use parasite::experiments::{ExperimentId, RunConfig};
+use parasite::experiments::{try_run_many, ExperimentId, RunConfig};
 use parasite::json::Json;
 
 /// A configuration small enough to run the full suite in seconds.
@@ -53,7 +53,7 @@ fn campaign_fleet_json_is_structured_and_opt_in() {
     // The default report does not include the extension experiment...
     assert!(!ExperimentId::ALL.contains(&ExperimentId::CampaignFleet));
     // ...but selecting it explicitly yields a parseable structured artifact.
-    let results = mp_bench::try_run_selected(&[ExperimentId::CampaignFleet], &config, 1);
+    let results = try_run_many(&[ExperimentId::CampaignFleet], std::slice::from_ref(&config), 1);
     let artifact = results[0].as_ref().expect("small fleet completes");
     let parsed = Json::parse(&report_json(&config, std::slice::from_ref(artifact)).to_string())
         .expect("campaign JSON parses");
@@ -73,8 +73,8 @@ fn starved_experiment_reports_an_error_without_sinking_the_report() {
         event_budget: 3,
         ..quick_config()
     };
-    let results =
-        mp_bench::try_run_selected(&[ExperimentId::Fig2, ExperimentId::Ablation], &config, 2);
+    let ids = [ExperimentId::Fig2, ExperimentId::Ablation];
+    let results = try_run_many(&ids, std::slice::from_ref(&config), 2);
     assert!(results[0].is_err(), "three events cannot complete a handshake");
     assert!(results[1].is_ok(), "the sibling experiment still completes");
 }

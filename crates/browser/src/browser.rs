@@ -82,13 +82,6 @@ pub struct PageLoad {
     pub csp: Option<ContentSecurityPolicy>,
 }
 
-impl PageLoad {
-    /// Returns the fetch record for `url`, if the page requested it.
-    pub fn record_for(&self, url: &Url) -> Option<&FetchRecord> {
-        self.records.iter().find(|r| &r.url == url)
-    }
-}
-
 /// A simulated browser instance.
 pub struct Browser {
     profile: BrowserProfile,
@@ -159,12 +152,6 @@ impl Browser {
     /// Read access to the HTTP cache.
     pub fn cache(&self) -> &HttpCache {
         &self.cache
-    }
-
-    /// Mutable access to the HTTP cache (used by infection code that models a
-    /// response having been delivered into the cache).
-    pub fn cache_mut(&mut self) -> &mut HttpCache {
-        &mut self.cache
     }
 
     /// Read access to the Cache API storage.

@@ -28,11 +28,6 @@ impl CacheApiStorage {
         }
     }
 
-    /// Returns `true` if the API is available to scripts.
-    pub fn is_supported(&self) -> bool {
-        self.supported
-    }
-
     /// Stores a response under `(origin, cache_name, url)`.
     ///
     /// Returns `false` (and stores nothing) when the API is unsupported.
@@ -120,7 +115,6 @@ mod tests {
         let target = url("http://top1.com/persistent.js");
         assert!(!storage.put("http://top1.com", "parasite-cache", &target, parasite_response()));
         assert!(storage.is_empty());
-        assert!(!storage.is_supported());
     }
 
     #[test]

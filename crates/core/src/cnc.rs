@@ -214,11 +214,6 @@ impl CncServer {
         self.commands.push_back(command);
     }
 
-    /// Number of commands still queued.
-    pub fn pending_commands(&self) -> usize {
-        self.commands.len()
-    }
-
     /// Everything the bots have exfiltrated so far.
     pub fn exfiltrated(&self) -> &[ExfilRecord] {
         &self.exfiltrated

@@ -14,15 +14,6 @@ use mp_httpsim::transport::Exchange;
 use mp_httpsim::url::Url;
 use mp_netsim::time::Duration;
 
-/// A bot (one parasite instance phoning home) known to the master.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Bot {
-    /// Campaign identifier the bot reported.
-    pub campaign: String,
-    /// Domain the parasite is camouflaged under.
-    pub domain: String,
-}
-
 /// The master attacker.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Master {
@@ -34,8 +25,6 @@ pub struct Master {
     pub targets: Vec<Url>,
     /// The C&C server.
     pub cnc: CncServer,
-    /// Bots that have phoned home.
-    bots: Vec<Bot>,
 }
 
 impl Master {
@@ -46,7 +35,6 @@ impl Master {
             infection: InfectionConfig::default(),
             targets: Vec::new(),
             cnc: CncServer::new(cnc_host),
-            bots: Vec::new(),
         }
     }
 
@@ -86,28 +74,11 @@ impl Master {
         }
         (tap, stats)
     }
-
-    /// Registers a bot check-in.
-    pub fn register_bot(&mut self, campaign: &str, domain: &str) {
-        let bot = Bot {
-            campaign: campaign.to_string(),
-            domain: domain.to_string(),
-        };
-        if !self.bots.contains(&bot) {
-            self.bots.push(bot);
-        }
-    }
-
-    /// Bots known to the master.
-    pub fn bots(&self) -> &[Bot] {
-        &self.bots
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cnc::Command;
     use mp_httpsim::body::{Body, ResourceKind};
     use mp_httpsim::message::{Request, Response};
     use mp_httpsim::transport::StaticOrigin;
@@ -143,16 +114,5 @@ mod tests {
         tap.observe(&observed, Instant::ZERO, &mut injections);
         assert!(!injections.is_empty());
         assert_eq!(stats.lock().unwrap().responses_injected, 1);
-    }
-
-    #[test]
-    fn bot_registry_deduplicates_and_commands_queue() {
-        let mut master = Master::new("master.attacker.example");
-        master.register_bot("campaign-0", "top1.com");
-        master.register_bot("campaign-0", "top1.com");
-        master.register_bot("campaign-0", "bank.example");
-        assert_eq!(master.bots().len(), 2);
-        master.cnc.queue_command(Command::ExfiltrateAll);
-        assert_eq!(master.cnc.pending_commands(), 1);
     }
 }

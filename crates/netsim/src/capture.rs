@@ -16,7 +16,6 @@ use crate::packet::Packet;
 use crate::time::Instant;
 use crate::fasthash::FxHashMap;
 use std::collections::VecDeque;
-use std::fmt;
 
 /// Index into a [`Trace`]'s interned name table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -101,10 +100,10 @@ pub struct Trace {
     name_index: FxHashMap<String, NameId>,
     events: VecDeque<TraceEvent>,
     summary: TraceSummary,
-    /// Events the *recorder* discarded (ring overflow, summary-only mode or a
-    /// mode switch). Kept outside [`TraceSummary`] so the summary stays
-    /// byte-identical across recorder modes; `retained = total_events -
-    /// recorder_dropped` still holds on every path.
+    /// Events the *recorder* discarded (ring overflow or summary-only mode).
+    /// Kept outside [`TraceSummary`] so the summary stays byte-identical
+    /// across recorder modes; `retained = total_events - recorder_dropped`
+    /// still holds on every path.
     recorder_dropped: u64,
 }
 
@@ -145,29 +144,18 @@ impl Trace {
         self.mode
     }
 
-    /// Switches the recorder mode in place. Already-retained events that the
-    /// new mode would not hold are dropped (and counted in
-    /// [`Trace::recorder_dropped`]); the name table and counters are
-    /// untouched.
+    /// Sets the recorder mode of a trace that has recorded nothing yet (the
+    /// simulator's builder), so no retained event is ever trimmed.
     ///
     /// # Panics
     ///
-    /// Panics on `Ring(0)`, like [`Trace::with_mode`].
-    pub fn set_mode(&mut self, mode: TraceMode) {
-        match mode {
-            TraceMode::Full => {}
-            TraceMode::Ring(n) => {
-                assert!(n > 0, "ring capacity must be positive; use SummaryOnly to retain nothing");
-                while self.events.len() > n {
-                    self.events.pop_front();
-                    self.recorder_dropped += 1;
-                }
-            }
-            TraceMode::SummaryOnly => {
-                self.recorder_dropped += self.events.len() as u64;
-                self.events.clear();
-            }
+    /// Panics on `Ring(0)`, like [`Trace::with_mode`], and if an event has
+    /// already been recorded.
+    pub(crate) fn set_mode(&mut self, mode: TraceMode) {
+        if let TraceMode::Ring(n) = mode {
+            assert!(n > 0, "ring capacity must be positive; use SummaryOnly to retain nothing");
         }
+        assert_eq!(self.summary.total_events, 0, "the trace mode is set before any event is recorded");
         self.mode = mode;
     }
 
@@ -209,11 +197,6 @@ impl Trace {
     /// [`Trace::fresh_like`]-derived from).
     pub fn name(&self, id: NameId) -> &str {
         &self.names[id.0 as usize]
-    }
-
-    /// Looks up the id of an already-interned name.
-    pub fn name_id(&self, name: &str) -> Option<NameId> {
-        self.name_index.get(name).copied()
     }
 
     /// Appends an event, honouring the recorder mode.
@@ -265,9 +248,9 @@ impl Trace {
         &self.summary
     }
 
-    /// Number of events the recorder discarded (ring overflow, summary-only
-    /// mode or a mode switch). Recorder metadata, deliberately *not* part of
-    /// the [`TraceSummary`]: `retained = total_events - recorder_dropped`.
+    /// Number of events the recorder discarded (ring overflow or summary-only
+    /// mode). Recorder metadata, deliberately *not* part of the
+    /// [`TraceSummary`]: `retained = total_events - recorder_dropped`.
     pub fn recorder_dropped(&self) -> u64 {
         self.recorder_dropped
     }
@@ -299,19 +282,6 @@ impl Trace {
         self.events
             .iter()
             .filter(|e| !e.packet.segment.payload.is_empty())
-    }
-
-    /// Total payload bytes transferred between the named endpoints (either
-    /// direction), over the retained events.
-    pub fn bytes_between(&self, a: &str, b: &str) -> usize {
-        let (Some(a), Some(b)) = (self.name_id(a), self.name_id(b)) else {
-            return 0;
-        };
-        self.events
-            .iter()
-            .filter(|e| (e.from == a && e.to == b) || (e.from == b && e.to == a))
-            .map(|e| e.packet.segment.payload.len())
-            .sum()
     }
 
     /// Returns a short one-line description of an event, in the style of the
@@ -351,20 +321,6 @@ impl Trace {
             out.push('\n');
         }
         out
-    }
-
-    /// Clears retained events and resets the summary counters. The name table
-    /// (and all interned ids) stays valid.
-    pub fn clear(&mut self) {
-        self.events.clear();
-        self.summary = TraceSummary::default();
-        self.recorder_dropped = 0;
-    }
-}
-
-impl fmt::Display for Trace {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.render())
     }
 }
 
@@ -410,8 +366,6 @@ mod tests {
         assert_eq!(trace.len(), 3);
         assert_eq!(trace.injected().count(), 1);
         assert_eq!(trace.with_payload().count(), 2);
-        assert_eq!(trace.bytes_between("victim", "server"), 6);
-        assert_eq!(trace.bytes_between("victim", "nobody"), 0);
         let rendering = trace.render();
         assert_eq!(rendering.lines().count(), 3);
         let summary = trace.summary();
@@ -440,8 +394,7 @@ mod tests {
         assert_eq!(a, b);
         assert_ne!(a, c);
         assert_eq!(trace.name(a), "victim");
-        assert_eq!(trace.name_id("server"), Some(c));
-        assert_eq!(trace.name_id("unknown"), None);
+        assert_eq!(trace.name(c), "server");
     }
 
     #[test]
@@ -471,7 +424,6 @@ mod tests {
         // Both the pushed event and the noted one count as recorder-dropped:
         // retained == total - dropped on every path.
         assert_eq!(trace.recorder_dropped(), 2);
-        assert_eq!(trace.bytes_between("a", "b"), 0);
     }
 
     #[test]

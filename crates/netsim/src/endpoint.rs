@@ -247,32 +247,10 @@ impl Host {
         (self.push_conn(conn), syn)
     }
 
-    /// Sends application data on an established connection.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetError::UnknownConnection`] for an unknown id and
-    /// [`NetError::InvalidState`] if the connection is not established.
-    pub fn send(&mut self, conn: ConnId, data: &[u8]) -> Result<Vec<Segment>, NetError> {
-        self.send_bytes(conn, Bytes::copy_from_slice(data))
-    }
-
-    /// [`Host::send`] without the copy: MSS segmentation slices the shared
+    /// Sends application data on an established connection, appending the
+    /// MSS-sized segments to transmit to the caller-owned `out` (see
+    /// [`TcpConnection::send_bytes_into`]). Segmentation slices the shared
     /// buffer instead of copying each chunk.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetError::UnknownConnection`] for an unknown id and
-    /// [`NetError::InvalidState`] if the connection is not established.
-    pub fn send_bytes(&mut self, conn: ConnId, data: Bytes) -> Result<Vec<Segment>, NetError> {
-        let connection = self
-            .conn_mut(conn)
-            .ok_or(NetError::UnknownConnection(conn.0))?;
-        connection.send_bytes(data)
-    }
-
-    /// [`Host::send_bytes`] into a caller-owned segment buffer (see
-    /// [`TcpConnection::send_bytes_into`]).
     ///
     /// # Errors
     ///
@@ -318,14 +296,10 @@ impl Host {
         self.conn(conn).map(|c| c.received()).unwrap_or(&[])
     }
 
-    /// Returns application bytes that arrived since the previous call.
-    pub fn read_new(&mut self, conn: ConnId) -> Vec<u8> {
-        self.conn_mut(conn).map(|c| c.read_new()).unwrap_or_default()
-    }
-
-    /// [`Host::read_new`] as a shared [`Bytes`] slice of the received
-    /// stream (see [`TcpConnection::take_new_bytes`]); empty when nothing new
-    /// arrived or the connection does not exist.
+    /// Returns application bytes that arrived since the previous call, as a
+    /// shared [`Bytes`] slice of the received stream (see
+    /// [`TcpConnection::take_new_bytes`]); empty when nothing new arrived or
+    /// the connection does not exist.
     pub fn read_new_bytes(&mut self, conn: ConnId) -> Bytes {
         self.conn_mut(conn)
             .map(TcpConnection::take_new_bytes)
@@ -401,6 +375,13 @@ mod tests {
     use super::*;
     use crate::packet::TcpFlags;
 
+    /// Sends `data` on `conn`, returning the segments to transmit.
+    fn send(host: &mut Host, conn: ConnId, data: &[u8]) -> Result<Vec<Segment>, NetError> {
+        let mut segments = Vec::new();
+        host.send_bytes_into(conn, Bytes::copy_from_slice(data), &mut segments)?;
+        Ok(segments)
+    }
+
     fn make_hosts() -> (Host, Host) {
         let client = Host::new(HostId(1), IpAddr::new(10, 0, 0, 2), MediumId(0));
         let mut server = Host::new(HostId(2), IpAddr::new(203, 0, 113, 10), MediumId(0));
@@ -429,7 +410,7 @@ mod tests {
     fn connect_and_exchange_data() {
         let (mut client, mut server) = make_hosts();
         let conn = establish(&mut client, &mut server);
-        let segs = client.send(conn, b"GET /index.html HTTP/1.1\r\n\r\n").unwrap();
+        let segs = send(&mut client, conn, b"GET /index.html HTTP/1.1\r\n\r\n").unwrap();
         for seg in segs {
             let result = ship(&client, &mut server, seg);
             assert!(result.outcome.is_some());
@@ -460,12 +441,12 @@ mod tests {
     fn data_ready_reports_connection_with_new_bytes() {
         let (mut client, mut server) = make_hosts();
         let conn = establish(&mut client, &mut server);
-        let segs = client.send(conn, b"ping").unwrap();
+        let segs = send(&mut client, conn, b"ping").unwrap();
         let result = ship(&client, &mut server, segs[0].clone());
         assert_eq!(result.data_ready.len(), 1);
         let sconn = result.data_ready[0];
-        assert_eq!(server.read_new(sconn), b"ping");
-        assert!(server.read_new(sconn).is_empty());
+        assert_eq!(server.read_new_bytes(sconn), b"ping");
+        assert!(server.read_new_bytes(sconn).is_empty());
     }
 
     #[test]
@@ -476,12 +457,12 @@ mod tests {
             .collect();
         for (index, &conn) in conns.iter().enumerate() {
             let request = format!("request {index}");
-            let segs = client.send(conn, request.as_bytes()).unwrap();
+            let segs = send(&mut client, conn, request.as_bytes()).unwrap();
             let sconn = ship(&client, &mut server, segs[0].clone()).data_ready[0];
             assert_eq!(sconn, ConnId(index as u64 + 1));
             assert_eq!(server.received(sconn), request.as_bytes());
             let reply = format!("reply {index}");
-            let segs = server.send(sconn, reply.as_bytes()).unwrap();
+            let segs = send(&mut server, sconn, reply.as_bytes()).unwrap();
             ship(&server, &mut client, segs[0].clone());
             assert_eq!(client.received(conn), reply.as_bytes());
         }
@@ -500,7 +481,7 @@ mod tests {
     fn unknown_connection_operations_error() {
         let (mut client, _server) = make_hosts();
         assert!(matches!(
-            client.send(ConnId(99), b"x"),
+            send(&mut client, ConnId(99), b"x"),
             Err(NetError::UnknownConnection(99))
         ));
         assert!(matches!(

@@ -284,25 +284,15 @@ impl Simulator {
         self.shared_budget = Some(budget);
     }
 
-    /// The attached shared budget, if any.
-    pub fn shared_budget(&self) -> Option<&SharedBudget> {
-        self.shared_budget.as_ref()
-    }
-
-    /// Sets the trace recorder mode (builder form). [`TraceMode::Full`] (the
-    /// default) retains every transmission; [`TraceMode::Ring`] bounds the
-    /// trace to the most recent *n*; [`TraceMode::SummaryOnly`] retains
-    /// nothing but the running counters.
+    /// Sets the trace recorder mode (builder form, before anything is
+    /// recorded). [`TraceMode::Full`] (the default) retains every
+    /// transmission; [`TraceMode::Ring`] bounds the trace to the most recent
+    /// *n*; [`TraceMode::SummaryOnly`] retains nothing but the running
+    /// counters.
     #[must_use]
     pub fn with_trace_mode(mut self, mode: TraceMode) -> Self {
-        self.set_trace_mode(mode);
-        self
-    }
-
-    /// Sets the trace recorder mode on an existing simulator. Retained events
-    /// the new mode would not hold are dropped (and counted).
-    pub fn set_trace_mode(&mut self, mode: TraceMode) {
         self.trace.set_mode(mode);
+        self
     }
 
     /// Current simulated time.
@@ -426,15 +416,7 @@ impl Simulator {
             .ok_or_else(|| NetError::UnknownHost(format!("{server:?}")))?
             .host
             .ip();
-        self.connect_addr(client, SocketAddr::new(server_ip, port))
-    }
-
-    /// Opens a TCP connection from `client` to an arbitrary remote address.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetError::UnknownHost`] if the client id is invalid.
-    pub fn connect_addr(&mut self, client: HostId, remote: SocketAddr) -> Result<ConnId, NetError> {
+        let remote = SocketAddr::new(server_ip, port);
         let host = &mut self
             .hosts
             .get_mut(client.0 as usize)
@@ -931,7 +913,11 @@ mod tests {
     }
 
     fn basic_world() -> (Simulator, HostId, HostId, MediumId, MediumId) {
-        let mut sim = Simulator::new(7);
+        world_on(Simulator::new(7))
+    }
+
+    /// [`basic_world`] built on a caller-configured simulator.
+    fn world_on(mut sim: Simulator) -> (Simulator, HostId, HostId, MediumId, MediumId) {
         // 2 ms WiFi hop, 40 ms WAN hop: the geometry of the paper's scenario.
         let wifi = sim.add_medium(MediumKind::SharedWireless, 2_000);
         let wan = sim.add_medium(MediumKind::WideArea, 40_000);
@@ -1102,13 +1088,12 @@ mod tests {
         let trace = sim.trace();
         assert!(trace.len() >= 5, "handshake + data + ack should be recorded, got {}", trace.len());
         assert!(trace.render().contains("victim"));
-        assert!(trace.bytes_between("victim", "server") >= 3);
     }
 
     #[test]
     fn summary_only_trace_counts_without_retaining() {
-        let (mut sim, client, server, _, _) = basic_world();
-        sim.set_trace_mode(TraceMode::SummaryOnly);
+        let (mut sim, client, server, _, _) =
+            world_on(Simulator::new(7).with_trace_mode(TraceMode::SummaryOnly));
         sim.set_service(
             server,
             Box::new(FixedResponder::new(&b"resp"[..], Duration::from_micros(100))),
@@ -1126,8 +1111,8 @@ mod tests {
 
     #[test]
     fn ring_trace_is_bounded_and_keeps_the_tail() {
-        let (mut sim, client, server, _, _) = basic_world();
-        sim.set_trace_mode(TraceMode::Ring(3));
+        let (mut sim, client, server, _, _) =
+            world_on(Simulator::new(7).with_trace_mode(TraceMode::Ring(3)));
         sim.set_service(
             server,
             Box::new(FixedResponder::new(&b"resp"[..], Duration::from_micros(100))),

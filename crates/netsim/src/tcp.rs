@@ -136,23 +136,12 @@ impl Reassembler {
         self.stream.as_slice().len() as u64
     }
 
-    /// [`Reassembler::offer`] for a shared buffer: while the stream is empty
-    /// and `data` extends it in order, the stream becomes a zero-copy slice
-    /// of `data` instead of a copy.
-    pub fn offer_bytes(&mut self, offset: u64, data: &Bytes) -> usize {
-        self.offer_shared(offset, data, Some(data))
-    }
-
-    /// Offers bytes starting at `offset` (relative to the initial sequence
+    /// Offers `data` starting at `offset` (relative to the initial sequence
     /// number). Returns the number of *fresh* bytes that had not been covered
-    /// by earlier segments.
-    pub fn offer(&mut self, offset: u64, data: &[u8]) -> usize {
-        self.offer_shared(offset, data, None)
-    }
-
-    /// [`Reassembler::offer`], with `shared` the buffer `data` views when the
-    /// caller has one to share.
-    fn offer_shared(&mut self, offset: u64, data: &[u8], shared: Option<&Bytes>) -> usize {
+    /// by earlier segments. While the stream is empty and `data` extends it
+    /// in order, the stream becomes a zero-copy slice of `data` instead of a
+    /// copy.
+    pub fn offer_bytes(&mut self, offset: u64, data: &Bytes) -> usize {
         if data.is_empty() {
             return 0;
         }
@@ -168,11 +157,9 @@ impl Reassembler {
                 return 0;
             }
             let skip = (assembled_len - offset) as usize;
-            match (&mut self.stream, shared) {
-                (Stream::Shared(stream), Some(shared)) if stream.is_empty() => {
-                    *stream = shared.slice(skip..);
-                }
-                (stream, _) => stream.extend(&data[skip..]),
+            match &mut self.stream {
+                Stream::Shared(stream) if stream.is_empty() => *stream = data.slice(skip..),
+                stream => stream.extend(&data[skip..]),
             }
             return data.len() - skip;
         }
@@ -233,11 +220,6 @@ impl Reassembler {
             Stream::Shared(bytes) => bytes.slice(start..),
             Stream::Owned(vec) => Bytes::copy_from_slice(&vec[start..]),
         }
-    }
-
-    /// Returns `true` if there are buffered out-of-order ranges waiting for a gap to fill.
-    pub fn has_gaps(&self) -> bool {
-        !self.pending.is_empty()
     }
 }
 
@@ -354,31 +336,10 @@ impl TcpConnection {
     }
 
     /// Queues application data for transmission, segmenting at the MSS, and
-    /// returns the segments to hand to the network layer.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetError::InvalidState`] if the connection is not
-    /// established.
-    pub fn send(&mut self, data: &[u8]) -> Result<Vec<Segment>, NetError> {
-        self.send_bytes(Bytes::copy_from_slice(data))
-    }
-
-    /// [`TcpConnection::send`] without the copy: each MSS-sized segment
-    /// payload is a zero-copy slice of the shared buffer.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetError::InvalidState`] if the connection is not
-    /// established.
-    pub fn send_bytes(&mut self, data: Bytes) -> Result<Vec<Segment>, NetError> {
-        let mut segments = Vec::with_capacity(data.len().div_ceil(self.mss).max(1));
-        self.send_bytes_into(data, &mut segments)?;
-        Ok(segments)
-    }
-
-    /// [`TcpConnection::send_bytes`] into a caller-owned buffer, so the hot
-    /// service path can reuse one segment scratch vector across sends.
+    /// appends the segments to hand to the network layer to `out`. Each
+    /// segment payload is a zero-copy slice of `data`, and `out` is
+    /// caller-owned so the hot service path can reuse one segment scratch
+    /// vector across sends.
     ///
     /// # Errors
     ///
@@ -432,17 +393,11 @@ impl TcpConnection {
         Ok(fin)
     }
 
-    /// Processes an incoming segment from `peer`, returning any segments to
-    /// send in response plus a record of what happened to the payload.
-    pub fn on_segment(&mut self, peer: SocketAddr, seg: &Segment) -> (Vec<Segment>, AcceptOutcome) {
-        let mut responses = Vec::new();
-        let outcome = self.on_segment_into(peer, seg, &mut responses);
-        (responses, outcome)
-    }
-
-    /// [`TcpConnection::on_segment`] appending responses to a caller-owned
-    /// buffer, so the simulator's event loop reuses one segment vector across
-    /// deliveries instead of allocating per event.
+    /// Processes an incoming segment from `peer`, appending any segments to
+    /// send in response to `responses` and returning a record of what
+    /// happened to the payload. The buffer is caller-owned, so the
+    /// simulator's event loop reuses one segment vector across deliveries
+    /// instead of allocating per event.
     pub fn on_segment_into(
         &mut self,
         peer: SocketAddr,
@@ -584,19 +539,11 @@ impl TcpConnection {
         outcome
     }
 
-    /// Returns application data that has become available since the last call.
-    pub fn read_new(&mut self) -> Vec<u8> {
-        let assembled = self.reassembler.assembled();
-        let new = assembled[self.delivered..].to_vec();
-        self.delivered = assembled.len();
-        new
-    }
-
-    /// [`TcpConnection::read_new`] as a shared buffer: the bytes that became
-    /// available since the last read, sliced from the received stream. While
-    /// one segment has built the stream the slice shares that segment's
-    /// payload (no copy); once the stream is owned the new bytes are copied
-    /// out. Empty when nothing new arrived.
+    /// Returns application data that has become available since the last
+    /// call, sliced from the received stream. While one segment has built the
+    /// stream the slice shares that segment's payload (no copy); once the
+    /// stream is owned the new bytes are copied out. Empty when nothing new
+    /// arrived.
     pub fn take_new_bytes(&mut self) -> Bytes {
         let len = self.reassembler.assembled().len();
         if self.delivered >= len {
@@ -625,17 +572,32 @@ mod tests {
         )
     }
 
+    /// Sends `data` on `conn`, returning the segments to transmit.
+    fn send(conn: &mut TcpConnection, data: &[u8]) -> Result<Vec<Segment>, NetError> {
+        let mut segments = Vec::new();
+        conn.send_bytes_into(Bytes::copy_from_slice(data), &mut segments)?;
+        Ok(segments)
+    }
+
+    /// Delivers `seg` from `peer` to `conn`, returning the responses and the
+    /// outcome.
+    fn deliver(conn: &mut TcpConnection, peer: SocketAddr, seg: &Segment) -> (Vec<Segment>, AcceptOutcome) {
+        let mut responses = Vec::new();
+        let outcome = conn.on_segment_into(peer, seg, &mut responses);
+        (responses, outcome)
+    }
+
     /// Runs a full handshake between a client and a server connection.
     fn handshake() -> (TcpConnection, TcpConnection) {
         let (client_addr, server_addr) = addrs();
         let (mut client, syn) = TcpConnection::connect(client_addr, server_addr, SeqNum::new(1000));
         let mut server = TcpConnection::listen(server_addr, SeqNum::new(5000));
 
-        let (synack, _) = server.on_segment(client_addr, &syn);
+        let (synack, _) = deliver(&mut server, client_addr, &syn);
         assert_eq!(synack.len(), 1);
-        let (ack, _) = client.on_segment(server_addr, &synack[0]);
+        let (ack, _) = deliver(&mut client, server_addr, &synack[0]);
         assert_eq!(ack.len(), 1);
-        server.on_segment(client_addr, &ack[0]);
+        deliver(&mut server, client_addr, &ack[0]);
 
         assert!(client.is_established());
         assert!(server.is_established());
@@ -655,13 +617,13 @@ mod tests {
     fn data_transfer_delivers_in_order() {
         let (mut client, mut server) = handshake();
         let (client_addr, _) = addrs();
-        let segments = client.send(b"GET / HTTP/1.1\r\n\r\n").unwrap();
+        let segments = send(&mut client, b"GET / HTTP/1.1\r\n\r\n").unwrap();
         for seg in &segments {
-            server.on_segment(client_addr, seg);
+            deliver(&mut server, client_addr, seg);
         }
         assert_eq!(server.received(), b"GET / HTTP/1.1\r\n\r\n");
-        assert_eq!(server.read_new(), b"GET / HTTP/1.1\r\n\r\n".to_vec());
-        assert!(server.read_new().is_empty());
+        assert_eq!(server.take_new_bytes(), b"GET / HTTP/1.1\r\n\r\n");
+        assert!(server.take_new_bytes().is_empty());
     }
 
     #[test]
@@ -669,10 +631,10 @@ mod tests {
         let (mut client, mut server) = handshake();
         let (client_addr, _) = addrs();
         let body = vec![0x61u8; DEFAULT_MSS * 2 + 100];
-        let segments = client.send(&body).unwrap();
+        let segments = send(&mut client, &body).unwrap();
         assert_eq!(segments.len(), 3);
         for seg in &segments {
-            server.on_segment(client_addr, seg);
+            deliver(&mut server, client_addr, seg);
         }
         assert_eq!(server.received().len(), body.len());
     }
@@ -685,12 +647,12 @@ mod tests {
 
         // Attacker's spoofed payload arrives first for this sequence range.
         let spoofed = Segment::data(51000, 80, seq, server.send_next(), &b"EVIL DATA!"[..]);
-        let (_, outcome1) = server.on_segment(client_addr, &spoofed);
+        let (_, outcome1) = deliver(&mut server, client_addr, &spoofed);
         assert_eq!(outcome1, AcceptOutcome::Accepted { fresh_bytes: 10 });
 
         // Genuine payload for the same range arrives later and is dropped.
         let genuine = Segment::data(51000, 80, seq, server.send_next(), &b"real data."[..]);
-        let (_, outcome2) = server.on_segment(client_addr, &genuine);
+        let (_, outcome2) = deliver(&mut server, client_addr, &genuine);
         assert_eq!(outcome2, AcceptOutcome::DuplicateDropped);
 
         assert_eq!(server.received(), b"EVIL DATA!");
@@ -704,9 +666,9 @@ mod tests {
 
         let part2 = Segment::data(51000, 80, seq + 5, server.send_next(), &b"world"[..]);
         let part1 = Segment::data(51000, 80, seq, server.send_next(), &b"hello"[..]);
-        server.on_segment(client_addr, &part2);
+        deliver(&mut server, client_addr, &part2);
         assert_eq!(server.received(), b"");
-        server.on_segment(client_addr, &part1);
+        deliver(&mut server, client_addr, &part1);
         assert_eq!(server.received(), b"helloworld");
     }
 
@@ -716,7 +678,7 @@ mod tests {
         let (client_addr, _) = addrs();
         let far_future = client.send_next() + 1_000_000;
         let seg = Segment::data(51000, 80, far_future, server.send_next(), &b"zzz"[..]);
-        let (_, outcome) = server.on_segment(client_addr, &seg);
+        let (_, outcome) = deliver(&mut server, client_addr, &seg);
         assert_eq!(outcome, AcceptOutcome::OutOfWindow);
         assert!(server.received().is_empty());
     }
@@ -726,10 +688,10 @@ mod tests {
         let (mut client, _server) = handshake();
         let (_, server_addr) = addrs();
         let rst = Segment::control(80, 51000, SeqNum::new(0), SeqNum::new(0), TcpFlags::RST);
-        let (_, outcome) = client.on_segment(server_addr, &rst);
+        let (_, outcome) = deliver(&mut client, server_addr, &rst);
         assert_eq!(outcome, AcceptOutcome::ResetReceived);
         assert_eq!(client.state(), TcpState::Reset);
-        assert!(client.send(b"more").is_err());
+        assert!(send(&mut client, b"more").is_err());
     }
 
     #[test]
@@ -737,10 +699,10 @@ mod tests {
         let (mut client, mut server) = handshake();
         let (client_addr, server_addr) = addrs();
         let fin = client.close().unwrap();
-        let (acks, _) = server.on_segment(client_addr, &fin);
+        let (acks, _) = deliver(&mut server, client_addr, &fin);
         assert_eq!(server.state(), TcpState::CloseWait);
         assert_eq!(acks.len(), 1);
-        client.on_segment(server_addr, &acks[0]);
+        deliver(&mut client, server_addr, &acks[0]);
         assert_eq!(client.state(), TcpState::FinWait);
     }
 
@@ -748,7 +710,7 @@ mod tests {
     fn send_before_handshake_is_an_error() {
         let (client_addr, server_addr) = addrs();
         let (mut client, _syn) = TcpConnection::connect(client_addr, server_addr, SeqNum::new(1));
-        let err = client.send(b"early").unwrap_err();
+        let err = send(&mut client, b"early").unwrap_err();
         assert!(matches!(err, NetError::InvalidState { .. }));
     }
 
@@ -756,46 +718,29 @@ mod tests {
     fn take_new_bytes_hands_over_zero_copy_chunks() {
         let (mut client, mut server) = handshake();
         let (client_addr, _) = addrs();
-        let segments = client.send(b"GET /my.js HTTP/1.1\r\n\r\n").unwrap();
+        let segments = send(&mut client, b"GET /my.js HTTP/1.1\r\n\r\n").unwrap();
         assert_eq!(segments.len(), 1);
-        server.on_segment(client_addr, &segments[0]);
+        deliver(&mut server, client_addr, &segments[0]);
         let new = server.take_new_bytes();
         assert_eq!(new, b"GET /my.js HTTP/1.1\r\n\r\n");
         // One segment built the stream: the slice shares its payload.
         assert_eq!(new.as_ptr(), segments[0].payload.as_ptr());
         // Nothing new: a second take yields nothing.
         assert!(server.take_new_bytes().is_empty());
-        // The bytes counted as delivered, so read_new sees nothing either.
-        assert!(server.read_new().is_empty());
     }
 
     #[test]
     fn take_new_bytes_copies_once_a_second_segment_extends_the_stream() {
         let (mut client, mut server) = handshake();
         let (client_addr, _) = addrs();
-        let first = client.send(b"hello").unwrap();
-        let second = client.send(b" world").unwrap();
-        server.on_segment(client_addr, &first[0]);
-        server.on_segment(client_addr, &second[0]);
+        let first = send(&mut client, b"hello").unwrap();
+        let second = send(&mut client, b" world").unwrap();
+        deliver(&mut server, client_addr, &first[0]);
+        deliver(&mut server, client_addr, &second[0]);
         let new = server.take_new_bytes();
         assert_eq!(new, b"hello world");
         assert_ne!(new.as_ptr(), first[0].payload.as_ptr());
         assert_eq!(server.received(), b"hello world");
-    }
-
-    #[test]
-    fn take_new_bytes_interoperates_with_read_new() {
-        let (mut client, mut server) = handshake();
-        let (client_addr, _) = addrs();
-        for seg in &client.send(b"first").unwrap() {
-            server.on_segment(client_addr, seg);
-        }
-        assert_eq!(server.read_new(), b"first".to_vec());
-        for seg in &client.send(b"second").unwrap() {
-            server.on_segment(client_addr, seg);
-        }
-        assert_eq!(server.take_new_bytes(), b"second");
-        assert_eq!(server.received(), b"firstsecond");
     }
 
     #[test]
@@ -805,17 +750,17 @@ mod tests {
         let seq = client.send_next();
         let part2 = Segment::data(51000, 80, seq + 5, server.send_next(), &b"world"[..]);
         let part1 = Segment::data(51000, 80, seq, server.send_next(), &b"hello"[..]);
-        server.on_segment(client_addr, &part2);
-        server.on_segment(client_addr, &part1);
+        deliver(&mut server, client_addr, &part2);
+        deliver(&mut server, client_addr, &part1);
         assert_eq!(server.take_new_bytes(), b"helloworld");
     }
 
     #[test]
     fn reassembler_partial_overlap_keeps_first_bytes() {
         let mut r = Reassembler::new();
-        assert_eq!(r.offer(0, b"AAAA"), 4);
+        assert_eq!(r.offer_bytes(0, &Bytes::from_static(b"AAAA")), 4);
         // Overlapping write: only the two new trailing bytes are fresh.
-        assert_eq!(r.offer(2, b"BBBB"), 2);
+        assert_eq!(r.offer_bytes(2, &Bytes::from_static(b"BBBB")), 2);
         assert_eq!(r.assembled(), b"AAAABB");
     }
 
@@ -834,12 +779,10 @@ mod tests {
     #[test]
     fn reassembler_fills_gap_between_pending_ranges() {
         let mut r = Reassembler::new();
-        assert_eq!(r.offer(10, b"cc"), 2);
-        assert_eq!(r.offer(0, b"aa"), 2);
-        assert!(r.has_gaps());
+        assert_eq!(r.offer_bytes(10, &Bytes::from_static(b"cc")), 2);
+        assert_eq!(r.offer_bytes(0, &Bytes::from_static(b"aa")), 2);
         assert_eq!(r.assembled(), b"aa");
-        assert_eq!(r.offer(2, b"bbbbbbbb"), 8);
+        assert_eq!(r.offer_bytes(2, &Bytes::from_static(b"bbbbbbbb")), 8);
         assert_eq!(r.assembled(), b"aabbbbbbbbcc");
-        assert!(!r.has_gaps());
     }
 }

@@ -67,11 +67,6 @@ impl Duration {
     pub fn saturating_add(self, rhs: Duration) -> Duration {
         Duration(self.0.saturating_add(rhs.0))
     }
-
-    /// Multiplies the duration by an integer factor, saturating on overflow.
-    pub fn saturating_mul(self, factor: u64) -> Duration {
-        Duration(self.0.saturating_mul(factor))
-    }
 }
 
 impl Add<Duration> for Instant {

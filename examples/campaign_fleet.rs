@@ -1,38 +1,15 @@
-//! A campaign at population scale, at both levels of the stack.
-//!
-//! First a browser-level fleet sweep through one café scenario (every client
-//! is a fresh victim browser on the hostile path), then the packet-level
-//! `campaign_fleet` experiment: thousands of clients spread over independent
-//! shared-WiFi access points, each AP simulated packet by packet with a
-//! memory-bounded `SummaryOnly` trace.
+//! A campaign at population scale: the packet-level `campaign_fleet`
+//! experiment. Thousands of clients spread over independent shared-WiFi
+//! access points, each AP simulated packet by packet with a memory-bounded
+//! `SummaryOnly` trace. Every eighth client asks for an object the master
+//! has not prepared and stays clean; the master wins the race for the rest.
 //!
 //! Run with: `cargo run --release --example campaign_fleet`
 
-use master_parasite::httpsim::url::Url;
 use master_parasite::parasite::experiments::{ExperimentId, Registry, RunConfig};
-use master_parasite::ScenarioBuilder;
 
 fn main() {
-    println!("== browser-level fleet: one cafe, many victims ==");
-    let scenario = ScenarioBuilder::new()
-        .page(
-            "news.example",
-            "/",
-            r#"<html><head><script src="/app.js"></script></head><body>headlines</body></html>"#,
-            "no-cache",
-        )
-        .script("news.example", "/app.js", "function news(){}", "public, max-age=86400")
-        .master("master.attacker.example")
-        .target("http://news.example/app.js")
-        .build();
-    let page = Url::parse("http://news.example/").expect("static url");
-    let report = scenario.fleet_sweep(&page, 200);
-    println!(
-        "  {} clients visited the news site; {} infected, {} clean",
-        report.clients, report.infected, report.clean
-    );
-
-    println!("\n== packet-level fleet: many cafes, simulated per packet ==");
+    println!("== packet-level fleet: many cafes, simulated per packet ==");
     let config = RunConfig {
         fleet_clients: 10_000,
         fleet_aps: 32,

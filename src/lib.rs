@@ -44,7 +44,7 @@
 
 pub mod scenario;
 
-pub use scenario::{FleetReport, Scenario, ScenarioBuilder};
+pub use scenario::{Scenario, ScenarioBuilder};
 
 pub use mp_apps as apps;
 pub use mp_bench as bench;

@@ -176,9 +176,8 @@ impl ScenarioBuilder {
         }
     }
 
-    /// Wires one fresh victim browser through the (hostile, when a master is
-    /// configured) network path. Used by [`ScenarioBuilder::build`] and for
-    /// every client of a [`Scenario::fleet_sweep`].
+    /// Wires the victim browser through the (hostile, when a master is
+    /// configured) network path.
     fn victim_browser(&self, master: Option<&Master>) -> Browser {
         let profile = self.profile.clone().unwrap_or_else(BrowserProfile::chrome);
         match master {
@@ -260,47 +259,6 @@ impl Scenario {
         let clean = self.clean_internet();
         self.browser.change_network(Box::new(clean));
     }
-
-    /// Runs a campaign sweep at the browser level: `clients` independent
-    /// victim browsers (each with its own caches and its own network
-    /// instance) visit `page`, and the report counts how many ended up
-    /// executing a parasite. Every eighth client sits outside the attacker's
-    /// radio range and reaches the sites over the clean path — the same
-    /// exposure mix the packet-level `campaign_fleet` experiment in
-    /// `parasite::experiments` simulates at much larger scale.
-    pub fn fleet_sweep(&self, page: &Url, clients: usize) -> FleetReport {
-        let infector = self.infector();
-        let mut infected = 0usize;
-        for index in 0..clients {
-            let exposed = index % 8 != 7;
-            let master = if exposed { self.master.as_ref() } else { None };
-            let mut browser = self.builder.victim_browser(master);
-            let load = browser.visit(page);
-            let got_parasite = infector
-                .as_ref()
-                .map(|infector| load.page.scripts.iter().any(|s| infector.is_infected(&s.body)))
-                .unwrap_or(false);
-            if got_parasite {
-                infected += 1;
-            }
-        }
-        FleetReport {
-            clients,
-            infected,
-            clean: clients - infected,
-        }
-    }
-}
-
-/// Outcome of a [`Scenario::fleet_sweep`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FleetReport {
-    /// Victim browsers simulated.
-    pub clients: usize,
-    /// Clients that ended up executing a parasite.
-    pub infected: usize,
-    /// Clients that kept clean content.
-    pub clean: usize,
 }
 
 impl std::fmt::Debug for Scenario {
@@ -357,25 +315,6 @@ mod tests {
         let url = Url::parse("http://somesite.com/my.js").unwrap();
         let result = scenario.browser.fetch(&url, "somesite.com");
         assert_eq!(result.response.body.as_text(), "function genuine(){}");
-    }
-
-    #[test]
-    fn fleet_sweep_counts_infections_per_client() {
-        let scenario = infected_scenario();
-        let page = Url::parse("http://somesite.com/index.html").unwrap();
-        let report = scenario.fleet_sweep(&page, 16);
-        assert_eq!(report.clients, 16);
-        // Clients 7 and 15 sit outside the attacker's range and stay clean.
-        assert_eq!(report.infected, 14);
-        assert_eq!(report.clean, 2);
-
-        // Without a master the whole fleet stays clean.
-        let clean = ScenarioBuilder::new()
-            .page("somesite.com", "/index.html", "<html><body>hi</body></html>", "no-cache")
-            .build();
-        let report = clean.fleet_sweep(&page, 5);
-        assert_eq!(report.infected, 0);
-        assert_eq!(report.clean, 5);
     }
 
     #[test]

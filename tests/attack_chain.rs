@@ -84,17 +84,16 @@ fn full_attack_chain_from_wifi_to_credential_theft() {
         .find(|s| infector.is_infected(&s.body))
         .expect("parasite still executes on the home network");
     assert!(!parasite_script.body.is_empty());
+    let record = at_home.records.iter().find(|r| r.url == target).unwrap();
     assert!(
-        at_home.record_for(&target).unwrap().source == FetchSource::HttpCache
-            || at_home.record_for(&target).unwrap().source == FetchSource::CacheApi,
+        record.source == FetchSource::HttpCache || record.source == FetchSource::CacheApi,
         "the infected copy must come from a local cache, not the network"
     );
 
     // --- Phase 4: C&C + application attack. The victim logs into the bank;
     // the parasite hooks the form and exfiltrates the credentials.
     let detected = Parasite::detect(&parasite_script.body).unwrap();
-    master.register_bot(&detected.campaign, "somesite.com");
-    assert_eq!(master.bots().len(), 1);
+    assert_eq!(detected.campaign, master.parasite.campaign);
 
     let bank = mp_apps::banking::BankingApp::default();
     let (mut dom, form) = bank.login_dom();

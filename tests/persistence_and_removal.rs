@@ -3,12 +3,12 @@
 
 use mp_browser::browser::{Browser, FetchSource};
 use mp_browser::profile::BrowserProfile;
-use mp_httpsim::body::{Body, ResourceKind};
-use mp_httpsim::message::Response;
+use mp_httpsim::body::ResourceKind;
 use mp_httpsim::transport::StaticOrigin;
 use mp_httpsim::url::Url;
 use parasite::experiments::{ExperimentId, Registry, RemovalCell, RunConfig};
 use parasite::infect::Infector;
+use parasite::master::Master;
 use parasite::script::Parasite;
 
 fn infector() -> Infector {
@@ -28,17 +28,19 @@ fn origin_with_persistent_script() -> StaticOrigin {
 
 fn infected_browser(profile: BrowserProfile) -> (Browser, Url) {
     let target = Url::parse("http://top1.com/persistent.js").unwrap();
-    let mut browser = Browser::new(profile, Box::new(origin_with_persistent_script()));
-    let infected = infector().infect_response(
-        &Response::ok(Body::text(ResourceKind::JavaScript, "function lib(){}"))
-            .with_cache_control("public, max-age=604800"),
-    );
-    // The infected copy is in the HTTP cache (delivered by the injection race)
-    // and, where supported, in the Cache API.
-    browser.cache_mut().store(&target, "top1.com", infected.clone(), 0);
+    let mut master = Master::new("master.attacker.example");
+    master.add_target(target.clone());
+    // On the hostile network the injection race delivers the infected copy
+    // into the HTTP cache; the parasite then pins it, where supported, in the
+    // Cache API, and the victim moves back to the clean origin.
+    let hostile = master.injecting_exchange(origin_with_persistent_script());
+    let mut browser = Browser::new(profile, Box::new(hostile));
+    let infected = browser.fetch(&target, "top1.com").response;
+    assert!(infector().is_infected(&infected.body.as_text()));
     browser
         .cache_api_mut()
         .put(&target.origin().to_string(), "parasite", &target, infected);
+    browser.change_network(Box::new(origin_with_persistent_script()));
     (browser, target)
 }
 
@@ -81,9 +83,13 @@ fn clearing_cookies_and_site_data_removes_the_parasite_everywhere() {
 #[test]
 fn internet_explorer_has_no_cache_api_persistence_layer() {
     let (mut browser, target) = infected_browser(BrowserProfile::internet_explorer());
-    assert!(!browser.cache_api().is_supported());
-    // The HTTP-cache copy still serves, but clearing the cache removes it —
-    // there is no second layer to fall back to.
+    // The HTTP-cache copy still serves, but the Cache API refuses it, so
+    // clearing the cache removes it: there is no second layer to fall back to.
+    let cached = browser.fetch(&target, "top1.com");
+    assert_eq!(cached.source, FetchSource::HttpCache);
+    assert!(!browser
+        .cache_api_mut()
+        .put(&target.origin().to_string(), "parasite", &target, cached.response));
     browser.clear_http_cache();
     let result = browser.fetch(&target, "top1.com");
     assert_eq!(result.source, FetchSource::Network);
