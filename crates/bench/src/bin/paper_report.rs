@@ -18,8 +18,8 @@ use mp_service::{
     ServeOptions, WorkerProcess,
 };
 use parasite::experiments::{
-    run_campaign_with_checkpoint, try_run_many, Artifact, ArtifactData, CampaignFleetResult,
-    ConfigError, ExperimentError, ExperimentId, FaultPlan, RunConfig, SurfaceVector,
+    parse_number, run_campaign_with_checkpoint, try_run_many, Artifact, ArtifactData,
+    CampaignFleetResult, ConfigFlags, ExperimentError, ExperimentId, FaultPlan, RunConfig,
     FAULT_PLAN_ENV, MAX_FLEET_JOBS,
 };
 use parasite::json::ToJson;
@@ -181,25 +181,6 @@ struct Options {
     checkpoint: Option<PathBuf>,
 }
 
-/// Flags that configure only the campaign_fleet experiment.
-const FLEET_FLAGS: [&str; 5] = [
-    "--fleet-clients",
-    "--fleet-aps",
-    "--fleet-days",
-    "--fleet-hetero",
-    "--fleet-visit-prob",
-];
-/// Flags that configure campaign_fleet or attack_surface.
-const SHARED_EXTENSION_FLAGS: [&str; 3] = ["--jitter-us", "--fleet-jobs", "--fleet-churn"];
-/// Flags that configure only the attack_surface experiment.
-const SURFACE_FLAGS: [&str; 5] = [
-    "--surface-vectors",
-    "--surface-delays",
-    "--surface-adoption",
-    "--surface-wan",
-    "--surface-trials",
-];
-
 /// The flag cursor every subcommand parses with: each argument in turn,
 /// then on demand the value that follows the current flag.
 struct Cursor<'a> {
@@ -223,11 +204,11 @@ impl<'a> Cursor<'a> {
     }
 
     fn number<T: TryFrom<u64>>(&mut self) -> Result<T, String> {
-        parse_number(self.value()?, self.flag)
+        parse_number(self.flag, self.value()?)
     }
 
-    /// A count of threads or worker processes: at least 1 and at most the
-    /// `fleet_jobs` cap.
+    /// A count of threads or worker processes: at least 1 and at most
+    /// [`MAX_FLEET_JOBS`].
     fn thread_count(&mut self) -> Result<usize, String> {
         match self.number()? {
             0 => Err(format!("{} must be at least 1", self.flag)),
@@ -237,28 +218,6 @@ impl<'a> Cursor<'a> {
             count => Ok(count),
         }
     }
-
-    fn fraction(&mut self) -> Result<f64, String> {
-        let text = self.value()?;
-        text.parse().map_err(|_| format!("{}: expected a number, got {text:?}", self.flag))
-    }
-
-    /// A `<start:end:steps>` sweep axis.
-    fn axis(&mut self) -> Result<(u64, u64, usize), String> {
-        let (text, flag) = (self.value()?, self.flag);
-        let parts: Vec<&str> = text.split(':').collect();
-        let [start, end, steps] = parts.as_slice() else {
-            return Err(format!("{flag}: expected <start:end:steps>, got {text:?}"));
-        };
-        Ok((parse_number(start, flag)?, parse_number(end, flag)?, parse_number(steps, flag)?))
-    }
-}
-
-fn parse_number<T: TryFrom<u64>>(text: &str, flag: &str) -> Result<T, String> {
-    let value = text
-        .parse::<u64>()
-        .map_err(|_| format!("{flag}: expected a non-negative integer, got {text:?}"))?;
-    T::try_from(value).map_err(|_| format!("{flag}: {value} is out of range"))
 }
 
 /// Prints `message` and the `usage` text on stderr; exit code 2.
@@ -270,17 +229,13 @@ fn usage_error(usage: &str, message: &str) -> ExitCode {
 
 fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
     let mut ids: Vec<ExperimentId> = Vec::new();
-    let mut config = RunConfig::default();
+    let mut config = ConfigFlags::default();
     let mut jobs = 1usize;
     let mut json = false;
     let mut checkpoint: Option<PathBuf> = None;
-    // Every flag given, in order, so inert combinations can be rejected
-    // after the id set is known.
-    let mut given: Vec<&str> = Vec::new();
 
     let mut args = Cursor::new(args);
     while let Some(flag) = args.next_flag() {
-        given.push(flag);
         match flag {
             "--only" => {
                 for part in args.value()?.split(',') {
@@ -292,36 +247,7 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
                     }
                 }
             }
-            "--seed" => config.seed = args.number()?,
-            "--scale" => config.scale = args.number()?,
-            "--sites" => config.sites = args.number()?,
-            "--crawl-sites" => config.crawl_sites = args.number()?,
-            "--days" => config.days = args.number()?,
-            "--event-budget" => config.event_budget = args.number()?,
-            "--jitter-us" => config.jitter_us = args.number()?,
-            "--fleet-clients" => config.fleet_clients = args.number()?,
-            "--fleet-aps" => config.fleet_aps = args.number()?,
-            "--fleet-jobs" => config.fleet_jobs = args.number()?,
-            "--fleet-days" => config.fleet_days = args.number()?,
-            "--fleet-churn" => config.fleet_churn = args.fraction()?,
-            "--fleet-hetero" => config.fleet_hetero = true,
-            "--fleet-visit-prob" => config.fleet_visit_prob = args.fraction()?,
             "--fleet-checkpoint" => checkpoint = Some(PathBuf::from(args.value()?)),
-            "--global-event-budget" => config.global_event_budget = args.number()?,
-            "--surface-vectors" => {
-                config.surface_vectors = SurfaceVector::parse_mask(args.value()?)
-                    .map_err(|error| format!("{flag}: {error}"))?;
-            }
-            "--surface-delays" => {
-                (config.surface_delay_start_us, config.surface_delay_end_us, config.surface_delay_steps) =
-                    args.axis()?;
-            }
-            "--surface-adoption" => config.surface_adoption_steps = args.number()?,
-            "--surface-wan" => {
-                (config.surface_wan_start_us, config.surface_wan_end_us, config.surface_wan_steps) =
-                    args.axis()?;
-            }
-            "--surface-trials" => config.surface_trials = args.number()?,
             "--jobs" => {
                 jobs = args.number()?;
                 if jobs == 0 {
@@ -361,7 +287,8 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
                      e.g. paper-report watch --socket <path> --run <n>"
                 ));
             }
-            other => return Err(format!("unknown argument {other:?}")),
+            // Every other flag sets run-config fields, or is unknown.
+            other => config.parse(other, || args.value())?,
         }
     }
 
@@ -373,30 +300,7 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
     } else {
         ExperimentId::EXTENDED.into_iter().filter(|id| ids.contains(id)).collect::<Vec<_>>()
     };
-    // Reject inert flag combinations: a flag that configures an extension
-    // experiment does nothing unless that experiment is selected, and
-    // silently ignoring it would mask typos and misread sweeps.
-    let campaign = ids.contains(&ExperimentId::CampaignFleet);
-    let surface = ids.contains(&ExperimentId::AttackSurface);
-    let first_of = |group: &[&str]| given.iter().copied().find(|flag| group.contains(flag));
-    if let Some(flag) = first_of(&FLEET_FLAGS).filter(|_| !campaign) {
-        return Err(format!(
-            "{flag} configures the campaign_fleet experiment, which is not \
-             selected; add --only campaign_fleet"
-        ));
-    }
-    if let Some(flag) = first_of(&SHARED_EXTENSION_FLAGS).filter(|_| !campaign && !surface) {
-        return Err(format!(
-            "{flag} configures the campaign_fleet / attack_surface \
-             experiments, none of which is selected; add them to --only"
-        ));
-    }
-    if let Some(flag) = first_of(&SURFACE_FLAGS).filter(|_| !surface) {
-        return Err(format!(
-            "{flag} configures the attack_surface experiment, which is not \
-             selected; add --only attack_surface"
-        ));
-    }
+    let config = config.finish(&ids)?;
     // A checkpointed campaign is a dedicated operation: it runs instead of
     // the selected ids, so it must be the only one.
     let valid = match (&checkpoint, ids.as_slice()) {
@@ -410,25 +314,8 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
             )
         }
     };
-    valid.map_err(config_usage)?;
+    valid.map_err(|error| format!("{}: {error}", error.flag()))?;
     Ok(Some(Options { ids, config, jobs, json, checkpoint }))
-}
-
-/// A [`RunConfig`] validation failure as a usage error naming the flag that
-/// set the rejected field (`--only` selects the experiment).
-fn config_usage(error: ConfigError) -> String {
-    let flag = match error.field {
-        "experiment" => "--only".to_string(),
-        "surface_delay_start_us" | "surface_delay_end_us" | "surface_delay_steps" => {
-            "--surface-delays".to_string()
-        }
-        "surface_wan_start_us" | "surface_wan_end_us" | "surface_wan_steps" => {
-            "--surface-wan".to_string()
-        }
-        "surface_adoption_steps" => "--surface-adoption".to_string(),
-        field => format!("--{}", field.replace('_', "-")),
-    };
-    format!("{flag}: {error}")
 }
 
 fn main() -> ExitCode {
@@ -884,7 +771,7 @@ fn distribute(args: &[String]) -> ExitCode {
         );
     }
     if let Err(error) = options.config.validate_sharded() {
-        return usage_error(USAGE, &config_usage(error));
+        return usage_error(USAGE, &format!("{}: {error}", error.flag()));
     }
     // The coordinator's fault plan claims torn journal writes; claim
     // sequencing across the worker processes needs a shared claim

@@ -137,7 +137,7 @@ impl Dom {
     }
 
     /// Looks up an element mutably.
-    pub fn element_mut(&mut self, id: ElementId) -> Option<&mut Element> {
+    fn element_mut(&mut self, id: ElementId) -> Option<&mut Element> {
         self.elements.iter_mut().find(|e| e.id == id)
     }
 
@@ -182,7 +182,7 @@ impl Dom {
     }
 
     /// Fields of a form: name → value for all inputs attached to it.
-    pub fn form_fields(&self, form: ElementId) -> BTreeMap<String, String> {
+    fn form_fields(&self, form: ElementId) -> BTreeMap<String, String> {
         self.elements
             .iter()
             .filter(|e| e.form == Some(form) && e.tag == "input")

@@ -26,6 +26,7 @@
 mod campaign;
 mod distrib;
 mod faults;
+mod fields;
 mod figures;
 mod multiday;
 mod surface;
@@ -37,6 +38,7 @@ pub use distrib::{
     run_campaign_shard, scan_journal, write_journal_entry, JournalScan, ShardOutcome, ShardPlan,
 };
 pub use faults::{FaultKind, FaultPlan, FAULT_DIR_ENV, FAULT_PLAN_ENV};
+pub use fields::{number as parse_number, ConfigFlags};
 pub use multiday::{
     run_campaign_with_checkpoint, run_campaign_with_checkpoint_ctx, DayStats,
 };
@@ -362,128 +364,6 @@ impl Default for RunConfig {
             surface_wan_steps: 1,
             surface_vectors: 0,
         }
-    }
-}
-
-impl RunConfig {
-    /// Reads a config back from its [`ToJson`] representation, an object
-    /// whose keys are field names. Missing keys fall back to the defaults;
-    /// an unknown key, a wrongly-typed one, or an integer that does not fit
-    /// its field is an error naming the key. Decoding does not validate:
-    /// see [`RunConfig::validate`].
-    pub fn from_json(json: &Json) -> Result<RunConfig, String> {
-        let Json::Obj(pairs) = json else {
-            return Err("not a JSON object".to_string());
-        };
-        let defaults = RunConfig::default();
-        // The struct literal names every field once, so `KEYS` is exactly
-        // the set of fields.
-        macro_rules! decode {
-            ($($name:ident: $get:expr,)*) => {{
-                const KEYS: &[&str] = &[$(stringify!($name)),*];
-                if let Some((key, _)) = pairs.iter().find(|(key, _)| !KEYS.contains(&key.as_str())) {
-                    return Err(format!("unknown key {key:?}"));
-                }
-                RunConfig {
-                    $($name: match json.get(stringify!($name)) {
-                        Some(value) => ($get)(value).ok_or_else(|| {
-                            format!("key {:?} has the wrong type or does not fit", stringify!($name))
-                        })?,
-                        None => defaults.$name,
-                    },)*
-                }
-            }};
-        }
-        Ok(decode! {
-            seed: Json::as_int,
-            scale: Json::as_int,
-            sites: Json::as_int,
-            crawl_sites: Json::as_int,
-            days: Json::as_int,
-            event_budget: Json::as_int,
-            jitter_us: Json::as_int,
-            fleet_clients: Json::as_int,
-            fleet_aps: Json::as_int,
-            fleet_jobs: Json::as_int,
-            fleet_days: Json::as_int,
-            fleet_churn: Json::as_f64,
-            fleet_hetero: Json::as_bool,
-            fleet_visit_prob: Json::as_f64,
-            global_event_budget: Json::as_int,
-            surface_trials: Json::as_int,
-            surface_delay_start_us: Json::as_int,
-            surface_delay_end_us: Json::as_int,
-            surface_delay_steps: Json::as_int,
-            surface_adoption_steps: Json::as_int,
-            surface_wan_start_us: Json::as_int,
-            surface_wan_end_us: Json::as_int,
-            surface_wan_steps: Json::as_int,
-            surface_vectors: Json::as_int,
-        })
-    }
-}
-
-impl ToJson for RunConfig {
-    fn to_json(&self) -> Json {
-        let mut pairs = vec![
-            ("seed", self.seed.to_json()),
-            ("scale", self.scale.to_json()),
-            ("sites", self.sites.to_json()),
-            ("crawl_sites", self.crawl_sites.to_json()),
-            ("days", self.days.to_json()),
-            ("event_budget", self.event_budget.to_json()),
-            ("jitter_us", self.jitter_us.to_json()),
-            ("fleet_clients", self.fleet_clients.to_json()),
-            ("fleet_aps", self.fleet_aps.to_json()),
-            ("fleet_jobs", self.fleet_jobs.to_json()),
-        ];
-        // The campaign, global-budget and surface extensions are emitted only
-        // when set, so reports that do not use them keep their exact JSON
-        // form ([`RunConfig::from_json`] defaults the absent keys).
-        let defaults = RunConfig::default();
-        if self.fleet_days != defaults.fleet_days {
-            pairs.push(("fleet_days", self.fleet_days.to_json()));
-        }
-        if self.fleet_churn != defaults.fleet_churn {
-            pairs.push(("fleet_churn", self.fleet_churn.to_json()));
-        }
-        if self.fleet_hetero != defaults.fleet_hetero {
-            pairs.push(("fleet_hetero", self.fleet_hetero.to_json()));
-        }
-        if self.fleet_visit_prob != defaults.fleet_visit_prob {
-            pairs.push(("fleet_visit_prob", self.fleet_visit_prob.to_json()));
-        }
-        if self.global_event_budget != defaults.global_event_budget {
-            pairs.push(("global_event_budget", self.global_event_budget.to_json()));
-        }
-        if self.surface_trials != defaults.surface_trials {
-            pairs.push(("surface_trials", self.surface_trials.to_json()));
-        }
-        if self.surface_delay_start_us != defaults.surface_delay_start_us {
-            pairs.push(("surface_delay_start_us", self.surface_delay_start_us.to_json()));
-        }
-        if self.surface_delay_end_us != defaults.surface_delay_end_us {
-            pairs.push(("surface_delay_end_us", self.surface_delay_end_us.to_json()));
-        }
-        if self.surface_delay_steps != defaults.surface_delay_steps {
-            pairs.push(("surface_delay_steps", self.surface_delay_steps.to_json()));
-        }
-        if self.surface_adoption_steps != defaults.surface_adoption_steps {
-            pairs.push(("surface_adoption_steps", self.surface_adoption_steps.to_json()));
-        }
-        if self.surface_wan_start_us != defaults.surface_wan_start_us {
-            pairs.push(("surface_wan_start_us", self.surface_wan_start_us.to_json()));
-        }
-        if self.surface_wan_end_us != defaults.surface_wan_end_us {
-            pairs.push(("surface_wan_end_us", self.surface_wan_end_us.to_json()));
-        }
-        if self.surface_wan_steps != defaults.surface_wan_steps {
-            pairs.push(("surface_wan_steps", self.surface_wan_steps.to_json()));
-        }
-        if self.surface_vectors != defaults.surface_vectors {
-            pairs.push(("surface_vectors", u64::from(self.surface_vectors).to_json()));
-        }
-        Json::obj(pairs)
     }
 }
 
@@ -836,11 +716,6 @@ pub trait Experiment: Send + Sync {
             Err(error) => panic!("experiment {} failed: {error}", self.id()),
         }
     }
-
-    /// The artefact title (delegates to [`ExperimentId::title`]).
-    fn title(&self) -> &'static str {
-        self.id().title()
-    }
 }
 
 macro_rules! experiments {
@@ -1051,7 +926,6 @@ mod tests {
         assert_eq!(all.len(), 11);
         for (experiment, id) in all.iter().zip(ExperimentId::ALL) {
             assert_eq!(experiment.id(), id);
-            assert_eq!(experiment.title(), id.title());
         }
     }
 
@@ -1086,26 +960,11 @@ mod tests {
         let json = config.to_json();
         let parsed = Json::parse(&json.to_string()).expect("well-formed JSON");
         assert_eq!(RunConfig::from_json(&parsed), Ok(config));
-        // The extension keys appear only when they differ from the defaults,
-        // so classic configs keep their exact JSON form.
-        let classic = RunConfig::default().to_json().to_string();
-        for absent in [
-            "fleet_days",
-            "fleet_churn",
-            "fleet_hetero",
-            "fleet_visit_prob",
-            "global_event_budget",
-            "surface_trials",
-            "surface_delay_start_us",
-            "surface_delay_end_us",
-            "surface_delay_steps",
-            "surface_adoption_steps",
-            "surface_wan_start_us",
-            "surface_wan_end_us",
-            "surface_wan_steps",
-            "surface_vectors",
-        ] {
-            assert!(!classic.contains(absent), "classic config JSON must omit {absent}");
+        // A key whose row is not `always` appears only when it differs from
+        // the default, so classic configs keep their exact JSON form.
+        let classic = RunConfig::default().to_json();
+        for field in fields::FIELDS {
+            assert_eq!(classic.get(field.key).is_some(), field.always, "{}", field.key);
         }
         // Missing keys fall back to defaults.
         assert_eq!(RunConfig::from_json(&Json::obj([])), Ok(RunConfig::default()));

@@ -148,6 +148,12 @@ impl ToJson for u64 {
     }
 }
 
+impl ToJson for u8 {
+    fn to_json(&self) -> Json {
+        Json::Num(f64::from(*self))
+    }
+}
+
 impl ToJson for u32 {
     fn to_json(&self) -> Json {
         Json::Num(*self as f64)

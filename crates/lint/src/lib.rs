@@ -177,7 +177,8 @@ pub fn run_workspace(root: &Path) -> Result<LintReport, String> {
         if rel.ends_with("service/src/protocol.rs") {
             codes.extend(rules::collect_error_codes(rel, &file));
         }
-        if rel.ends_with("paper_report.rs") {
+        // The binary's own flags, and the run-config flags of the field table.
+        if rel.ends_with("paper_report.rs") || rel.ends_with("experiments/fields.rs") {
             flags.extend(rules::collect_cli_flags(rel, &file));
         }
         sources.push((rel.clone(), file));

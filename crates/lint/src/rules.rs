@@ -584,8 +584,8 @@ pub fn collect_error_codes(path: &str, file: &SourceFile) -> Vec<DocItem> {
     items
 }
 
-/// Extracts every `"--flag"` string literal (the `parse_args` vocabulary;
-/// first occurrence wins).
+/// Extracts every `"--flag"` string literal of one file (the vocabulary of
+/// `parse_args` or of the run-config field table; first occurrence wins).
 pub fn collect_cli_flags(path: &str, file: &SourceFile) -> Vec<DocItem> {
     let mut items: Vec<DocItem> = Vec::new();
     for tok in &file.toks {

@@ -443,7 +443,7 @@ impl RunStatus {
                 .get("days")
                 .and_then(Json::as_int)
                 .ok_or_else(|| "status row is missing \"days\"".to_string())?,
-            outcome: json.get("outcome").and_then(Json::as_str).map(str::to_string),
+            outcome: optional(json, "outcome", Json::as_str, "a string")?.map(str::to_string),
         })
     }
 }
@@ -796,6 +796,13 @@ mod tests {
         assert_eq!(
             Response::parse_line("{\"type\":\"error\",\"message\":\"boom\",\"code\":5}"),
             Err("\"code\" must be a string".to_string())
+        );
+        assert_eq!(
+            Response::parse_line(
+                "{\"type\":\"status\",\"runs\":[{\"run\":1,\"experiment\":\"fig1\",\
+                 \"state\":\"done\",\"days\":0,\"outcome\":7}]}"
+            ),
+            Err("\"outcome\" must be a string".to_string())
         );
         // Absent fields keep their defaults.
         assert_eq!(
