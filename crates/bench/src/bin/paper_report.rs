@@ -198,9 +198,15 @@ impl<'a> Cursor<'a> {
         Some(self.flag)
     }
 
+    /// The argument after the flag. Another flag is no value: a missing
+    /// value must not swallow the next flag (`--fleet-checkpoint --json`
+    /// would write a file named `--json`).
     fn value(&mut self) -> Result<&'a str, String> {
         let flag = self.flag;
-        self.args.next().map(String::as_str).ok_or_else(|| format!("{flag} requires a value"))
+        match self.args.next() {
+            Some(value) if !value.starts_with("--") => Ok(value),
+            _ => Err(format!("{flag} requires a value")),
+        }
     }
 
     fn number<T: TryFrom<u64>>(&mut self) -> Result<T, String> {

@@ -59,6 +59,32 @@ fn inert_churn_and_checkpoint_combos_are_rejected() {
 }
 
 #[test]
+fn a_flag_is_no_value_for_the_flag_before_it() {
+    // A flag whose value is missing must not take the next flag as it:
+    // `--fleet-checkpoint --json` wrote a checkpoint file named `--json`.
+    let dir = std::env::temp_dir().join(format!("mp-cli-flag-value-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let fleet = ["--only", "campaign_fleet", "--fleet-clients", "400", "--fleet-aps", "4"];
+    for (args, flag) in [
+        ([&fleet[..], &["--fleet-checkpoint", "--json"]].concat(), "--fleet-checkpoint"),
+        (vec!["--surface-vectors", "--only", "attack_surface"], "--surface-vectors"),
+    ] {
+        let output = Command::new(env!("CARGO_BIN_EXE_paper-report"))
+            .args(&args)
+            .current_dir(&dir)
+            .output()
+            .expect("paper-report spawns");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(2), "args {args:?}; stderr: {stderr}");
+        assert!(stderr.contains(&format!("{flag} requires a value")), "args {args:?}: {stderr}");
+        let written = std::fs::read_dir(&dir).expect("temp dir").count();
+        assert_eq!(written, 0, "args {args:?} wrote a file");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn malformed_surface_axes_are_rejected() {
     let surface = ["--only", "attack_surface"];
     assert_rejected(&[&surface[..], &["--surface-delays", "300:200:4"]].concat(), "inverted");

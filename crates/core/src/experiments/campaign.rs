@@ -20,7 +20,7 @@
 //! the per-AP heterogeneity profiles, the client-to-AP plan, the per-AP race
 //! task, the seed-stream derivation and the result type.
 
-use super::multiday::DayStats;
+use super::records::DayStats;
 use super::tables::{RaceTask, RaceTiming};
 use super::{ExperimentError, RunConfig};
 use crate::json::{Json, ToJson};

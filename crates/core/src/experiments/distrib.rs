@@ -36,7 +36,8 @@ use super::campaign::{
     ap_client_counts, ap_task, fleet_jobs, mix_seed, requests_unprepared_object, share,
     CampaignFleetResult,
 };
-use super::multiday::{seat_visit_probs, DayStats, DAILY_CACHE_CLEAR, DAY_TAG, TARGET_TAG};
+use super::multiday::{seat_visit_probs, DAILY_CACHE_CLEAR, DAY_TAG, TARGET_TAG};
+use super::records::{Cumulative, DayStats};
 use super::tables::{race_clients, RaceTask};
 use super::{parallel_tasks, ExperimentError, RunConfig, RunCtx};
 use crate::json::{Json, ToJson};
@@ -192,18 +193,6 @@ fn seat_layout(config: &RunConfig) -> Result<SeatLayout, ExperimentError> {
 // Shard outcomes
 // ---------------------------------------------------------------------------
 
-/// Fleet-wide counters accumulated across all completed days (they feed
-/// the merged [`CampaignFleetResult`]). Plain sums, so partial outcomes
-/// merge by adding.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub(super) struct Cumulative {
-    pub(super) total_events: u64,
-    pub(super) payload_bytes: u64,
-    pub(super) injected_events: u64,
-    pub(super) pending_bytes_dropped: u64,
-    pub(super) failed_aps: usize,
-}
-
 /// One contiguous AP range's seat bitmap: the final infection state of the
 /// seats its APs own.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -340,7 +329,7 @@ impl ShardOutcome {
             .days
             .iter()
             .zip(&other.days)
-            .map(|(a, b)| merged_day(a, b))
+            .map(|(a, b)| a.merged(b))
             .collect::<Result<Vec<DayStats>, String>>()?;
         let mut parts = self.parts;
         parts.extend(other.parts);
@@ -363,14 +352,7 @@ impl ShardOutcome {
             target: self.target,
             parts,
             days,
-            cumulative: Cumulative {
-                total_events: self.cumulative.total_events + other.cumulative.total_events,
-                payload_bytes: self.cumulative.payload_bytes + other.cumulative.payload_bytes,
-                injected_events: self.cumulative.injected_events + other.cumulative.injected_events,
-                pending_bytes_dropped: self.cumulative.pending_bytes_dropped
-                    + other.cumulative.pending_bytes_dropped,
-                failed_aps: self.cumulative.failed_aps + other.cumulative.failed_aps,
-            },
+            cumulative: self.cumulative.merged(&other.cumulative)?,
         })
     }
 
@@ -456,31 +438,6 @@ impl ShardOutcome {
         }];
         Ok(self)
     }
-}
-
-/// Merges one day's statistics from two disjoint shards: global facts
-/// (day number, object rotation) must agree, seat-local counters add.
-fn merged_day(a: &DayStats, b: &DayStats) -> Result<DayStats, String> {
-    if a.day != b.day || a.object_rotated != b.object_rotated {
-        return Err(format!(
-            "cannot merge mismatched day records (day {} vs day {})",
-            a.day, b.day
-        ));
-    }
-    Ok(DayStats {
-        day: a.day,
-        departures: a.departures + b.departures,
-        arrivals: a.arrivals + b.arrivals,
-        cache_clears: a.cache_clears + b.cache_clears,
-        object_rotated: a.object_rotated,
-        rotation_cured: a.rotation_cured + b.rotation_cured,
-        exposed: a.exposed + b.exposed,
-        newly_infected: a.newly_infected + b.newly_infected,
-        failed_aps: a.failed_aps + b.failed_aps,
-        infected: a.infected + b.infected,
-        clean: a.clean + b.clean,
-        events: a.events + b.events,
-    })
 }
 
 // ---------------------------------------------------------------------------
@@ -816,16 +773,7 @@ impl ShardOutcome {
                         .collect(),
                 ),
             ),
-            (
-                "cumulative",
-                Json::obj([
-                    ("total_events", self.cumulative.total_events.to_json()),
-                    ("payload_bytes", self.cumulative.payload_bytes.to_json()),
-                    ("injected_events", self.cumulative.injected_events.to_json()),
-                    ("pending_bytes_dropped", self.cumulative.pending_bytes_dropped.to_json()),
-                    ("failed_aps", self.cumulative.failed_aps.to_json()),
-                ]),
-            ),
+            ("cumulative", self.cumulative.to_json()),
             ("days", self.days.to_json()),
         ])
     }
@@ -907,24 +855,17 @@ impl ShardOutcome {
             }
         }
 
-        let cumulative_json = json.get("cumulative").ok_or_else(corrupt)?;
-        let field = |key: &str| cumulative_json.get(key).and_then(Json::as_u64).ok_or_else(corrupt);
-        let cumulative = Cumulative {
-            total_events: field("total_events")?,
-            payload_bytes: field("payload_bytes")?,
-            injected_events: field("injected_events")?,
-            pending_bytes_dropped: field("pending_bytes_dropped")?,
-            failed_aps: usize::try_from(field("failed_aps")?).map_err(|_| corrupt())?,
-        };
-
+        let record_error = |error| format!("{CORRUPT}: {error}");
+        let cumulative = Cumulative::from_json(json.get("cumulative").ok_or_else(corrupt)?)
+            .map_err(record_error)?;
         let days = json
             .get("days")
             .and_then(Json::as_array)
             .ok_or_else(corrupt)?
             .iter()
             .map(DayStats::from_json)
-            .collect::<Option<Vec<DayStats>>>()
-            .ok_or_else(corrupt)?;
+            .collect::<Result<Vec<DayStats>, String>>()
+            .map_err(record_error)?;
         if days.len() != completed_days as usize {
             return Err(corrupt());
         }
@@ -1423,6 +1364,21 @@ mod tests {
                 &config,
                 "is not a valid campaign checkpoint",
             );
+        }
+        // A day or counter record with a bad key is corrupt, naming the key.
+        let day = DayStats::default().to_json().to_string();
+        let with_day = |day: &str| text.replacen("\"days\":[]", &format!("\"days\":[{day}]"), 1);
+        assert!(text.contains("\"days\":[]") && text.contains("\"payload_bytes\":0"));
+        let mistyped_day = day.replacen("\"exposed\":0", "\"exposed\":\"x\"", 1);
+        let unknown_key = day.replacen('}', ",\"bogus\":1}", 1);
+        let mistyped_counter = text.replacen("\"payload_bytes\":0", "\"payload_bytes\":true", 1);
+        for (name, body, key) in [
+            ("day-type.json", with_day(&mistyped_day), "key \"exposed\""),
+            ("day-key.json", with_day(&unknown_key), "unknown key \"bogus\""),
+            ("counter-type.json", mistyped_counter, "key \"payload_bytes\""),
+        ] {
+            let want = format!("is not a valid campaign checkpoint: {key}");
+            expect_checkpoint_error(name, &body, &config, &want);
         }
         // An intact checkpoint from a different campaign.
         expect_checkpoint_error(

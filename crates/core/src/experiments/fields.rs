@@ -9,7 +9,7 @@
 //! to compile.
 
 use super::{ConfigError, ExperimentId, RunConfig, SurfaceVector};
-use crate::json::{Json, ToJson};
+use crate::json::{closed, decode, Json, ToJson};
 
 // The experiments that read a field: its flag is inert, and rejected, when
 // none of them is selected. A paper field is never inert.
@@ -53,14 +53,9 @@ macro_rules! fields {
             /// integer that does not fit its field is an error naming the
             /// key. Decoding does not validate: see [`RunConfig::validate`].
             pub fn from_json(json: &Json) -> Result<RunConfig, String> {
-                let Json::Obj(pairs) = json else {
-                    return Err("not a JSON object".to_string());
-                };
-                if let Some((key, _)) = pairs.iter().find(|(key, _)| field(key).is_none()) {
-                    return Err(format!("unknown key {key:?}"));
-                }
+                closed(json, |key| field(key).is_some())?;
                 let defaults = RunConfig::default();
-                Ok(RunConfig { $($name: decode(json, stringify!($name), defaults.$name)?,)* })
+                Ok(RunConfig { $($name: decode(json, stringify!($name), Some(defaults.$name))?,)* })
             }
 
             /// Every field's JSON value, in table order.
@@ -123,39 +118,6 @@ impl ToJson for RunConfig {
                 .filter(|((field, value), default)| field.always || value != default)
                 .map(|((field, value), _)| (field.key, value)),
         )
-    }
-}
-
-/// How a field's type reads back from JSON.
-trait FromJson: Sized {
-    fn from_json(json: &Json) -> Option<Self>;
-}
-
-macro_rules! from_json {
-    ($($type:ty: $get:path,)*) => {$(
-        impl FromJson for $type {
-            fn from_json(json: &Json) -> Option<$type> {
-                $get(json)
-            }
-        }
-    )*};
-}
-
-from_json! {
-    bool: Json::as_bool,
-    f64: Json::as_f64,
-    u8: Json::as_int,
-    u32: Json::as_int,
-    u64: Json::as_int,
-    usize: Json::as_int,
-}
-
-/// The value of `key` in `json`, or `default` when the key is absent.
-fn decode<T: FromJson>(json: &Json, key: &str, default: T) -> Result<T, String> {
-    match json.get(key) {
-        Some(value) => T::from_json(value)
-            .ok_or_else(|| format!("key {key:?} has the wrong type or does not fit")),
-        None => Ok(default),
     }
 }
 
@@ -332,7 +294,7 @@ mod tests {
             }
             flags.finish(ids)
         };
-        // A flag that sets no field is unknown. mp-lint: allow(doc-sync)
+        // A flag that sets no field is unknown.
         let unknown = parse(&["--fleet-shards", "4"], &[]);
         assert_eq!(unknown, Err("unknown argument \"--fleet-shards\"".to_string()));
         // A switch takes no value: the next argument is the next flag.

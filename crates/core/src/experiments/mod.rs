@@ -29,6 +29,7 @@ mod faults;
 mod fields;
 mod figures;
 mod multiday;
+mod records;
 mod surface;
 mod tables;
 mod validate;
@@ -39,9 +40,8 @@ pub use distrib::{
 };
 pub use faults::{FaultKind, FaultPlan, FAULT_DIR_ENV, FAULT_PLAN_ENV};
 pub use fields::{number as parse_number, ConfigFlags};
-pub use multiday::{
-    run_campaign_with_checkpoint, run_campaign_with_checkpoint_ctx, DayStats,
-};
+pub use multiday::{run_campaign_with_checkpoint, run_campaign_with_checkpoint_ctx};
+pub use records::DayStats;
 pub use surface::{CurvePoint, SurfaceResult, SurfaceVector, VectorSurface};
 pub use validate::{ConfigError, MAX_FLEET_JOBS};
 pub use figures::{AblationResult, Fig3Result, Fig4Result, Fig5Result, FlowTrace};

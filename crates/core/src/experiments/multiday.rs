@@ -39,7 +39,6 @@
 use super::campaign::{mix_seed, CampaignFleetResult};
 use super::distrib::{load_checkpoint, run_shard, ShardOutcome, ShardPlan};
 use super::{ExperimentError, ExperimentId, RunConfig, RunCtx};
-use crate::json::{Json, ToJson};
 use mp_netsim::dist::Dist;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -65,84 +64,6 @@ pub(super) const VISIT_TAG: u64 = 0x7151_7000_0000_0000;
 /// help. Shared with the attack-surface sweep, whose steady-state fixed
 /// point uses the same daily cure rate.
 pub(super) const DAILY_CACHE_CLEAR: f64 = 0.01;
-
-// ---------------------------------------------------------------------------
-// Day statistics
-// ---------------------------------------------------------------------------
-
-/// What happened on one simulated day of a multi-day campaign.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DayStats {
-    /// The day number (1-based).
-    pub day: u32,
-    /// Seats whose occupant departed (their cache leaves with them).
-    pub departures: usize,
-    /// Fresh clean arrivals (equals `departures`: the café stays full).
-    pub arrivals: usize,
-    /// Infected residents who cleared their browser cache today.
-    pub cache_clears: usize,
-    /// Whether the target object was renamed by its site today (Figure 3
-    /// churn): a rotation breaks every parasite riding on the old name.
-    pub object_rotated: bool,
-    /// Infections broken by today's object rotation.
-    pub rotation_cured: usize,
-    /// Clean seats that browsed through the hostile AP and were raced.
-    pub exposed: usize,
-    /// Seats that newly picked up the parasite today.
-    pub newly_infected: usize,
-    /// AP simulations that failed today (event budget); their exposed seats
-    /// stay clean.
-    pub failed_aps: usize,
-    /// Infected population at the end of the day.
-    pub infected: usize,
-    /// Clean population at the end of the day.
-    pub clean: usize,
-    /// Simulator events spent on today's exposures.
-    pub events: u64,
-}
-
-impl ToJson for DayStats {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("day", self.day.to_json()),
-            ("departures", self.departures.to_json()),
-            ("arrivals", self.arrivals.to_json()),
-            ("cache_clears", self.cache_clears.to_json()),
-            ("object_rotated", self.object_rotated.to_json()),
-            ("rotation_cured", self.rotation_cured.to_json()),
-            ("exposed", self.exposed.to_json()),
-            ("newly_infected", self.newly_infected.to_json()),
-            ("failed_aps", self.failed_aps.to_json()),
-            ("infected", self.infected.to_json()),
-            ("clean", self.clean.to_json()),
-            ("events", self.events.to_json()),
-        ])
-    }
-}
-
-impl DayStats {
-    /// Reads a day back from its [`ToJson`] form. The [`ToJson`] output is
-    /// the per-day wire format shared by the checkpoint codec and the
-    /// service daemon's `day` stream messages, so clients (`mp_service`)
-    /// decode with this too.
-    pub fn from_json(json: &Json) -> Option<DayStats> {
-        let usize_of = |key: &str| json.get(key).and_then(Json::as_int::<usize>);
-        Some(DayStats {
-            day: json.get("day").and_then(Json::as_int)?,
-            departures: usize_of("departures")?,
-            arrivals: usize_of("arrivals")?,
-            cache_clears: usize_of("cache_clears")?,
-            object_rotated: json.get("object_rotated").and_then(Json::as_bool)?,
-            rotation_cured: usize_of("rotation_cured")?,
-            exposed: usize_of("exposed")?,
-            newly_infected: usize_of("newly_infected")?,
-            failed_aps: usize_of("failed_aps")?,
-            infected: usize_of("infected")?,
-            clean: usize_of("clean")?,
-            events: json.get("events").and_then(Json::as_u64)?,
-        })
-    }
-}
 
 // ---------------------------------------------------------------------------
 // The (single-process) campaign loop
@@ -254,8 +175,10 @@ mod tests {
         decode_bitmap, encode_bitmap, load_checkpoint, run_shard, write_checkpoint, ShardOutcome,
         ShardPlan,
     };
+    use super::super::records::DayStats;
     use super::super::{CancelToken, DaySink, ExperimentId, Registry, RunConfig};
     use super::*;
+    use crate::json::{Json, ToJson};
 
     fn churn_config() -> RunConfig {
         RunConfig {
@@ -288,9 +211,12 @@ mod tests {
         let artifact = Registry::get(ExperimentId::CampaignFleet).run(&churn_config());
         let day = artifact.data.as_campaign_fleet().expect("campaign artifact").day_stats[2];
         let text = day.to_json().to_string();
-        assert_eq!(DayStats::from_json(&Json::parse(&text).expect("day JSON")), Some(day));
+        assert_eq!(DayStats::from_json(&Json::parse(&text).expect("day JSON")), Ok(day));
         let wide = text.replacen("\"day\":3", "\"day\":4294967299", 1);
-        assert_eq!(DayStats::from_json(&Json::parse(&wide).expect("day JSON")), None);
+        assert_eq!(
+            DayStats::from_json(&Json::parse(&wide).expect("day JSON")),
+            Err("key \"day\" has the wrong type or does not fit".to_string())
+        );
     }
 
     #[test]

@@ -205,6 +205,55 @@ impl<T: ToJson> ToJson for Vec<T> {
     }
 }
 
+/// Conversion out of a [`Json`] value, for the types a record field has.
+pub trait FromJson: Sized {
+    /// The value, if `json` holds one of this type that fits.
+    fn from_json(json: &Json) -> Option<Self>;
+}
+
+macro_rules! from_json {
+    ($($type:ty: $get:path,)*) => {$(
+        impl FromJson for $type {
+            fn from_json(json: &Json) -> Option<$type> {
+                $get(json)
+            }
+        }
+    )*};
+}
+
+from_json! {
+    bool: Json::as_bool,
+    f64: Json::as_f64,
+    u8: Json::as_int,
+    u32: Json::as_int,
+    u64: Json::as_int,
+    usize: Json::as_int,
+}
+
+/// The value of `key` in the object `json`. An absent key takes `default`,
+/// or is an error without one; a wrongly-typed value is an error. Both
+/// errors name the key.
+pub fn decode<T: FromJson>(json: &Json, key: &str, default: Option<T>) -> Result<T, String> {
+    match (json.get(key), default) {
+        (Some(value), _) => T::from_json(value)
+            .ok_or_else(|| format!("key {key:?} has the wrong type or does not fit")),
+        (None, Some(default)) => Ok(default),
+        (None, None) => Err(format!("missing key {key:?}")),
+    }
+}
+
+/// Checks that `json` is an object whose every key is `known`: a closed
+/// record, where an unknown key is an error naming it.
+pub fn closed(json: &Json, known: impl Fn(&str) -> bool) -> Result<(), String> {
+    let Json::Obj(pairs) = json else {
+        return Err("not a JSON object".to_string());
+    };
+    match pairs.iter().find(|(key, _)| !known(key)) {
+        Some((key, _)) => Err(format!("unknown key {key:?}")),
+        None => Ok(()),
+    }
+}
+
 impl fmt::Display for Json {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

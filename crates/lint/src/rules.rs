@@ -584,12 +584,18 @@ pub fn collect_error_codes(path: &str, file: &SourceFile) -> Vec<DocItem> {
     items
 }
 
-/// Extracts every `"--flag"` string literal of one file (the vocabulary of
-/// `parse_args` or of the run-config field table; first occurrence wins).
+/// Extracts every `"--flag"` string literal of one file outside its
+/// `#[cfg(test)]` regions (the vocabulary of `parse_args` or of the
+/// run-config field table; first occurrence wins).
 pub fn collect_cli_flags(path: &str, file: &SourceFile) -> Vec<DocItem> {
+    let regions = test_regions(file);
+    let in_test = |line: u32| regions.iter().any(|(lo, hi)| (*lo..=*hi).contains(&line));
     let mut items: Vec<DocItem> = Vec::new();
     for tok in &file.toks {
         let TokKind::Str(value) = &tok.kind else { continue };
+        if in_test(tok.line) {
+            continue;
+        }
         let Some(body) = value.strip_prefix("--") else { continue };
         if body.is_empty()
             || !body
@@ -912,6 +918,16 @@ mod tests {
             .map(|(path, src)| (path.to_string(), tokenize(src)))
             .collect();
         check_dead_pub(&files).iter().map(|d| d.line).collect()
+    }
+
+    #[test]
+    fn a_flag_literal_in_test_code_is_not_collected() {
+        let flags = |src: &str| -> Vec<String> {
+            collect_cli_flags(LIB, &tokenize(src)).into_iter().map(|item| item.value).collect()
+        };
+        let test = "#[cfg(test)]\nmod tests {\n    fn t() { \"--fleet-shards\"; }\n}\n";
+        assert_eq!(flags(test), Vec::<String>::new());
+        assert_eq!(flags(&test.replace("#[cfg(test)]", "")), ["--fleet-shards"]);
     }
 
     #[test]

@@ -3,9 +3,11 @@
 //!
 //! One JSON object per line, in both directions, over a unix or TCP socket.
 //! Requests carry an `"op"` discriminator, responses a `"type"`
-//! discriminator; unknown fields are ignored so either side can grow. The
-//! per-day payload of `day` messages is [`DayStats`]'s [`ToJson`] form — the
-//! exact wire format the PR 5 checkpoint codec already pinned — so a
+//! discriminator; unknown fields of a message are ignored so either side
+//! can grow. A run `config` and a `day` message's `stats` are closed
+//! records: an unknown or wrongly-typed key in them is a decode error
+//! naming the key. The per-day payload of `day` messages is [`DayStats`]'s
+//! [`ToJson`] form — the exact wire format of the checkpoint codec — so a
 //! streamed campaign and a checkpoint file spell a day identically.
 //!
 //! The full message catalogue, with examples, lives in `PROTOCOL.md` at the
@@ -576,10 +578,11 @@ impl Response {
             }),
             "day" => Ok(Response::Day {
                 run: run_of(json)?,
-                stats: json
-                    .get("stats")
-                    .and_then(DayStats::from_json)
-                    .ok_or_else(|| "day response carries no valid \"stats\"".to_string())?,
+                stats: DayStats::from_json(
+                    json.get("stats")
+                        .ok_or_else(|| "day response is missing \"stats\"".to_string())?,
+                )
+                .map_err(|error| format!("day response \"stats\": {error}"))?,
             }),
             "status" => Ok(Response::Status {
                 runs: json
@@ -803,6 +806,15 @@ mod tests {
                  \"state\":\"done\",\"days\":0,\"outcome\":7}]}"
             ),
             Err("\"outcome\" must be a string".to_string())
+        );
+        // A day's stats are a closed record: a bad key is named.
+        let stats = DayStats::default().to_json().to_string();
+        assert_eq!(
+            Response::parse_line(&format!(
+                "{{\"type\":\"day\",\"run\":1,\"stats\":{}}}",
+                stats.replacen("\"clean\"", "\"clear\"", 1)
+            )),
+            Err("day response \"stats\": unknown key \"clear\"".to_string())
         );
         // Absent fields keep their defaults.
         assert_eq!(
