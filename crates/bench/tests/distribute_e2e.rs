@@ -438,8 +438,9 @@ fn shard_worker_speaks_the_newline_json_protocol() {
 #[test]
 fn a_shard_worker_answers_hostile_lines_and_keeps_serving() {
     // A 3 MiB line, a non-UTF-8 line, a line nested far past the JSON depth
-    // cap, four configurations the validator or the decoder rejects, then a
-    // valid assignment: one reply each, in order.
+    // cap, four configurations the validator or the decoder rejects, an
+    // assignment with a key no field names, then a valid assignment: one
+    // reply each, in order.
     let mut input = vec![b'x'; 3 << 20];
     input.extend_from_slice(b"\n\xff\xfe{\"op\":\"shard_submit\"}\n");
     input.extend_from_slice(format!("{}\n", "[".repeat(200_000)).as_bytes());
@@ -454,6 +455,9 @@ fn a_shard_worker_answers_hostile_lines_and_keeps_serving() {
                 .as_bytes(),
         );
     }
+    input.extend_from_slice(
+        b"{\"op\":\"shard_submit\",\"first_ap\":0,\"aps\":1,\"frist_ap\":1}\n",
+    );
     input.extend_from_slice(concat!(
         "{\"op\":\"shard_submit\",\"config\":{\"seed\":13,\"fleet_clients\":2000,",
         "\"fleet_aps\":4,\"fleet_days\":3,\"fleet_churn\":0.2},\"first_ap\":1,\"aps\":2}\n"
@@ -462,7 +466,7 @@ fn a_shard_worker_answers_hostile_lines_and_keeps_serving() {
     assert!(output.status.success(), "EOF is a clean exit");
     let stdout = String::from_utf8(output.stdout).expect("utf-8 replies");
     let replies: Vec<&str> = stdout.lines().collect();
-    assert_eq!(replies.len(), 8, "one reply line per input line: {stdout}");
+    assert_eq!(replies.len(), 9, "one reply line per input line: {stdout}");
     let bad_request = |reply: &str, expected: &str| {
         assert!(
             reply.contains("\"type\":\"error\"")
@@ -478,10 +482,11 @@ fn a_shard_worker_answers_hostile_lines_and_keeps_serving() {
     bad_request(replies[4], "fleet_aps must be at least 1");
     bad_request(replies[5], "fleet_visit_prob must be a probability in (0, 1]");
     bad_request(replies[6], "not a run configuration object");
+    bad_request(replies[7], "unknown key \\\"frist_ap\\\"");
     assert!(
-        replies[7].contains("\"type\":\"shard_result\"") && replies[7].contains("\"run\":8"),
+        replies[8].contains("\"type\":\"shard_result\"") && replies[8].contains("\"run\":9"),
         "got: {}",
-        replies[7]
+        replies[8]
     );
 }
 

@@ -9,7 +9,7 @@
 //! to compile.
 
 use super::{ConfigError, ExperimentId, RunConfig, SurfaceVector};
-use crate::json::{closed, decode, Json, ToJson};
+use crate::json::{closed, decode, FromJson, Json, ToJson, Unfit};
 
 // The experiments that read a field: its flag is inert, and rejected, when
 // none of them is selected. A paper field is never inert.
@@ -100,6 +100,12 @@ fields! {
     surface_wan_end_us:      "--surface-wan",          axis_end,   false,  SURFACE;
     surface_wan_steps:       "--surface-wan",          axis_steps, false,  SURFACE;
     surface_vectors:         "--surface-vectors",      vectors,    false,  SURFACE;
+}
+
+impl FromJson for RunConfig {
+    fn from_json(json: &Json) -> Result<RunConfig, Unfit> {
+        RunConfig::from_json(json).map_err(|why| Unfit::not("a run configuration object", why))
+    }
 }
 
 fn field(key: &str) -> Option<&'static Field> {

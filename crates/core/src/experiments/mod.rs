@@ -51,7 +51,7 @@ pub use tables::{
 };
 
 use crate::infect::Infector;
-use crate::json::{Json, ToJson};
+use crate::json::{FromJson, Json, ToJson, Unfit};
 use crate::script::Parasite;
 use mp_netsim::error::NetError;
 use mp_netsim::sim::SharedBudget;
@@ -229,6 +229,19 @@ impl fmt::Display for ParseExperimentIdError {
 }
 
 impl std::error::Error for ParseExperimentIdError {}
+
+impl ToJson for ExperimentId {
+    fn to_json(&self) -> Json {
+        self.as_str().to_json()
+    }
+}
+
+impl FromJson for ExperimentId {
+    fn from_json(json: &Json) -> Result<ExperimentId, Unfit> {
+        let id = json.as_str().ok_or(Unfit::Type)?;
+        id.parse().map_err(|error| Unfit::Invalid(format!("names an {error}")))
+    }
+}
 
 impl FromStr for ExperimentId {
     type Err = ParseExperimentIdError;

@@ -9,7 +9,7 @@
 //! entries and the service daemon's `day` lines; [`Cumulative`] is a
 //! checkpoint's run-wide counters.
 
-use crate::json::{closed, decode, Json, ToJson};
+use crate::json::{closed, decode, FromJson, Json, ToJson, Unfit};
 use std::fmt::Debug;
 use std::ops::Add;
 
@@ -113,6 +113,12 @@ record! {
         pub(super) pending_bytes_dropped: u64, sum;
         /// AP simulations that failed, summed over the days.
         pub(super) failed_aps: usize, sum;
+    }
+}
+
+impl FromJson for DayStats {
+    fn from_json(json: &Json) -> Result<DayStats, Unfit> {
+        DayStats::from_json(json).map_err(|why| Unfit::not("a campaign day record", why))
     }
 }
 

@@ -11,6 +11,7 @@
 //! `paper-report --json` output is byte-for-byte reproducible.
 
 use std::fmt;
+use std::path::PathBuf;
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -124,57 +125,9 @@ pub trait ToJson {
     fn to_json(&self) -> Json;
 }
 
-impl ToJson for Json {
-    fn to_json(&self) -> Json {
-        self.clone()
-    }
-}
-
-impl ToJson for bool {
-    fn to_json(&self) -> Json {
-        Json::Bool(*self)
-    }
-}
-
-impl ToJson for f64 {
-    fn to_json(&self) -> Json {
-        Json::Num(*self)
-    }
-}
-
-impl ToJson for u64 {
-    fn to_json(&self) -> Json {
-        Json::Num(*self as f64)
-    }
-}
-
-impl ToJson for u8 {
-    fn to_json(&self) -> Json {
-        Json::Num(f64::from(*self))
-    }
-}
-
-impl ToJson for u32 {
-    fn to_json(&self) -> Json {
-        Json::Num(*self as f64)
-    }
-}
-
-impl ToJson for usize {
-    fn to_json(&self) -> Json {
-        Json::Num(*self as f64)
-    }
-}
-
 impl ToJson for str {
     fn to_json(&self) -> Json {
         Json::Str(self.to_string())
-    }
-}
-
-impl ToJson for String {
-    fn to_json(&self) -> Json {
-        Json::Str(self.clone())
     }
 }
 
@@ -207,36 +160,95 @@ impl<T: ToJson> ToJson for Vec<T> {
 
 /// Conversion out of a [`Json`] value, for the types a record field has.
 pub trait FromJson: Sized {
-    /// The value, if `json` holds one of this type that fits.
-    fn from_json(json: &Json) -> Option<Self>;
+    /// The value `json` holds, or why it holds none of this type.
+    fn from_json(json: &Json) -> Result<Self, Unfit>;
 }
 
-macro_rules! from_json {
-    ($($type:ty: $get:path,)*) => {$(
+/// Why a JSON value holds no value of a field's type. [`decode`] turns it
+/// into the error, which names the field's key.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Unfit {
+    /// Another JSON type, or an integer the type does not hold.
+    Type,
+    /// The rest of the error after the key, as in `is not a run
+    /// configuration object: unknown key "x"`.
+    Invalid(String),
+}
+
+impl Unfit {
+    /// A value that does not decode as `what` (a nested record, say), for
+    /// the reason `why`.
+    pub fn not(what: &str, why: impl fmt::Display) -> Unfit {
+        Unfit::Invalid(format!("is not {what}: {why}"))
+    }
+}
+
+/// Each scalar a record field can hold: how it is written, and how a JSON
+/// value is read as one (`None` for another JSON type, or an integer the
+/// type does not hold).
+macro_rules! scalars {
+    ($($type:ty: |$value:ident| $to:expr, $from:expr;)*) => {$(
+        impl ToJson for $type {
+            fn to_json(&self) -> Json {
+                let $value = self;
+                $to
+            }
+        }
+
         impl FromJson for $type {
-            fn from_json(json: &Json) -> Option<$type> {
-                $get(json)
+            fn from_json(json: &Json) -> Result<$type, Unfit> {
+                $from(json).ok_or(Unfit::Type)
             }
         }
     )*};
 }
 
-from_json! {
-    bool: Json::as_bool,
-    f64: Json::as_f64,
-    u8: Json::as_int,
-    u32: Json::as_int,
-    u64: Json::as_int,
-    usize: Json::as_int,
+scalars! {
+    Json: |value| value.clone(), |json: &Json| Some(json.clone());
+    bool: |value| Json::Bool(*value), Json::as_bool;
+    f64: |value| Json::Num(*value), Json::as_f64;
+    u8: |value| Json::Num(f64::from(*value)), Json::as_int;
+    u32: |value| Json::Num(*value as f64), Json::as_int;
+    u64: |value| Json::Num(*value as f64), Json::as_int;
+    usize: |value| Json::Num(*value as f64), Json::as_int;
+    String: |value| Json::Str(value.clone()), |json: &Json| json.as_str().map(str::to_string);
+    PathBuf: |value| Json::Str(value.display().to_string()), |json: &Json| json.as_str().map(PathBuf::from);
+}
+
+/// A present optional field: absence is [`decode`]'s default.
+impl<T: FromJson> FromJson for Option<T> {
+    fn from_json(json: &Json) -> Result<Option<T>, Unfit> {
+        T::from_json(json).map(Some)
+    }
+}
+
+impl<T: FromJson> FromJson for Box<T> {
+    fn from_json(json: &Json) -> Result<Box<T>, Unfit> {
+        T::from_json(json).map(Box::new)
+    }
+}
+
+/// An array whose every item is a `T`; a bad item is named by its index.
+impl<T: FromJson> FromJson for Vec<T> {
+    fn from_json(json: &Json) -> Result<Vec<T>, Unfit> {
+        let items = json.as_array().ok_or(Unfit::Type)?;
+        let item = |(at, item)| match T::from_json(item) {
+            Err(Unfit::Invalid(why)) => Err(Unfit::Invalid(format!("item {at} {why}"))),
+            decoded => decoded,
+        };
+        items.iter().enumerate().map(item).collect()
+    }
 }
 
 /// The value of `key` in the object `json`. An absent key takes `default`,
-/// or is an error without one; a wrongly-typed value is an error. Both
+/// or is an error without one; a value of the wrong type is an error. Both
 /// errors name the key.
 pub fn decode<T: FromJson>(json: &Json, key: &str, default: Option<T>) -> Result<T, String> {
     match (json.get(key), default) {
-        (Some(value), _) => T::from_json(value)
-            .ok_or_else(|| format!("key {key:?} has the wrong type or does not fit")),
+        (Some(value), _) => T::from_json(value).map_err(|unfit| match unfit {
+            Unfit::Type => format!("key {key:?} has the wrong type or does not fit"),
+            Unfit::Invalid(why) => format!("{key:?} {why}"),
+        }),
         (None, Some(default)) => Ok(default),
         (None, None) => Err(format!("missing key {key:?}")),
     }

@@ -7,8 +7,9 @@
 //! Five modules:
 //!
 //! * [`protocol`] — the wire messages ([`Request`], [`Response`],
-//!   [`RunOutcome`], [`RunStatus`]); one JSON object per line, documented
-//!   message-by-message in `PROTOCOL.md`,
+//!   [`RunOutcome`], [`RunStatus`]), each declared once in one table that
+//!   writes its codec; one JSON object per line, every message a closed
+//!   record, documented message-by-message in `PROTOCOL.md`,
 //! * [`server`] — [`Daemon`]: listeners, the worker-pool scheduler,
 //!   per-run budget isolation, day streaming and cooperative cancellation,
 //! * [`client`] — [`Client`]: a small blocking client used by the

@@ -3,18 +3,20 @@
 //!
 //! One JSON object per line, in both directions, over a unix or TCP socket.
 //! Requests carry an `"op"` discriminator, responses a `"type"`
-//! discriminator; unknown fields of a message are ignored so either side
-//! can grow. A run `config` and a `day` message's `stats` are closed
-//! records: an unknown or wrongly-typed key in them is a decode error
-//! naming the key. The per-day payload of `day` messages is [`DayStats`]'s
-//! [`ToJson`] form — the exact wire format of the checkpoint codec — so a
-//! streamed campaign and a checkpoint file spell a day identically.
+//! discriminator. Every message is declared once, in the `messages!` table
+//! below, which writes its type and its codec. Every message, and every
+//! record nested in one (a run `config`, a `day` message's `stats`, a
+//! `status` row, a `done` outcome), is closed: a missing, wrongly-typed or
+//! unknown key is a decode error naming the key. The per-day payload of
+//! `day` messages is [`DayStats`]'s [`ToJson`] form — the exact wire format
+//! of the checkpoint codec — so a streamed campaign and a checkpoint file
+//! spell a day identically.
 //!
 //! The full message catalogue, with examples, lives in `PROTOCOL.md` at the
 //! repository root.
 
 use parasite::experiments::{DayStats, ExperimentId, RunConfig};
-use parasite::json::{Json, ToJson};
+use parasite::json::{closed, decode, FromJson, Json, ToJson, Unfit};
 use std::io::{self, BufRead, Read};
 use std::path::PathBuf;
 
@@ -116,152 +118,396 @@ impl LineReader {
     }
 }
 
-/// A client-to-daemon request: one JSON object on one line.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Request {
-    /// Submit an experiment run. The daemon replies `accepted` with the run
-    /// id, then (when `watch` is set) streams `day` messages and the final
-    /// `done` on the same connection.
-    Submit {
-        /// Which registry experiment to run.
-        experiment: ExperimentId,
-        /// The full run configuration (serialised with the same
-        /// omit-if-default codec the report JSON uses).
-        config: Box<RunConfig>,
-        /// Optional campaign checkpoint path *on the daemon's
-        /// filesystem*: written after every completed day, resumed from when
-        /// it already exists — the cancel/resubmit contract.
-        checkpoint: Option<PathBuf>,
-        /// Stream `day`/`done` messages on this connection after `accepted`.
-        watch: bool,
-    },
-    /// Report all runs, or one run when `run` is given.
-    Status {
-        /// Restrict the report to this run id.
-        run: Option<u64>,
-    },
-    /// Replay the day stream of a run from day one, then follow it live
-    /// until the run finishes; ends with the `done` message.
-    Watch {
-        /// The run id to watch.
-        run: u64,
-    },
-    /// Request cooperative cancellation: a campaign stops at the
-    /// next day boundary, leaving its checkpoint resumable.
-    Cancel {
-        /// The run id to cancel.
-        run: u64,
-    },
-    /// Cancel every run, drain the queue, and exit the daemon.
-    Shutdown,
-    /// Execute one campaign shard synchronously on this connection: the
-    /// daemon runs APs `[first_ap, first_ap + aps)` of the `campaign_fleet`
-    /// described by `config` (any `fleet_days` from 1) and replies with a single
-    /// `shard_result` message carrying the partial-checkpoint document.
-    /// Mergeable with sibling shards via the core checkpoint `merge()`.
-    ShardSubmit {
-        /// The full run configuration (its `fleet_jobs` is scheduling-only
-        /// and never affects the outcome).
-        config: Box<RunConfig>,
-        /// First access point of the shard's contiguous AP range.
-        first_ap: usize,
-        /// Number of access points in the shard.
-        aps: usize,
-    },
+/// Writes each wire message declared in the table below: the type, a
+/// `to_json` that writes its fields in row order, and a `from_json` that
+/// reads the discriminator, rejects a key no field of the variant names,
+/// and decodes every field through [`decode`], so a missing or
+/// wrongly-typed key is an error naming it.
+///
+/// An enum names its discriminator key, the noun an unknown discriminator
+/// value is reported as, and each variant's wire name. A type declared
+/// `as "<what>"` can be another message's field: a bad value of it there
+/// reads `"<key>" is not <what>: <reason>`. Each field has one rule:
+/// - `required`: always written; absent is an error;
+/// - `default(<value>)`: always written; absent reads as `<value>`;
+/// - `omit`: written unless it holds its type's default (`None`, `false`);
+///   absent reads as that default.
+macro_rules! messages {
+    (@pair $key:ident, omit) => {
+        (!is_default($key)).then(|| (stringify!($key), $key.to_json()))
+    };
+    (@pair $key:ident, $rule:ident $(($default:expr))?) => {
+        Some((stringify!($key), $key.to_json()))
+    };
+    (@get $json:ident, $key:ident, required) => {
+        decode($json, stringify!($key), None)?
+    };
+    (@get $json:ident, $key:ident, default($default:expr)) => {
+        decode($json, stringify!($key), Some($default))?
+    };
+    (@get $json:ident, $key:ident, omit) => {
+        decode($json, stringify!($key), Some(Default::default()))?
+    };
+    (@rule $type:ty, required) => {
+        Rule::Required
+    };
+    (@rule $type:ty, default($default:expr)) => {
+        Rule::Default({
+            let value: $type = $default;
+            value.to_json()
+        })
+    };
+    (@rule $type:ty, omit) => {
+        Rule::Omit
+    };
+    (@nested $name:ident $(as $what:literal)?) => {$(
+        impl ToJson for $name {
+            fn to_json(&self) -> Json {
+                $name::to_json(self)
+            }
+        }
+
+        impl FromJson for $name {
+            fn from_json(json: &Json) -> Result<$name, Unfit> {
+                $name::from_json(json).map_err(|why| Unfit::not($what, why))
+            }
+        }
+    )?};
+    () => {};
+    (
+        $(#[$meta:meta])*
+        $vis:vis enum $name:ident by $tag:literal, unknown $noun:literal $(, as $what:literal)? {$(
+            $(#[$variant_meta:meta])*
+            $variant:ident = $wire:literal $({$(
+                $(#[$field_meta:meta])*
+                $field:ident: $type:ty, $rule:ident $(($default:expr))?;
+            )*})?,
+        )*}
+        $($rest:tt)*
+    ) => {
+        $(#[$meta])*
+        $vis enum $name {$(
+            $(#[$variant_meta])*
+            $variant $({$($(#[$field_meta])* $field: $type,)*})?,
+        )*}
+
+        impl $name {
+            /// The variant's wire name: the value of its discriminator key.
+            pub fn kind(&self) -> &'static str {
+                match self {
+                    $($name::$variant { .. } => $wire,)*
+                }
+            }
+
+            /// Serialises the message to its wire object.
+            pub fn to_json(&self) -> Json {
+                let tag = Some(($tag, self.kind().to_json()));
+                match self {
+                    $($name::$variant { $($($field,)*)? } => object([tag, $($(
+                        messages!(@pair $field, $rule $(($default))?),
+                    )*)?]),)*
+                }
+            }
+
+            /// Decodes a message from its wire object.
+            pub fn from_json(json: &Json) -> Result<$name, String> {
+                let kind: String = decode(json, $tag, None)?;
+                match kind.as_str() {
+                    $($wire => {
+                        closed(json, |key| key == $tag $($(|| key == stringify!($field))*)?)?;
+                        Ok($name::$variant $({$(
+                            $field: messages!(@get json, $field, $rule $(($default))?),
+                        )*})?)
+                    })*
+                    other => Err(format!(concat!("unknown ", $noun, " {:?}"), other)),
+                }
+            }
+
+            /// The discriminator key, and each variant's wire name with its
+            /// fields' keys and rules in row order.
+            #[cfg(test)]
+            fn rows() -> (&'static str, Vec<(&'static str, Vec<(&'static str, Rule)>)>) {
+                ($tag, vec![$(($wire, vec![$($(
+                    (stringify!($field), messages!(@rule $type, $rule $(($default))?)),
+                )*)?]),)*])
+            }
+        }
+
+        messages!(@nested $name $(as $what)?);
+        messages! { $($rest)* }
+    };
+    (
+        $(#[$meta:meta])*
+        $vis:vis struct $name:ident as $what:literal {$(
+            $(#[$field_meta:meta])*
+            $field_vis:vis $field:ident: $type:ty, $rule:ident $(($default:expr))?;
+        )*}
+        $($rest:tt)*
+    ) => {
+        $(#[$meta])*
+        $vis struct $name {$(
+            $(#[$field_meta])*
+            $field_vis $field: $type,
+        )*}
+
+        impl $name {
+            /// Serialises the record to its wire object.
+            pub fn to_json(&self) -> Json {
+                let $name { $($field),* } = self;
+                object([$(messages!(@pair $field, $rule $(($default))?)),*])
+            }
+
+            /// Decodes a record from its wire object.
+            pub fn from_json(json: &Json) -> Result<$name, String> {
+                closed(json, |key| [$(stringify!($field)),*].contains(&key))?;
+                Ok($name {$(
+                    $field: messages!(@get json, $field, $rule $(($default))?),
+                )*})
+            }
+
+            /// The record's fields' keys and rules in row order.
+            #[cfg(test)]
+            fn rows() -> Vec<(&'static str, Rule)> {
+                vec![$((stringify!($field), messages!(@rule $type, $rule $(($default))?)),)*]
+            }
+        }
+
+        messages!(@nested $name as $what);
+        messages! { $($rest)* }
+    };
+    (
+        $(#[$meta:meta])*
+        $vis:vis enum $name:ident as $what:literal, names {$(
+            $(#[$variant_meta:meta])*
+            $variant:ident = $wire:literal,
+        )*}
+        $($rest:tt)*
+    ) => {
+        $(#[$meta])*
+        $vis enum $name {$(
+            $(#[$variant_meta])*
+            $variant,
+        )*}
+
+        impl $name {
+            /// The value's wire name.
+            pub fn as_str(&self) -> &'static str {
+                match self {
+                    $($name::$variant => $wire,)*
+                }
+            }
+        }
+
+        impl ToJson for $name {
+            fn to_json(&self) -> Json {
+                self.as_str().to_json()
+            }
+        }
+
+        impl FromJson for $name {
+            fn from_json(json: &Json) -> Result<$name, Unfit> {
+                match json.as_str().ok_or(Unfit::Type)? {
+                    $($wire => Ok($name::$variant),)*
+                    other => Err(Unfit::not($what, format!("unknown name {other:?}"))),
+                }
+            }
+        }
+
+        messages! { $($rest)* }
+    };
+}
+
+/// A field's rule in the table, as the round-trip test reads it.
+#[cfg(test)]
+#[derive(Debug)]
+enum Rule {
+    Required,
+    /// The wire form of the value an absent key reads as.
+    Default(Json),
+    Omit,
+}
+
+/// The wire object of the pairs that are present, allocated at its exact
+/// size: a `status` reply holds one object per run the daemon knows.
+fn object<const N: usize>(pairs: [Option<(&'static str, Json)>; N]) -> Json {
+    let mut object = Vec::with_capacity(pairs.iter().flatten().count());
+    object.extend(pairs.into_iter().flatten().map(|(key, value)| (key.to_string(), value)));
+    Json::Obj(object)
+}
+
+/// Whether an `omit` field holds its type's default, which the wire form
+/// leaves out.
+fn is_default<T: Default + PartialEq>(value: &T) -> bool {
+    *value == T::default()
+}
+
+messages! {
+    /// A client-to-daemon request: one JSON object on one line.
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum Request by "op", unknown "op" {
+        /// Submit an experiment run. The daemon replies `accepted` with the run
+        /// id, then (when `watch` is set) streams `day` messages and the final
+        /// `done` on the same connection.
+        Submit = "submit" {
+            /// Which registry experiment to run.
+            experiment: ExperimentId, required;
+            /// The full run configuration (serialised with the same
+            /// omit-if-default codec the report JSON uses).
+            config: Box<RunConfig>, default(Box::default());
+            /// Optional campaign checkpoint path *on the daemon's
+            /// filesystem*: written after every completed day, resumed from when
+            /// it already exists — the cancel/resubmit contract.
+            checkpoint: Option<PathBuf>, omit;
+            /// Stream `day`/`done` messages on this connection after `accepted`.
+            watch: bool, omit;
+        },
+        /// Report all runs, or one run when `run` is given.
+        Status = "status" {
+            /// Restrict the report to this run id.
+            run: Option<u64>, omit;
+        },
+        /// Replay the day stream of a run from day one, then follow it live
+        /// until the run finishes; ends with the `done` message.
+        Watch = "watch" {
+            /// The run id to watch.
+            run: u64, required;
+        },
+        /// Request cooperative cancellation: a campaign stops at the
+        /// next day boundary, leaving its checkpoint resumable.
+        Cancel = "cancel" {
+            /// The run id to cancel.
+            run: u64, required;
+        },
+        /// Cancel every run, drain the queue, and exit the daemon.
+        Shutdown = "shutdown",
+        /// Execute one campaign shard synchronously on this connection: the
+        /// daemon runs APs `[first_ap, first_ap + aps)` of the `campaign_fleet`
+        /// described by `config` (any `fleet_days` from 1) and replies with a single
+        /// `shard_result` message carrying the partial-checkpoint document.
+        /// Mergeable with sibling shards via the core checkpoint `merge()`.
+        ShardSubmit = "shard_submit" {
+            /// The full run configuration (its `fleet_jobs` is scheduling-only
+            /// and never affects the outcome).
+            config: Box<RunConfig>, default(Box::default());
+            /// First access point of the shard's contiguous AP range.
+            first_ap: usize, required;
+            /// Number of access points in the shard.
+            aps: usize, required;
+        },
+    }
+
+    /// Where a run currently sits in the daemon's scheduler.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+    pub enum RunState as "a run state", names {
+        /// Accepted, waiting for a worker.
+        #[default]
+        Queued = "queued",
+        /// Executing on a worker thread.
+        Running = "running",
+        /// Finished — see the run's [`RunOutcome`].
+        Done = "done",
+    }
+
+    /// How a finished run ended.
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum RunOutcome by "result", unknown "run outcome", as "a run outcome" {
+        /// The run completed; `artifact` is the full artifact JSON — identical
+        /// bytes to the corresponding entry of a batch `paper-report --json`.
+        Ok = "ok" {
+            /// The artifact document.
+            artifact: Json, required;
+        },
+        /// The run was cancelled at a day boundary; `days_completed` days are
+        /// durable in the checkpoint (when one was configured).
+        Cancelled = "cancelled" {
+            /// Completed (and checkpointed) days at the stop.
+            days_completed: u32, required;
+        },
+        /// The run failed with the rendered [`ExperimentError`] message.
+        ///
+        /// [`ExperimentError`]: parasite::experiments::ExperimentError
+        Failed = "failed" {
+            /// The error message.
+            message: String, required;
+        },
+    }
+
+    /// One run's row in a `status` response.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct RunStatus as "a status row" {
+        /// The run id.
+        pub run: u64, required;
+        /// The experiment the run executes.
+        pub experiment: ExperimentId, required;
+        /// Scheduler state.
+        pub state: RunState, required;
+        /// Campaign days completed (and streamed) so far.
+        pub days: u32, required;
+        /// How the run ended, when `state` is `done`.
+        pub outcome: Option<String>, omit;
+    }
+
+    /// A daemon-to-client response: one JSON object on one line.
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum Response by "type", unknown "response type" {
+        /// A submission was accepted and queued under `run`.
+        Accepted = "accepted" {
+            /// The assigned run id.
+            run: u64, required;
+            /// The experiment the run will execute.
+            experiment: ExperimentId, required;
+        },
+        /// One completed campaign day of a watched run.
+        Day = "day" {
+            /// The run the day belongs to.
+            run: u64, required;
+            /// The day's statistics (the checkpoint codec's wire form).
+            stats: DayStats, required;
+        },
+        /// The scheduler table.
+        Status = "status" {
+            /// One row per known run.
+            runs: Vec<RunStatus>, required;
+        },
+        /// Cancellation was requested; the run stops at its next day boundary
+        /// and its watchers receive a `cancelled` outcome.
+        Cancelling = "cancelling" {
+            /// The run being cancelled.
+            run: u64, required;
+        },
+        /// A watched run finished.
+        Done = "done" {
+            /// The finished run.
+            run: u64, required;
+            /// How it ended.
+            outcome: RunOutcome, required;
+        },
+        /// The daemon is cancelling `active_runs` unfinished runs and exiting.
+        ShuttingDown = "shutting_down" {
+            /// Runs that were still queued or running.
+            active_runs: u64, default(0);
+        },
+        /// The finished shard of a `shard_submit` request.
+        ShardResult = "shard_result" {
+            /// The run id the shard executed under.
+            run: u64, required;
+            /// The partial-checkpoint document for the shard — the same wire
+            /// form `--fleet-checkpoint` files and the `distribute` coordinator
+            /// use, mergeable with sibling shards.
+            outcome: Json, required;
+        },
+        /// The request could not be served.
+        Error = "error" {
+            /// What went wrong.
+            message: String, default("unspecified error".to_string());
+            /// Optional machine-readable error code (e.g. `"queue_full"`);
+            /// omitted from the wire form when absent.
+            code: Option<String>, omit;
+        },
+    }
 }
 
 impl Request {
-    /// Serialises the request to its wire object.
-    pub fn to_json(&self) -> Json {
-        match self {
-            Request::Submit { experiment, config, checkpoint, watch } => {
-                let mut pairs = vec![
-                    ("op", "submit".to_json()),
-                    ("experiment", experiment.as_str().to_json()),
-                    ("config", config.to_json()),
-                ];
-                if let Some(path) = checkpoint {
-                    pairs.push(("checkpoint", path.display().to_string().to_json()));
-                }
-                if *watch {
-                    pairs.push(("watch", true.to_json()));
-                }
-                Json::obj(pairs)
-            }
-            Request::Status { run } => match run {
-                Some(run) => Json::obj([("op", "status".to_json()), ("run", run.to_json())]),
-                None => Json::obj([("op", "status".to_json())]),
-            },
-            Request::Watch { run } => {
-                Json::obj([("op", "watch".to_json()), ("run", run.to_json())])
-            }
-            Request::Cancel { run } => {
-                Json::obj([("op", "cancel".to_json()), ("run", run.to_json())])
-            }
-            Request::Shutdown => Json::obj([("op", "shutdown".to_json())]),
-            Request::ShardSubmit { config, first_ap, aps } => Json::obj([
-                ("op", "shard_submit".to_json()),
-                ("config", config.to_json()),
-                ("first_ap", (*first_ap as u64).to_json()),
-                ("aps", (*aps as u64).to_json()),
-            ]),
-        }
-    }
-
-    /// Decodes a request from its wire object.
-    pub fn from_json(json: &Json) -> Result<Request, String> {
-        let op = json
-            .get("op")
-            .and_then(Json::as_str)
-            .ok_or_else(|| "request is missing the \"op\" field".to_string())?;
-        let run_of = |json: &Json| {
-            json.get("run")
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("{op:?} requires a numeric \"run\" field"))
-        };
-        let config_of = |json: &Json| match json.get("config") {
-            Some(value) => RunConfig::from_json(value)
-                .map(Box::new)
-                .map_err(|error| format!("\"config\" is not a run configuration object: {error}")),
-            None => Ok(Box::default()),
-        };
-        match op {
-            "submit" => {
-                let experiment = json
-                    .get("experiment")
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| "submit requires an \"experiment\" id".to_string())?
-                    .parse::<ExperimentId>()
-                    .map_err(|error| error.to_string())?;
-                let config = config_of(json)?;
-                let checkpoint =
-                    optional(json, "checkpoint", Json::as_str, "a path string")?.map(PathBuf::from);
-                let watch = optional(json, "watch", Json::as_bool, "a boolean")?.unwrap_or(false);
-                Ok(Request::Submit { experiment, config, checkpoint, watch })
-            }
-            "status" => {
-                Ok(Request::Status { run: optional(json, "run", Json::as_u64, "a numeric run id")? })
-            }
-            "watch" => Ok(Request::Watch { run: run_of(json)? }),
-            "cancel" => Ok(Request::Cancel { run: run_of(json)? }),
-            "shutdown" => Ok(Request::Shutdown),
-            "shard_submit" => {
-                let config = config_of(json)?;
-                let range_field = |key: &str| {
-                    json.get(key)
-                        .and_then(Json::as_int)
-                        .ok_or_else(|| format!("shard_submit requires a numeric {key:?} field"))
-                };
-                Ok(Request::ShardSubmit {
-                    config,
-                    first_ap: range_field("first_ap")?,
-                    aps: range_field("aps")?,
-                })
-            }
-            other => Err(format!("unknown op {other:?}")),
-        }
-    }
-
     /// Parses one wire line into a request.
     pub fn parse_line(line: &str) -> Result<Request, String> {
         let json = Json::parse(line)
@@ -270,358 +516,7 @@ impl Request {
     }
 }
 
-/// An optional message field: absent is `None`; present but not what `get`
-/// reads is an error naming the field and the `expected` type, never a
-/// silent default.
-fn optional<'a, T>(
-    json: &'a Json,
-    key: &str,
-    get: impl Fn(&'a Json) -> Option<T>,
-    expected: &str,
-) -> Result<Option<T>, String> {
-    json.get(key)
-        .map(|value| get(value).ok_or_else(|| format!("{key:?} must be {expected}")))
-        .transpose()
-}
-
-/// Where a run currently sits in the daemon's scheduler.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RunState {
-    /// Accepted, waiting for a worker.
-    #[default]
-    Queued,
-    /// Executing on a worker thread.
-    Running,
-    /// Finished — see the run's [`RunOutcome`].
-    Done,
-}
-
-impl RunState {
-    /// The wire name of the state.
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            RunState::Queued => "queued",
-            RunState::Running => "running",
-            RunState::Done => "done",
-        }
-    }
-
-    fn from_str(text: &str) -> Result<RunState, String> {
-        match text {
-            "queued" => Ok(RunState::Queued),
-            "running" => Ok(RunState::Running),
-            "done" => Ok(RunState::Done),
-            other => Err(format!("unknown run state {other:?}")),
-        }
-    }
-}
-
-/// How a finished run ended.
-#[derive(Debug, Clone, PartialEq)]
-pub enum RunOutcome {
-    /// The run completed; `artifact` is the full artifact JSON — identical
-    /// bytes to the corresponding entry of a batch `paper-report --json`.
-    Ok {
-        /// The artifact document.
-        artifact: Json,
-    },
-    /// The run was cancelled at a day boundary; `days_completed` days are
-    /// durable in the checkpoint (when one was configured).
-    Cancelled {
-        /// Completed (and checkpointed) days at the stop.
-        days_completed: u32,
-    },
-    /// The run failed with the rendered [`ExperimentError`] message.
-    ///
-    /// [`ExperimentError`]: parasite::experiments::ExperimentError
-    Failed {
-        /// The error message.
-        message: String,
-    },
-}
-
-impl RunOutcome {
-    /// The wire discriminator: `"ok"`, `"cancelled"` or `"failed"`.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            RunOutcome::Ok { .. } => "ok",
-            RunOutcome::Cancelled { .. } => "cancelled",
-            RunOutcome::Failed { .. } => "failed",
-        }
-    }
-
-    /// Serialises the outcome object carried by `done` messages.
-    pub fn to_json(&self) -> Json {
-        match self {
-            RunOutcome::Ok { artifact } => {
-                Json::obj([("result", "ok".to_json()), ("artifact", artifact.clone())])
-            }
-            RunOutcome::Cancelled { days_completed } => Json::obj([
-                ("result", "cancelled".to_json()),
-                ("days_completed", days_completed.to_json()),
-            ]),
-            RunOutcome::Failed { message } => {
-                Json::obj([("result", "failed".to_json()), ("message", message.to_json())])
-            }
-        }
-    }
-
-    /// Decodes an outcome object.
-    pub fn from_json(json: &Json) -> Result<RunOutcome, String> {
-        match json.get("result").and_then(Json::as_str) {
-            Some("ok") => Ok(RunOutcome::Ok {
-                artifact: json
-                    .get("artifact")
-                    .cloned()
-                    .ok_or_else(|| "ok outcome is missing \"artifact\"".to_string())?,
-            }),
-            Some("cancelled") => Ok(RunOutcome::Cancelled {
-                days_completed: json
-                    .get("days_completed")
-                    .and_then(Json::as_int)
-                    .ok_or_else(|| "cancelled outcome is missing \"days_completed\"".to_string())?,
-            }),
-            Some("failed") => Ok(RunOutcome::Failed {
-                message: json
-                    .get("message")
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| "failed outcome is missing \"message\"".to_string())?
-                    .to_string(),
-            }),
-            _ => Err("outcome is missing a valid \"result\" field".to_string()),
-        }
-    }
-}
-
-/// One run's row in a `status` response.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RunStatus {
-    /// The run id.
-    pub run: u64,
-    /// The experiment the run executes.
-    pub experiment: ExperimentId,
-    /// Scheduler state.
-    pub state: RunState,
-    /// Campaign days completed (and streamed) so far.
-    pub days: u32,
-    /// How the run ended, when `state` is `done`.
-    pub outcome: Option<String>,
-}
-
-impl RunStatus {
-    fn to_json(&self) -> Json {
-        let mut pairs = vec![
-            ("run", self.run.to_json()),
-            ("experiment", self.experiment.as_str().to_json()),
-            ("state", self.state.as_str().to_json()),
-            ("days", self.days.to_json()),
-        ];
-        if let Some(outcome) = &self.outcome {
-            pairs.push(("outcome", outcome.to_json()));
-        }
-        Json::obj(pairs)
-    }
-
-    fn from_json(json: &Json) -> Result<RunStatus, String> {
-        let field = |key: &str| {
-            json.get(key)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("status row is missing {key:?}"))
-        };
-        Ok(RunStatus {
-            run: field("run")?,
-            experiment: json
-                .get("experiment")
-                .and_then(Json::as_str)
-                .ok_or_else(|| "status row is missing \"experiment\"".to_string())?
-                .parse::<ExperimentId>()
-                .map_err(|error| error.to_string())?,
-            state: RunState::from_str(
-                json.get("state")
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| "status row is missing \"state\"".to_string())?,
-            )?,
-            days: json
-                .get("days")
-                .and_then(Json::as_int)
-                .ok_or_else(|| "status row is missing \"days\"".to_string())?,
-            outcome: optional(json, "outcome", Json::as_str, "a string")?.map(str::to_string),
-        })
-    }
-}
-
-/// A daemon-to-client response: one JSON object on one line.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Response {
-    /// A submission was accepted and queued under `run`.
-    Accepted {
-        /// The assigned run id.
-        run: u64,
-        /// The experiment the run will execute.
-        experiment: ExperimentId,
-    },
-    /// One completed campaign day of a watched run.
-    Day {
-        /// The run the day belongs to.
-        run: u64,
-        /// The day's statistics (the checkpoint codec's wire form).
-        stats: DayStats,
-    },
-    /// The scheduler table.
-    Status {
-        /// One row per known run.
-        runs: Vec<RunStatus>,
-    },
-    /// Cancellation was requested; the run stops at its next day boundary
-    /// and its watchers receive a `cancelled` outcome.
-    Cancelling {
-        /// The run being cancelled.
-        run: u64,
-    },
-    /// A watched run finished.
-    Done {
-        /// The finished run.
-        run: u64,
-        /// How it ended.
-        outcome: RunOutcome,
-    },
-    /// The daemon is cancelling `active_runs` unfinished runs and exiting.
-    ShuttingDown {
-        /// Runs that were still queued or running.
-        active_runs: u64,
-    },
-    /// The finished shard of a `shard_submit` request.
-    ShardResult {
-        /// The run id the shard executed under.
-        run: u64,
-        /// The partial-checkpoint document for the shard — the same wire
-        /// form `--fleet-checkpoint` files and the `distribute` coordinator
-        /// use, mergeable with sibling shards.
-        outcome: Json,
-    },
-    /// The request could not be served.
-    Error {
-        /// What went wrong.
-        message: String,
-        /// Optional machine-readable error code (e.g. `"queue_full"`);
-        /// omitted from the wire form when absent.
-        code: Option<String>,
-    },
-}
-
 impl Response {
-    /// Serialises the response to its wire object.
-    pub fn to_json(&self) -> Json {
-        match self {
-            Response::Accepted { run, experiment } => Json::obj([
-                ("type", "accepted".to_json()),
-                ("run", run.to_json()),
-                ("experiment", experiment.as_str().to_json()),
-            ]),
-            Response::Day { run, stats } => Json::obj([
-                ("type", "day".to_json()),
-                ("run", run.to_json()),
-                ("stats", stats.to_json()),
-            ]),
-            Response::Status { runs } => Json::obj([
-                ("type", "status".to_json()),
-                ("runs", Json::Arr(runs.iter().map(RunStatus::to_json).collect())),
-            ]),
-            Response::Cancelling { run } => {
-                Json::obj([("type", "cancelling".to_json()), ("run", run.to_json())])
-            }
-            Response::Done { run, outcome } => Json::obj([
-                ("type", "done".to_json()),
-                ("run", run.to_json()),
-                ("outcome", outcome.to_json()),
-            ]),
-            Response::ShuttingDown { active_runs } => Json::obj([
-                ("type", "shutting_down".to_json()),
-                ("active_runs", active_runs.to_json()),
-            ]),
-            Response::ShardResult { run, outcome } => Json::obj([
-                ("type", "shard_result".to_json()),
-                ("run", run.to_json()),
-                ("outcome", outcome.clone()),
-            ]),
-            Response::Error { message, code } => {
-                let mut pairs =
-                    vec![("type", "error".to_json()), ("message", message.to_json())];
-                if let Some(code) = code {
-                    pairs.push(("code", code.to_json()));
-                }
-                Json::obj(pairs)
-            }
-        }
-    }
-
-    /// Decodes a response from its wire object.
-    pub fn from_json(json: &Json) -> Result<Response, String> {
-        let kind = json
-            .get("type")
-            .and_then(Json::as_str)
-            .ok_or_else(|| "response is missing the \"type\" field".to_string())?;
-        let run_of = |json: &Json| {
-            json.get("run")
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("{kind:?} response is missing \"run\""))
-        };
-        match kind {
-            "accepted" => Ok(Response::Accepted {
-                run: run_of(json)?,
-                experiment: json
-                    .get("experiment")
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| "accepted response is missing \"experiment\"".to_string())?
-                    .parse::<ExperimentId>()
-                    .map_err(|error| error.to_string())?,
-            }),
-            "day" => Ok(Response::Day {
-                run: run_of(json)?,
-                stats: DayStats::from_json(
-                    json.get("stats")
-                        .ok_or_else(|| "day response is missing \"stats\"".to_string())?,
-                )
-                .map_err(|error| format!("day response \"stats\": {error}"))?,
-            }),
-            "status" => Ok(Response::Status {
-                runs: json
-                    .get("runs")
-                    .and_then(Json::as_array)
-                    .ok_or_else(|| "status response is missing \"runs\"".to_string())?
-                    .iter()
-                    .map(RunStatus::from_json)
-                    .collect::<Result<Vec<RunStatus>, String>>()?,
-            }),
-            "cancelling" => Ok(Response::Cancelling { run: run_of(json)? }),
-            "done" => Ok(Response::Done {
-                run: run_of(json)?,
-                outcome: RunOutcome::from_json(
-                    json.get("outcome")
-                        .ok_or_else(|| "done response is missing \"outcome\"".to_string())?,
-                )?,
-            }),
-            "shutting_down" => Ok(Response::ShuttingDown {
-                active_runs: optional(json, "active_runs", Json::as_u64, "a run count")?
-                    .unwrap_or(0),
-            }),
-            "shard_result" => Ok(Response::ShardResult {
-                run: run_of(json)?,
-                outcome: json
-                    .get("outcome")
-                    .cloned()
-                    .ok_or_else(|| "shard_result response is missing \"outcome\"".to_string())?,
-            }),
-            "error" => Ok(Response::Error {
-                message: optional(json, "message", Json::as_str, "a string")?
-                    .unwrap_or("unspecified error")
-                    .to_string(),
-                code: optional(json, "code", Json::as_str, "a string")?.map(str::to_string),
-            }),
-            other => Err(format!("unknown response type {other:?}")),
-        }
-    }
-
     /// Parses one wire line into a response.
     pub fn parse_line(line: &str) -> Result<Response, String> {
         let json = Json::parse(line)
@@ -634,9 +529,9 @@ impl Response {
 mod tests {
     use super::*;
 
-    #[test]
-    fn requests_round_trip_through_the_wire_form() {
-        let submissions = [
+    /// One request of every op, each optional field set in one of them.
+    fn requests() -> Vec<Request> {
+        vec![
             Request::Submit {
                 experiment: ExperimentId::CampaignFleet,
                 config: Box::new(RunConfig {
@@ -672,16 +567,20 @@ mod tests {
                 first_ap: 4,
                 aps: 8,
             },
-        ];
-        for request in submissions {
+        ]
+    }
+
+    #[test]
+    fn requests_round_trip_through_the_wire_form() {
+        for request in requests() {
             let line = request.to_json().to_string();
             assert!(!line.contains('\n'), "wire form must be one line: {line}");
             assert_eq!(Request::parse_line(&line), Ok(request));
         }
     }
 
-    #[test]
-    fn responses_round_trip_through_the_wire_form() {
+    /// One response of every type, each optional field set in one of them.
+    fn responses() -> Vec<Response> {
         let day = DayStats {
             day: 2,
             departures: 3,
@@ -696,7 +595,7 @@ mod tests {
             clean: 310,
             events: 123_456,
         };
-        let responses = [
+        vec![
             Response::Accepted { run: 1, experiment: ExperimentId::CampaignFleet },
             Response::Day { run: 1, stats: day },
             Response::Status {
@@ -733,6 +632,7 @@ mod tests {
                 outcome: RunOutcome::Failed { message: "event budget exhausted".to_string() },
             },
             Response::ShuttingDown { active_runs: 2 },
+            Response::ShuttingDown { active_runs: 0 },
             Response::ShardResult {
                 run: 5,
                 outcome: Json::obj([
@@ -745,11 +645,55 @@ mod tests {
                 message: "submission queue is full (limit 4)".to_string(),
                 code: Some("queue_full".to_string()),
             },
-        ];
-        for response in responses {
+        ]
+    }
+
+    #[test]
+    fn responses_round_trip_through_the_wire_form() {
+        for response in responses() {
             let line = response.to_json().to_string();
             assert!(!line.contains('\n'), "wire form must be one line: {line}");
             assert_eq!(Response::parse_line(&line), Ok(response));
+        }
+    }
+
+    /// The exact line of every sample: key order, and which fields an
+    /// encoder writes when they hold their defaults (`watch` only when set,
+    /// `checkpoint`, `run` and `code` only when present, `active_runs`
+    /// always).
+    #[test]
+    fn every_message_keeps_its_wire_bytes() {
+        let request_lines = [
+            r#"{"op":"submit","experiment":"campaign_fleet","config":{"seed":9,"scale":1000,"sites":15000,"crawl_sites":3000,"days":100,"event_budget":5000000,"jitter_us":0,"fleet_clients":500,"fleet_aps":128,"fleet_jobs":0,"fleet_days":3,"fleet_churn":0.25},"checkpoint":"/tmp/run.ckpt.json","watch":true}"#,
+            r#"{"op":"submit","experiment":"fig4","config":{"seed":2021,"scale":1000,"sites":15000,"crawl_sites":3000,"days":100,"event_budget":5000000,"jitter_us":0,"fleet_clients":100000,"fleet_aps":128,"fleet_jobs":0}}"#,
+            r#"{"op":"status"}"#,
+            r#"{"op":"status","run":7}"#,
+            r#"{"op":"watch","run":1}"#,
+            r#"{"op":"cancel","run":2}"#,
+            r#"{"op":"shutdown"}"#,
+            r#"{"op":"shard_submit","config":{"seed":11,"scale":1000,"sites":15000,"crawl_sites":3000,"days":100,"event_budget":5000000,"jitter_us":0,"fleet_clients":4000,"fleet_aps":16,"fleet_jobs":0,"fleet_days":4,"fleet_churn":0.2},"first_ap":4,"aps":8}"#,
+        ];
+        let response_lines = [
+            r#"{"type":"accepted","run":1,"experiment":"campaign_fleet"}"#,
+            r#"{"type":"day","run":1,"stats":{"day":2,"departures":3,"arrivals":3,"cache_clears":1,"object_rotated":true,"rotation_cured":4,"exposed":120,"newly_infected":88,"failed_aps":0,"infected":90,"clean":310,"events":123456}}"#,
+            r#"{"type":"status","runs":[{"run":1,"experiment":"campaign_fleet","state":"running","days":2},{"run":2,"experiment":"attack_surface","state":"done","days":0,"outcome":"ok"}]}"#,
+            r#"{"type":"cancelling","run":3}"#,
+            r#"{"type":"done","run":1,"outcome":{"result":"cancelled","days_completed":2}}"#,
+            r#"{"type":"done","run":2,"outcome":{"result":"ok","artifact":{"id":"campaign_fleet"}}}"#,
+            r#"{"type":"done","run":4,"outcome":{"result":"failed","message":"event budget exhausted"}}"#,
+            r#"{"type":"shutting_down","active_runs":2}"#,
+            r#"{"type":"shutting_down","active_runs":0}"#,
+            r#"{"type":"shard_result","run":5,"outcome":{"kind":"mp-campaign-checkpoint","completed_days":3}}"#,
+            r#"{"type":"error","message":"unknown run 99"}"#,
+            r#"{"type":"error","message":"submission queue is full (limit 4)","code":"queue_full"}"#,
+        ];
+        assert_eq!(requests().len(), request_lines.len());
+        for (request, line) in requests().iter().zip(request_lines) {
+            assert_eq!(request.to_json().to_string(), line);
+        }
+        assert_eq!(responses().len(), response_lines.len());
+        for (response, line) in responses().iter().zip(response_lines) {
+            assert_eq!(response.to_json().to_string(), line);
         }
     }
 
@@ -780,32 +724,34 @@ mod tests {
         // A present optional field of the wrong type is no silent default.
         assert_eq!(
             Request::parse_line("{\"op\": \"status\", \"run\": \"7\"}"),
-            Err("\"run\" must be a numeric run id".to_string())
+            Err("key \"run\" has the wrong type or does not fit".to_string())
         );
         assert_eq!(
             Request::parse_line(
                 "{\"op\": \"submit\", \"experiment\": \"table3\", \"watch\": \"yes\"}"
             ),
-            Err("\"watch\" must be a boolean".to_string())
+            Err("key \"watch\" has the wrong type or does not fit".to_string())
         );
         assert_eq!(
             Response::parse_line("{\"type\":\"shutting_down\",\"active_runs\":\"3\"}"),
-            Err("\"active_runs\" must be a run count".to_string())
+            Err("key \"active_runs\" has the wrong type or does not fit".to_string())
         );
         assert_eq!(
             Response::parse_line("{\"type\":\"error\",\"message\":7,\"code\":5}"),
-            Err("\"message\" must be a string".to_string())
+            Err("key \"message\" has the wrong type or does not fit".to_string())
         );
         assert_eq!(
             Response::parse_line("{\"type\":\"error\",\"message\":\"boom\",\"code\":5}"),
-            Err("\"code\" must be a string".to_string())
+            Err("key \"code\" has the wrong type or does not fit".to_string())
         );
         assert_eq!(
             Response::parse_line(
                 "{\"type\":\"status\",\"runs\":[{\"run\":1,\"experiment\":\"fig1\",\
                  \"state\":\"done\",\"days\":0,\"outcome\":7}]}"
             ),
-            Err("\"outcome\" must be a string".to_string())
+            Err("\"runs\" item 0 is not a status row: \
+                 key \"outcome\" has the wrong type or does not fit"
+                .to_string())
         );
         // A day's stats are a closed record: a bad key is named.
         let stats = DayStats::default().to_json().to_string();
@@ -814,7 +760,31 @@ mod tests {
                 "{{\"type\":\"day\",\"run\":1,\"stats\":{}}}",
                 stats.replacen("\"clean\"", "\"clear\"", 1)
             )),
-            Err("day response \"stats\": unknown key \"clear\"".to_string())
+            Err("\"stats\" is not a campaign day record: unknown key \"clear\"".to_string())
+        );
+        // Every message is a closed record: a key no field names, at the
+        // top or in a nested outcome or status row, is no silent drop.
+        assert_eq!(
+            Request::parse_line("{\"op\":\"status\",\"rnu\":3}"),
+            Err("unknown key \"rnu\"".to_string())
+        );
+        assert_eq!(
+            Request::parse_line("{\"op\":\"submit\",\"experiment\":\"table3\",\"wach\":true}"),
+            Err("unknown key \"wach\"".to_string())
+        );
+        assert_eq!(
+            Response::parse_line(
+                "{\"type\":\"done\",\"run\":1,\"outcome\":{\"result\":\"cancelled\",\
+                 \"days_completed\":2,\"artifact\":{}}}"
+            ),
+            Err("\"outcome\" is not a run outcome: unknown key \"artifact\"".to_string())
+        );
+        assert_eq!(
+            Response::parse_line(
+                "{\"type\":\"status\",\"runs\":[{\"run\":1,\"experiment\":\"fig1\",\
+                 \"state\":\"done\",\"days\":0,\"outcome\":\"ok\",\"owner\":\"x\"}]}"
+            ),
+            Err("\"runs\" item 0 is not a status row: unknown key \"owner\"".to_string())
         );
         // Absent fields keep their defaults.
         assert_eq!(
@@ -882,6 +852,147 @@ mod tests {
             }
             other => panic!("expected a submit, got {other:?}"),
         }
+    }
+
+    /// The table rows `variant_round_trips_and_names_bad_keys` walks: a
+    /// variant's wire name (`""` for a record without variants) and its
+    /// fields' keys and rules.
+    type Rows = Vec<(&'static str, Vec<(&'static str, Rule)>)>;
+
+    /// Checks every variant of a message type against its table rows, using
+    /// the sample of each variant that sets every field: encode then decode
+    /// is the identity; each required key, removed, is named missing; each
+    /// other key, removed, reads as its default; each key holding a value of
+    /// another JSON type is an error naming it; an unknown key is named.
+    /// Returns the fields that carry any JSON value verbatim, which no value
+    /// mistypes.
+    fn variant_round_trips_and_names_bad_keys<T: PartialEq + std::fmt::Debug>(
+        tag: Option<&str>,
+        rows: Rows,
+        samples: &[T],
+        to_json: fn(&T) -> Json,
+        from_json: fn(&Json) -> Result<T, String>,
+    ) -> Vec<(&'static str, &'static str)> {
+        let obj = |pairs: &[(String, Json)]| Json::Obj(pairs.to_vec());
+        let mut verbatim = Vec::new();
+        for (wire, fields) in rows {
+            let keys: Vec<&str> =
+                tag.into_iter().chain(fields.iter().map(|(key, _)| *key)).collect();
+            let sample = samples
+                .iter()
+                .find(|sample| {
+                    let Json::Obj(pairs) = to_json(sample) else { return false };
+                    pairs.iter().map(|(key, _)| key.as_str()).eq(keys.iter().copied())
+                        && tag.is_none_or(|tag| to_json(sample).get(tag) == Some(&wire.to_json()))
+                })
+                .unwrap_or_else(|| panic!("no sample of {wire:?} sets every field"));
+            let Json::Obj(pairs) = to_json(sample) else { unreachable!() };
+            assert_eq!(from_json(&obj(&pairs)).as_ref(), Ok(sample));
+            let text = obj(&pairs).to_string();
+            let parsed = Json::parse(&text).expect("well-formed JSON");
+            assert_eq!(from_json(&parsed).as_ref(), Ok(sample));
+            let first = usize::from(tag.is_some());
+            for (index, (key, rule)) in fields.iter().enumerate() {
+                let index = index + first;
+                let mut missing = pairs.clone();
+                missing.remove(index);
+                let decoded = from_json(&obj(&missing));
+                match rule {
+                    Rule::Required => assert_eq!(decoded, Err(format!("missing key {key:?}"))),
+                    Rule::Default(default) => {
+                        let mut defaulted = pairs.clone();
+                        defaulted[index].1 = default.clone();
+                        assert_eq!(decoded.map(|message| to_json(&message)), Ok(obj(&defaulted)));
+                    }
+                    Rule::Omit => {
+                        assert_eq!(decoded.map(|message| to_json(&message)), Ok(obj(&missing)))
+                    }
+                }
+                let mut mistyped = pairs.clone();
+                mistyped[index].1 = match mistyped[index].1 {
+                    Json::Str(_) => Json::Bool(true),
+                    _ => Json::Str("x".to_string()),
+                };
+                match from_json(&obj(&mistyped)) {
+                    Err(error) => {
+                        assert!(error.contains(&format!("{key:?}")), "{wire} {key}: {error}")
+                    }
+                    Ok(message) => {
+                        assert_eq!(to_json(&message), obj(&mistyped), "{wire} {key}");
+                        verbatim.push((wire, *key));
+                    }
+                }
+            }
+            if let Some(tag) = tag {
+                let mut missing = pairs.clone();
+                missing.remove(0);
+                assert_eq!(from_json(&obj(&missing)), Err(format!("missing key {tag:?}")));
+                let mut mistyped = pairs.clone();
+                mistyped[0].1 = Json::Num(1.0);
+                let error = from_json(&obj(&mistyped)).expect_err("a number is no wire name");
+                assert!(error.contains(&format!("{tag:?}")), "{wire}: {error}");
+            }
+            let mut unknown = pairs.clone();
+            unknown.push(("bogus".to_string(), Json::Num(0.0)));
+            assert_eq!(from_json(&obj(&unknown)), Err("unknown key \"bogus\"".to_string()));
+        }
+        verbatim
+    }
+
+    #[test]
+    fn every_variant_round_trips_and_names_bad_keys() {
+        let (tag, rows) = Request::rows();
+        let verbatim = variant_round_trips_and_names_bad_keys(
+            Some(tag),
+            rows,
+            &requests(),
+            Request::to_json,
+            Request::from_json,
+        );
+        assert_eq!(verbatim, []);
+
+        let (tag, rows) = Response::rows();
+        let verbatim = variant_round_trips_and_names_bad_keys(
+            Some(tag),
+            rows,
+            &responses(),
+            Response::to_json,
+            Response::from_json,
+        );
+        assert_eq!(verbatim, [("shard_result", "outcome")]);
+
+        let outcomes: Vec<RunOutcome> = responses()
+            .into_iter()
+            .filter_map(|response| match response {
+                Response::Done { outcome, .. } => Some(outcome),
+                _ => None,
+            })
+            .collect();
+        let (tag, rows) = RunOutcome::rows();
+        let verbatim = variant_round_trips_and_names_bad_keys(
+            Some(tag),
+            rows,
+            &outcomes,
+            RunOutcome::to_json,
+            RunOutcome::from_json,
+        );
+        assert_eq!(verbatim, [("ok", "artifact")]);
+
+        let rows: Vec<RunStatus> = responses()
+            .into_iter()
+            .flat_map(|response| match response {
+                Response::Status { runs } => runs,
+                _ => Vec::new(),
+            })
+            .collect();
+        let verbatim = variant_round_trips_and_names_bad_keys(
+            None,
+            vec![("", RunStatus::rows())],
+            &rows,
+            RunStatus::to_json,
+            RunStatus::from_json,
+        );
+        assert_eq!(verbatim, []);
     }
 
     /// A reader replaying scripted chunks and errors, then EOF.

@@ -39,7 +39,7 @@ use parasite::experiments::{
     DaySink, DayStats, ExperimentError, ExperimentId, FaultPlan, Registry, RunConfig, RunCtx,
     ShardPlan,
 };
-use parasite::json::ToJson;
+use parasite::json::{Json, ToJson};
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{self, BufReader, Write};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
@@ -121,7 +121,7 @@ impl Finished {
 
     fn kind(&self) -> &'static str {
         match self {
-            Finished::Artifact(_) => "ok",
+            Finished::Artifact(_) => RunOutcome::Ok { artifact: Json::Null }.kind(),
             Finished::Sent(outcome) => outcome.kind(),
         }
     }

@@ -638,6 +638,39 @@ fn hostile_lines_are_rejected_without_disturbing_other_runs() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+#[test]
+fn a_misspelt_request_key_is_rejected_before_the_run_is_queued() {
+    use std::io::{BufRead, BufReader, Write};
+    let dir = temp_dir("misspelt-key");
+    let socket = dir.join("daemon.sock");
+    let daemon = Daemon::start(ServeOptions::new(&socket)).expect("daemon starts");
+    let mut raw = std::os::unix::net::UnixStream::connect(&socket).expect("raw connect");
+    raw.set_read_timeout(Some(std::time::Duration::from_secs(60))).expect("read timeout");
+    let mut reader = BufReader::new(raw.try_clone().expect("clone"));
+    let mut reply_to = |request: &str| {
+        writeln!(raw, "{request}").expect("write the line");
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("reply line");
+        line
+    };
+    // A `watch` typo would run a campaign that streams nothing; a `run`
+    // typo would answer with the whole table.
+    for (request, key) in [
+        (r#"{"op":"submit","experiment":"campaign_fleet","config":{"fleet_clients":2000,"fleet_aps":4},"wach":true}"#, "wach"),
+        (r#"{"op":"status","rnu":3}"#, "rnu"),
+    ] {
+        let reply = reply_to(request);
+        assert!(reply.contains("\"code\":\"bad_request\""), "got: {reply}");
+        assert!(reply.contains(&format!("unknown key \\\"{key}\\\"")), "got: {reply}");
+        assert!(!reply.contains("\"run\""), "a rejected submit gets no run id: {reply}");
+    }
+    let status = Request::Status { run: None }.to_json().to_string();
+    assert_eq!(reply_to(&status), "{\"type\":\"status\",\"runs\":[]}\n");
+    drop(raw);
+    shutdown_and_wait(daemon, &socket);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Runs [`Daemon::wait`] on a thread and fails the test if it has not
 /// returned within 5 s: a shutdown that hangs must fail, not stall the suite.
 fn wait_within_limit(daemon: Daemon) {
