@@ -11,6 +11,7 @@ use crate::cnc::CncServer;
 use crate::eviction::{junk_origin, EvictionAttack, EvictionReport};
 use crate::json::{Json, ToJson};
 use crate::master::Master;
+use crate::memo::RecentMemo;
 use crate::script::Parasite;
 use bytes::Bytes;
 use mp_apps::banking::BankingApp;
@@ -324,20 +325,10 @@ const VERDICT_CACHE: usize = 4;
 /// same object from one server and one master, so thousands of streams
 /// share a handful of byte strings.
 fn classify_streams<'a>(streams: impl IntoIterator<Item = &'a [u8]>) -> Vec<bool> {
-    let mut cache: [Option<(&[u8], bool)>; VERDICT_CACHE] = [None; VERDICT_CACHE];
-    let mut oldest = 0;
+    let mut cache: RecentMemo<&[u8], bool, VERDICT_CACHE> = RecentMemo::new();
     streams
         .into_iter()
-        .map(|stream| {
-            let hit = cache.iter().flatten().find(|(seen, _)| *seen == stream);
-            if let Some(&(_, verdict)) = hit {
-                return verdict;
-            }
-            let verdict = delivers_parasite(stream);
-            cache[oldest] = Some((stream, verdict));
-            oldest = (oldest + 1) % VERDICT_CACHE;
-            verdict
-        })
+        .map(|stream| cache.get_or_insert_with(stream, delivers_parasite))
         .collect()
 }
 
@@ -374,7 +365,9 @@ pub(super) struct RaceOutcome {
 /// for the target object, or for one the master has not prepared when
 /// `unprepared(index)` says so. Every race runs through here: Table II and
 /// Figure 2 (one victim), the campaign fleet, its shard days and the
-/// attack-surface grid.
+/// attack-surface grid. The world is sized for its victims before they
+/// join: the host slab, the address index and the server's connection slab
+/// and demux table each grow once, not one doubling at a time.
 ///
 /// # Errors
 ///
@@ -394,6 +387,8 @@ pub(super) fn race_clients(
     } = build_race_world(task, event_budget, shared);
 
     let other = request_wire(&Url::parse("http://somesite.com/weather.js").expect("static url"));
+    sim.reserve_hosts(task.clients);
+    sim.host_mut(server).reserve_connections(task.clients);
     let mut connections = Vec::with_capacity(task.clients);
     for index in 0..task.clients {
         let ip = mp_netsim::addr::IpAddr::new(10, (index >> 8) as u8, (index & 0xff) as u8, 2);

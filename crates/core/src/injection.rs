@@ -14,6 +14,7 @@
 //!   packet would add nothing.
 
 use crate::infect::Infector;
+use crate::memo::RecentMemo;
 use mp_httpsim::message::{Request, Response};
 use mp_httpsim::tls::TlsDeployment;
 use mp_httpsim::transport::Exchange;
@@ -39,6 +40,22 @@ pub struct InjectionStats {
 /// Handle to injection statistics shared with the simulator-side tap.
 pub type SharedInjectionStats = Arc<Mutex<InjectionStats>>;
 
+/// How many distinct payloads [`MasterTap`] remembers its verdict for. A
+/// café's race world carries about three on the shared medium: the target
+/// request, the request for an unprepared object and the genuine response.
+const PAYLOAD_MEMO: usize = 4;
+
+/// What [`MasterTap`] does with one observed payload.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Verdict {
+    /// Not a GET request naming a host: ignored, not counted.
+    NotGet,
+    /// A GET for an object the master has not prepared: counted, passed on.
+    Passthrough,
+    /// A GET for `prepared_objects[i]`: answered with its infected response.
+    Inject(usize),
+}
+
 /// Packet-level master: a [`Tap`] for `mp-netsim` shared media.
 pub struct MasterTap {
     infector: Infector,
@@ -48,8 +65,16 @@ pub struct MasterTap {
     /// has prepared" (§V). The responses are stored pre-serialised as
     /// [`Bytes`], so every injection slices the one buffer instead of
     /// re-encoding the response. A master prepares a handful of objects, so
-    /// a scan beats hashing an owned key per observed request.
+    /// a scan beats hashing an owned key per request it parses; and it
+    /// parses each distinct payload once, since `verdicts` keeps the
+    /// outcome of the last few.
     prepared_objects: Vec<(String, String, Bytes)>,
+    /// The verdicts of the last [`PAYLOAD_MEMO`] distinct non-empty payloads,
+    /// matched by full byte equality: a café's victims all send the same
+    /// request, so the master parses it once, not once per victim. Each key
+    /// shares the observed packet's buffer. Cleared by
+    /// [`MasterTap::prepare_object`], which changes what a request means.
+    verdicts: RecentMemo<Bytes, Verdict, PAYLOAD_MEMO>,
     stats: SharedInjectionStats,
 }
 
@@ -63,6 +88,7 @@ impl MasterTap {
                 infector,
                 injector: Injector::new(reaction),
                 prepared_objects: Vec::new(),
+                verdicts: RecentMemo::new(),
                 stats: Arc::clone(&stats),
             },
             stats,
@@ -72,6 +98,7 @@ impl MasterTap {
     /// Registers a target object the master has fetched and infected ahead of
     /// time.
     pub fn prepare_object(&mut self, url: &Url, genuine: Response) {
+        self.verdicts.clear();
         let infected = Bytes::from(self.infector.infect_response(&genuine).to_wire());
         match self
             .prepared_objects
@@ -103,30 +130,47 @@ impl MasterTap {
             .map(|(_, value)| value.trim())?;
         Some((host, path))
     }
+
+    /// What to do with `payload`, parsed afresh.
+    fn verdict(&self, payload: &[u8]) -> Verdict {
+        let Some((host, path)) = Self::parse_request(payload) else {
+            return Verdict::NotGet;
+        };
+        // `Url` hosts are lowercase, so a case-insensitive match is exactly
+        // "the lowercased Host header names the prepared host".
+        self.prepared_objects
+            .iter()
+            .position(|(prepared_host, prepared_path, _)| {
+                prepared_path == path && prepared_host.eq_ignore_ascii_case(host)
+            })
+            .map_or(Verdict::Passthrough, Verdict::Inject)
+    }
 }
 
 impl Tap for MasterTap {
     fn observe(&mut self, packet: &Packet, _now: Instant, out: &mut Vec<Injection>) {
-        let Some((host, path)) = Self::parse_request(&packet.segment.payload) else {
+        let payload = &packet.segment.payload;
+        // An empty payload (SYN, ACK, RST) is never a request.
+        if payload.is_empty() {
             return;
-        };
-        // `Url` hosts are lowercase, so a case-insensitive match is exactly
-        // "the lowercased Host header names the prepared host".
-        let Some((_, _, infected)) = self
-            .prepared_objects
-            .iter()
-            .find(|(prepared_host, prepared_path, _)| {
-                prepared_path == path && prepared_host.eq_ignore_ascii_case(host)
-            })
-        else {
-            self.stats.lock().unwrap().passthrough += 1;
-            return;
-        };
-        let mut stats = self.stats.lock().unwrap();
-        stats.target_requests_seen += 1;
-        stats.responses_injected += 1;
-        drop(stats);
-        self.injector.forge_response_bytes(packet, infected.clone(), out);
+        }
+        let verdict = self.verdicts.get(payload).unwrap_or_else(|| {
+            let verdict = self.verdict(payload);
+            self.verdicts.insert(payload.clone(), verdict);
+            verdict
+        });
+        match verdict {
+            Verdict::NotGet => {}
+            Verdict::Passthrough => self.stats.lock().unwrap().passthrough += 1,
+            Verdict::Inject(index) => {
+                let mut stats = self.stats.lock().unwrap();
+                stats.target_requests_seen += 1;
+                stats.responses_injected += 1;
+                drop(stats);
+                let infected = self.prepared_objects[index].2.clone();
+                self.injector.forge_response_bytes(packet, infected, out);
+            }
+        }
     }
 }
 
@@ -379,5 +423,92 @@ mod tests {
         tap.observe(&packet, Instant::ZERO, &mut injections);
         assert!(!injections.is_empty());
         assert_eq!(stats.lock().unwrap().responses_injected, 2);
+    }
+
+    /// The counters of a stats handle, comparable.
+    fn counts(stats: &SharedInjectionStats) -> [u64; 3] {
+        let stats = stats.lock().unwrap();
+        [stats.target_requests_seen, stats.responses_injected, stats.passthrough]
+    }
+
+    #[test]
+    fn the_payload_memo_matches_a_fresh_tap_per_packet() {
+        use mp_netsim::addr::IpAddr;
+        use mp_netsim::packet::{Segment, TcpFlags};
+        use mp_netsim::seq::SeqNum;
+
+        let my_js = url("http://somesite.com/my.js");
+        let genuine = Response::ok(Body::text(ResourceKind::JavaScript, "function genuine(){}"))
+            .with_cache_control("max-age=600");
+        let prepared_tap = || {
+            let (mut tap, stats) =
+                MasterTap::new(infector(), mp_netsim::time::Duration::from_micros(300));
+            tap.prepare_object(&my_js, genuine.clone());
+            (tap, stats)
+        };
+        let client = IpAddr::new(10, 0, 0, 2);
+        let server = IpAddr::new(203, 0, 113, 9);
+        let data = |port: u16, payload: Vec<u8>| {
+            let segment = Segment::data(port, 80, SeqNum::new(100), SeqNum::new(200), payload);
+            Packet::new(client, server, segment)
+        };
+        let unprepared = Request::get(url("http://somesite.com/unknown.js")).to_wire();
+        let distinct = [
+            data(51000, Request::get(my_js.clone()).to_wire()),
+            data(51001, unprepared.clone()),
+            Packet::new(
+                server,
+                client,
+                Segment::data(80, 51000, SeqNum::new(200), SeqNum::new(140), genuine.to_wire()),
+            ),
+            Packet::new(
+                client,
+                server,
+                Segment::control(51002, 80, SeqNum::new(1), SeqNum::new(1), TcpFlags::ACK),
+            ),
+            data(51003, b"GET /my.js?v=2 HTTP/1.1\r\nHOST:  SomeSite.COM \r\n\r\n".to_vec()),
+            // U+00A0 is whitespace to the request-line split: still a GET.
+            data(51004, "\u{a0}GET /my.js HTTP/1.1\r\nHost: somesite.com\r\n\r\n".into()),
+        ];
+        // Each packet again, then the earliest ones after the memo has
+        // evicted them, each on another port so the forgeries differ.
+        let mut sequence: Vec<Packet> = distinct.iter().chain(&distinct).cloned().collect();
+        sequence.extend([0, 5, 1, 4, 0, 0, 2].map(|index| distinct[index].clone()));
+        sequence.push(data(52000, distinct[0].segment.payload.to_vec()));
+
+        let (mut tap, stats) = prepared_tap();
+        let mut expected_counts = [0; 3];
+        let mut injections = Vec::new();
+        for packet in &sequence {
+            injections.clear();
+            tap.observe(packet, Instant::ZERO, &mut injections);
+            let (mut fresh, fresh_stats) = prepared_tap();
+            let mut expected = Vec::new();
+            fresh.observe(packet, Instant::ZERO, &mut expected);
+            let forged = |list: &[Injection]| -> Vec<(mp_netsim::time::Duration, Packet)> {
+                list.iter().map(|i| (i.delay, i.packet.clone())).collect()
+            };
+            assert_eq!(forged(&injections), forged(&expected));
+            for (total, count) in expected_counts.iter_mut().zip(counts(&fresh_stats)) {
+                *total += count;
+            }
+            assert_eq!(counts(&stats), expected_counts);
+        }
+        // Requests for my.js (plain, shouted, U+00A0-led) inject; only the
+        // unknown object passes through; the response and the ACK count
+        // nowhere.
+        assert_eq!(expected_counts, [12, 12, 3]);
+
+        // A passthrough verdict is cached; preparing the object afterwards
+        // must turn the very same request into an injection.
+        let passthrough = data(51001, unprepared);
+        injections.clear();
+        tap.observe(&passthrough, Instant::ZERO, &mut injections);
+        assert!(injections.is_empty());
+        assert_eq!(counts(&stats), [12, 12, 4]);
+        tap.prepare_object(&url("http://somesite.com/unknown.js"), genuine.clone());
+        tap.observe(&passthrough, Instant::ZERO, &mut injections);
+        assert!(!injections.is_empty());
+        assert_eq!(counts(&stats), [13, 13, 4]);
     }
 }

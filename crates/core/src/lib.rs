@@ -48,6 +48,7 @@ pub mod infect;
 pub mod injection;
 pub mod json;
 pub mod master;
+mod memo;
 pub mod propagation;
 pub mod script;
 

@@ -98,6 +98,10 @@ pub struct Trace {
     // FxHashMap has no per-process RandomState, so even its internal layout
     // is reproducible across runs.
     name_index: FxHashMap<String, NameId>,
+    /// The id [`Trace::intern`] returned last: a run of hosts that share a
+    /// name (a café's victims) interns it by one string comparison, without
+    /// hashing it per host.
+    last_interned: Option<NameId>,
     events: VecDeque<TraceEvent>,
     summary: TraceSummary,
     /// Events the *recorder* discarded (ring overflow or summary-only mode).
@@ -133,6 +137,7 @@ impl Trace {
             mode,
             names: Vec::new(),
             name_index: FxHashMap::default(),
+            last_interned: None,
             events: VecDeque::new(),
             summary: TraceSummary::default(),
             recorder_dropped: 0,
@@ -172,6 +177,7 @@ impl Trace {
             mode: self.mode,
             names: self.names.clone(),
             name_index: self.name_index.clone(),
+            last_interned: self.last_interned,
             events: VecDeque::new(),
             summary: TraceSummary::default(),
             recorder_dropped: 0,
@@ -179,13 +185,23 @@ impl Trace {
     }
 
     /// Interns `name`, returning its id (existing id if already interned).
+    /// Repeating the previous call's name costs one comparison, no hash.
     pub fn intern(&mut self, name: &str) -> NameId {
-        if let Some(&id) = self.name_index.get(name) {
-            return id;
+        if let Some(last) = self.last_interned {
+            if self.names[last.0 as usize] == name {
+                return last;
+            }
         }
-        let id = NameId(u32::try_from(self.names.len()).expect("name table fits in u32"));
-        self.names.push(name.to_string());
-        self.name_index.insert(name.to_string(), id);
+        let id = match self.name_index.get(name) {
+            Some(&id) => id,
+            None => {
+                let id = NameId(u32::try_from(self.names.len()).expect("name table fits in u32"));
+                self.names.push(name.to_string());
+                self.name_index.insert(name.to_string(), id);
+                id
+            }
+        };
+        self.last_interned = Some(id);
         id
     }
 
@@ -395,6 +411,29 @@ mod tests {
         assert_ne!(a, c);
         assert_eq!(trace.name(a), "victim");
         assert_eq!(trace.name(c), "server");
+    }
+
+    #[test]
+    fn interleaved_names_keep_stable_ids_that_resolve_back() {
+        let mut trace = Trace::new();
+        let names = ["victim", "victim", "server", "victim", "?", "server", "server", "victim"];
+        let ids: Vec<NameId> = names.iter().map(|name| trace.intern(name)).collect();
+        // First-seen order assigns the ids, and every repeat returns the
+        // first id whether it follows itself or another name.
+        let first = |name: &str| ids[names.iter().position(|n| *n == name).unwrap()];
+        assert_eq!(first("victim"), NameId(0));
+        assert_eq!(first("server"), NameId(1));
+        assert_eq!(first("?"), NameId(2));
+        for (name, id) in names.iter().zip(&ids) {
+            assert_eq!(*id, first(name));
+            assert_eq!(trace.name(*id), *name);
+        }
+        // A fresh trace keeps the table and the last-interned shortcut.
+        let mut fresh = trace.fresh_like();
+        assert_eq!(fresh.intern("victim"), NameId(0));
+        assert_eq!(fresh.intern("attacker"), NameId(3));
+        assert_eq!(fresh.intern("server"), NameId(1));
+        assert_eq!(fresh.name(NameId(3)), "attacker");
     }
 
     #[test]

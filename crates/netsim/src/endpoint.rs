@@ -74,7 +74,7 @@ impl DeliveryResult {
 
 /// Connection count up to which [`Host`] demultiplexes by scanning its
 /// connection slab; past it, the host builds a hash table.
-const DEMUX_SCAN_LIMIT: usize = 8;
+pub(crate) const DEMUX_SCAN_LIMIT: usize = 8;
 
 /// A simulated host.
 ///
@@ -185,11 +185,24 @@ impl Host {
         self.conn_index(conn).map(move |index| &mut self.connections[index])
     }
 
+    /// Reserves room for `additional` more connections: the slab, and past
+    /// `DEMUX_SCAN_LIMIT` the demultiplexing table, so a server that knows
+    /// how many clients will connect (a café's race world) sizes both once
+    /// instead of doubling them as the clients arrive.
+    pub fn reserve_connections(&mut self, additional: usize) {
+        self.connections.reserve(additional);
+        let total = self.connections.len() + additional;
+        if total > DEMUX_SCAN_LIMIT {
+            self.demux.reserve(total - self.demux.len());
+        }
+    }
+
     /// Appends a connection to the slab and returns its id (`len` after the
     /// push, so ids start at 1 and `ConnId(0)` stays invalid). The first
-    /// connection gets a one-slot slab (a client never opens a second); the
-    /// push that takes the slab past [`DEMUX_SCAN_LIMIT`] builds the
-    /// demultiplexing table from every connection, later pushes add to it.
+    /// connection of an unreserved host gets a one-slot slab (a client never
+    /// opens a second); the push that takes the slab past
+    /// [`DEMUX_SCAN_LIMIT`] builds the demultiplexing table from every
+    /// connection, later pushes add to it.
     fn push_conn(&mut self, conn: TcpConnection) -> ConnId {
         if self.connections.is_empty() {
             self.connections.reserve_exact(1);

@@ -17,6 +17,13 @@
 //! its one-slot connection slab: the host's name is interned here, a host
 //! with few connections demultiplexes by scanning them, and its first
 //! pre-handshake send is held inline in its slab entry.
+//!
+//! A world that knows its population up front sizes its tables once:
+//! [`Simulator::reserve_hosts`] reserves the host slab and `ip_index`, and
+//! [`Host::reserve_connections`] a server's connection slab and demux table,
+//! so a café of thousands of clients does not grow them one doubling at a
+//! time. A run of hosts that share a name (a café's victims) interns it by
+//! one comparison with the last name interned, not a hash per host.
 
 use crate::addr::{IpAddr, SocketAddr};
 use crate::attacker::{Injection, Tap};
@@ -330,9 +337,20 @@ impl Simulator {
         self.any_jitter = self.media.iter().any(|m| m.jitter > Duration::ZERO);
     }
 
+    /// Reserves room for `additional` more hosts in the host slab and the
+    /// address index, so a world that knows its population before adding it
+    /// (a café's race world) sizes both tables once instead of growing them
+    /// one doubling at a time. Changes no event, byte or random draw.
+    pub fn reserve_hosts(&mut self, additional: usize) {
+        self.hosts.reserve(additional);
+        self.ip_index.reserve(additional);
+    }
+
     /// Adds a host attached to `medium` and returns its id. `name` labels
     /// the host in the trace; it is interned once, so a thousand hosts named
-    /// `"client"` share one copy.
+    /// `"client"` share one copy, and a host named like the one added before
+    /// it reuses that name's id without hashing the name again. Call
+    /// [`Simulator::reserve_hosts`] first when adding many hosts.
     ///
     /// # Panics
     ///
@@ -972,6 +990,48 @@ mod tests {
         assert!(!text.contains("genuine-script"), "genuine response must be dropped as duplicate: {text}");
         // The trace shows at least one injected transmission.
         assert!(sim.trace().injected().count() >= 1);
+    }
+
+    #[test]
+    fn a_pre_sized_world_runs_exactly_like_an_unsized_one() {
+        // Enough victims that the server outgrows its scan and demultiplexes
+        // through its table; every third one asks for an object the tap
+        // ignores.
+        let clients = 3 * crate::endpoint::DEMUX_SCAN_LIMIT + 5;
+        let run = |reserve: bool| {
+            let (mut sim, _, server, wifi, _) = basic_world();
+            sim.set_service(
+                server,
+                Box::new(FixedResponder::new(
+                    &b"HTTP/1.1 200 OK\r\n\r\ngenuine-script();"[..],
+                    Duration::from_micros(500),
+                )),
+            );
+            sim.add_tap(wifi, Box::new(MyJsTap(Injector::default())));
+            if reserve {
+                sim.reserve_hosts(clients);
+                sim.host_mut(server).reserve_connections(clients);
+            }
+            let mut conns = Vec::new();
+            for index in 0..clients {
+                let ip = IpAddr::new(10, 0, 1, index as u8);
+                let client = sim.add_host("victim", ip, wifi);
+                let conn = sim.connect(client, server, 80).unwrap();
+                let path: &[u8] = if index % 3 == 0 { b"/other.js" } else { b"/my.js" };
+                let request = [&b"GET "[..], path, b" HTTP/1.1\r\nHost: somesite.com\r\n\r\n"].concat();
+                sim.send(client, conn, &request).unwrap();
+                conns.push((client, conn));
+            }
+            sim.run_until_idle().unwrap();
+            let mut received: Vec<Bytes> =
+                conns.iter().map(|&(client, conn)| sim.received(client, conn)).collect();
+            received.extend(sim.connections(server).into_iter().map(|conn| sim.received(server, conn)));
+            (sim.trace().render(), *sim.trace().summary(), received)
+        };
+        let unsized_world = run(false);
+        assert_eq!(run(true), unsized_world);
+        assert_eq!(unsized_world.2.len(), 2 * clients);
+        assert!(unsized_world.1.injected_events > 0);
     }
 
     #[test]

@@ -1,11 +1,13 @@
 //! Heap-allocation budget of the injection race world.
 //!
-//! A counting global allocator measures two things: a small multi-day churn
-//! campaign run through the experiment registry must cost at most two heap
-//! allocations per exposure (one victim joining one AP's race world on one
-//! day), and `run_until_idle` on a built race world must allocate a bounded
+//! A counting global allocator measures three things: a small multi-day
+//! churn campaign run through the experiment registry must cost at most two
+//! heap allocations per exposure (one victim joining one AP's race world on
+//! one day); `run_until_idle` on a built race world must allocate a bounded
 //! number of times however many events it processes, i.e. only for amortised
-//! growth of the simulator's own buffers, never per event.
+//! growth of the simulator's own buffers, never per event; and a world sized
+//! for its clients before they join, as `race_clients` sizes it, must
+//! allocate less in `run_until_idle` than one that grows as they arrive.
 //!
 //! The file holds a single test so no other test's allocations are counted.
 
@@ -62,7 +64,9 @@ fn counting<T>(f: impl FnOnce() -> T) -> (T, u64) {
 /// Builds the paper's race world (master tap on the shared WiFi, genuine
 /// server across the WAN) with `clients` victims attached and their
 /// requests sent, runs it, and returns (events, allocations of the run).
-fn race_world_run(clients: usize) -> (u64, u64) {
+/// With `reserve`, the world is sized for its clients first: the host slab,
+/// the address index and the server's connection slab and demux table.
+fn race_world_run(clients: usize, reserve: bool) -> (u64, u64) {
     let target = Url::parse("http://somesite.com/my.js").expect("static url");
     let genuine = Response::ok(Body::text(ResourceKind::JavaScript, "function genuine(){}"))
         .with_cache_control("public, max-age=86400");
@@ -83,6 +87,10 @@ fn race_world_run(clients: usize) -> (u64, u64) {
         )),
     );
     sim.add_tap(wifi, Box::new(tap));
+    if reserve {
+        sim.reserve_hosts(clients);
+        sim.host_mut(server).reserve_connections(clients);
+    }
     let request = Request::get(target).to_wire();
     for index in 0..clients {
         let ip = IpAddr::new(10, (index >> 8) as u8, (index & 0xff) as u8, 2);
@@ -121,8 +129,8 @@ fn the_race_world_allocates_per_client_not_per_event() {
         "{allocations} allocations for {exposures} exposures: more than two per exposure"
     );
 
-    let (small_events, small_allocations) = race_world_run(500);
-    let (large_events, large_allocations) = race_world_run(4_000);
+    let (small_events, small_allocations) = race_world_run(500, false);
+    let (large_events, large_allocations) = race_world_run(4_000, false);
     eprintln!(
         "run_until_idle: {small_allocations} allocations for {small_events} events, \
          {large_allocations} for {large_events}"
@@ -135,5 +143,18 @@ fn the_race_world_allocates_per_client_not_per_event() {
         large_allocations <= small_allocations + 64,
         "run_until_idle allocated {small_allocations} times for {small_events} events \
          but {large_allocations} times for {large_events}: it allocates per event"
+    );
+
+    let (sized_small_events, sized_small_allocations) = race_world_run(500, true);
+    let (sized_events, sized_allocations) = race_world_run(4_000, true);
+    eprintln!(
+        "run_until_idle, pre-sized: {sized_small_allocations} allocations for \
+         {sized_small_events} events, {sized_allocations} for {sized_events}"
+    );
+    assert_eq!((sized_small_events, sized_events), (small_events, large_events));
+    assert!(
+        sized_allocations < large_allocations,
+        "a world sized for its 4,000 clients allocated {sized_allocations} times in \
+         run_until_idle, an unsized one {large_allocations} times"
     );
 }
